@@ -15,9 +15,10 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
 # Differential path-tier tests: the lazy SparsePathFinder must match
-# the dense PathOracle and on-demand Dijkstra bitwise, and all three
-# tiers must decode identically on every fixture DEM (including the
-# hyperbolic one above the dense-oracle guard).
+# the dense PathOracle and on-demand Dijkstra (the reference search)
+# bitwise, and both path tiers must decode identically on every
+# fixture DEM (including the hyperbolic one above the dense-oracle
+# guard).
 cargo test -q --offline --test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
 cargo test -q --offline --test properties path_tiers_agree
 
@@ -59,19 +60,17 @@ QEC_BP_OSD_FUZZ_CASES=2000 cargo test -q --release --offline \
 # the batched decode hot path and the per-stage timing harness end to
 # end (1k shots keeps it a few seconds; the JSON lines double as a CI
 # artifact). The run must clear every perf gate — pass_2x
-# (decode_into ≥2x vs decode), pass_oracle (PathOracle ≥3x vs per-shot
-# Dijkstra), pass_sparse (SparsePathFinder ≥2x vs per-shot Dijkstra on
-# a hyperbolic DEM above the dense-oracle guard) and pass_obs_overhead
-# (per-batch tracing within 10% of the untraced decode stage), each
-# with bit-identical corrections — and leave the BENCH_9.json artifact
-# behind. The pass_blossom gate additionally requires the pooled
-# incremental blossom tier to clear 2x over the reference exact solver
-# on the hyperbolic fixture's real matching instances, the
+# (decode_into ≥2x vs decode) and pass_obs_overhead (per-batch tracing
+# within 10% of the untraced decode stage), each with bit-identical
+# corrections — and leave the BENCH_10.json artifact behind. The
+# mwpm_oracle_speedup_d5 row reports the dense PathOracle's speedup
+# over the sparse path tier without a gate (its threshold has not been
+# measured), but its corrections must be identical. The
 # pass_sparse_blossom gate requires the graph-native SparseGraph
 # matching strategy to clear 2x over the dense complete-pricing
-# pipeline end to end on the same fixture, and the pass_serve gate
-# requires the streaming service to sustain the throughput floor on
-# the hyperbolic fixture with corrections bit-identical to offline
+# pipeline end to end on the hyperbolic fixture, and the pass_serve
+# gate requires the streaming service to sustain the throughput floor
+# on the hyperbolic fixture with corrections bit-identical to offline
 # decode_into. The pass_bp_osd gate requires the BP+OSD hypergraph
 # tier to return a syndrome-exact correction for 100% of the
 # hyperbolic ground-truth shots with zero give-ups. The
@@ -84,9 +83,6 @@ trace_file=target/obs_trace.jsonl
 bench_out=$(cargo run --release --offline -p qec-bench -- \
     --shots 1000 --out BENCH_10.json --trace "$trace_file" | tee /dev/stderr)
 grep -q '"pass_2x":true' <<<"$bench_out"
-grep -q '"pass_oracle":true' <<<"$bench_out"
-grep -q '"pass_sparse":true' <<<"$bench_out"
-grep -q '"pass_blossom":true' <<<"$bench_out"
 grep -q '"pass_sparse_blossom":true' <<<"$bench_out"
 grep -q '"pass_obs_overhead":true' <<<"$bench_out"
 grep -q '"pass_serve":true' <<<"$bench_out"

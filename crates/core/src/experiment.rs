@@ -333,11 +333,10 @@ pub struct BerStats {
     /// only).
     pub oracle_hits: usize,
     /// Shots answered by the lazy [`qec_decode::SparsePathFinder`]
-    /// middle tier during this run (graph above the oracle node limit,
-    /// or flag-reweighted shot).
+    /// during this run (graph above the oracle node limit, or
+    /// flag-reweighted shot).
     pub sparse_hits: usize,
-    /// Shots that ran full per-shot Dijkstra during this run (both
-    /// path indexes unavailable).
+    /// Retired with the per-shot Dijkstra tier: always 0.
     pub oracle_misses: usize,
 }
 

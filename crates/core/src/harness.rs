@@ -225,7 +225,7 @@ pub fn print_ber_row(label: &str, point: &BerPoint) {
 /// Prints a sweep's one-line summary from its registry snapshot:
 /// executed vs requested shot totals (the 64-shot batch padding made
 /// visible), total decodes, decoder give-ups (silent partial
-/// corrections, now visible), the three path-tier shares, and how many
+/// corrections, now visible), the two path-tier shares, and how many
 /// times the decoder was actually constructed vs repriced.
 pub fn print_sweep_summary(label: &str, sweep: &BerSweep) {
     let m = &sweep.metrics;
@@ -235,14 +235,12 @@ pub fn print_sweep_summary(label: &str, sweep: &BerSweep) {
     let giveups = m.counter("decode.giveups.stalled") + m.counter("decode.giveups.round_limit");
     let oracle = m.counter("decode.tier.oracle_hits");
     let sparse = m.counter("decode.tier.sparse_hits");
-    let dijkstra = m.counter("decode.tier.dijkstra_fallbacks");
-    let tier_total = (oracle + sparse + dijkstra).max(1) as f64;
+    let tier_total = (oracle + sparse).max(1) as f64;
     let pct = |n: u64| 100.0 * n as f64 / tier_total;
     println!(
-        "{label:<42} summary: shots={executed} (requested {requested}) decodes={decodes} giveups={giveups} tiers: oracle={:.1}% sparse={:.1}% dijkstra={:.1}% constructions={}",
+        "{label:<42} summary: shots={executed} (requested {requested}) decodes={decodes} giveups={giveups} tiers: oracle={:.1}% sparse={:.1}% constructions={}",
         pct(oracle),
         pct(sparse),
-        pct(dijkstra),
         sweep.decoder_constructions,
     );
 }
@@ -370,9 +368,7 @@ mod tests {
         // the reported per-point deltas reassembles it exactly.
         let m = &sweep.metrics;
         assert_eq!(
-            m.counter("decode.tier.oracle_hits")
-                + m.counter("decode.tier.sparse_hits")
-                + m.counter("decode.tier.dijkstra_fallbacks"),
+            m.counter("decode.tier.oracle_hits") + m.counter("decode.tier.sparse_hits"),
             tier_sum,
             "per-point deltas must sum to the sweep-lifetime registry counters"
         );

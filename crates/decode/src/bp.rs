@@ -815,6 +815,10 @@ impl Decoder for BpOsdDecoder {
     fn num_observables(&self) -> usize {
         self.hypergraph.num_observables()
     }
+
+    fn num_detectors(&self) -> usize {
+        self.hypergraph.num_detectors()
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,484 @@
+//! The matching engine both matching decoders share: one decoding
+//! graph with its path supply, the matching instance, the pooled
+//! blossom solve and the unrolling of matched pairs into graph hops.
+//!
+//! [`crate::MwpmDecoder`] runs one engine over the full decoding graph,
+//! with a virtual boundary vertex when the code has one;
+//! [`crate::RestrictionDecoder`] runs three, one per restricted lattice,
+//! without a boundary. Path supply has two tiers:
+//!
+//! * the dense [`PathOracle`] — O(V²), built when V ≤ the node limit —
+//!   answers shots priced at the flag-free base weights;
+//! * the CSR [`SparsePathFinder`] — O(V+E), always built — answers
+//!   every other shot: graphs above the limit and flag-reweighted
+//!   shots.
+//!
+//! Both tiers relax edges through the same formula, so the tier decides
+//! where a distance comes from, never its value.
+
+use crate::blossom::pooled_min_weight_perfect_matching_f64;
+use crate::hypergraph::DecodingHypergraph;
+use crate::paths::{self, PathOracle, SparsePathFinder};
+use crate::scratch::MatchingCounters;
+use crate::sparse_blossom::{sparse_graph_match, MatchingStrategy};
+use qec_math::BitVec;
+use qec_obs::Registry;
+use std::collections::HashMap;
+
+/// Edges costlier than this are treated as unusable.
+const UNREACHABLE: f64 = 1.0e8;
+
+/// How one shot prices the graph's edges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pricing<'a> {
+    /// The flag-free base class weights the engine was built with.
+    Base,
+    /// The shot's effective per-class weights (flag-reweighted).
+    Shot(&'a [f64]),
+}
+
+/// The flag-conditioned class pricing of the matching decoders
+/// (§VI-B): every class is represented by one member, chosen against
+/// the shot's raised flags, and each raised flag costs `-ln p_M` on
+/// every class whose representative does not explain it.
+#[derive(Debug)]
+pub(crate) struct ClassPricing {
+    flag_conditioning: bool,
+    /// `-ln p_M`, the price of one flag measurement mismatch.
+    minus_ln_pm: f64,
+    /// `(member, weight)` per class with no flags raised.
+    base: Vec<(usize, f64)>,
+}
+
+impl ClassPricing {
+    /// Prices `hypergraph`'s classes for flag-free shots; without flag
+    /// conditioning every class keeps its unflagged representative.
+    pub(crate) fn new(hypergraph: &DecodingHypergraph, flag_conditioning: bool, p_m: f64) -> Self {
+        let minus_ln_pm = -p_m.clamp(1e-12, 1.0 - 1e-12).ln();
+        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
+        let base = hypergraph
+            .classes()
+            .iter()
+            .map(|c| {
+                if flag_conditioning {
+                    c.representative(&no_flags, minus_ln_pm)
+                } else {
+                    c.representative_unflagged()
+                }
+            })
+            .collect();
+        ClassPricing {
+            flag_conditioning,
+            minus_ln_pm,
+            base,
+        }
+    }
+
+    /// The flag-free weight of every class.
+    pub(crate) fn base_weights(&self) -> Vec<f64> {
+        self.base.iter().map(|&(_, w)| w).collect()
+    }
+
+    /// The `(member, weight)` a shot applies for `class`: its flag
+    /// override when it has one, the flag-free choice otherwise.
+    pub(crate) fn member(
+        &self,
+        class: usize,
+        overrides: &HashMap<usize, (usize, f64)>,
+    ) -> (usize, f64) {
+        overrides.get(&class).copied().unwrap_or(self.base[class])
+    }
+
+    /// Prices one shot raising `flags`: re-chooses the representative
+    /// of every class touching a raised flag into `overrides`, and
+    /// returns [`Pricing::Base`] when nothing changed, or the shot's
+    /// per-class weights resolved into `weights` — the flag-free
+    /// weight plus the global mismatch constant, or the override.
+    pub(crate) fn price_shot<'w>(
+        &self,
+        hypergraph: &DecodingHypergraph,
+        flags: &BitVec,
+        overrides: &mut HashMap<usize, (usize, f64)>,
+        weights: &'w mut Vec<f64>,
+    ) -> Pricing<'w> {
+        overrides.clear();
+        if !self.flag_conditioning || flags.is_zero() {
+            return Pricing::Base;
+        }
+        for f in flags.iter_ones() {
+            for &class in hypergraph.classes_with_flag(f) {
+                overrides.entry(class).or_insert_with(|| {
+                    hypergraph.classes()[class].representative(flags, self.minus_ln_pm)
+                });
+            }
+        }
+        let flag_constant = flags.weight() as f64 * self.minus_ln_pm;
+        weights.clear();
+        weights.extend(self.base.iter().map(|&(_, w)| w + flag_constant));
+        for (&class, &(_, w)) in overrides.iter() {
+            weights[class] = w;
+        }
+        Pricing::Shot(weights)
+    }
+}
+
+/// Which mechanism serves a shot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// Dense-oracle path supply, complete defect-pair instance.
+    Oracle,
+    /// Sparse-finder path supply, complete defect-pair instance.
+    Sparse,
+    /// Graph-native matching on the CSR
+    /// ([`MatchingStrategy::SparseGraph`]).
+    SparseGraph,
+}
+
+/// One decoding graph and everything needed to match defects on it.
+#[derive(Debug)]
+pub(crate) struct MatchingEngine {
+    /// `adjacency[v]` lists `(neighbor, class)`; kept for re-pricing
+    /// the dense oracle.
+    adjacency: Vec<Vec<(usize, usize)>>,
+    /// The virtual boundary vertex, when the graph has one.
+    boundary: Option<usize>,
+    strategy: MatchingStrategy,
+    oracle: Option<PathOracle>,
+    /// `None` only for a graph without vertices.
+    sparse: Option<SparsePathFinder>,
+}
+
+/// Per-worker work arrays of [`MatchingEngine::solve`], reused across
+/// shots and across the engines of one decoder.
+#[derive(Debug, Default)]
+pub(crate) struct EngineScratch {
+    /// Sparse-tier per-shot path memo.
+    pub(crate) sparse: crate::paths::SparsePathScratch,
+    /// Pooled incremental blossom solver state.
+    pub(crate) blossom: crate::blossom::BlossomScratch,
+    /// Graph-native sparse blossom state.
+    pub(crate) sparse_blossom: crate::sparse_blossom::SparseBlossomScratch,
+    /// Defect vertices, then the boundary when present.
+    targets: Vec<usize>,
+    edges: Vec<(usize, usize, f64)>,
+    /// Matched pairs, in `Matching::pairs` order (u < v, ascending u).
+    pairs: Vec<(usize, usize)>,
+}
+
+/// The target index matched pair `(a, b)` unrolls to — `b` for a defect
+/// pair, `s` (the boundary) for a defect and its own boundary copy —
+/// or `None` for a pair of boundary copies.
+fn pair_target(a: usize, b: usize, s: usize) -> Option<usize> {
+    if a >= s {
+        None
+    } else if b < s {
+        Some(b)
+    } else if b == s + a {
+        Some(s)
+    } else {
+        None
+    }
+}
+
+impl MatchingEngine {
+    /// Builds the path indexes over `adjacency` priced by
+    /// `class_weights`. `lattice` names the restricted lattice the
+    /// engine serves: it suffixes the build gauges (`build.oracle.l0.*`)
+    /// and tags the build spans.
+    pub(crate) fn build(
+        adjacency: Vec<Vec<(usize, usize)>>,
+        class_weights: Vec<f64>,
+        boundary: Option<usize>,
+        oracle_node_limit: usize,
+        strategy: MatchingStrategy,
+        metrics: &Registry,
+        lattice: Option<usize>,
+    ) -> Self {
+        let n = adjacency.len();
+        let suffix = lattice.map_or(String::new(), |li| format!(".l{li}"));
+        let gauges = |kind: &str, nodes: usize, bytes: usize| {
+            metrics
+                .gauge(&format!("build.{kind}{suffix}.nodes"))
+                .set(nodes as u64);
+            metrics
+                .gauge(&format!("build.{kind}{suffix}.bytes"))
+                .set(bytes as u64);
+        };
+        let span = |name: &str| match lattice {
+            Some(li) => qec_obs::span_with(name, &[("nodes", n.into()), ("lattice", li.into())]),
+            None => qec_obs::span_with(name, &[("nodes", n.into())]),
+        };
+        let oracle = (n > 0 && n <= oracle_node_limit).then(|| {
+            let _span = span("decoder.build.oracle");
+            let oracle =
+                PathOracle::build(&adjacency, &class_weights, paths::default_build_threads(n));
+            gauges("oracle", oracle.num_nodes(), oracle.memory_bytes());
+            oracle
+        });
+        let sparse = (n > 0).then(|| {
+            let _span = span("decoder.build.csr");
+            let sparse = SparsePathFinder::build(&adjacency, class_weights);
+            gauges("sparse", sparse.num_nodes(), sparse.memory_bytes());
+            if strategy == MatchingStrategy::SparseGraph {
+                let _span = span("decoder.build.sparse_blossom");
+                gauges("sparse_blossom", sparse.num_nodes(), sparse.memory_bytes());
+            }
+            sparse
+        });
+        MatchingEngine {
+            adjacency,
+            boundary,
+            strategy,
+            oracle,
+            sparse,
+        }
+    }
+
+    /// Re-prices both path indexes in place against new flag-free class
+    /// weights over the same graph — bit-identical to a fresh build.
+    pub(crate) fn reprice(&mut self, class_weights: &[f64]) {
+        if let Some(oracle) = &mut self.oracle {
+            let threads = paths::default_build_threads(self.adjacency.len());
+            oracle.reprice(&self.adjacency, class_weights, threads);
+        }
+        if let Some(sparse) = &mut self.sparse {
+            sparse.reprice(class_weights);
+        }
+    }
+
+    /// The dense oracle, when the graph fits the node limit.
+    pub(crate) fn oracle(&self) -> Option<&PathOracle> {
+        self.oracle.as_ref()
+    }
+
+    /// The CSR path finder, absent only for a graph without vertices.
+    pub(crate) fn sparse(&self) -> Option<&SparsePathFinder> {
+        self.sparse.as_ref()
+    }
+
+    /// The mechanism that serves a shot priced by `pricing`.
+    pub(crate) fn tier(&self, pricing: Pricing) -> Tier {
+        if self.strategy == MatchingStrategy::SparseGraph {
+            Tier::SparseGraph
+        } else if self.oracle.is_some() && matches!(pricing, Pricing::Base) {
+            Tier::Oracle
+        } else {
+            Tier::Sparse
+        }
+    }
+
+    /// Matches `defects` (graph vertices, each once) under `pricing` and
+    /// feeds every hop of every matched path to `sink` as
+    /// `(prev, cur, class)`, walking each path from its far end back to
+    /// its source defect. Returns `false` when no perfect matching
+    /// exists (the shot is given up and `sink` is never called).
+    pub(crate) fn solve(
+        &self,
+        defects: &[usize],
+        pricing: Pricing,
+        sc: &mut EngineScratch,
+        counters: &MatchingCounters,
+        mut sink: impl FnMut(usize, usize, usize),
+    ) -> bool {
+        let s = defects.len();
+        if s == 0 {
+            return true;
+        }
+        let Some(sp) = self.sparse.as_ref() else {
+            return false;
+        };
+        let EngineScratch {
+            sparse,
+            blossom,
+            sparse_blossom,
+            targets,
+            edges,
+            pairs,
+        } = sc;
+        let weights = match pricing {
+            Pricing::Base => sp.class_weights(),
+            Pricing::Shot(w) => w,
+        };
+        let tier = self.tier(pricing);
+        if tier == Tier::SparseGraph {
+            counters.sparse_blossom.inc();
+            let outcome = sparse_graph_match(
+                sp,
+                defects,
+                self.boundary,
+                &|c| weights[c],
+                sparse_blossom,
+                blossom,
+                pairs,
+            );
+            let Some(outcome) = outcome else {
+                return false;
+            };
+            counters.sparse_blossom_rounds.record(outcome.rounds as u64);
+            counters
+                .sparse_blossom_edges
+                .record(outcome.candidate_edges as u64);
+            for &(a, b) in pairs.iter() {
+                if let Some(tj) = pair_target(a, b, s) {
+                    for &(prev, cur, class) in sparse_blossom.pair_hops(a, tj) {
+                        sink(prev as usize, cur as usize, class as usize);
+                    }
+                }
+            }
+            return true;
+        }
+        // Complete instance: defects 0..s, boundary copies s..2s when
+        // the graph has a boundary. Target `tj` is defect `tj`, or the
+        // boundary at `tj == s`.
+        targets.clear();
+        targets.extend_from_slice(defects);
+        targets.extend(self.boundary);
+        let oracle = if tier == Tier::Oracle {
+            self.oracle.as_ref()
+        } else {
+            sp.matching_paths_into(defects, targets, |c| weights[c], sparse);
+            counters.sparse_memo_bytes.set(sparse.memo_bytes() as u64);
+            counters
+                .sparse_memo_high_water
+                .set(sparse.memo_high_water_bytes() as u64);
+            None
+        };
+        let pair_dist = |i: usize, tj: usize| match oracle {
+            Some(o) => o.dist(defects[i], targets[tj]),
+            None => sparse.dist(i, tj),
+        };
+        let has_boundary = self.boundary.is_some();
+        edges.clear();
+        for i in 0..s {
+            for j in (i + 1)..s {
+                let d = pair_dist(i, j);
+                if d < UNREACHABLE {
+                    edges.push((i, j, d));
+                }
+            }
+            if has_boundary {
+                let d = pair_dist(i, s);
+                if d < UNREACHABLE {
+                    edges.push((i, s + i, d));
+                }
+            }
+        }
+        if has_boundary {
+            for i in 0..s {
+                for j in (i + 1)..s {
+                    edges.push((s + i, s + j, 0.0));
+                }
+            }
+        }
+        let nodes = if has_boundary { 2 * s } else { s };
+        counters.blossom_solves.inc();
+        pairs.clear();
+        let Some(matching) = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom) else {
+            return false;
+        };
+        pairs.extend(matching.pairs());
+        for &(a, b) in pairs.iter() {
+            let Some(tj) = pair_target(a, b, s) else {
+                continue;
+            };
+            match oracle {
+                Some(o) => {
+                    let src = defects[a];
+                    let mut cur = targets[tj];
+                    while cur != src {
+                        let (prev, class) = o.pred(src, cur);
+                        debug_assert_ne!(prev, usize::MAX, "matched path must exist");
+                        sink(prev, cur, class);
+                        cur = prev;
+                    }
+                }
+                None => {
+                    for &(prev, cur, class) in sparse.path(a, tj) {
+                        sink(prev as usize, cur as usize, class as usize);
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn engine(adjacency: Vec<Vec<(usize, usize)>>, limit: usize) -> MatchingEngine {
+        let classes = adjacency.iter().flatten().map(|&(_, c)| c + 1).max();
+        MatchingEngine::build(
+            adjacency,
+            vec![1.0; classes.unwrap_or(0)],
+            None,
+            limit,
+            MatchingStrategy::Dense,
+            &Registry::new(),
+            None,
+        )
+    }
+
+    /// Vertices without edges: two defects can never be paired, and
+    /// both tiers give up instead of panicking or emitting hops.
+    #[test]
+    fn edgeless_graph_gives_up_cleanly() {
+        let counters = MatchingCounters::register(&Registry::new());
+        let mut sc = EngineScratch::default();
+        for limit in [1024, 0] {
+            let e = engine(vec![Vec::new(); 3], limit);
+            assert_eq!(e.oracle().is_some(), limit > 0);
+            let mut hops = 0;
+            assert!(
+                !e.solve(&[0, 2], Pricing::Base, &mut sc, &counters, |_, _, _| {
+                    hops += 1
+                })
+            );
+            assert!(!e.solve(&[1], Pricing::Base, &mut sc, &counters, |_, _, _| hops += 1));
+            assert!(e.solve(&[], Pricing::Base, &mut sc, &counters, |_, _, _| hops += 1));
+            assert_eq!(hops, 0);
+        }
+    }
+
+    /// A graph without vertices builds no index and matches nothing.
+    #[test]
+    fn empty_graph_builds_no_index() {
+        let e = engine(Vec::new(), 1024);
+        assert!(e.oracle().is_none() && e.sparse().is_none());
+        let counters = MatchingCounters::register(&Registry::new());
+        let mut sc = EngineScratch::default();
+        assert!(e.solve(&[], Pricing::Base, &mut sc, &counters, |_, _, _| {}));
+    }
+
+    /// Both tiers unroll the same hops in the same order, and a shot
+    /// priced per shot always takes the sparse tier.
+    #[test]
+    fn tiers_emit_identical_hops() {
+        // Path 0 - 1 - 2 - 3, classes 0..3.
+        let adjacency = vec![
+            vec![(1, 0)],
+            vec![(0, 0), (2, 1)],
+            vec![(1, 1), (3, 2)],
+            vec![(2, 2)],
+        ];
+        let dense = engine(adjacency.clone(), 1024);
+        let sparse = engine(adjacency, 0);
+        let counters = MatchingCounters::register(&Registry::new());
+        let mut sc = EngineScratch::default();
+        let run = |e: &MatchingEngine, pricing: Pricing, sc: &mut EngineScratch| {
+            let mut hops = Vec::new();
+            assert!(e.solve(&[0, 3], pricing, sc, &counters, |p, c, k| hops
+                .push((p, c, k))));
+            hops
+        };
+        let expected = vec![(2, 3, 2), (1, 2, 1), (0, 1, 0)];
+        assert_eq!(dense.tier(Pricing::Base), Tier::Oracle);
+        assert_eq!(run(&dense, Pricing::Base, &mut sc), expected);
+        assert_eq!(sparse.tier(Pricing::Base), Tier::Sparse);
+        assert_eq!(run(&sparse, Pricing::Base, &mut sc), expected);
+        let shot = [1.0; 3];
+        assert_eq!(dense.tier(Pricing::Shot(&shot)), Tier::Sparse);
+        assert_eq!(run(&dense, Pricing::Shot(&shot), &mut sc), expected);
+    }
+}

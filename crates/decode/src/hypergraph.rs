@@ -404,6 +404,26 @@ impl DecodingHypergraph {
         self.undecomposed
     }
 
+    /// Number of detectors a shot carries (parity and flag).
+    pub fn num_detectors(&self) -> usize {
+        self.check_index.len()
+    }
+
+    /// Whether `other` has the same decoding-graph topology — detector
+    /// split, observables and class supports — so a decoder built on
+    /// one can be re-priced for the other.
+    pub(crate) fn same_topology(&self, other: &DecodingHypergraph) -> bool {
+        self.num_check == other.num_check
+            && self.num_flag == other.num_flag
+            && self.num_observables == other.num_observables
+            && self.classes.len() == other.classes.len()
+            && self
+                .classes
+                .iter()
+                .zip(&other.classes)
+                .all(|(a, b)| a.sigma == b.sigma)
+    }
+
     /// Number of parity (check) detectors.
     pub fn num_check_detectors(&self) -> usize {
         self.num_check

@@ -23,18 +23,21 @@
 //! * [`UnionFindDecoder`] — an almost-linear-time Union-Find decoder
 //!   (Delfosse–Nickerson) over the same equivalence-class graph, used
 //!   as a speed/accuracy ablation against MWPM.
-//! * [`PathOracle`] — all-sources shortest paths precomputed once per
-//!   decoding graph at decoder construction, so flag-free shots (the
-//!   hot case) answer every defect-pair weight query and unroll every
-//!   correction path without running Dijkstra; graphs above a
-//!   configurable node limit keep the per-shot fallback (O(V²) memory
-//!   guard).
-//! * [`SparsePathFinder`] — the middle tier of the matching decoders'
-//!   three-tier path strategy (dense oracle → sparse finder → pooled
-//!   per-shot Dijkstra): lazy, defect-seeded truncated searches over an
-//!   O(V+E) CSR index, memoized per shot in [`DecodeScratch`], serving
-//!   graphs above the oracle node limit (the paper's hyperbolic DEMs)
-//!   and flag-reweighted shots — bit-identical to both neighbors.
+//! * The matching decoders share one crate-private matching engine per
+//!   decoding graph (MWPM: the full graph; Restriction: each restricted
+//!   lattice). It supplies paths from one of two tiers, builds the
+//!   matching instance, solves it with the pooled blossom solver
+//!   ([`BlossomScratch`]) and unrolls the matched paths:
+//!   * [`PathOracle`] — all-sources shortest paths precomputed once per
+//!     decoding graph at construction, so shots without flag
+//!     reweighting (the hot case) answer every defect-pair weight query
+//!     and unroll every correction path without a search; only built
+//!     below a configurable node limit (O(V²) memory guard).
+//!   * [`SparsePathFinder`] — lazy, defect-seeded truncated searches
+//!     over an O(V+E) CSR index, always built and memoized per shot in
+//!     [`DecodeScratch`]. It serves graphs above the oracle node limit
+//!     (the paper's hyperbolic DEMs) and every flag-reweighted shot,
+//!     bit-identical to the oracle.
 //! * [`sparse_graph_match`] — the graph-native sparse blossom matching
 //!   tier ([`MatchingStrategy::SparseGraph`]): instead of pricing every
 //!   defect pair, it grows a candidate instance outward from each
@@ -60,6 +63,7 @@
 
 mod blossom;
 mod bp;
+mod engine;
 mod hypergraph;
 mod mwpm;
 mod osd;
@@ -132,4 +136,8 @@ pub trait Decoder: Sync {
 
     /// Number of observables this decoder predicts.
     fn num_observables(&self) -> usize;
+
+    /// Number of detectors a shot must carry; a syndrome of any other
+    /// length is not a valid input.
+    fn num_detectors(&self) -> usize;
 }

@@ -1,17 +1,14 @@
 //! The flagged MWPM decoder (§VI-C) and its unflagged baseline.
 
-use crate::blossom::pooled_min_weight_perfect_matching_f64;
+use crate::engine::{ClassPricing, MatchingEngine, Tier};
 use crate::hypergraph::DecodingHypergraph;
-use crate::paths::{self, PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
+use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::{sparse_graph_match, MatchingStrategy};
+use crate::sparse_blossom::MatchingStrategy;
 use crate::{Decoder, DecoderStats};
-use qec_math::graph::matching::min_weight_perfect_matching_f64;
 use qec_math::BitVec;
 use qec_obs::Registry;
 use qec_sim::DetectorErrorModel;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Configuration of [`MwpmDecoder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,35 +20,11 @@ pub struct MwpmConfig {
     /// mismatches (Eq. 9).
     pub measurement_error_probability: f64,
     /// Precompute a [`PathOracle`] when the decoding graph has at most
-    /// this many vertices (O(V²) storage); larger graphs keep the
-    /// per-shot pooled-Dijkstra fallback. `0` disables the oracle.
+    /// this many vertices (O(V²) storage); it serves the shots without
+    /// flag reweighting. Every other shot, and every shot on a larger
+    /// graph, is served by the [`SparsePathFinder`]. `0` disables the
+    /// oracle.
     pub oracle_node_limit: usize,
-    /// Build a [`SparsePathFinder`] (lazy defect-seeded search, O(V+E)
-    /// storage) whenever the dense oracle is unavailable — the middle
-    /// tier of the three-tier path strategy. `false` forces full
-    /// per-shot Dijkstra when the oracle is absent.
-    pub sparse_paths: bool,
-    /// Worker threads for [`PathOracle`] construction; `0` = one per
-    /// available core. The oracle is bit-identical for any value (and
-    /// golden tests pin that), so this is a determinism-testing and
-    /// resource-control knob, not a correctness one.
-    pub build_threads: usize,
-    /// Solve matching instances with the pooled incremental blossom
-    /// solver ([`crate::BlossomScratch`]) instead of the allocating
-    /// reference solver. Decision-identical (bitwise-equal corrections,
-    /// pinned by golden and differential-fuzz tests), ~2x faster per
-    /// instance; `false` keeps the reference path.
-    pub incremental_blossom: bool,
-    /// On dense-oracle graphs with flag conditioning, additionally
-    /// precompute secondary [`PathOracle`] matrices for this many of
-    /// the most probable single-flag patterns (ranked by the total
-    /// mechanism probability mass raising each flag). Shots whose flag
-    /// syndrome is exactly one precomputed flag answer path queries
-    /// from the matching matrix (`decode.tier.flag_oracle_hits`)
-    /// instead of falling to per-shot Dijkstra — bit-identical, since
-    /// each matrix is built from the same single-flag-conditioned
-    /// weights the per-shot search would use. `0` disables.
-    pub flag_oracle_patterns: usize,
     /// How the matching instance is built:
     /// [`MatchingStrategy::Dense`] prices every defect pair through the
     /// path tiers (decision-identical default, all goldens pinned
@@ -69,10 +42,6 @@ impl MwpmConfig {
             flag_conditioning: true,
             measurement_error_probability: p_m,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            sparse_paths: true,
-            build_threads: 0,
-            incremental_blossom: true,
-            flag_oracle_patterns: 4,
             matching_strategy: MatchingStrategy::Dense,
         }
     }
@@ -83,56 +52,19 @@ impl MwpmConfig {
             flag_conditioning: false,
             measurement_error_probability: 0.5,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            sparse_paths: true,
-            build_threads: 0,
-            incremental_blossom: true,
-            // Irrelevant without flag conditioning (no shot is ever
-            // flag-reweighted), but kept equal to `flagged` so the two
-            // configs differ only in semantics, not structure.
-            flag_oracle_patterns: 4,
             matching_strategy: MatchingStrategy::Dense,
         }
     }
 
-    /// Overrides the oracle node limit (the memory guard); `0` forces
-    /// the sparse tier (or, with [`MwpmConfig::with_sparse_paths`]
-    /// disabled, the per-shot Dijkstra path).
+    /// Overrides the oracle node limit (the memory guard); `0` sends
+    /// every shot to the sparse tier.
     pub fn with_oracle_node_limit(mut self, limit: usize) -> Self {
         self.oracle_node_limit = limit;
         self
     }
 
-    /// Enables or disables the [`SparsePathFinder`] middle tier.
-    pub fn with_sparse_paths(mut self, sparse: bool) -> Self {
-        self.sparse_paths = sparse;
-        self
-    }
-
-    /// Overrides the oracle construction thread count (`0` = auto).
-    pub fn with_build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads;
-        self
-    }
-
-    /// Enables or disables the pooled incremental blossom matching
-    /// tier (`decode.tier.blossom`); disabled falls back to the
-    /// reference solver with bitwise-identical output.
-    pub fn with_incremental_blossom(mut self, on: bool) -> Self {
-        self.incremental_blossom = on;
-        self
-    }
-
-    /// Overrides the number of precomputed single-flag oracle patterns
-    /// (`0` disables the flag-oracle tier).
-    pub fn with_flag_oracle_patterns(mut self, patterns: usize) -> Self {
-        self.flag_oracle_patterns = patterns;
-        self
-    }
-
     /// Selects the matching strategy (see
-    /// [`MwpmConfig::matching_strategy`]). Choosing
-    /// [`MatchingStrategy::SparseGraph`] builds the
-    /// [`SparsePathFinder`] CSR index even when a dense oracle exists.
+    /// [`MwpmConfig::matching_strategy`]).
     pub fn with_matching_strategy(mut self, strategy: MatchingStrategy) -> Self {
         self.matching_strategy = strategy;
         self
@@ -142,116 +74,22 @@ impl MwpmConfig {
 /// Minimum-weight perfect-matching decoder over the decoding graph
 /// derived from the equivalence classes: each class with `|σ| = 1`
 /// becomes a boundary edge, `|σ| = 2` a normal edge, `|σ| > 2` a
-/// clique (Fig. 16(a)). Path weights come from the precomputed
-/// [`PathOracle`] when no flag reweighting is in effect (the hot case),
-/// and from per-shot Dijkstra runs with flag-conditioned class weights
-/// otherwise.
+/// clique (Fig. 16(a)). One matching engine matches the defects:
+/// path weights come from the precomputed [`PathOracle`] when no flag
+/// reweighting is in effect (the hot case), and from the
+/// [`SparsePathFinder`] with flag-conditioned class weights otherwise.
 #[derive(Debug)]
 pub struct MwpmDecoder {
     hypergraph: DecodingHypergraph,
     config: MwpmConfig,
-    minus_ln_pm: f64,
-    /// Base `(member, weight)` per class with no flags raised.
-    base_choice: Vec<(usize, f64)>,
-    /// `adjacency[v]` lists `(neighbor, class)`; vertex `num_check` is
-    /// the virtual boundary when present.
-    adjacency: Vec<Vec<(usize, usize)>>,
-    has_boundary: bool,
-    /// Precomputed all-sources shortest paths (flag-free weights),
-    /// shared read-only across every `run_ber` worker; `None` when the
-    /// graph exceeds the configured node limit.
-    oracle: Option<Arc<PathOracle>>,
-    /// Lazy defect-seeded path search, built when the dense oracle is
-    /// unavailable (above the node limit, or disabled); also shared
-    /// read-only across workers.
-    sparse: Option<Arc<SparsePathFinder>>,
-    /// Secondary dense oracles keyed by flag index, built from
-    /// single-flag-conditioned weights for the most probable flags
-    /// (see [`MwpmConfig::flag_oracle_patterns`]). Only consulted when
-    /// a shot raises exactly that one flag.
-    flag_oracles: HashMap<usize, Arc<PathOracle>>,
+    pricing: ClassPricing,
+    /// The decoding graph; vertex `num_check` is the virtual boundary
+    /// when present.
+    engine: MatchingEngine,
     /// Metrics registry the counters and build gauges live in; private
     /// unless the decoder was built via [`MwpmDecoder::with_metrics`].
     metrics: Registry,
     counters: MatchingCounters,
-}
-
-/// Edges costlier than this are treated as unusable.
-const UNREACHABLE: f64 = 1.0e8;
-
-/// Resolves the configured oracle-construction thread knob (`0` =
-/// auto) for a graph of `n` sources.
-fn oracle_threads(config: &MwpmConfig, n: usize) -> usize {
-    if config.build_threads > 0 {
-        config.build_threads
-    } else {
-        paths::default_build_threads(n)
-    }
-}
-
-/// Builds the secondary single-flag oracles: ranks flags by the total
-/// mechanism probability mass raising them, takes the configured top
-/// patterns, and builds one [`PathOracle`] per flag from the exact
-/// weights a per-shot search would use for a shot raising only that
-/// flag (base choice plus the one-flag mismatch constant, with every
-/// class touching the flag re-represented against it). Distances and
-/// predecessors are therefore bit-identical to the per-shot path.
-fn build_flag_oracles(
-    hypergraph: &DecodingHypergraph,
-    base_choice: &[(usize, f64)],
-    adjacency: &[Vec<(usize, usize)>],
-    config: &MwpmConfig,
-    minus_ln_pm: f64,
-    metrics: &Registry,
-) -> HashMap<usize, Arc<PathOracle>> {
-    let num_flags = hypergraph.num_flag_detectors();
-    if !config.flag_conditioning
-        || config.flag_oracle_patterns == 0
-        || num_flags == 0
-        || adjacency.is_empty()
-        || adjacency.len() > config.oracle_node_limit
-    {
-        return HashMap::new();
-    }
-    // Probability mass raising each flag: the sum over members (in any
-    // class) whose flag set contains it.
-    let mut mass = vec![0.0f64; num_flags];
-    for class in hypergraph.classes() {
-        for m in &class.members {
-            for &f in &m.flags {
-                mass[f as usize] += m.probability;
-            }
-        }
-    }
-    let mut ranked: Vec<usize> = (0..num_flags).filter(|&f| mass[f] > 0.0).collect();
-    // Highest mass first; flag index breaks ties deterministically.
-    ranked.sort_by(|&a, &b| mass[b].partial_cmp(&mass[a]).unwrap().then(a.cmp(&b)));
-    ranked.truncate(config.flag_oracle_patterns);
-    let threads = oracle_threads(config, adjacency.len());
-    let mut out = HashMap::new();
-    let mut bytes = 0u64;
-    for &f in &ranked {
-        let _span = qec_obs::span_with("decoder.build.flag_oracle", &[("flag", f.into())]);
-        let mut raised = BitVec::zeros(num_flags);
-        raised.flip(f);
-        // Exactly decode_core's shot pricing for flag syndrome {f}:
-        // overridden classes get their re-chosen representative weight,
-        // everything else base + one-flag mismatch constant.
-        let mut weights: Vec<f64> = base_choice.iter().map(|&(_, w)| w + minus_ln_pm).collect();
-        for &class in hypergraph.classes_with_flag(f) {
-            weights[class] = hypergraph.classes()[class]
-                .representative(&raised, minus_ln_pm)
-                .1;
-        }
-        let oracle = Arc::new(PathOracle::build(adjacency, &weights, threads));
-        bytes += oracle.memory_bytes() as u64;
-        out.insert(f, oracle);
-    }
-    metrics
-        .gauge("build.flag_oracle.count")
-        .set(out.len() as u64);
-    metrics.gauge("build.flag_oracle.bytes").set(bytes);
-    out
 }
 
 impl MwpmDecoder {
@@ -268,27 +106,15 @@ impl MwpmDecoder {
     pub fn with_metrics(dem: &DetectorErrorModel, config: MwpmConfig, metrics: Registry) -> Self {
         metrics.counter("decoder.constructions").inc();
         let hypergraph = DecodingHypergraph::new(dem);
-        let minus_ln_pm = -config
-            .measurement_error_probability
-            .clamp(1e-12, 1.0 - 1e-12)
-            .ln();
-        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
-        let base_choice: Vec<(usize, f64)> = hypergraph
-            .classes()
-            .iter()
-            .map(|c| {
-                if config.flag_conditioning {
-                    c.representative(&no_flags, minus_ln_pm)
-                } else {
-                    c.representative_unflagged()
-                }
-            })
-            .collect();
+        let pricing = ClassPricing::new(
+            &hypergraph,
+            config.flag_conditioning,
+            config.measurement_error_probability,
+        );
         let num_check = hypergraph.num_check_detectors();
         let has_boundary = hypergraph.classes().iter().any(|c| c.sigma.len() == 1);
-        let vertices = num_check + usize::from(has_boundary);
         let boundary = num_check;
-        let mut adjacency = vec![Vec::new(); vertices];
+        let mut adjacency = vec![Vec::new(); num_check + usize::from(has_boundary)];
         for (ci, class) in hypergraph.classes().iter().enumerate() {
             match class.sigma.len() {
                 0 => {}
@@ -307,81 +133,21 @@ impl MwpmDecoder {
                 }
             }
         }
-        let weights: Vec<f64> = base_choice.iter().map(|&(_, w)| w).collect();
-        let oracle =
-            (!adjacency.is_empty() && adjacency.len() <= config.oracle_node_limit).then(|| {
-                let _span = qec_obs::span_with(
-                    "decoder.build.oracle",
-                    &[("nodes", adjacency.len().into())],
-                );
-                let oracle = Arc::new(PathOracle::build(
-                    &adjacency,
-                    &weights,
-                    oracle_threads(&config, adjacency.len()),
-                ));
-                metrics
-                    .gauge("build.oracle.nodes")
-                    .set(oracle.num_nodes() as u64);
-                metrics
-                    .gauge("build.oracle.bytes")
-                    .set(oracle.memory_bytes() as u64);
-                oracle
-            });
-        // The CSR index serves two tiers: the sparse path supply (when
-        // the dense oracle is absent) and the graph-native sparse
-        // blossom matching stage, which searches it directly and so
-        // needs it regardless of the oracle.
-        let want_csr = (oracle.is_none() && config.sparse_paths)
-            || config.matching_strategy == MatchingStrategy::SparseGraph;
-        let sparse = (want_csr && !adjacency.is_empty()).then(|| {
-            let _span =
-                qec_obs::span_with("decoder.build.csr", &[("nodes", adjacency.len().into())]);
-            let sparse = Arc::new(SparsePathFinder::build(&adjacency, weights));
-            metrics
-                .gauge("build.sparse.nodes")
-                .set(sparse.num_nodes() as u64);
-            metrics
-                .gauge("build.sparse.bytes")
-                .set(sparse.memory_bytes() as u64);
-            sparse
-        });
-        if config.matching_strategy == MatchingStrategy::SparseGraph {
-            if let Some(sp) = &sparse {
-                let _span = qec_obs::span_with(
-                    "decoder.build.sparse_blossom",
-                    &[("nodes", sp.num_nodes().into())],
-                );
-                metrics
-                    .gauge("build.sparse_blossom.nodes")
-                    .set(sp.num_nodes() as u64);
-                metrics
-                    .gauge("build.sparse_blossom.bytes")
-                    .set(sp.memory_bytes() as u64);
-            }
-        }
-        let flag_oracles = if oracle.is_some() {
-            build_flag_oracles(
-                &hypergraph,
-                &base_choice,
-                &adjacency,
-                &config,
-                minus_ln_pm,
-                &metrics,
-            )
-        } else {
-            HashMap::new()
-        };
+        let engine = MatchingEngine::build(
+            adjacency,
+            pricing.base_weights(),
+            has_boundary.then_some(boundary),
+            config.oracle_node_limit,
+            config.matching_strategy,
+            &metrics,
+            None,
+        );
         let counters = MatchingCounters::register(&metrics);
         MwpmDecoder {
             hypergraph,
             config,
-            minus_ln_pm,
-            base_choice,
-            adjacency,
-            has_boundary,
-            oracle,
-            sparse,
-            flag_oracles,
+            pricing,
+            engine,
             metrics,
             counters,
         }
@@ -390,83 +156,31 @@ impl MwpmDecoder {
     /// Re-targets the decoder at a new detector error model with the
     /// **same decoding-graph topology** (the BER-sweep case: only the
     /// mechanism probabilities change with the physical error rate).
-    /// On success the adjacency, oracle matrices and sparse CSR index
+    /// On success the decoding graph, oracle matrix and sparse CSR index
     /// are reused and only re-priced — bit-identical to a fresh
     /// [`MwpmDecoder::new`] — and `true` is returned. Returns `false`
     /// (decoder unchanged) when the topology or a structural config
     /// knob differs, in which case the caller must rebuild.
     pub fn reprice(&mut self, dem: &DetectorErrorModel, config: MwpmConfig) -> bool {
         if config.oracle_node_limit != self.config.oracle_node_limit
-            || config.sparse_paths != self.config.sparse_paths
-            || config.flag_oracle_patterns != self.config.flag_oracle_patterns
             || config.matching_strategy != self.config.matching_strategy
         {
             return false;
         }
         let hypergraph = DecodingHypergraph::new(dem);
-        let same_topology = hypergraph.num_check_detectors()
-            == self.hypergraph.num_check_detectors()
-            && hypergraph.num_flag_detectors() == self.hypergraph.num_flag_detectors()
-            && hypergraph.num_observables() == self.hypergraph.num_observables()
-            && hypergraph.classes().len() == self.hypergraph.classes().len()
-            && hypergraph
-                .classes()
-                .iter()
-                .zip(self.hypergraph.classes())
-                .all(|(a, b)| a.sigma == b.sigma);
-        if !same_topology {
+        if !hypergraph.same_topology(&self.hypergraph) {
             return false;
         }
         let _span = qec_obs::span("decoder.reprice");
         self.metrics.counter("decoder.reprices").inc();
         self.config = config;
-        self.minus_ln_pm = -config
-            .measurement_error_probability
-            .clamp(1e-12, 1.0 - 1e-12)
-            .ln();
-        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
-        self.base_choice = hypergraph
-            .classes()
-            .iter()
-            .map(|c| {
-                if config.flag_conditioning {
-                    c.representative(&no_flags, self.minus_ln_pm)
-                } else {
-                    c.representative_unflagged()
-                }
-            })
-            .collect();
+        self.pricing = ClassPricing::new(
+            &hypergraph,
+            config.flag_conditioning,
+            config.measurement_error_probability,
+        );
         self.hypergraph = hypergraph;
-        let weights: Vec<f64> = self.base_choice.iter().map(|&(_, w)| w).collect();
-        if let Some(oracle) = &mut self.oracle {
-            let threads = oracle_threads(&config, self.adjacency.len());
-            match Arc::get_mut(oracle) {
-                Some(o) => o.reprice(&self.adjacency, &weights, threads),
-                // Shared with a still-live worker: swap in a fresh one.
-                None => *oracle = Arc::new(PathOracle::build(&self.adjacency, &weights, threads)),
-            }
-        }
-        if let Some(sparse) = &mut self.sparse {
-            match Arc::get_mut(sparse) {
-                Some(s) => s.reprice(&weights),
-                None => *sparse = Arc::new(SparsePathFinder::build(&self.adjacency, weights)),
-            }
-        }
-        // Flag-conditioned weights and even the flag ranking change
-        // with the mechanism probabilities, so the secondary oracles
-        // are rebuilt outright — bit-identical to a fresh construction.
-        self.flag_oracles = if self.oracle.is_some() {
-            build_flag_oracles(
-                &self.hypergraph,
-                &self.base_choice,
-                &self.adjacency,
-                &self.config,
-                self.minus_ln_pm,
-                &self.metrics,
-            )
-        } else {
-            HashMap::new()
-        };
+        self.engine.reprice(&self.pricing.base_weights());
         true
     }
 
@@ -478,86 +192,13 @@ impl MwpmDecoder {
     /// The precomputed path oracle, when the decoding graph fits the
     /// configured node limit.
     pub fn path_oracle(&self) -> Option<&PathOracle> {
-        self.oracle.as_deref()
+        self.engine.oracle()
     }
 
-    /// The lazy sparse path finder, built when the dense oracle is
-    /// absent and the sparse tier is enabled.
+    /// The CSR sparse path finder; absent only when the decoding graph
+    /// has no vertices.
     pub fn sparse_finder(&self) -> Option<&SparsePathFinder> {
-        self.sparse.as_deref()
-    }
-
-    /// Flag indices with a precomputed single-flag path oracle, in
-    /// ascending order.
-    pub fn flag_oracle_flags(&self) -> Vec<usize> {
-        let mut flags: Vec<usize> = self.flag_oracles.keys().copied().collect();
-        flags.sort_unstable();
-        flags
-    }
-
-    /// Applies a harvested sparse-tier path: the `(prev, cur, class)`
-    /// hops are exactly the sequence [`MwpmDecoder::apply_path`]'s
-    /// predecessor walk visits, so corrections and traces match the
-    /// other tiers bit for bit.
-    fn apply_hops(
-        &self,
-        hops: &[(u32, u32, u32)],
-        overrides: &HashMap<usize, (usize, f64)>,
-        correction: &mut BitVec,
-        trace: &mut Option<&mut Vec<TraceEdge>>,
-    ) {
-        for &(prev, cur, class) in hops {
-            let class = class as usize;
-            let (member, weight) = overrides
-                .get(&class)
-                .copied()
-                .unwrap_or(self.base_choice[class]);
-            for &obs in &self.hypergraph.classes()[class].members[member].observables {
-                correction.flip(obs as usize);
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(TraceEdge {
-                    class,
-                    member,
-                    weight,
-                    from: prev as usize,
-                    to: cur as usize,
-                });
-            }
-        }
-    }
-
-    fn apply_path(
-        &self,
-        pred_of: impl Fn(usize) -> (usize, usize),
-        src: usize,
-        dst: usize,
-        overrides: &HashMap<usize, (usize, f64)>,
-        correction: &mut BitVec,
-        trace: &mut Option<&mut Vec<TraceEdge>>,
-    ) {
-        let mut cur = dst;
-        while cur != src {
-            let (prev, class) = pred_of(cur);
-            debug_assert_ne!(prev, usize::MAX, "path must exist");
-            let (member, weight) = overrides
-                .get(&class)
-                .copied()
-                .unwrap_or(self.base_choice[class]);
-            for &obs in &self.hypergraph.classes()[class].members[member].observables {
-                correction.flip(obs as usize);
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(TraceEdge {
-                    class,
-                    member,
-                    weight,
-                    from: prev,
-                    to: cur,
-                });
-            }
-            cur = prev;
-        }
+        self.engine.sparse()
     }
 }
 
@@ -612,6 +253,10 @@ impl Decoder for MwpmDecoder {
     fn num_observables(&self) -> usize {
         self.hypergraph.num_observables()
     }
+
+    fn num_detectors(&self) -> usize {
+        self.hypergraph.num_detectors()
+    }
 }
 
 impl MwpmDecoder {
@@ -630,282 +275,49 @@ impl MwpmDecoder {
             checks,
             flags,
             overrides,
-            dist,
-            pred,
-            done,
-            heap,
-            edges,
-            sparse,
-            targets,
             weights,
-            blossom,
-            sparse_blossom,
-            pairs,
+            engine,
             ..
         } = sc;
         self.counters.decodes.inc();
         correction.reset_zeros(self.hypergraph.num_observables());
         self.hypergraph.split_shot_into(detectors, checks, flags);
         self.counters.defects.record(checks.len() as u64);
-        // Flag-conditioned overrides for affected classes.
-        overrides.clear();
-        if self.config.flag_conditioning && !flags.is_zero() {
-            for f in flags.iter_ones() {
-                for &class in self.hypergraph.classes_with_flag(f) {
-                    overrides.entry(class).or_insert_with(|| {
-                        self.hypergraph.classes()[class].representative(flags, self.minus_ln_pm)
-                    });
-                }
-            }
-        }
         if checks.is_empty() {
             return;
         }
-        let boundary = self.hypergraph.num_check_detectors();
-        let flag_constant = if self.config.flag_conditioning {
-            flags.weight() as f64 * self.minus_ln_pm
-        } else {
-            0.0
-        };
-        let s = checks.len();
-        // Graph-native sparse blossom tier: matching is solved directly
-        // on the CSR decoding graph (discovery → solve → dual-ball
-        // certify → repair), skipping the complete defect-pair pricing
-        // below entirely. Total matching weight is identical to the
-        // dense strategy; flagged shots are served through the same
-        // per-shot effective-weights slice the sparse path tier uses.
-        if self.config.matching_strategy == MatchingStrategy::SparseGraph {
-            if let Some(sp) = self.sparse.as_deref() {
-                self.counters.sparse_blossom.inc();
-                let boundary_vertex = self.has_boundary.then_some(boundary);
-                let outcome = if overrides.is_empty() && flag_constant == 0.0 {
-                    sparse_graph_match(
-                        sp,
-                        checks,
-                        boundary_vertex,
-                        &|c| sp.class_weights()[c],
-                        sparse_blossom,
-                        blossom,
-                        pairs,
-                    )
-                } else {
-                    weights.clear();
-                    weights.extend(self.base_choice.iter().map(|&(_, w)| w + flag_constant));
-                    for (&class, &(_, w)) in overrides.iter() {
-                        weights[class] = w;
-                    }
-                    sparse_graph_match(
-                        sp,
-                        checks,
-                        boundary_vertex,
-                        &|c| weights[c],
-                        sparse_blossom,
-                        blossom,
-                        pairs,
-                    )
-                };
-                let Some(outcome) = outcome else {
-                    return; // no consistent pairing: give up, like dense
-                };
-                self.counters
-                    .sparse_blossom_rounds
-                    .record(outcome.rounds as u64);
-                self.counters
-                    .sparse_blossom_edges
-                    .record(outcome.candidate_edges as u64);
-                for &(a, b) in pairs.iter() {
-                    let tj = if a < s && b < s {
-                        b
-                    } else if a < s && b == s + a {
-                        s
-                    } else {
-                        continue;
-                    };
-                    self.apply_hops(
-                        sparse_blossom.pair_hops(a, tj),
-                        overrides,
-                        correction,
-                        &mut trace,
-                    );
+        let pricing = self
+            .pricing
+            .price_shot(&self.hypergraph, flags, overrides, weights);
+        match self.engine.tier(pricing) {
+            Tier::Oracle => self.counters.oracle_hits.inc(),
+            Tier::Sparse => self.counters.sparse_hits.inc(),
+            Tier::SparseGraph => {}
+        }
+        let classes = self.hypergraph.classes();
+        // A shot without a perfect matching is given up: the correction
+        // stays empty.
+        self.engine.solve(
+            checks,
+            pricing,
+            engine,
+            &self.counters,
+            |prev, cur, class| {
+                let (member, weight) = self.pricing.member(class, overrides);
+                for &obs in &classes[class].members[member].observables {
+                    correction.flip(obs as usize);
                 }
-                return;
-            }
-        }
-        // Three-tier path strategy. With no flag reweighting in effect
-        // the precomputed dense oracle answers every query; raised
-        // flags (overrides or the global constant) reweight the graph
-        // shot-locally, so those shots — and graphs above the node
-        // limit, where no oracle exists — fall to the sparse finder
-        // (defect-seeded truncated searches, re-priced per shot through
-        // the weight closure), and only when that tier is disabled to
-        // full per-shot pooled Dijkstra.
-        let base_oracle = self
-            .oracle
-            .as_deref()
-            .filter(|_| overrides.is_empty() && flag_constant == 0.0);
-        // Single-flag shots on dense-oracle graphs: when the raised
-        // flag has a precomputed secondary matrix, serve the shot from
-        // it — the matrix was built from exactly this shot's pricing,
-        // so every distance and predecessor is bit-identical to the
-        // per-shot search it replaces.
-        let flag_oracle = if base_oracle.is_none() && flags.weight() == 1 {
-            flags
-                .iter_ones()
-                .next()
-                .and_then(|f| self.flag_oracles.get(&f))
-                .map(Arc::as_ref)
-        } else {
-            None
-        };
-        let oracle = base_oracle.or(flag_oracle);
-        let sparse_finder = if oracle.is_none() {
-            self.sparse.as_deref()
-        } else {
-            None
-        };
-        if base_oracle.is_some() {
-            self.counters.oracle_hits.inc();
-        } else if flag_oracle.is_some() {
-            self.counters.flag_oracle_hits.inc();
-        } else if sparse_finder.is_some() {
-            self.counters.sparse_hits.inc();
-        } else {
-            self.counters.oracle_misses.inc();
-        }
-        // Non-overridden classes keep their F = ∅ member but still pay
-        // the global |F| flag-mismatch constant.
-        let class_weight = |class: usize| {
-            overrides
-                .get(&class)
-                .map_or(self.base_choice[class].1 + flag_constant, |&(_, w)| w)
-        };
-        if let Some(sp) = sparse_finder {
-            targets.clear();
-            targets.extend_from_slice(checks);
-            if self.has_boundary {
-                targets.push(boundary);
-            }
-            // Resolve the shot's pricing once into a slice so the
-            // search relaxes edges by array indexing, not per-edge map
-            // lookups. The entries are exactly what `class_weight`
-            // would return, so distances stay bit-identical.
-            if overrides.is_empty() && flag_constant == 0.0 {
-                sp.matching_paths_into(checks, targets, |c| sp.class_weights()[c], sparse);
-            } else {
-                weights.clear();
-                weights.extend(self.base_choice.iter().map(|&(_, w)| w + flag_constant));
-                for (&class, &(_, w)) in overrides.iter() {
-                    weights[class] = w;
+                if let Some(t) = trace.as_deref_mut() {
+                    t.push(TraceEdge {
+                        class,
+                        member,
+                        weight,
+                        from: prev,
+                        to: cur,
+                    });
                 }
-                sp.matching_paths_into(checks, targets, |c| weights[c], sparse);
-            }
-            self.counters
-                .sparse_memo_bytes
-                .set(sparse.memo_bytes() as u64);
-            self.counters
-                .sparse_memo_high_water
-                .set(sparse.memo_high_water_bytes() as u64);
-        } else if oracle.is_none() {
-            while dist.len() < s {
-                dist.push(Vec::new());
-                pred.push(Vec::new());
-            }
-            for i in 0..s {
-                paths::dijkstra_into(
-                    &self.adjacency,
-                    checks[i],
-                    class_weight,
-                    &mut dist[i],
-                    &mut pred[i],
-                    done,
-                    heap,
-                );
-            }
-        }
-        // Matching instance: flipped detectors 0..s, boundary copies
-        // s..2s when the code has a boundary. `tj` is the sparse-tier
-        // target index (checks at their own positions, boundary last).
-        let pair_dist = |i: usize, tj: usize, node: usize| -> f64 {
-            if let Some(o) = oracle {
-                o.dist(checks[i], node)
-            } else if sparse_finder.is_some() {
-                sparse.dist(i, tj)
-            } else {
-                dist[i][node]
-            }
-        };
-        edges.clear();
-        for i in 0..s {
-            for (j, &cj) in checks.iter().enumerate().skip(i + 1) {
-                let d = pair_dist(i, j, cj);
-                if d < UNREACHABLE {
-                    edges.push((i, j, d));
-                }
-            }
-            if self.has_boundary {
-                let d = pair_dist(i, s, boundary);
-                if d < UNREACHABLE {
-                    edges.push((i, s + i, d));
-                }
-            }
-        }
-        if self.has_boundary {
-            for i in 0..s {
-                for j in (i + 1)..s {
-                    edges.push((s + i, s + j, 0.0));
-                }
-            }
-        }
-        let nodes = if self.has_boundary { 2 * s } else { s };
-        // Matching stage: the pooled incremental blossom tier when
-        // enabled (decision-identical to the reference solver — same
-        // mates, not just same cost), the allocating reference
-        // otherwise. Pairs land in a scratch buffer so both solvers
-        // feed the identical correction loop below.
-        pairs.clear();
-        if self.config.incremental_blossom {
-            self.counters.blossom_solves.inc();
-            let Some(matching) = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)
-            else {
-                return; // no consistent pairing: give up
-            };
-            pairs.extend(matching.pairs());
-        } else {
-            let Some(matching) = min_weight_perfect_matching_f64(nodes, edges) else {
-                return; // no consistent pairing: give up
-            };
-            pairs.extend(matching.pairs());
-        }
-        for &(a, b) in pairs.iter() {
-            let (dst, tj) = if a < s && b < s {
-                (checks[b], b)
-            } else if a < s && b == s + a {
-                (boundary, s)
-            } else {
-                continue;
-            };
-            if let Some(o) = oracle {
-                self.apply_path(
-                    |v| o.pred(checks[a], v),
-                    checks[a],
-                    dst,
-                    overrides,
-                    correction,
-                    &mut trace,
-                );
-            } else if sparse_finder.is_some() {
-                self.apply_hops(sparse.path(a, tj), overrides, correction, &mut trace);
-            } else {
-                self.apply_path(
-                    |v| pred[a][v],
-                    checks[a],
-                    dst,
-                    overrides,
-                    correction,
-                    &mut trace,
-                );
-            }
-        }
+            },
+        );
     }
 }
 
@@ -972,73 +384,67 @@ mod tests {
         }
     }
 
-    /// The fallback (threshold-exceeded) path must stay exercised and
-    /// bit-identical: a `0` node limit with the sparse tier disabled
-    /// forces per-shot Dijkstra, and every syndrome decodes to the same
-    /// correction either way.
+    /// Both path tiers stay exercised and bit-identical: the default
+    /// config answers every nonzero syndrome from the dense oracle, a
+    /// `0` node limit from the sparse finder, and every syndrome
+    /// decodes to the same correction either way.
     #[test]
-    fn oracle_and_fallback_paths_agree_exhaustively() {
-        let dem = repetition_dem(0.01);
-        let with_oracle = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
-        assert!(with_oracle.path_oracle().is_some());
-        assert!(with_oracle.sparse_finder().is_none());
-        let fallback = MwpmDecoder::new(
-            &dem,
-            MwpmConfig::unflagged()
-                .with_oracle_node_limit(0)
-                .with_sparse_paths(false),
-        );
-        assert!(fallback.path_oracle().is_none());
-        assert!(fallback.sparse_finder().is_none());
-        let nd = dem.num_detectors();
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            assert_eq!(
-                with_oracle.decode(&dets),
-                fallback.decode(&dets),
-                "syndrome {pattern:#b}"
-            );
-        }
-        let with_stats = with_oracle.stats();
-        let fallback_stats = fallback.stats();
-        assert!(with_stats.oracle_hits > 0 && with_stats.oracle_misses == 0);
-        assert!(fallback_stats.oracle_hits == 0 && fallback_stats.oracle_misses > 0);
-        assert!(with_stats.sparse_hits == 0 && fallback_stats.sparse_hits == 0);
-        assert_eq!(with_stats.decodes, fallback_stats.decodes);
-    }
-
-    /// The middle tier: with the oracle disabled, the sparse finder
-    /// serves every non-empty shot, bit-identical to both the dense
-    /// tier and the Dijkstra fallback.
-    #[test]
-    fn sparse_tier_agrees_with_oracle_and_fallback_exhaustively() {
+    fn oracle_and_sparse_tiers_agree_exhaustively() {
         let dem = repetition_dem(0.01);
         let dense = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
+        assert!(dense.path_oracle().is_some());
         let sparse = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(0));
         assert!(sparse.path_oracle().is_none());
         assert!(sparse.sparse_finder().is_some());
-        let fallback = MwpmDecoder::new(
-            &dem,
-            MwpmConfig::unflagged()
-                .with_oracle_node_limit(0)
-                .with_sparse_paths(false),
-        );
         let nd = dem.num_detectors();
         let mut scratch = DecodeScratch::new();
         let mut out = BitVec::zeros(0);
         for pattern in 0..(1u32 << nd) {
             let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
             sparse.decode_into(&dets, &mut scratch, &mut out);
-            assert_eq!(out, dense.decode(&dets), "vs dense, syndrome {pattern:#b}");
-            assert_eq!(
-                out,
-                fallback.decode(&dets),
-                "vs fallback, syndrome {pattern:#b}"
-            );
+            assert_eq!(out, dense.decode(&dets), "syndrome {pattern:#b}");
         }
-        let stats = sparse.stats();
-        assert!(stats.sparse_hits > 0);
-        assert!(stats.oracle_hits == 0 && stats.oracle_misses == 0);
+        let (dense_stats, sparse_stats) = (dense.stats(), sparse.stats());
+        assert!(dense_stats.oracle_hits > 0 && dense_stats.sparse_hits == 0);
+        assert!(sparse_stats.sparse_hits > 0 && sparse_stats.oracle_hits == 0);
+        assert_eq!(dense_stats.oracle_misses + sparse_stats.oracle_misses, 0);
+        assert_eq!(dense_stats.decodes, sparse_stats.decodes);
+    }
+
+    /// Degenerate DEMs decode or give up cleanly on both tiers: an
+    /// empty DEM decodes the all-zero syndrome to an empty correction,
+    /// and on detectors without mechanisms (vertices, no edges) a
+    /// shot that cannot be matched returns an empty correction instead
+    /// of panicking.
+    #[test]
+    fn degenerate_dems_decode_or_give_up_cleanly() {
+        let empty = DetectorErrorModel::from_circuit(&Circuit::new(1));
+        let decoder = MwpmDecoder::new(&empty, MwpmConfig::flagged(0.01));
+        assert_eq!(decoder.num_detectors(), 0);
+        assert!(decoder.sparse_finder().is_none());
+        assert_eq!(decoder.decode(&BitVec::zeros(0)), BitVec::zeros(0));
+
+        let mut c = Circuit::new(3);
+        c.reset(&[0, 1, 2]);
+        let m = c.measure(&[0, 1, 2], 0.0);
+        for i in 0..3 {
+            c.add_detector(vec![m + i], DetectorMeta::check(i, 0));
+        }
+        let edgeless = DetectorErrorModel::from_circuit(&c);
+        for limit in [DEFAULT_ORACLE_NODE_LIMIT, 0] {
+            let decoder = MwpmDecoder::new(
+                &edgeless,
+                MwpmConfig::unflagged().with_oracle_node_limit(limit),
+            );
+            assert_eq!(decoder.path_oracle().is_some(), limit > 0);
+            let mut scratch = DecodeScratch::new();
+            let mut out = BitVec::zeros(0);
+            for pattern in 1..8u32 {
+                let dets = BitVec::from_ones(3, (0..3).filter(|&d| pattern >> d & 1 == 1));
+                decoder.decode_into(&dets, &mut scratch, &mut out);
+                assert!(out.is_zero(), "limit {limit}, syndrome {pattern:#b}");
+            }
+        }
     }
 
     /// The graph-native matching strategy: every syndrome decodes to

@@ -1,6 +1,7 @@
-//! Shared shortest-path machinery for the matching decoders: the
-//! single-source Dijkstra both decoders run per shot, and the
-//! all-sources [`PathOracle`] precomputed once per decoding graph.
+//! Shared shortest-path machinery for the matching decoders' two path
+//! tiers: the all-sources [`PathOracle`] precomputed once per decoding
+//! graph, the lazy [`SparsePathFinder`], and the single-source Dijkstra
+//! the oracle is built from (also the tests' reference search).
 //!
 //! PyMatching-class decoders get their speed by paying the path-search
 //! cost once per matching graph, not once per shot per defect. The
@@ -9,8 +10,9 @@
 //! thread count because rows are independent), and the resulting
 //! `dist` matrix plus per-source predecessor trees answer defect-pair
 //! weight queries and unroll correction paths in O(1) per hop at decode
-//! time. Storage is O(V²), so graphs above a configurable node limit
-//! keep the per-shot pooled-Dijkstra fallback.
+//! time. Storage is O(V²), so graphs above a configurable node limit —
+//! and shots the flag-free matrix cannot price — are served by the
+//! sparse finder instead.
 
 use crate::scratch::HeapItem;
 use std::collections::BinaryHeap;
@@ -29,7 +31,7 @@ pub const DEFAULT_ORACLE_NODE_LIMIT: usize = 1024;
 /// and the `1e-9 · (class % 1024)` term ranks exactly-tied alternatives
 /// stably by class. Keeping the formula (and its left-to-right
 /// accumulation order) in one place is what makes the dense oracle, the
-/// sparse finder and the per-shot fallback **bitwise** interchangeable.
+/// sparse finder and the reference Dijkstra **bitwise** interchangeable.
 #[inline]
 pub(crate) fn relaxed_dist(d: f64, w: f64, class: usize) -> f64 {
     d + w + 1e-6 + (class % 1024) as f64 * 1e-9
@@ -128,8 +130,7 @@ pub(crate) fn default_build_threads(n: usize) -> usize {
 /// s)`: rows are computed independently (one Dijkstra per source,
 /// parallelized across construction threads), so the result is
 /// **bit-identical regardless of thread count** and bit-identical to
-/// the per-shot Dijkstra the decoders would otherwise run with no flag
-/// overrides in effect.
+/// the [`SparsePathFinder`]'s searches under the same class weights.
 #[derive(Debug)]
 pub struct PathOracle {
     n: usize,
@@ -269,19 +270,19 @@ impl PathOracle {
     }
 }
 
-/// Lazy, defect-seeded shortest paths for decoding graphs above the
-/// [`PathOracle`] node limit — the middle tier of the three-tier path
-/// strategy (dense oracle → sparse finder → pooled per-shot Dijkstra).
+/// Lazy, defect-seeded shortest paths — the path tier that serves
+/// decoding graphs above the [`PathOracle`] node limit and every
+/// flag-reweighted shot.
 ///
 /// Instead of precomputing all V² pairs (dense oracle) or running one
-/// *full-graph* Dijkstra per defect per shot (fallback), the finder
-/// grows a Dijkstra region from each defect that actually fired and
-/// stops as soon as every target that defect still needs is settled.
-/// Because Dijkstra settles nodes in nondecreasing distance order, the
-/// settled targets carry their **final** distances and predecessors —
-/// the truncation is exact, and since relaxations price edges through
-/// the same [`relaxed_dist`] tie-break the harvested results are
-/// **bitwise** equal to a full run's.
+/// *full-graph* Dijkstra per defect per shot, the finder grows a
+/// Dijkstra region from each defect that actually fired and stops as
+/// soon as every target that defect still needs is settled. Because
+/// Dijkstra settles nodes in nondecreasing distance order, the settled
+/// targets carry their **final** distances and predecessors — the
+/// truncation is exact, and since relaxations price edges through the
+/// same [`relaxed_dist`] tie-break the harvested results are **bitwise**
+/// equal to a full run's.
 ///
 /// For matching, source `i` only needs targets `i+1..` (the matcher
 /// consumes each unordered pair once, from the lower-indexed side; the

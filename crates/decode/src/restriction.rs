@@ -1,19 +1,16 @@
 //! The flagged Restriction decoder for color codes (§VI-D) and its
 //! Chamberland-style baseline.
 
+use crate::engine::{ClassPricing, MatchingEngine, Pricing, Tier};
 use crate::hypergraph::DecodingHypergraph;
-use crate::paths::{
-    self, PathOracle, SparsePathFinder, SparsePathScratch, DEFAULT_ORACLE_NODE_LIMIT,
-};
-use crate::scratch::{DecodeScratch, HeapItem, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::{sparse_graph_match, MatchingStrategy, SparseBlossomScratch};
+use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
+use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
+use crate::sparse_blossom::MatchingStrategy;
 use crate::{Decoder, DecoderStats};
-use qec_math::graph::matching::min_weight_perfect_matching_f64;
 use qec_math::{gf2, BitMatrix, BitVec};
 use qec_obs::Registry;
 use qec_sim::DetectorErrorModel;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// Structural information about the color code, needed for lifting.
 #[derive(Debug, Clone)]
@@ -41,28 +38,15 @@ pub struct RestrictionConfig {
     /// Measurement error probability `p_M` for flag-mismatch pricing.
     pub measurement_error_probability: f64,
     /// Precompute a per-lattice [`PathOracle`] when a restricted
-    /// lattice has at most this many vertices (O(V²) storage); larger
-    /// lattices keep the per-shot pooled-Dijkstra fallback. `0`
-    /// disables the oracles.
+    /// lattice has at most this many vertices (O(V²) storage); it
+    /// serves the shots without flag reweighting. Every other shot, and
+    /// every shot on a larger lattice, is served by that lattice's
+    /// [`SparsePathFinder`]. `0` disables the oracles.
     pub oracle_node_limit: usize,
-    /// Build a per-lattice [`SparsePathFinder`] (lazy defect-seeded
-    /// search, O(V+E) storage) whenever that lattice's dense oracle is
-    /// unavailable — the middle tier of the three-tier path strategy.
-    /// `false` forces full per-shot Dijkstra when an oracle is absent.
-    pub sparse_paths: bool,
-    /// Worker threads for [`PathOracle`] construction; `0` = one per
-    /// available core. The oracle is bit-identical for any value, so
-    /// this is a determinism-testing and resource-control knob.
-    pub build_threads: usize,
-    /// Solve each restricted lattice's matching with the pooled
-    /// incremental blossom solver ([`crate::BlossomScratch`]) instead
-    /// of the allocating reference solver; decision-identical, pinned
-    /// by golden and differential-fuzz tests.
-    pub incremental_blossom: bool,
     /// How each restricted lattice's matching instance is built.
     /// [`MatchingStrategy::Dense`] prices every defect pair up front;
     /// [`MatchingStrategy::SparseGraph`] solves directly on the
-    /// lattice's CSR with [`sparse_graph_match`] — identical total
+    /// lattice's CSR with [`crate::sparse_graph_match`] — identical total
     /// matching weight, per-shot cost scaling with the touched graph
     /// region.
     pub matching_strategy: MatchingStrategy,
@@ -76,9 +60,6 @@ impl RestrictionConfig {
             twice_used_rule: true,
             measurement_error_probability: p_m,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            sparse_paths: true,
-            build_threads: 0,
-            incremental_blossom: true,
             matching_strategy: MatchingStrategy::Dense,
         }
     }
@@ -90,38 +71,14 @@ impl RestrictionConfig {
             twice_used_rule: false,
             measurement_error_probability: p_m,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            sparse_paths: true,
-            build_threads: 0,
-            incremental_blossom: true,
             matching_strategy: MatchingStrategy::Dense,
         }
     }
 
-    /// Overrides the oracle node limit (the memory guard); `0` forces
-    /// the sparse tier (or, with [`RestrictionConfig::with_sparse_paths`]
-    /// disabled, the per-shot Dijkstra path).
+    /// Overrides the oracle node limit (the memory guard); `0` sends
+    /// every shot to the sparse tier.
     pub fn with_oracle_node_limit(mut self, limit: usize) -> Self {
         self.oracle_node_limit = limit;
-        self
-    }
-
-    /// Enables or disables the [`SparsePathFinder`] middle tier.
-    pub fn with_sparse_paths(mut self, sparse: bool) -> Self {
-        self.sparse_paths = sparse;
-        self
-    }
-
-    /// Overrides the oracle construction thread count (`0` = auto).
-    pub fn with_build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads;
-        self
-    }
-
-    /// Enables or disables the pooled incremental blossom matching
-    /// tier (`decode.tier.blossom`); disabled falls back to the
-    /// reference solver with bitwise-identical output.
-    pub fn with_incremental_blossom(mut self, on: bool) -> Self {
-        self.incremental_blossom = on;
         self
     }
 
@@ -140,29 +97,22 @@ struct Lattice {
     vertex_of: Vec<Option<usize>>,
     /// lattice vertex -> check-space index.
     check_of: Vec<usize>,
-    /// `adjacency[v]`: `(neighbor, class)`.
-    adjacency: Vec<Vec<(usize, usize)>>,
+    /// The lattice's decoding graph (no boundary vertex).
+    engine: MatchingEngine,
 }
 
 /// The restriction decoder: MWPM on the `L_RG`, `L_RB` and `L_GB`
 /// restricted lattices, the twice-used-edge rule (an edge chosen by two
 /// different restricted matchings is corrected directly), then lifting
-/// of the remaining edges at red plaquettes (Fig. 16(b)).
+/// of the remaining edges at red plaquettes (Fig. 16(b)). Each lattice
+/// matches through its own matching engine.
 #[derive(Debug)]
 pub struct RestrictionDecoder {
     hypergraph: DecodingHypergraph,
     ctx: ColorCodeContext,
     config: RestrictionConfig,
-    minus_ln_pm: f64,
-    base_choice: Vec<(usize, f64)>,
+    pricing: ClassPricing,
     lattices: [Lattice; 3],
-    /// Per-lattice precomputed shortest paths (flag-free weights),
-    /// shared read-only across every `run_ber` worker; `None` when a
-    /// lattice exceeds the configured node limit.
-    oracles: [Option<Arc<PathOracle>>; 3],
-    /// Per-lattice lazy path finders, built when that lattice's dense
-    /// oracle is unavailable; also shared read-only across workers.
-    sparses: [Option<Arc<SparsePathFinder>>; 3],
     /// Metrics registry the counters and build gauges live in; private
     /// unless the decoder was built via
     /// [`RestrictionDecoder::with_metrics`].
@@ -170,18 +120,6 @@ pub struct RestrictionDecoder {
     counters: MatchingCounters,
     /// Exact lookup from a class's σ to its index.
     sigma_index: HashMap<Vec<u32>, usize>,
-}
-
-const UNREACHABLE: f64 = 1.0e8;
-
-/// Resolves the configured oracle-construction thread knob (`0` =
-/// auto) for a lattice of `n` sources.
-fn oracle_threads(config: &RestrictionConfig, n: usize) -> usize {
-    if config.build_threads > 0 {
-        config.build_threads
-    } else {
-        paths::default_build_threads(n)
-    }
 }
 
 impl RestrictionDecoder {
@@ -211,34 +149,20 @@ impl RestrictionDecoder {
     ) -> Self {
         metrics.counter("decoder.constructions").inc();
         let hypergraph = DecodingHypergraph::with_primitive_size(dem, usize::MAX);
-        let minus_ln_pm = -config
-            .measurement_error_probability
-            .clamp(1e-12, 1.0 - 1e-12)
-            .ln();
-        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
-        let base_choice: Vec<(usize, f64)> = hypergraph
-            .classes()
-            .iter()
-            .map(|c| {
-                if config.flag_conditioning {
-                    c.representative(&no_flags, minus_ln_pm)
-                } else {
-                    c.representative_unflagged()
-                }
-            })
-            .collect();
-        let color_of_check = |c: usize| -> u8 {
-            hypergraph
-                .check_meta(c)
-                .color
-                .expect("color codes require colored detectors")
-        };
-        let build_lattice = |colors: (u8, u8)| -> Lattice {
+        let pricing = ClassPricing::new(
+            &hypergraph,
+            config.flag_conditioning,
+            config.measurement_error_probability,
+        );
+        let build_lattice = |li: usize, colors: (u8, u8)| -> Lattice {
             let num_check = hypergraph.num_check_detectors();
             let mut vertex_of = vec![None; num_check];
             let mut check_of = Vec::new();
             for (c, slot) in vertex_of.iter_mut().enumerate() {
-                let col = color_of_check(c);
+                let col = hypergraph
+                    .check_meta(c)
+                    .color
+                    .expect("color codes require colored detectors");
                 if col == colors.0 || col == colors.1 {
                     *slot = Some(check_of.len());
                     check_of.push(c);
@@ -258,87 +182,26 @@ impl RestrictionDecoder {
                     }
                 }
             }
+            let engine = MatchingEngine::build(
+                adjacency,
+                pricing.base_weights(),
+                None,
+                config.oracle_node_limit,
+                config.matching_strategy,
+                &metrics,
+                Some(li),
+            );
             Lattice {
                 vertex_of,
                 check_of,
-                adjacency,
+                engine,
             }
         };
         let lattices = [
-            build_lattice((0, 1)),
-            build_lattice((0, 2)),
-            build_lattice((1, 2)),
+            build_lattice(0, (0, 1)),
+            build_lattice(1, (0, 2)),
+            build_lattice(2, (1, 2)),
         ];
-        let weights: Vec<f64> = base_choice.iter().map(|&(_, w)| w).collect();
-        let build_oracle = |li: usize| {
-            let lattice = &lattices[li];
-            let n = lattice.adjacency.len();
-            (n > 0 && n <= config.oracle_node_limit).then(|| {
-                let _span = qec_obs::span_with(
-                    "decoder.build.oracle",
-                    &[("nodes", n.into()), ("lattice", li.into())],
-                );
-                let oracle = Arc::new(PathOracle::build(
-                    &lattice.adjacency,
-                    &weights,
-                    oracle_threads(&config, n),
-                ));
-                // Per-lattice gauges: the three restricted lattices are
-                // separate matrices with separate footprints.
-                metrics
-                    .gauge(&format!("build.oracle.l{li}.nodes"))
-                    .set(oracle.num_nodes() as u64);
-                metrics
-                    .gauge(&format!("build.oracle.l{li}.bytes"))
-                    .set(oracle.memory_bytes() as u64);
-                oracle
-            })
-        };
-        let oracles = [build_oracle(0), build_oracle(1), build_oracle(2)];
-        let build_sparse = |li: usize| {
-            // The sparse-blossom matching strategy solves on the CSR
-            // even for lattices whose dense oracle exists, so it forces
-            // the index to be built.
-            let want_csr = (oracles[li].is_none() && config.sparse_paths)
-                || config.matching_strategy == MatchingStrategy::SparseGraph;
-            (want_csr && !lattices[li].adjacency.is_empty()).then(|| {
-                let _span = qec_obs::span_with(
-                    "decoder.build.csr",
-                    &[
-                        ("nodes", lattices[li].adjacency.len().into()),
-                        ("lattice", li.into()),
-                    ],
-                );
-                let sparse = Arc::new(SparsePathFinder::build(
-                    &lattices[li].adjacency,
-                    weights.clone(),
-                ));
-                metrics
-                    .gauge(&format!("build.sparse.l{li}.nodes"))
-                    .set(sparse.num_nodes() as u64);
-                metrics
-                    .gauge(&format!("build.sparse.l{li}.bytes"))
-                    .set(sparse.memory_bytes() as u64);
-                sparse
-            })
-        };
-        let sparses = [build_sparse(0), build_sparse(1), build_sparse(2)];
-        if config.matching_strategy == MatchingStrategy::SparseGraph {
-            for (li, sp) in sparses.iter().enumerate() {
-                if let Some(sp) = sp {
-                    let _span = qec_obs::span_with(
-                        "decoder.build.sparse_blossom",
-                        &[("nodes", sp.num_nodes().into()), ("lattice", li.into())],
-                    );
-                    metrics
-                        .gauge(&format!("build.sparse_blossom.l{li}.nodes"))
-                        .set(sp.num_nodes() as u64);
-                    metrics
-                        .gauge(&format!("build.sparse_blossom.l{li}.bytes"))
-                        .set(sp.memory_bytes() as u64);
-                }
-            }
-        }
         let sigma_index = hypergraph
             .classes()
             .iter()
@@ -349,11 +212,8 @@ impl RestrictionDecoder {
             hypergraph,
             ctx,
             config,
-            minus_ln_pm,
-            base_choice,
+            pricing,
             lattices,
-            oracles,
-            sparses,
             counters: MatchingCounters::register(&metrics),
             metrics,
             sigma_index,
@@ -370,22 +230,12 @@ impl RestrictionDecoder {
     /// config knob differs, in which case the caller must rebuild.
     pub fn reprice(&mut self, dem: &DetectorErrorModel, config: RestrictionConfig) -> bool {
         if config.oracle_node_limit != self.config.oracle_node_limit
-            || config.sparse_paths != self.config.sparse_paths
             || config.matching_strategy != self.config.matching_strategy
         {
             return false;
         }
         let hypergraph = DecodingHypergraph::with_primitive_size(dem, usize::MAX);
-        let same_topology = hypergraph.num_check_detectors()
-            == self.hypergraph.num_check_detectors()
-            && hypergraph.num_flag_detectors() == self.hypergraph.num_flag_detectors()
-            && hypergraph.num_observables() == self.hypergraph.num_observables()
-            && hypergraph.classes().len() == self.hypergraph.classes().len()
-            && hypergraph
-                .classes()
-                .iter()
-                .zip(self.hypergraph.classes())
-                .all(|(a, b)| a.sigma == b.sigma)
+        let same_topology = hypergraph.same_topology(&self.hypergraph)
             && (0..hypergraph.num_check_detectors()).all(|c| {
                 hypergraph.check_meta(c).color == self.hypergraph.check_meta(c).color
                     && hypergraph.check_meta(c).id == self.hypergraph.check_meta(c).id
@@ -396,40 +246,15 @@ impl RestrictionDecoder {
         let _span = qec_obs::span("decoder.reprice");
         self.metrics.counter("decoder.reprices").inc();
         self.config = config;
-        self.minus_ln_pm = -config
-            .measurement_error_probability
-            .clamp(1e-12, 1.0 - 1e-12)
-            .ln();
-        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
-        self.base_choice = hypergraph
-            .classes()
-            .iter()
-            .map(|c| {
-                if config.flag_conditioning {
-                    c.representative(&no_flags, self.minus_ln_pm)
-                } else {
-                    c.representative_unflagged()
-                }
-            })
-            .collect();
+        self.pricing = ClassPricing::new(
+            &hypergraph,
+            config.flag_conditioning,
+            config.measurement_error_probability,
+        );
         self.hypergraph = hypergraph;
-        let weights: Vec<f64> = self.base_choice.iter().map(|&(_, w)| w).collect();
-        for li in 0..3 {
-            let adjacency = &self.lattices[li].adjacency;
-            if let Some(oracle) = &mut self.oracles[li] {
-                let threads = oracle_threads(&config, adjacency.len());
-                match Arc::get_mut(oracle) {
-                    Some(o) => o.reprice(adjacency, &weights, threads),
-                    // Shared with a still-live worker: swap in fresh.
-                    None => *oracle = Arc::new(PathOracle::build(adjacency, &weights, threads)),
-                }
-            }
-            if let Some(sparse) = &mut self.sparses[li] {
-                match Arc::get_mut(sparse) {
-                    Some(s) => s.reprice(&weights),
-                    None => *sparse = Arc::new(SparsePathFinder::build(adjacency, weights.clone())),
-                }
-            }
+        let weights = self.pricing.base_weights();
+        for lattice in &mut self.lattices {
+            lattice.engine.reprice(&weights);
         }
         true
     }
@@ -443,201 +268,13 @@ impl RestrictionDecoder {
     /// (0 = RG, 1 = RB, 2 = GB), when it fits the configured node
     /// limit.
     pub fn path_oracle(&self, lattice: usize) -> Option<&PathOracle> {
-        self.oracles[lattice].as_deref()
+        self.lattices[lattice].engine.oracle()
     }
 
-    /// The lazy sparse path finder of restricted lattice `lattice`,
-    /// built when that lattice's dense oracle is absent and the sparse
-    /// tier is enabled.
+    /// The CSR sparse path finder of restricted lattice `lattice`;
+    /// absent only when the lattice has no vertices.
     pub fn sparse_finder(&self, lattice: usize) -> Option<&SparsePathFinder> {
-        self.sparses[lattice].as_deref()
-    }
-
-    /// Runs MWPM on one restricted lattice; appends `(class, a, b)`
-    /// path edges (check-space endpoints) to `em`. When `oracle` is
-    /// provided (flag-free shot on a lattice below the node limit),
-    /// path weights and predecessors come from the precomputed matrix;
-    /// otherwise `sparse` (when built) answers them with defect-seeded
-    /// truncated searches, and only as a last resort does the lattice
-    /// run full per-shot Dijkstra.
-    #[allow(clippy::too_many_arguments)]
-    fn match_lattice(
-        &self,
-        lattice: &Lattice,
-        oracle: Option<&PathOracle>,
-        sparse: Option<&SparsePathFinder>,
-        flipped_checks: &[usize],
-        overrides: &HashMap<usize, (usize, f64)>,
-        flag_constant: f64,
-        sources: &mut Vec<usize>,
-        dist: &mut Vec<Vec<f64>>,
-        pred: &mut Vec<Vec<(usize, usize)>>,
-        done: &mut Vec<bool>,
-        heap: &mut BinaryHeap<HeapItem>,
-        edges: &mut Vec<(usize, usize, f64)>,
-        ssc: &mut SparsePathScratch,
-        sbsc: &mut SparseBlossomScratch,
-        weights: &mut Vec<f64>,
-        blossom: &mut crate::BlossomScratch,
-        pairs: &mut Vec<(usize, usize)>,
-        em: &mut Vec<(usize, usize, usize)>,
-    ) {
-        sources.clear();
-        sources.extend(flipped_checks.iter().filter_map(|&c| lattice.vertex_of[c]));
-        if sources.is_empty() {
-            return;
-        }
-        if sources.len() % 2 == 1 {
-            // Closed codes always flip an even number per lattice; an
-            // odd count means an unusable shot — decode conservatively.
-            return;
-        }
-        // Graph-native sparse blossom tier: restricted lattices have no
-        // boundary vertex, so the instance is the defects alone. Total
-        // matching weight is identical to the dense instance below.
-        if self.config.matching_strategy == MatchingStrategy::SparseGraph {
-            if let Some(sp) = sparse {
-                self.counters.sparse_blossom.inc();
-                let outcome = if overrides.is_empty() && flag_constant == 0.0 {
-                    sparse_graph_match(
-                        sp,
-                        sources,
-                        None,
-                        &|c| sp.class_weights()[c],
-                        sbsc,
-                        blossom,
-                        pairs,
-                    )
-                } else {
-                    weights.clear();
-                    weights.extend(self.base_choice.iter().map(|&(_, w)| w + flag_constant));
-                    for (&class, &(_, w)) in overrides.iter() {
-                        weights[class] = w;
-                    }
-                    sparse_graph_match(sp, sources, None, &|c| weights[c], sbsc, blossom, pairs)
-                };
-                let Some(outcome) = outcome else {
-                    return; // no consistent pairing: give up, like dense
-                };
-                self.counters
-                    .sparse_blossom_rounds
-                    .record(outcome.rounds as u64);
-                self.counters
-                    .sparse_blossom_edges
-                    .record(outcome.candidate_edges as u64);
-                for &(a, b) in pairs.iter() {
-                    for &(prev, cur, class) in sbsc.pair_hops(a, b) {
-                        em.push((
-                            class as usize,
-                            lattice.check_of[prev as usize],
-                            lattice.check_of[cur as usize],
-                        ));
-                    }
-                }
-                return;
-            }
-        }
-        let s = sources.len();
-        // Non-overridden classes keep their F = ∅ member but still pay
-        // the global |F| flag-mismatch constant.
-        let class_weight = |class: usize| {
-            overrides
-                .get(&class)
-                .map_or(self.base_choice[class].1 + flag_constant, |&(_, w)| w)
-        };
-        if let Some(sp) = sparse {
-            // Restricted lattices have no boundary vertex, so the
-            // matching targets are exactly the sources. Pricing is
-            // resolved once into a slice so relaxations index an array
-            // instead of consulting the override map per edge; the
-            // entries are exactly what `class_weight` would return, so
-            // distances stay bit-identical.
-            if overrides.is_empty() && flag_constant == 0.0 {
-                sp.matching_paths_into(sources, sources, |c| sp.class_weights()[c], ssc);
-            } else {
-                weights.clear();
-                weights.extend(self.base_choice.iter().map(|&(_, w)| w + flag_constant));
-                for (&class, &(_, w)) in overrides.iter() {
-                    weights[class] = w;
-                }
-                sp.matching_paths_into(sources, sources, |c| weights[c], ssc);
-            }
-            self.counters.sparse_memo_bytes.set(ssc.memo_bytes() as u64);
-            self.counters
-                .sparse_memo_high_water
-                .set(ssc.memo_high_water_bytes() as u64);
-        } else if oracle.is_none() {
-            while dist.len() < s {
-                dist.push(Vec::new());
-                pred.push(Vec::new());
-            }
-            for i in 0..s {
-                paths::dijkstra_into(
-                    &lattice.adjacency,
-                    sources[i],
-                    class_weight,
-                    &mut dist[i],
-                    &mut pred[i],
-                    done,
-                    heap,
-                );
-            }
-        }
-        edges.clear();
-        for i in 0..s {
-            for (j, &sj) in sources.iter().enumerate().skip(i + 1) {
-                let d = if let Some(o) = oracle {
-                    o.dist(sources[i], sj)
-                } else if sparse.is_some() {
-                    ssc.dist(i, j)
-                } else {
-                    dist[i][sj]
-                };
-                if d < UNREACHABLE {
-                    edges.push((i, j, d));
-                }
-            }
-        }
-        // Matching stage: pooled blossom tier when enabled (decision-
-        // identical to the reference), reference solver otherwise.
-        pairs.clear();
-        if self.config.incremental_blossom {
-            self.counters.blossom_solves.inc();
-            let Some(matching) =
-                crate::blossom::pooled_min_weight_perfect_matching_f64(s, edges, blossom)
-            else {
-                return;
-            };
-            pairs.extend(matching.pairs());
-        } else {
-            let Some(matching) = min_weight_perfect_matching_f64(s, edges) else {
-                return;
-            };
-            pairs.extend(matching.pairs());
-        }
-        for &(a, b) in pairs.iter() {
-            if sparse.is_some() && oracle.is_none() {
-                // Harvested hops replay the predecessor walk below,
-                // dst → src, so the emitted edges are identical.
-                for &(prev, cur, class) in ssc.path(a, b) {
-                    em.push((
-                        class as usize,
-                        lattice.check_of[prev as usize],
-                        lattice.check_of[cur as usize],
-                    ));
-                }
-                continue;
-            }
-            let mut cur = sources[b];
-            while cur != sources[a] {
-                let (prev, class) = match oracle {
-                    Some(o) => o.pred(sources[a], cur),
-                    None => pred[a][cur],
-                };
-                em.push((class, lattice.check_of[prev], lattice.check_of[cur]));
-                cur = prev;
-            }
-        }
+        self.lattices[lattice].engine.sparse()
     }
 
     fn apply_member(&self, class: usize, member: usize, correction: &mut BitVec) {
@@ -713,6 +350,10 @@ impl Decoder for RestrictionDecoder {
     fn num_observables(&self) -> usize {
         self.hypergraph.num_observables()
     }
+
+    fn num_detectors(&self) -> usize {
+        self.hypergraph.num_detectors()
+    }
 }
 
 impl RestrictionDecoder {
@@ -731,17 +372,8 @@ impl RestrictionDecoder {
             checks,
             flags,
             overrides,
-            dist,
-            pred,
-            done,
-            heap,
-            edges,
-            sparse,
-            targets: _,
             weights,
-            blossom,
-            sparse_blossom,
-            pairs,
+            engine,
             sources,
             em,
             counts,
@@ -753,81 +385,44 @@ impl RestrictionDecoder {
         correction.reset_zeros(self.hypergraph.num_observables());
         self.hypergraph.split_shot_into(detectors, checks, flags);
         self.counters.defects.record(checks.len() as u64);
-        overrides.clear();
-        if self.config.flag_conditioning && !flags.is_zero() {
-            for f in flags.iter_ones() {
-                for &class in self.hypergraph.classes_with_flag(f) {
-                    overrides.entry(class).or_insert_with(|| {
-                        self.hypergraph.classes()[class].representative(flags, self.minus_ln_pm)
-                    });
-                }
-            }
-        }
         if checks.is_empty() {
             return;
         }
-        // Matchings on L_RG, L_RB and L_GB.
-        let flag_constant = if self.config.flag_conditioning {
-            flags.weight() as f64 * self.minus_ln_pm
-        } else {
-            0.0
-        };
-        // Three-tier path strategy, per lattice. With no flag
-        // reweighting in effect a lattice's dense oracle answers every
-        // query; otherwise its sparse finder (when built) runs
-        // defect-seeded truncated searches re-priced through the weight
-        // closure; only a lattice with neither runs full per-shot
-        // Dijkstra. A shot counts as an oracle hit when every lattice
-        // answered from its dense matrix, as a sparse hit when every
-        // non-empty lattice avoided full Dijkstra with at least one
-        // served by the sparse finder, and as a miss otherwise.
-        let flag_free = overrides.is_empty() && flag_constant == 0.0;
-        let sparse_graph = self.config.matching_strategy == MatchingStrategy::SparseGraph;
-        let all_oracle = !sparse_graph && flag_free && self.oracles.iter().all(Option::is_some);
-        let no_dijkstra = (0..3).all(|li| {
-            self.lattices[li].adjacency.is_empty()
-                || (!sparse_graph && flag_free && self.oracles[li].is_some())
-                || self.sparses[li].is_some()
-        });
-        if all_oracle {
+        let pricing = self
+            .pricing
+            .price_shot(&self.hypergraph, flags, overrides, weights);
+        // A shot counts as an oracle hit when every lattice answers
+        // from its dense matrix, and as a sparse hit otherwise.
+        if self
+            .lattices
+            .iter()
+            .all(|l| l.engine.tier(pricing) == Tier::Oracle)
+        {
             self.counters.oracle_hits.inc();
-        } else if no_dijkstra {
-            self.counters.sparse_hits.inc();
         } else {
-            self.counters.oracle_misses.inc();
+            self.counters.sparse_hits.inc();
         }
+        // Matchings on L_RG, L_RB and L_GB.
         em.clear();
         for (li, lattice) in self.lattices.iter().enumerate() {
+            sources.clear();
+            sources.extend(checks.iter().filter_map(|&c| lattice.vertex_of[c]));
+            if sources.len() % 2 == 1 {
+                // Closed codes always flip an even number per lattice;
+                // an odd count means an unusable shot — decode
+                // conservatively.
+                continue;
+            }
             let start = em.len();
-            let oracle = if flag_free && !sparse_graph {
-                self.oracles[li].as_deref()
-            } else {
-                None
-            };
-            let sparse_finder = if oracle.is_none() {
-                self.sparses[li].as_deref()
-            } else {
-                None
-            };
-            self.match_lattice(
-                lattice,
-                oracle,
-                sparse_finder,
-                checks,
-                overrides,
-                flag_constant,
+            // A lattice without a perfect matching contributes no edges.
+            lattice.engine.solve(
                 sources,
-                dist,
-                pred,
-                done,
-                heap,
-                edges,
-                sparse,
-                sparse_blossom,
-                weights,
-                blossom,
-                pairs,
-                em,
+                pricing,
+                engine,
+                &self.counters,
+                |prev, cur, class| {
+                    em.push((class, lattice.check_of[prev], lattice.check_of[cur]));
+                },
             );
             if let Some(t) = trace.as_deref_mut() {
                 for &(class, a, b) in &em[start..] {
@@ -873,9 +468,10 @@ impl RestrictionDecoder {
                     })
                     .collect();
                 let weight_of = |c: usize| -> f64 {
-                    overrides
-                        .get(&c)
-                        .map_or(self.base_choice[c].1 + flag_constant, |&(_, w)| w)
+                    match pricing {
+                        Pricing::Base => self.pricing.member(c, overrides).1,
+                        Pricing::Shot(w) => w[c],
+                    }
                 };
                 let mut best: Option<(f64, u32)> = None;
                 for mask in 1u32..(1u32 << candidates.len()) {
@@ -894,9 +490,7 @@ impl RestrictionDecoder {
                 if let Some((_, mask)) = best {
                     for (i, &class) in candidates.iter().enumerate() {
                         if mask >> i & 1 == 1 {
-                            let member = overrides
-                                .get(&class)
-                                .map_or(self.base_choice[class].0, |&(m, _)| m);
+                            let member = self.pricing.member(class, overrides).0;
                             self.apply_member(class, member, correction);
                             if let Some(t) = trace.as_deref_mut() {
                                 t.push(RestrictionEvent::TwiceApplied { class, member });
@@ -918,9 +512,7 @@ impl RestrictionDecoder {
             twice.clear();
             twice.extend(counts.iter().filter(|&(_, &n)| n >= 2).map(|(&c, _)| c));
             for &class in twice.iter() {
-                let member = overrides
-                    .get(&class)
-                    .map_or(self.base_choice[class].0, |&(m, _)| m);
+                let member = self.pricing.member(class, overrides).0;
                 self.apply_member(class, member, correction);
                 if let Some(t) = trace.as_deref_mut() {
                     t.push(RestrictionEvent::TwiceApplied { class, member });
@@ -1095,80 +687,35 @@ mod tests {
         }
     }
 
-    /// The fallback (threshold-exceeded) path stays exercised: a `0`
-    /// node limit with the sparse tier disabled forces per-shot
-    /// Dijkstra, and all syndromes decode to the same correction
-    /// either way.
+    /// Both path tiers stay exercised and bit-identical: the default
+    /// config serves every lattice from its dense oracle, a `0` node
+    /// limit from its sparse finder, and every syndrome decodes to the
+    /// same correction either way.
     #[test]
-    fn oracle_and_fallback_paths_agree_exhaustively() {
-        let (dem, ctx) = tiny_color_dem();
-        let with_oracle =
-            RestrictionDecoder::new(&dem, ctx.clone(), RestrictionConfig::flagged(0.01));
-        assert!((0..3).all(|l| with_oracle.path_oracle(l).is_some()));
-        assert!((0..3).all(|l| with_oracle.sparse_finder(l).is_none()));
-        let fallback = RestrictionDecoder::new(
-            &dem,
-            ctx,
-            RestrictionConfig::flagged(0.01)
-                .with_oracle_node_limit(0)
-                .with_sparse_paths(false),
-        );
-        assert!((0..3).all(|l| fallback.path_oracle(l).is_none()));
-        assert!((0..3).all(|l| fallback.sparse_finder(l).is_none()));
-        let nd = dem.num_detectors();
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            assert_eq!(
-                with_oracle.decode(&dets),
-                fallback.decode(&dets),
-                "syndrome {pattern:#b}"
-            );
-        }
-        let with_stats = with_oracle.stats();
-        let fallback_stats = fallback.stats();
-        assert!(with_stats.oracle_hits > 0);
-        assert!(fallback_stats.oracle_hits == 0 && fallback_stats.oracle_misses > 0);
-        assert!(fallback_stats.sparse_hits == 0);
-        assert_eq!(with_stats.decodes, fallback_stats.decodes);
-    }
-
-    /// The middle tier: with oracles disabled, every lattice is served
-    /// by its sparse finder, bit-identical to both the dense tier and
-    /// the Dijkstra fallback.
-    #[test]
-    fn sparse_tier_agrees_with_oracle_and_fallback_exhaustively() {
+    fn oracle_and_sparse_tiers_agree_exhaustively() {
         let (dem, ctx) = tiny_color_dem();
         let dense = RestrictionDecoder::new(&dem, ctx.clone(), RestrictionConfig::flagged(0.01));
+        assert!((0..3).all(|l| dense.path_oracle(l).is_some()));
         let sparse = RestrictionDecoder::new(
             &dem,
-            ctx.clone(),
+            ctx,
             RestrictionConfig::flagged(0.01).with_oracle_node_limit(0),
         );
         assert!((0..3).all(|l| sparse.path_oracle(l).is_none()));
         assert!((0..3).all(|l| sparse.sparse_finder(l).is_some()));
-        let fallback = RestrictionDecoder::new(
-            &dem,
-            ctx,
-            RestrictionConfig::flagged(0.01)
-                .with_oracle_node_limit(0)
-                .with_sparse_paths(false),
-        );
         let nd = dem.num_detectors();
         let mut scratch = DecodeScratch::new();
         let mut out = BitVec::zeros(0);
         for pattern in 0..(1u32 << nd) {
             let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
             sparse.decode_into(&dets, &mut scratch, &mut out);
-            assert_eq!(out, dense.decode(&dets), "vs dense, syndrome {pattern:#b}");
-            assert_eq!(
-                out,
-                fallback.decode(&dets),
-                "vs fallback, syndrome {pattern:#b}"
-            );
+            assert_eq!(out, dense.decode(&dets), "syndrome {pattern:#b}");
         }
-        let stats = sparse.stats();
-        assert!(stats.sparse_hits > 0);
-        assert!(stats.oracle_hits == 0 && stats.oracle_misses == 0);
+        let (dense_stats, sparse_stats) = (dense.stats(), sparse.stats());
+        assert!(dense_stats.oracle_hits > 0);
+        assert!(sparse_stats.sparse_hits > 0 && sparse_stats.oracle_hits == 0);
+        assert_eq!(dense_stats.oracle_misses + sparse_stats.oracle_misses, 0);
+        assert_eq!(dense_stats.decodes, sparse_stats.decodes);
     }
 
     /// The graph-native matching strategy on restricted lattices:

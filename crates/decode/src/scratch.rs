@@ -10,7 +10,7 @@
 use qec_math::BitVec;
 use qec_obs::{Counter, Histogram, Registry};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Lifetime counters a decoder exposes through
 /// [`crate::Decoder::stats`].
@@ -33,25 +33,22 @@ pub struct DecoderStats {
     /// Union-Find shots abandoned at the `4n`-round safety limit.
     pub giveups_round_limit: u64,
     /// Matching-decoder shots whose path queries were answered entirely
-    /// by the precomputed [`crate::PathOracle`] (no per-shot Dijkstra).
+    /// by the precomputed [`crate::PathOracle`].
     pub oracle_hits: u64,
     /// Matching-decoder shots answered by the lazy
     /// [`crate::SparsePathFinder`] (defect-seeded truncated searches):
     /// the graph exceeded the dense-oracle node limit, or raised flags
     /// reweighted it shot-locally.
     pub sparse_hits: u64,
-    /// Matching-decoder shots that ran full per-shot Dijkstra: both the
-    /// dense oracle and the sparse finder were unavailable.
+    /// Retired: the per-shot Dijkstra tier no longer exists, so this
+    /// is always 0.
     pub oracle_misses: u64,
-    /// Matching instances solved by the pooled incremental blossom tier
-    /// ([`crate::BlossomScratch`]) instead of the allocating reference
-    /// solver. MWPM runs one instance per shot; the restriction decoder
-    /// one per non-empty restricted lattice.
+    /// Matching instances solved by the pooled blossom solver
+    /// ([`crate::BlossomScratch`]). MWPM runs one instance per shot; the
+    /// restriction decoder one per non-empty restricted lattice.
     pub blossom_solves: u64,
-    /// Matching-decoder shots whose path queries were answered by the
-    /// precomputed single-flag oracle (exactly one raised flag matching
-    /// a prebuilt flag-conditioned matrix) — dense-oracle speed on
-    /// flagged shots that previously fell to the sparse tier.
+    /// Retired: the single-flag secondary oracles no longer exist, so
+    /// this is always 0.
     pub flag_oracle_hits: u64,
     /// Matching instances solved by the graph-native sparse blossom
     /// tier ([`crate::MatchingStrategy::SparseGraph`]): candidate
@@ -108,7 +105,7 @@ impl DecoderStats {
 }
 
 /// The matching decoders' (MWPM and Restriction) counter handles into
-/// their metrics [`Registry`]: shots decoded, tier hit/miss tallies and
+/// their metrics [`Registry`]: shots decoded, path-tier tallies and
 /// the defect-count histogram, exposed through
 /// [`crate::Decoder::stats`] and the registry snapshot. Shots that
 /// never reach the matching stage (empty check syndrome) count as
@@ -118,9 +115,7 @@ pub(crate) struct MatchingCounters {
     pub(crate) decodes: Counter,
     pub(crate) oracle_hits: Counter,
     pub(crate) sparse_hits: Counter,
-    pub(crate) oracle_misses: Counter,
     pub(crate) blossom_solves: Counter,
-    pub(crate) flag_oracle_hits: Counter,
     /// Instances solved by the graph-native sparse blossom tier.
     pub(crate) sparse_blossom: Counter,
     /// Log₂ histogram of flipped-check counts per decoded shot (defect
@@ -150,9 +145,7 @@ impl MatchingCounters {
             decodes: metrics.counter("decode.decodes"),
             oracle_hits: metrics.counter("decode.tier.oracle_hits"),
             sparse_hits: metrics.counter("decode.tier.sparse_hits"),
-            oracle_misses: metrics.counter("decode.tier.dijkstra_fallbacks"),
             blossom_solves: metrics.counter("decode.tier.blossom"),
-            flag_oracle_hits: metrics.counter("decode.tier.flag_oracle_hits"),
             sparse_blossom: metrics.counter("decode.tier.sparse_blossom"),
             defects: metrics.histogram("decode.defects"),
             sparse_blossom_rounds: metrics.histogram("decode.sparse_blossom.rounds"),
@@ -167,9 +160,7 @@ impl MatchingCounters {
             decodes: self.decodes.get(),
             oracle_hits: self.oracle_hits.get(),
             sparse_hits: self.sparse_hits.get(),
-            oracle_misses: self.oracle_misses.get(),
             blossom_solves: self.blossom_solves.get(),
-            flag_oracle_hits: self.flag_oracle_hits.get(),
             sparse_blossom: self.sparse_blossom.get(),
             ..DecoderStats::default()
         }
@@ -264,7 +255,7 @@ pub(crate) struct BpOsdScratch {
 /// Reusable scratch for [`crate::Decoder::decode_into`].
 ///
 /// Holds the work arrays of every decoder kind (Union-Find cluster
-/// state, Dijkstra/matching buffers) so one scratch can serve whatever
+/// state, path-memo/matching buffers) so one scratch can serve whatever
 /// decoder a pipeline selects. Allocate once per worker thread; buffers
 /// size themselves on first use and are reset in *O(touched)* between
 /// shots.
@@ -287,37 +278,38 @@ impl DecodeScratch {
     /// O(defects · targets) structure `qec-bench` reports against the
     /// dense oracle's would-be O(V²) matrix.
     pub fn sparse_memo_bytes(&self) -> usize {
-        self.mwpm.sparse.memo_bytes() + self.restriction.sparse.memo_bytes()
+        self.mwpm.engine.sparse.memo_bytes() + self.restriction.engine.sparse.memo_bytes()
     }
 
     /// The MWPM decoder's pooled blossom solver state (read-only; pool
     /// growth and dual-certificate inspection for tests and benches).
     pub fn mwpm_blossom(&self) -> &crate::BlossomScratch {
-        &self.mwpm.blossom
+        &self.mwpm.engine.blossom
     }
 
     /// The restriction decoder's pooled blossom solver state.
     pub fn restriction_blossom(&self) -> &crate::BlossomScratch {
-        &self.restriction.blossom
+        &self.restriction.engine.blossom
     }
 
     /// The MWPM decoder's graph-native sparse blossom tier state
     /// (read-only; pool growth and solve statistics for tests and
     /// benches).
     pub fn mwpm_sparse_blossom(&self) -> &crate::SparseBlossomScratch {
-        &self.mwpm.sparse_blossom
+        &self.mwpm.engine.sparse_blossom
     }
 
     /// The restriction decoder's graph-native sparse blossom tier state.
     pub fn restriction_sparse_blossom(&self) -> &crate::SparseBlossomScratch {
-        &self.restriction.sparse_blossom
+        &self.restriction.engine.sparse_blossom
     }
 
     /// High-water mark in bytes of the sparse-tier per-shot path memos
     /// across both matching scratches (see
     /// [`crate::SparsePathScratch::memo_high_water_bytes`]).
     pub fn sparse_memo_high_water_bytes(&self) -> usize {
-        self.mwpm.sparse.memo_high_water_bytes() + self.restriction.sparse.memo_high_water_bytes()
+        self.mwpm.engine.sparse.memo_high_water_bytes()
+            + self.restriction.engine.sparse.memo_high_water_bytes()
     }
 
     /// Current footprint in bytes of the BP+OSD pooled elimination and
@@ -347,8 +339,8 @@ impl DecodeScratch {
     /// Returns the first violated feasibility or complementary-
     /// slackness condition.
     pub fn verify_blossom_certificates(&self) -> Result<(), String> {
-        self.mwpm.blossom.verify_certificate()?;
-        self.restriction.blossom.verify_certificate()
+        self.mwpm.engine.blossom.verify_certificate()?;
+        self.restriction.engine.blossom.verify_certificate()
     }
 }
 
@@ -378,40 +370,20 @@ impl PartialOrd for HeapItem {
 }
 
 /// Work arrays of the matching-based decoders (MWPM and restriction):
-/// shot splitting, flag overrides, pooled Dijkstra runs and the
-/// matching edge list. The restriction decoder additionally uses the
-/// lattice-source and matched-edge buffers.
+/// shot splitting, flag pricing and the shared
+/// [`crate::engine::EngineScratch`]. The restriction decoder
+/// additionally uses the lattice-source, matched-edge, reconciliation
+/// and lifting buffers.
 #[derive(Debug, Default)]
 pub(crate) struct MatchingScratch {
     pub(crate) checks: Vec<usize>,
     pub(crate) flags: BitVec,
     pub(crate) overrides: HashMap<usize, (usize, f64)>,
-    /// One distance array per matching source, pooled across shots.
-    pub(crate) dist: Vec<Vec<f64>>,
-    /// One predecessor array per matching source, pooled across shots.
-    pub(crate) pred: Vec<Vec<(usize, usize)>>,
-    pub(crate) done: Vec<bool>,
-    pub(crate) heap: BinaryHeap<HeapItem>,
-    pub(crate) edges: Vec<(usize, usize, f64)>,
-    /// Sparse-tier per-shot path memo (epoch-stamped Dijkstra arrays +
-    /// harvested pair distances and path hops).
-    pub(crate) sparse: crate::paths::SparsePathScratch,
-    /// Pooled incremental blossom solver state (the preferred matching
-    /// stage); reset in O(touched) between shots.
-    pub(crate) blossom: crate::blossom::BlossomScratch,
-    /// Graph-native sparse blossom tier state (candidate pricing, dual
-    /// balls, pair memo); used when the decoder's `matching_strategy`
-    /// is [`crate::MatchingStrategy::SparseGraph`].
-    pub(crate) sparse_blossom: crate::sparse_blossom::SparseBlossomScratch,
-    /// Matched pairs of the current instance, in the reference
-    /// `Matching::pairs` enumeration order (u < v, ascending u).
-    pub(crate) pairs: Vec<(usize, usize)>,
-    /// Sparse-tier target list of the current shot/lattice.
-    pub(crate) targets: Vec<usize>,
-    /// Sparse-tier per-shot effective class weights (base + flag
-    /// constant, overridden entries replaced), so relaxations index a
-    /// slice instead of consulting the override map per edge.
+    /// Per-shot effective class weights of a flag-reweighted shot.
     pub(crate) weights: Vec<f64>,
+    /// Path memo, matching instance and blossom pools of the shot's
+    /// [`crate::engine::MatchingEngine`] solves.
+    pub(crate) engine: crate::engine::EngineScratch,
     /// Restriction only: sources of the current restricted lattice.
     pub(crate) sources: Vec<usize>,
     /// Restriction only: matched `(class, check_a, check_b)` edges.

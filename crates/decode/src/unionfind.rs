@@ -627,6 +627,10 @@ impl Decoder for UnionFindDecoder {
     fn num_observables(&self) -> usize {
         self.hypergraph.num_observables()
     }
+
+    fn num_detectors(&self) -> usize {
+        self.hypergraph.num_detectors()
+    }
 }
 
 #[cfg(test)]

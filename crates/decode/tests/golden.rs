@@ -11,15 +11,14 @@
 //! "intentional behaviour change — re-pin", while a hand-case failure
 //! means "regression".
 //!
-//! Every matching-decoder golden is pinned across all three path
-//! tiers: the dense [`qec_decode::PathOracle`], the lazy
-//! [`qec_decode::SparsePathFinder`] and the per-shot Dijkstra
-//! fallback. The tiers change where path weights come from, never
-//! their values, so one constant covers all of them.
+//! Every matching-decoder golden is pinned across both path tiers:
+//! the dense [`qec_decode::PathOracle`] and the lazy
+//! [`qec_decode::SparsePathFinder`]. The tiers change where path
+//! weights come from, never their values, so one constant covers both.
 
 use qec_decode::{
-    Decoder, MwpmConfig, MwpmDecoder, RestrictionConfig, RestrictionDecoder, UnionFindConfig,
-    UnionFindDecoder,
+    Decoder, DecodingHypergraph, MwpmConfig, MwpmDecoder, PathOracle, RestrictionConfig,
+    RestrictionDecoder, UnionFindConfig, UnionFindDecoder,
 };
 use qec_sim::DetectorErrorModel;
 use qec_testkit::{
@@ -64,8 +63,8 @@ fn mwpm_golden_fingerprint() {
         fpb, MWPM_GOLDEN,
         "MWPM decode_into diverged from decode; got {fpb:#018x}",
     );
-    // The same stream through the sparse middle tier (oracle disabled
-    // by limit 0) must hit the same constant.
+    // The same stream through the sparse tier (oracle disabled by
+    // limit 0) must hit the same constant.
     let sparse = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(0));
     assert!(sparse.path_oracle().is_none());
     assert!(sparse.sparse_finder().is_some());
@@ -73,20 +72,6 @@ fn mwpm_golden_fingerprint() {
     assert_eq!(
         fps, MWPM_GOLDEN,
         "MWPM sparse tier diverged from the golden; got {fps:#018x}",
-    );
-    // And through the per-shot-Dijkstra fallback (both indexes off).
-    let fallback = MwpmDecoder::new(
-        &dem,
-        MwpmConfig::unflagged()
-            .with_oracle_node_limit(0)
-            .with_sparse_paths(false),
-    );
-    assert!(fallback.path_oracle().is_none());
-    assert!(fallback.sparse_finder().is_none());
-    let fpf = fingerprint_batched(&dem, &fallback, 200, 0x601d_0001);
-    assert_eq!(
-        fpf, MWPM_GOLDEN,
-        "MWPM without oracle diverged from the golden; got {fpf:#018x}",
     );
 }
 
@@ -122,12 +107,12 @@ fn restriction_golden_fingerprint() {
         fpb, RESTRICTION_GOLDEN,
         "restriction decode_into diverged from decode; got {fpb:#018x}",
     );
-    // Sparse middle tier (per-lattice oracles disabled) pinned to the
-    // same constant as the oracle path.
+    // Sparse tier (per-lattice oracles disabled) pinned to the same
+    // constant as the oracle path.
     let (dem, ctx) = tiny_color_dem();
     let sparse = RestrictionDecoder::new(
         &dem,
-        ctx.clone(),
+        ctx,
         RestrictionConfig::flagged(0.01).with_oracle_node_limit(0),
     );
     assert!((0..3).all(|l| sparse.path_oracle(l).is_none()));
@@ -137,37 +122,20 @@ fn restriction_golden_fingerprint() {
         fps, RESTRICTION_GOLDEN,
         "restriction sparse tier diverged from the golden; got {fps:#018x}",
     );
-    // Per-shot-Dijkstra fallback (both indexes off).
-    let fallback = RestrictionDecoder::new(
-        &dem,
-        ctx,
-        RestrictionConfig::flagged(0.01)
-            .with_oracle_node_limit(0)
-            .with_sparse_paths(false),
-    );
-    assert!((0..3).all(|l| fallback.path_oracle(l).is_none()));
-    assert!((0..3).all(|l| fallback.sparse_finder(l).is_none()));
-    let fpf = fingerprint_batched(&dem, &fallback, 200, 0x601d_0003);
-    assert_eq!(
-        fpf, RESTRICTION_GOLDEN,
-        "restriction without oracle diverged from the golden; got {fpf:#018x}",
-    );
 }
 
 /// Golden fingerprint on the hyperbolic fixture — 1224 check detectors,
 /// above the default dense-oracle guard, the regime the sparse tier
-/// exists for. One constant pins all three tiers *and* both dense
-/// construction thread counts (oracle rows are computed independently
-/// per source, so threading must not change a single bit).
+/// exists for. One constant pins both path tiers.
 const HYPERBOLIC_MWPM_GOLDEN: u64 = 0xdbc3_92cd_c9e2_d3e6;
 
 #[test]
-fn hyperbolic_three_tier_golden_fingerprint() {
+fn hyperbolic_path_tiers_golden_fingerprint() {
     let dem = hyperbolic_memory_dem();
     let q = mechanism_fire_probability(&dem, 8.0);
     let seed = 0x601d_0004;
 
-    // Default config lands on the sparse middle tier here.
+    // Default config lands on the sparse tier here.
     let sparse = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
     assert!(
         sparse.path_oracle().is_none(),
@@ -181,45 +149,25 @@ fn hyperbolic_three_tier_golden_fingerprint() {
     );
     assert!(sparse.stats().sparse_hits > 0);
 
-    // Dense tier, admitted by a raised limit, at two construction
-    // thread counts.
-    for threads in [1usize, 3] {
-        let dense = MwpmDecoder::new(
-            &dem,
-            MwpmConfig::unflagged()
-                .with_oracle_node_limit(2048)
-                .with_build_threads(threads),
-        );
-        assert!(dense.path_oracle().is_some());
-        let fpd = fingerprint_decoder(&dem, &dense, 24, seed, q, true);
-        assert_eq!(
-            fpd, HYPERBOLIC_MWPM_GOLDEN,
-            "hyperbolic dense tier ({threads} build threads) diverged; got {fpd:#018x}",
-        );
-    }
-
-    // Per-shot Dijkstra fallback.
-    let fallback = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_sparse_paths(false));
-    assert!(fallback.sparse_finder().is_none());
-    let fpf = fingerprint_decoder(&dem, &fallback, 24, seed, q, true);
+    // Dense tier, admitted by a raised limit.
+    let dense = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(2048));
+    assert!(dense.path_oracle().is_some());
+    let fpd = fingerprint_decoder(&dem, &dense, 24, seed, q, true);
     assert_eq!(
-        fpf, HYPERBOLIC_MWPM_GOLDEN,
-        "hyperbolic Dijkstra fallback diverged; got {fpf:#018x}",
+        fpd, HYPERBOLIC_MWPM_GOLDEN,
+        "hyperbolic dense tier diverged; got {fpd:#018x}",
     );
+    assert!(dense.stats().oracle_hits > 0);
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-blossom tier goldens.
+// Pooled blossom goldens.
 // ---------------------------------------------------------------------------
 
-/// Goldens for the pooled incremental blossom matching tier on the
-/// realistic fixture DEMs. Each constant pins the blossom tier **on**
-/// (the default) at both dense-oracle construction thread counts *and*
-/// the tier **off** (reference exact solver): one constant per DEM
-/// covering all of them is the bitwise-equivalence claim of
-/// `DESIGN.md` made executable. The repetition/color goldens above
-/// already run with the tier on, so together the two layers pin the
-/// pooled solver on every fixture family.
+/// Goldens for the pooled incremental blossom solver on the realistic
+/// fixture DEMs. Its decision-identity with the reference exact solver
+/// is pinned by the `blossom_fuzz` differential suite; these constants
+/// freeze the corrections the decoders produce through it.
 const SURFACE_D3_BLOSSOM_GOLDEN: u64 = 0xd026_cc2a_bcd5_40fb;
 const SURFACE_D5_BLOSSOM_GOLDEN: u64 = 0xf094_ed3a_ddc3_2ca7;
 const TORIC_COLOR_BLOSSOM_GOLDEN: u64 = 0x10ed_472c_f88f_9a54;
@@ -232,80 +180,84 @@ fn blossom_tier_golden_fingerprints_surface() {
         (5, 16, SURFACE_D5_BLOSSOM_GOLDEN),
     ] {
         let dem = surface_memory_dem(d);
-        let q = qec_testkit::mechanism_fire_probability(&dem, 8.0);
-        let seed = 0x601d_000b ^ d as u64;
-        for threads in [1usize, 3] {
-            let on = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_build_threads(threads));
-            let fp = qec_testkit::fingerprint_decoder(&dem, &on, shots, seed, q, true);
-            assert_eq!(
-                fp, golden,
-                "d={d} surface blossom-tier corrections changed ({threads} build threads); \
-                 got {fp:#018x} — re-pin only if intentional",
-            );
-            assert!(on.stats().blossom_solves > 0, "pooled tier engaged");
-        }
-        let off = MwpmDecoder::new(
-            &dem,
-            MwpmConfig::unflagged().with_incremental_blossom(false),
-        );
-        let fp = qec_testkit::fingerprint_decoder(&dem, &off, shots, seed, q, true);
+        let q = mechanism_fire_probability(&dem, 8.0);
+        let decoder = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
+        let fp = fingerprint_decoder(&dem, &decoder, shots, 0x601d_000b ^ d as u64, q, true);
         assert_eq!(
             fp, golden,
-            "d={d} surface reference solver diverged from the blossom golden; got {fp:#018x}",
+            "d={d} surface blossom-tier corrections changed; got {fp:#018x} — re-pin only if intentional",
         );
-        assert_eq!(off.stats().blossom_solves, 0, "tier disabled");
+        assert!(decoder.stats().blossom_solves > 0, "pooled solver engaged");
     }
 }
 
 #[test]
 fn blossom_tier_golden_fingerprint_toric_color() {
     let (dem, ctx, pm) = qec_testkit::toric_color_dem();
-    let q = qec_testkit::mechanism_fire_probability(&dem, 8.0);
-    let seed = 0x601d_000c;
-    for threads in [1usize, 3] {
-        let on = RestrictionDecoder::new(
-            &dem,
-            ctx.clone(),
-            RestrictionConfig::flagged(pm).with_build_threads(threads),
-        );
-        let fp = qec_testkit::fingerprint_decoder(&dem, &on, 64, seed, q, true);
-        assert_eq!(
-            fp, TORIC_COLOR_BLOSSOM_GOLDEN,
-            "toric color blossom-tier corrections changed ({threads} build threads); \
-             got {fp:#018x} — re-pin only if intentional",
-        );
-        assert!(on.stats().blossom_solves > 0, "pooled tier engaged");
-    }
-    let off = RestrictionDecoder::new(
-        &dem,
-        ctx,
-        RestrictionConfig::flagged(pm).with_incremental_blossom(false),
-    );
-    let fp = qec_testkit::fingerprint_decoder(&dem, &off, 64, seed, q, true);
+    let q = mechanism_fire_probability(&dem, 8.0);
+    let decoder = RestrictionDecoder::new(&dem, ctx, RestrictionConfig::flagged(pm));
+    let fp = fingerprint_decoder(&dem, &decoder, 64, 0x601d_000c, q, true);
     assert_eq!(
         fp, TORIC_COLOR_BLOSSOM_GOLDEN,
-        "toric color reference solver diverged from the blossom golden; got {fp:#018x}",
+        "toric color blossom-tier corrections changed; got {fp:#018x} — re-pin only if intentional",
     );
-    assert_eq!(off.stats().blossom_solves, 0, "tier disabled");
+    assert!(decoder.stats().blossom_solves > 0, "pooled solver engaged");
 }
 
-/// On the 1224-detector {4,5} hyperbolic DEM the blossom-off run must
-/// land on the *same* constant the three-tier test above pins with the
-/// tier on — the pooled solver changes nothing but time.
+/// The MWPM decoding graph of `hg` priced at its unflagged class
+/// weights, built the way the decoder builds it: `|σ| = 1` classes end
+/// on a trailing boundary vertex, larger ones become cliques.
+fn decoding_graph(hg: &DecodingHypergraph) -> (Vec<Vec<(usize, usize)>>, Vec<f64>) {
+    let boundary = hg.num_check_detectors();
+    let has_boundary = hg.classes().iter().any(|c| c.sigma.len() == 1);
+    let mut adjacency = vec![Vec::new(); boundary + usize::from(has_boundary)];
+    for (ci, class) in hg.classes().iter().enumerate() {
+        let mut ends: Vec<usize> = class.sigma.iter().map(|&c| c as usize).collect();
+        if ends.len() == 1 {
+            ends.push(boundary);
+        }
+        for (i, &a) in ends.iter().enumerate() {
+            for &b in &ends[i + 1..] {
+                adjacency[a].push((b, ci));
+                adjacency[b].push((a, ci));
+            }
+        }
+    }
+    let weights = hg
+        .classes()
+        .iter()
+        .map(|c| c.representative_unflagged().1)
+        .collect();
+    (adjacency, weights)
+}
+
+/// Oracle rows are computed independently per source, so the matrix
+/// must not change a single bit with the construction thread count —
+/// on the d=5 surface and hyperbolic decoding graphs, and against the
+/// oracle the decoder itself builds.
 #[test]
-fn blossom_tier_matches_hyperbolic_golden_when_disabled() {
-    let dem = hyperbolic_memory_dem();
-    let q = mechanism_fire_probability(&dem, 8.0);
-    let off = MwpmDecoder::new(
-        &dem,
-        MwpmConfig::unflagged().with_incremental_blossom(false),
-    );
-    let fp = fingerprint_decoder(&dem, &off, 24, 0x601d_0004, q, true);
-    assert_eq!(
-        fp, HYPERBOLIC_MWPM_GOLDEN,
-        "hyperbolic reference solver diverged from the blossom-on golden; got {fp:#018x}",
-    );
-    assert_eq!(off.stats().blossom_solves, 0, "tier disabled");
+fn path_oracle_is_thread_count_invariant_on_fixture_graphs() {
+    for dem in [qec_testkit::surface_memory_dem(5), hyperbolic_memory_dem()] {
+        let decoder = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(2048));
+        let built = decoder
+            .path_oracle()
+            .expect("raised limit admits the oracle");
+        let (adjacency, weights) = decoding_graph(decoder.hypergraph());
+        assert_eq!(adjacency.len(), built.num_nodes());
+        let one = PathOracle::build(&adjacency, &weights, 1);
+        let three = PathOracle::build(&adjacency, &weights, 3);
+        let n = one.num_nodes();
+        for src in 0..n {
+            for dst in 0..n {
+                let d = one.dist(src, dst).to_bits();
+                assert_eq!(d, three.dist(src, dst).to_bits(), "dist[{src}][{dst}]");
+                assert_eq!(d, built.dist(src, dst).to_bits(), "dist[{src}][{dst}]");
+                let p = one.pred(src, dst);
+                assert_eq!(p, three.pred(src, dst), "pred[{src}][{dst}]");
+                assert_eq!(p, built.pred(src, dst), "pred[{src}][{dst}]");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

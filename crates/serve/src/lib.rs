@@ -174,6 +174,9 @@ pub enum SubmitError {
     DeadlineExceeded,
     /// The service is shutting down.
     ShuttingDown,
+    /// A syndrome's length differs from the decoder's detector count;
+    /// nothing was queued.
+    InvalidRequest,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -182,6 +185,9 @@ impl std::fmt::Display for SubmitError {
             SubmitError::WouldBlock => write!(f, "bounded queue full (backpressure)"),
             SubmitError::DeadlineExceeded => write!(f, "deadline already passed at submit"),
             SubmitError::ShuttingDown => write!(f, "service shutting down"),
+            SubmitError::InvalidRequest => {
+                write!(f, "syndrome length differs from the detector count")
+            }
         }
     }
 }
@@ -332,6 +338,8 @@ pub struct DecodeService {
     metrics: Registry,
     shards: usize,
     queue_capacity: usize,
+    /// Syndrome length every request must carry.
+    num_detectors: usize,
     telemetry: Arc<Telemetry>,
     /// Joined in [`Drop`] *before* the worker drain, so a scrape never
     /// races a half-torn-down service.
@@ -428,6 +436,7 @@ impl DecodeService {
             metrics,
             shards,
             queue_capacity,
+            num_detectors: decoder.num_detectors(),
             telemetry,
             telemetry_server,
         }
@@ -438,6 +447,7 @@ impl DecodeService {
     ///
     /// # Errors
     ///
+    /// [`SubmitError::InvalidRequest`] for a wrong-length syndrome,
     /// [`SubmitError::WouldBlock`] when the bounded queue is full,
     /// [`SubmitError::ShuttingDown`] after shutdown began.
     pub fn try_submit(&self, syndromes: Vec<BitVec>) -> Result<PendingResponse, SubmitError> {
@@ -451,6 +461,8 @@ impl DecodeService {
     ///
     /// # Errors
     ///
+    /// [`SubmitError::InvalidRequest`] when a syndrome's length differs
+    /// from the decoder's detector count,
     /// [`SubmitError::WouldBlock`] on a full queue,
     /// [`SubmitError::DeadlineExceeded`] when `deadline` already
     /// passed, [`SubmitError::ShuttingDown`] after shutdown began.
@@ -459,6 +471,11 @@ impl DecodeService {
         syndromes: Vec<BitVec>,
         deadline: Option<Instant>,
     ) -> Result<PendingResponse, SubmitError> {
+        // Checked here, not on the shard: a malformed syndrome would
+        // panic inside the decoder and take its shard thread down.
+        if syndromes.iter().any(|s| s.len() != self.num_detectors) {
+            return Err(SubmitError::InvalidRequest);
+        }
         let submitted = Instant::now();
         if deadline.is_some_and(|d| submitted > d) {
             self.counters.deadline_misses.inc();
@@ -642,6 +659,10 @@ mod tests {
         }
 
         fn num_observables(&self) -> usize {
+            8
+        }
+
+        fn num_detectors(&self) -> usize {
             8
         }
     }

@@ -425,7 +425,7 @@ fn sparse_finder_matches_oracle_and_dijkstra_on_random_graphs() {
 
 /// On the hyperbolic fixture — whose 1224 check detectors exceed the
 /// default dense-oracle guard, the regime the sparse tier exists for —
-/// all three tiers must produce identical corrections on realistic
+/// both path tiers must produce identical corrections on realistic
 /// multi-error syndromes.
 #[test]
 fn mwpm_path_tiers_agree_on_hyperbolic_dem() {
@@ -441,153 +441,153 @@ fn mwpm_path_tiers_agree_on_hyperbolic_dem() {
         "default guard rejects 1224 nodes"
     );
     assert!(sparse.sparse_finder().is_some());
-    let fallback = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_sparse_paths(false));
-    assert!(fallback.sparse_finder().is_none());
     let q = mechanism_fire_probability(&dem, 6.0);
     let mut scratch = DecodeScratch::new();
     let mut out = BitVec::zeros(0);
     for_all(12, 0x04a99, |g| {
         let syndrome = random_syndrome(g.rng(), &dem, q);
-        let reference = fallback.decode(&syndrome);
-        dense.decode_into(&syndrome, &mut scratch, &mut out);
-        assert_eq!(
-            out, reference,
-            "oracle decode diverged on the hyperbolic DEM"
-        );
+        let reference = dense.decode(&syndrome);
         sparse.decode_into(&syndrome, &mut scratch, &mut out);
         assert_eq!(
             out, reference,
-            "sparse decode diverged on the hyperbolic DEM"
+            "sparse decode diverged from the oracle on the hyperbolic DEM"
         );
     });
+    assert!(dense.stats().oracle_hits > 0);
     assert!(sparse.stats().sparse_hits > 0);
     assert_eq!(sparse.stats().oracle_misses, 0);
 }
 
-/// All three path tiers — dense oracle, lazy sparse finder, per-shot
-/// Dijkstra — must produce identical corrections on realistic
-/// multi-round surface DEMs (default config selects the oracle below
-/// the node limit; limit 0 drops to the sparse tier; limit 0 with
-/// sparse paths off forces the Dijkstra fallback).
+/// A 3-round memory-Z experiment on `code` realized as a shared-flag
+/// FPN: unlike the direct-FPN fixtures it places flag qubits, so its
+/// DEM carries flag detectors and flagged decoders reweight shots.
+fn shared_flag_experiment(code: &CssCode, p: f64) -> (DetectorErrorModel, f64) {
+    let fpn = FlagProxyNetwork::build(code, &FpnConfig::shared());
+    let noise = NoiseModel::new(p);
+    let exp = build_memory_circuit(code, &fpn, Some(&noise), 3, Basis::Z);
+    let dem = DetectorErrorModel::from_circuit(&exp.circuit);
+    assert!(
+        dem.detector_meta().iter().any(|m| m.is_flag),
+        "shared-flag FPN must carry flag detectors"
+    );
+    (dem, noise.measurement_flip())
+}
+
+/// Both path tiers — dense oracle and lazy sparse finder — must
+/// produce identical corrections on realistic multi-round surface DEMs
+/// (the default config builds the oracle below the node limit; limit 0
+/// drops it), flagged multi-error syndromes included. Flagged shots
+/// never reach a per-shot full-graph search: the default flagged
+/// decoder serves them from the sparse finder even though its dense
+/// oracle exists.
 #[test]
 fn mwpm_path_tiers_agree_on_surface_dems() {
-    for (d, cases, seed) in [(3usize, 32u64, 0x04ad3u64), (5, 12, 0x04ad5)] {
-        let dem = surface_memory_dem(d);
-        let pm = NoiseModel::new(1e-3).measurement_flip();
-        let triples: Vec<[MwpmDecoder; 3]> = vec![
-            [
-                MwpmDecoder::new(&dem, MwpmConfig::unflagged()),
-                MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(0)),
-                MwpmDecoder::new(
-                    &dem,
-                    MwpmConfig::unflagged()
-                        .with_oracle_node_limit(0)
-                        .with_sparse_paths(false),
-                ),
-            ],
-            [
-                MwpmDecoder::new(&dem, MwpmConfig::flagged(pm)),
-                MwpmDecoder::new(&dem, MwpmConfig::flagged(pm).with_oracle_node_limit(0)),
-                MwpmDecoder::new(
-                    &dem,
-                    MwpmConfig::flagged(pm)
-                        .with_oracle_node_limit(0)
-                        .with_sparse_paths(false),
-                ),
-            ],
-        ];
-        for [dense, sparse, fallback] in &triples {
+    let pm = NoiseModel::new(1e-3).measurement_flip();
+    let (flag_dem, flag_pm) = shared_flag_experiment(&rotated_surface_code(3), 1e-3);
+    for (dem, pm, cases, seed, flagged) in [
+        (surface_memory_dem(3), pm, 32u64, 0x04ad3u64, false),
+        (surface_memory_dem(5), pm, 12, 0x04ad5, false),
+        (flag_dem, flag_pm, 32, 0x04adf, true),
+    ] {
+        let pairs: Vec<[MwpmDecoder; 2]> = [MwpmConfig::unflagged(), MwpmConfig::flagged(pm)]
+            .into_iter()
+            .map(|config| {
+                [
+                    MwpmDecoder::new(&dem, config),
+                    MwpmDecoder::new(&dem, config.with_oracle_node_limit(0)),
+                ]
+            })
+            .collect();
+        for [dense, sparse] in &pairs {
             assert!(dense.path_oracle().is_some(), "below-threshold graph");
+            assert!(dense.sparse_finder().is_some(), "CSR always built");
             assert!(sparse.path_oracle().is_none(), "limit 0 drops the oracle");
             assert!(sparse.sparse_finder().is_some(), "sparse tier engaged");
-            assert!(fallback.path_oracle().is_none());
-            assert!(fallback.sparse_finder().is_none(), "fallback forced");
         }
         let q = mechanism_fire_probability(&dem, 8.0);
         let mut scratch = DecodeScratch::new();
         let mut out = BitVec::zeros(0);
         for_all(cases, seed, |g| {
             let syndrome = random_syndrome(g.rng(), &dem, q);
-            for [dense, sparse, fallback] in &triples {
-                let reference = fallback.decode(&syndrome);
-                dense.decode_into(&syndrome, &mut scratch, &mut out);
-                assert_eq!(
-                    out, reference,
-                    "oracle decode diverged from per-shot Dijkstra on d={d} surface DEM",
-                );
+            for [dense, sparse] in &pairs {
+                let reference = dense.decode(&syndrome);
                 sparse.decode_into(&syndrome, &mut scratch, &mut out);
                 assert_eq!(
-                    out, reference,
-                    "sparse-tier decode diverged from per-shot Dijkstra on d={d} surface DEM",
+                    out,
+                    reference,
+                    "sparse-tier decode diverged from the oracle ({} detectors)",
+                    dem.num_detectors(),
                 );
             }
         });
         // The unflagged dense decoder answers every nonzero shot from
-        // the oracle, the sparse decoder from the finder, and the
-        // fallback decoder runs full Dijkstra each time.
-        let [dense, sparse, fallback] = &triples[0];
+        // the oracle, the sparse decoder from the finder.
+        let [dense, sparse] = &pairs[0];
         assert!(dense.stats().oracle_hits > 0);
         assert_eq!(dense.stats().sparse_hits, 0);
-        assert_eq!(dense.stats().oracle_misses, 0);
         assert!(sparse.stats().sparse_hits > 0);
         assert_eq!(sparse.stats().oracle_hits, 0);
-        assert_eq!(sparse.stats().oracle_misses, 0);
-        assert_eq!(fallback.stats().oracle_hits, 0);
-        assert_eq!(fallback.stats().sparse_hits, 0);
-        assert!(fallback.stats().oracle_misses > 0);
-        // Flagged shots reweight the graph shot-locally, which the
-        // sparse tier serves too (the dense oracle cannot).
-        let [_, sparse_flagged, _] = &triples[1];
-        assert_eq!(sparse_flagged.stats().oracle_misses, 0);
-        assert!(sparse_flagged.stats().sparse_hits > 0);
+        for decoder in pairs.iter().flatten() {
+            assert_eq!(decoder.stats().oracle_misses, 0);
+        }
+        if flagged {
+            let [dense, _] = &pairs[1];
+            assert!(
+                dense.stats().sparse_hits > 0,
+                "flagged shots take the sparse tier"
+            );
+        }
     }
 }
 
-/// Same three-tier agreement guarantee for the restriction decoder's
-/// per-lattice path indexes on the toric color-code DEM.
+/// Same two-tier agreement guarantee for the restriction decoder's
+/// per-lattice path indexes on the toric color-code DEM, and on its
+/// shared-flag variant, whose flag-reweighted shots the default
+/// decoder serves from the sparse finders although every lattice has
+/// a dense oracle.
 #[test]
 fn restriction_path_tiers_agree_on_toric_color_dem() {
-    let (dem, ctx, pm) = toric_color_dem();
-    let dense = RestrictionDecoder::new(&dem, ctx.clone(), RestrictionConfig::flagged(pm));
-    assert!((0..3).all(|l| dense.path_oracle(l).is_some()));
-    let sparse = RestrictionDecoder::new(
-        &dem,
-        ctx.clone(),
-        RestrictionConfig::flagged(pm).with_oracle_node_limit(0),
-    );
-    assert!((0..3).all(|l| sparse.path_oracle(l).is_none()));
-    assert!((0..3).all(|l| sparse.sparse_finder(l).is_some()));
-    let fallback = RestrictionDecoder::new(
-        &dem,
-        ctx,
-        RestrictionConfig::flagged(pm)
-            .with_oracle_node_limit(0)
-            .with_sparse_paths(false),
-    );
-    assert!((0..3).all(|l| fallback.path_oracle(l).is_none()));
-    assert!((0..3).all(|l| fallback.sparse_finder(l).is_none()));
-    let q = mechanism_fire_probability(&dem, 8.0);
-    let mut scratch = DecodeScratch::new();
-    let mut out = BitVec::zeros(0);
-    for_all(24, 0x04ac0, |g| {
-        let syndrome = random_syndrome(g.rng(), &dem, q);
-        let reference = fallback.decode(&syndrome);
-        dense.decode_into(&syndrome, &mut scratch, &mut out);
-        assert_eq!(
-            out, reference,
-            "oracle decode diverged from per-shot Dijkstra on the toric color DEM",
+    let (direct_dem, direct_ctx, direct_pm) = toric_color_dem();
+    let code = toric_color_code(2).expect("toric color code builds");
+    let (flag_dem, flag_pm) = shared_flag_experiment(&code, 5e-4);
+    let flag_ctx = color_context(&code, Basis::Z);
+    for (dem, ctx, pm, flagged) in [
+        (direct_dem, direct_ctx, direct_pm, false),
+        (flag_dem, flag_ctx, flag_pm, true),
+    ] {
+        let dense = RestrictionDecoder::new(&dem, ctx.clone(), RestrictionConfig::flagged(pm));
+        assert!((0..3).all(|l| dense.path_oracle(l).is_some()));
+        assert!((0..3).all(|l| dense.sparse_finder(l).is_some()));
+        let sparse = RestrictionDecoder::new(
+            &dem,
+            ctx,
+            RestrictionConfig::flagged(pm).with_oracle_node_limit(0),
         );
-        sparse.decode_into(&syndrome, &mut scratch, &mut out);
-        assert_eq!(
-            out, reference,
-            "sparse-tier decode diverged from per-shot Dijkstra on the toric color DEM",
-        );
-    });
-    assert!(dense.stats().oracle_hits > 0);
-    assert!(sparse.stats().sparse_hits > 0);
-    assert_eq!(sparse.stats().oracle_misses, 0);
-    assert!(fallback.stats().oracle_misses > 0);
-    assert_eq!(fallback.stats().sparse_hits, 0);
+        assert!((0..3).all(|l| sparse.path_oracle(l).is_none()));
+        assert!((0..3).all(|l| sparse.sparse_finder(l).is_some()));
+        let q = mechanism_fire_probability(&dem, 8.0);
+        let mut scratch = DecodeScratch::new();
+        let mut out = BitVec::zeros(0);
+        for_all(24, 0x04ac0, |g| {
+            let syndrome = random_syndrome(g.rng(), &dem, q);
+            let reference = dense.decode(&syndrome);
+            sparse.decode_into(&syndrome, &mut scratch, &mut out);
+            assert_eq!(
+                out, reference,
+                "sparse-tier decode diverged from the oracle on the toric color DEM (flagged: {flagged})",
+            );
+        });
+        assert!(dense.stats().oracle_hits > 0);
+        assert_eq!(dense.stats().oracle_misses, 0);
+        assert!(sparse.stats().sparse_hits > 0);
+        assert_eq!(sparse.stats().oracle_misses, 0);
+        if flagged {
+            assert!(
+                dense.stats().sparse_hits > 0,
+                "flagged shots take the sparse tier"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -739,8 +739,7 @@ fn obs_registry_snapshot_roundtrips_through_json() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental blossom tier: pool hygiene and the flag-conditioned
-// secondary oracles.
+// Incremental blossom tier: pool hygiene.
 // ---------------------------------------------------------------------------
 
 /// One `DecodeScratch` shared between an MWPM decoder (d=3 surface)
@@ -896,120 +895,6 @@ fn sparse_memo_high_water_is_stable_after_warmup() {
     assert_eq!(
         snap.gauge("build.sparse.memo_high_water_bytes") as usize,
         warm
-    );
-}
-
-/// The flag-conditioned secondary oracles must (a) cover exactly the
-/// highest-probability-mass flags, (b) answer single-flag shots from
-/// the O(1) table (counted as `decode.tier.flag_oracle_hits`) where a
-/// patterns=0 decoder drops to per-shot Dijkstra, and (c) produce
-/// bitwise-identical corrections either way.
-#[test]
-fn flag_oracle_tier_answers_precomputed_single_flag_shots() {
-    // A shared-flag FPN actually places flag qubits, so its DEM carries
-    // flag detectors (the direct FPN fixtures do not).
-    let code = rotated_surface_code(3);
-    let fpn = FlagProxyNetwork::build(&code, &FpnConfig::shared());
-    let noise = NoiseModel::new(1e-3);
-    let exp = build_memory_circuit(&code, &fpn, Some(&noise), 3, Basis::Z);
-    let dem = DetectorErrorModel::from_circuit(&exp.circuit);
-    let pm = noise.measurement_flip();
-    let with_fo = MwpmDecoder::new(&dem, MwpmConfig::flagged(pm));
-    let without = MwpmDecoder::new(&dem, MwpmConfig::flagged(pm).with_flag_oracle_patterns(0));
-    assert!(with_fo.path_oracle().is_some(), "dense base tier expected");
-    assert!(without.flag_oracle_flags().is_empty());
-
-    // Replicate the decoder's ranking from public hypergraph data: the
-    // precomputed flags are the top-4 by total member probability.
-    let hg = with_fo.hypergraph();
-    let num_flags = hg.num_flag_detectors();
-    assert!(
-        num_flags > 0,
-        "flagged surface DEM must carry flag detectors"
-    );
-    let mut mass = vec![0.0f64; num_flags];
-    for class in hg.classes() {
-        for m in &class.members {
-            for &f in &m.flags {
-                mass[f as usize] += m.probability;
-            }
-        }
-    }
-    let mut ranked: Vec<usize> = (0..num_flags).filter(|&f| mass[f] > 0.0).collect();
-    ranked.sort_by(|&a, &b| mass[b].partial_cmp(&mass[a]).unwrap().then(a.cmp(&b)));
-    ranked.truncate(4);
-    let mut expected = ranked.clone();
-    expected.sort_unstable();
-    assert_eq!(
-        with_fo.flag_oracle_flags(),
-        expected,
-        "precomputed flags must be the heaviest by mechanism mass"
-    );
-
-    // Detector-space positions of each flag / check, in the same order
-    // the hypergraph assigns space indices (detector order).
-    let mut flag_det = Vec::new();
-    let mut check_det = Vec::new();
-    for (d, meta) in dem.detector_meta().iter().enumerate() {
-        if meta.is_flag {
-            flag_det.push(d);
-        } else {
-            check_det.push(d);
-        }
-    }
-
-    // Synthesized shots raising exactly one flag plus two checks: the
-    // flag-oracle tier serves precomputed flags, everything else falls
-    // through to per-shot Dijkstra; corrections agree bit for bit.
-    let mut scratch_a = DecodeScratch::new();
-    let mut scratch_b = DecodeScratch::new();
-    let mut out_a = BitVec::zeros(0);
-    let mut out_b = BitVec::zeros(0);
-    let mut precomputed_shots = 0u64;
-    let mut fallthrough_shots = 0u64;
-    for_all(48, 0xf1a6, |g| {
-        let f = g.usize_in(0..=num_flags - 1);
-        let a = g.usize_in(0..=check_det.len() - 1);
-        let b = g.usize_in(0..=check_det.len() - 1);
-        if a == b {
-            return;
-        }
-        let mut shot = BitVec::zeros(dem.num_detectors());
-        shot.flip(flag_det[f]);
-        shot.flip(check_det[a]);
-        shot.flip(check_det[b]);
-        with_fo.decode_into(&shot, &mut scratch_a, &mut out_a);
-        without.decode_into(&shot, &mut scratch_b, &mut out_b);
-        assert_eq!(
-            out_a, out_b,
-            "flag-oracle correction diverged from per-shot Dijkstra (flag {f})"
-        );
-        if expected.contains(&f) {
-            precomputed_shots += 1;
-        } else {
-            fallthrough_shots += 1;
-        }
-    });
-    assert!(
-        precomputed_shots > 0,
-        "seed must exercise precomputed flags"
-    );
-    let stats = with_fo.stats();
-    assert_eq!(
-        stats.flag_oracle_hits, precomputed_shots,
-        "every precomputed single-flag shot must be served by its oracle"
-    );
-    assert_eq!(
-        stats.oracle_misses, fallthrough_shots,
-        "non-precomputed flag shots fall through to per-shot Dijkstra"
-    );
-    assert_eq!(stats.oracle_hits, 0, "no shot here is flag-free");
-    let stats0 = without.stats();
-    assert_eq!(stats0.flag_oracle_hits, 0);
-    assert_eq!(
-        stats0.oracle_misses,
-        precomputed_shots + fallthrough_shots,
-        "with patterns=0 every single-flag shot pays full Dijkstra"
     );
 }
 

@@ -232,6 +232,52 @@ fn service_backpressure_rejects_on_a_real_decoder() {
     assert!(service.metrics().snapshot().counter("serve.rejected") >= 1);
 }
 
+#[test]
+fn wrong_length_request_is_refused_and_the_shard_keeps_serving() {
+    // One shard: a malformed syndrome reaching it would panic inside
+    // the decoder and leave nothing to serve the next request.
+    let code = rotated_surface_code(3);
+    let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
+    let noise = NoiseModel::new(2e-3);
+    let exp = build_memory_circuit(&code, &fpn, Some(&noise), 3, Basis::Z);
+    let decoder =
+        DecodingPipeline::new(&code, &exp, DecoderKind::FlaggedMwpm, &noise).into_shared_decoder();
+    let shots: Vec<BitVec> = sample_shots(&exp.circuit, 256, 11)
+        .into_iter()
+        .filter(|(d, _)| !d.is_zero())
+        .map(|(d, _)| d)
+        .collect();
+    assert!(!shots.is_empty());
+    let n = decoder.num_detectors();
+    assert_eq!(shots[0].len(), n);
+    let service = DecodeService::new(
+        Arc::clone(&decoder),
+        ServeConfig::new()
+            .with_shards(1)
+            .with_queue_capacity(8)
+            .with_metrics(Registry::new()),
+    );
+    for bad in [BitVec::zeros(n + 1), BitVec::zeros(n - 1)] {
+        // One malformed syndrome rejects the whole request.
+        let err = service
+            .try_submit(vec![shots[0].clone(), bad])
+            .expect_err("wrong-length syndrome must be refused");
+        assert_eq!(err, SubmitError::InvalidRequest);
+    }
+    let served = service
+        .try_submit(shots.clone())
+        .expect("valid request after a refusal")
+        .wait()
+        .expect("the shard is still alive");
+    let mut scratch = DecodeScratch::new();
+    let mut out = BitVec::zeros(0);
+    assert_eq!(served.corrections.len(), shots.len());
+    for (dets, got) in shots.iter().zip(&served.corrections) {
+        decoder.decode_into(dets, &mut scratch, &mut out);
+        assert_eq!(got, &out, "service diverged from offline decode_into");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Live telemetry plane: /metrics, /healthz, /snapshot over real HTTP.
 // ---------------------------------------------------------------------------
@@ -411,6 +457,10 @@ impl Decoder for GatedDecoder {
     }
 
     fn num_observables(&self) -> usize {
+        8
+    }
+
+    fn num_detectors(&self) -> usize {
         8
     }
 }
