@@ -13,6 +13,10 @@ cargo build --release --offline --workspace
 # --workspace so every crate's unit tests run, not just the root
 # package's integration tests.
 cargo test -q --offline --workspace
+# perfbench sits outside the workspace and builds against crates/* by
+# path: building and testing it here catches a qec-sim or fpn-core API
+# change that would break the benchmark.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Differential path-tier tests: the lazy SparsePathFinder must match
 # the dense PathOracle and on-demand Dijkstra (the reference search)

@@ -275,9 +275,10 @@ fn bench_decoding() {
 
 /// Runs the `run_ber` worker loop single-threaded against `decoder`,
 /// timing each stage separately, and emits one JSON line:
-/// `sample_ns` (batch sampling + per-shot bit extraction), `decode_ns`
-/// (only shots with a nonzero syndrome reach the decoder) and
-/// `compare_ns` (prediction vs. actual observables), all cumulative,
+/// `sample_ns` (batch sampling + bit extraction of the shots that fired
+/// a detector), `decode_ns` (only those shots reach the decoder) and
+/// `compare_ns` (prediction vs. actual observables, plus settling the
+/// empty shots from the batch masks), all cumulative,
 /// plus `decode_ns_per_shot` averaged over the decoded shots and the
 /// decoder's give-up and path-tier counts for the run (attributed via
 /// `DecoderStats::delta`, so a shared metrics registry does not bleed
@@ -309,19 +310,20 @@ fn stage_timings(
         let t = Instant::now();
         let batch = sampler.sample_batch_with(&mut scratch, &mut rng);
         sample_ns += t.elapsed().as_nanos();
-        for shot in 0..64 {
+        // `run_ber`'s empty-shot skip: empty shots are settled from the
+        // batch masks, only fired shots are extracted and decoded.
+        let t = Instant::now();
+        let fired = batch.fired_shots();
+        failures += (batch.flipped_shots() & !fired).count_ones() as usize;
+        compare_ns += t.elapsed().as_nanos();
+        let mut pending = fired;
+        while pending != 0 {
+            let shot = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
             let t = Instant::now();
             batch.observable_bits_into(shot, &mut actual);
             batch.detector_bits_into(shot, &mut dets);
             sample_ns += t.elapsed().as_nanos();
-            if dets.is_zero() {
-                let t = Instant::now();
-                if !actual.is_zero() {
-                    failures += 1;
-                }
-                compare_ns += t.elapsed().as_nanos();
-                continue;
-            }
             let t = Instant::now();
             decoder.decode_into(&dets, &mut decode_scratch, &mut predicted);
             decode_ns += t.elapsed().as_nanos();

@@ -368,7 +368,11 @@ impl BerStats {
 /// [`Xoshiro256StarStar::from_seed_stream`]`(seed, b)` regardless of
 /// which worker executes it, so the result is **bit-identical for any
 /// thread count**. Each worker owns one [`FrameBatch`] scratch, so
-/// steady-state sampling does not reallocate frame storage.
+/// steady-state sampling does not reallocate frame storage. Shots with
+/// an empty syndrome are settled from the batch's
+/// [`fired_shots`](qec_sim::ShotBatch::fired_shots) and
+/// [`flipped_shots`](qec_sim::ShotBatch::flipped_shots) masks, without
+/// extracting their bits or calling the decoder.
 ///
 /// The bit-packed sampler always executes whole 64-shot batches, so a
 /// 100-shot request runs 128 trials; [`BerStats::shots`] reports the
@@ -450,15 +454,17 @@ pub fn run_ber(
                     let batch_start = batch_hist.as_ref().map(|_| std::time::Instant::now());
                     let mut rng = Xoshiro256StarStar::from_seed_stream(seed, b as u64);
                     let batch = sampler.sample_batch_with(&mut scratch, &mut rng);
-                    for shot in 0..64 {
+                    // An empty syndrome decodes to "no flip", so an empty
+                    // shot fails exactly when it flipped an observable;
+                    // only fired shots are extracted and decoded.
+                    let fired = batch.fired_shots();
+                    local_failures += (batch.flipped_shots() & !fired).count_ones() as usize;
+                    let mut pending = fired;
+                    while pending != 0 {
+                        let shot = pending.trailing_zeros() as usize;
+                        pending &= pending - 1;
                         batch.observable_bits_into(shot, &mut actual);
                         batch.detector_bits_into(shot, &mut dets);
-                        if dets.is_zero() {
-                            if !actual.is_zero() {
-                                local_failures += 1;
-                            }
-                            continue;
-                        }
                         decoder.decode_into(&dets, &mut decode_scratch, &mut predicted);
                         if predicted != actual {
                             local_failures += 1;

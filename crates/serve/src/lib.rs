@@ -573,7 +573,6 @@ fn worker_loop(
 ) {
     let _shard_span = qec_obs::span_with("serve.shard", &[("shard", shard.into())]);
     let mut scratch = DecodeScratch::new();
-    let mut out = BitVec::zeros(0);
     loop {
         let (job, depth) = {
             let mut state = shared.queue.lock().expect("serve queue lock");
@@ -614,8 +613,9 @@ fn worker_loop(
         let decode_start = Instant::now();
         let mut corrections = Vec::with_capacity(job.syndromes.len());
         for syndrome in &job.syndromes {
+            let mut out = BitVec::zeros(0);
             decoder.decode_into(syndrome, &mut scratch, &mut out);
-            corrections.push(out.clone());
+            corrections.push(out);
         }
         let decode_ns = ns_since(decode_start);
         let total_ns = ns_since(job.submitted);

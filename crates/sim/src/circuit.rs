@@ -69,6 +69,25 @@ pub enum Op {
     Tick,
 }
 
+impl Op {
+    /// The probability at which a noise op faults each target: the
+    /// readout-flip probability of `Measure`, the channel total of
+    /// `PauliChannel1`, `p` of the other channels; `None` for gates.
+    pub fn noise_probability(&self) -> Option<f64> {
+        match self {
+            Op::Measure {
+                flip_probability, ..
+            } => Some(*flip_probability),
+            Op::XError { p, .. }
+            | Op::ZError { p, .. }
+            | Op::Depolarize1 { p, .. }
+            | Op::Depolarize2 { p, .. } => Some(*p),
+            Op::PauliChannel1 { px, py, pz, .. } => Some(px + py + pz),
+            Op::H(_) | Op::Cx(_) | Op::Reset(_) | Op::Tick => None,
+        }
+    }
+}
+
 /// Metadata attached to a detector, consumed by decoders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DetectorMeta {
@@ -177,6 +196,10 @@ impl Circuit {
         }
     }
 
+    fn check_probability(p: f64) {
+        assert!((0.0..=1.0).contains(&p), "probability {p} not in [0, 1]");
+    }
+
     /// Appends Hadamards.
     ///
     /// # Panics
@@ -219,9 +242,11 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if a target is out of range.
+    /// Panics if a target is out of range or `flip_probability` is not
+    /// in `[0, 1]` (NaN included).
     pub fn measure(&mut self, targets: &[usize], flip_probability: f64) -> usize {
         self.check_targets(targets);
+        Self::check_probability(flip_probability);
         let first = self.num_measurements;
         self.num_measurements += targets.len();
         self.ops.push(Op::Measure {
@@ -232,8 +257,13 @@ impl Circuit {
     }
 
     /// Appends an X-error channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is out of range or `p` is not in `[0, 1]`.
     pub fn x_error(&mut self, targets: &[usize], p: f64) {
         self.check_targets(targets);
+        Self::check_probability(p);
         self.ops.push(Op::XError {
             targets: targets.to_vec(),
             p,
@@ -241,8 +271,13 @@ impl Circuit {
     }
 
     /// Appends a Z-error channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is out of range or `p` is not in `[0, 1]`.
     pub fn z_error(&mut self, targets: &[usize], p: f64) {
         self.check_targets(targets);
+        Self::check_probability(p);
         self.ops.push(Op::ZError {
             targets: targets.to_vec(),
             p,
@@ -250,8 +285,16 @@ impl Circuit {
     }
 
     /// Appends a single-qubit Pauli channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is out of range, or if `px`, `py`, `pz` or
+    /// their total is not in `[0, 1]`.
     pub fn pauli_channel1(&mut self, targets: &[usize], px: f64, py: f64, pz: f64) {
         self.check_targets(targets);
+        for p in [px, py, pz, px + py + pz] {
+            Self::check_probability(p);
+        }
         self.ops.push(Op::PauliChannel1 {
             targets: targets.to_vec(),
             px,
@@ -261,8 +304,13 @@ impl Circuit {
     }
 
     /// Appends single-qubit depolarizing noise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is out of range or `p` is not in `[0, 1]`.
     pub fn depolarize1(&mut self, targets: &[usize], p: f64) {
         self.check_targets(targets);
+        Self::check_probability(p);
         self.ops.push(Op::Depolarize1 {
             targets: targets.to_vec(),
             p,
@@ -273,8 +321,10 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if a qubit is out of range or a pair has equal elements.
+    /// Panics if a qubit is out of range, a pair has equal elements or
+    /// `p` is not in `[0, 1]`.
     pub fn depolarize2(&mut self, pairs: &[(usize, usize)], p: f64) {
+        Self::check_probability(p);
         for &(a, b) in pairs {
             assert!(
                 a < self.num_qubits && b < self.num_qubits,
@@ -391,6 +441,33 @@ mod tests {
     fn self_cx_panics() {
         let mut c = Circuit::new(2);
         c.cx(&[(1, 1)]);
+    }
+
+    #[test]
+    fn every_noise_op_rejects_out_of_range_probabilities() {
+        type Build = fn(&mut Circuit, f64);
+        let builders: [Build; 6] = [
+            |c, p| {
+                c.measure(&[0], p);
+            },
+            |c, p| c.x_error(&[0], p),
+            |c, p| c.z_error(&[0], p),
+            |c, p| c.pauli_channel1(&[0], p, 0.0, 0.0),
+            |c, p| c.depolarize1(&[0], p),
+            |c, p| c.depolarize2(&[(0, 1)], p),
+        ];
+        for (i, build) in builders.iter().enumerate() {
+            for p in [f64::NAN, -1e-9, 1.0 + 1e-9, f64::INFINITY] {
+                let caught = std::panic::catch_unwind(|| build(&mut Circuit::new(2), p));
+                assert!(caught.is_err(), "builder {i} accepted p = {p}");
+            }
+            for p in [0.0, 1e-17, 0.5, 1.0] {
+                build(&mut Circuit::new(2), p);
+            }
+        }
+        let caught =
+            std::panic::catch_unwind(|| Circuit::new(1).pauli_channel1(&[0], 0.5, 0.5, 0.5));
+        assert!(caught.is_err(), "pauli_channel1 accepted a total above 1");
     }
 
     #[test]

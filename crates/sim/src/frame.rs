@@ -13,6 +13,9 @@
 //! * [`FrameSampler::sample_batch_with`] — the production path: 64
 //!   shots per instruction sweep, writing into a caller-owned
 //!   [`FrameBatch`] scratch so the hot loop never reallocates frames.
+//!   Each noise op injects faults through a [`MaskRate`] precomputed
+//!   in [`FrameSampler::new`], bit-identical to calling
+//!   [`sample_mask`] per location.
 //! * [`FrameSampler::sample_shot`] — a deliberately scalar one-shot
 //!   reference implementation (one `bool` per qubit per basis). It
 //!   exists as the baseline the batched engine is benchmarked against
@@ -26,6 +29,7 @@
 use crate::circuit::{Circuit, Op};
 use qec_math::rng::Rng;
 use qec_math::BitVec;
+use std::collections::HashMap;
 
 /// Results of one 64-shot batch.
 #[derive(Debug, Clone)]
@@ -97,7 +101,20 @@ impl ShotBatch {
 
     /// `true` if any shot in the batch fired any detector.
     pub fn any_detection(&self) -> bool {
-        self.detectors.iter().any(|&m| m != 0)
+        self.fired_shots() != 0
+    }
+
+    /// Bit `i` is set when shot `i` fired at least one detector. A
+    /// shot whose bit is clear has an empty syndrome, so a decode loop
+    /// can settle it from [`flipped_shots`](Self::flipped_shots) alone
+    /// without extracting its bits.
+    pub fn fired_shots(&self) -> u64 {
+        self.detectors.iter().fold(0, |acc, &m| acc | m)
+    }
+
+    /// Bit `i` is set when shot `i` flipped at least one observable.
+    pub fn flipped_shots(&self) -> u64 {
+        self.observables.iter().fold(0, |acc, &m| acc | m)
     }
 }
 
@@ -138,11 +155,23 @@ impl FrameBatch {
 }
 
 /// Samples a 64-bit mask whose bits are independently 1 with
-/// probability `p`, by geometric skipping (cost ~ O(1 + 64p)).
+/// probability `p`, by geometric skipping.
+///
+/// Each call prices `ln(1 - p)` and then draws one uniform and one `ln`
+/// per skip, so it costs about `2 + 64p` `ln` calls. The batched
+/// sampler does not call it: [`FrameSampler::new`] precomputes the
+/// per-probability constants once, and a location whose first draw
+/// already skips all 64 lanes costs one draw and no `ln` at all. Both
+/// forms run the same skip loop on the same draws, so they return the
+/// same masks and leave the RNG in the same state.
 ///
 /// This is the noise-injection primitive of the batched sampler; it is
 /// public so statistical tests can validate its per-bit frequencies
 /// directly against binomial bounds.
+///
+/// # Panics
+///
+/// Panics if `p` is NaN.
 pub fn sample_mask(rng: &mut impl Rng, p: f64) -> u64 {
     if p <= 0.0 {
         return 0;
@@ -150,18 +179,144 @@ pub fn sample_mask(rng: &mut impl Rng, p: f64) -> u64 {
     if p >= 1.0 {
         return !0u64;
     }
-    let log_keep = (1.0 - p).ln();
+    let u = rng.gen_f64();
+    skip_mask(rng, log_keep(p), u)
+}
+
+/// `ln(1 - p)`: the log-probability that one lane stays clear.
+///
+/// Where `1 - p` rounds to `1.0` (p below about 1.1e-16) that form is
+/// `0.0`, every skip would divide to `-inf` and cast to 0, and the
+/// fault would fire in every lane; only there is it priced as
+/// `ln_1p(-p)`. Everywhere else it is exactly `(1 - p).ln()`, the value
+/// the sampler golden fingerprints were pinned with.
+fn log_keep(p: f64) -> f64 {
+    assert!(!p.is_nan(), "noise probability is NaN");
+    let keep = 1.0 - p;
+    if keep < 1.0 {
+        keep.ln()
+    } else {
+        (-p).ln_1p()
+    }
+}
+
+/// Lanes skipped before the next fault, for a uniform draw `u`.
+fn skip(u: f64, log_keep: f64) -> usize {
+    ((1.0 - u).ln() / log_keep) as usize
+}
+
+/// The geometric skip loop shared by [`sample_mask`] and
+/// [`MaskRate::sample`], starting from the already drawn uniform `u`.
+fn skip_mask(rng: &mut impl Rng, log_keep: f64, mut u: f64) -> u64 {
     let mut mask = 0u64;
     let mut i: usize = 0;
     loop {
-        let u = rng.gen_f64();
-        let skip = ((1.0 - u).ln() / log_keep) as usize;
-        i += skip;
+        i = i.saturating_add(skip(u, log_keep));
         if i >= 64 {
             return mask;
         }
         mask |= 1u64 << i;
         i += 1;
+        u = rng.gen_f64();
+    }
+}
+
+/// [`sample_mask`] for one probability, with its constants computed
+/// once: what [`FrameSampler::new`] builds for each distinct noise
+/// probability of a circuit.
+///
+/// [`sample`](Self::sample) returns the same mask as `sample_mask(rng,
+/// p)` and leaves the RNG in the same state. It still draws the first
+/// uniform `u` of every call; when `u` is at or above
+/// [`zero_from`](Self::zero_from) the first skip already passes all 64
+/// lanes, so it returns the empty mask without an `ln`. Otherwise it
+/// runs [`sample_mask`]'s skip loop with the precomputed `ln(1 - p)`.
+///
+/// # Example
+///
+/// ```
+/// use qec_math::rng::{Rng, Xoshiro256StarStar};
+/// use qec_sim::{sample_mask, MaskRate};
+///
+/// let rate = MaskRate::new(1e-3);
+/// let mut a = Xoshiro256StarStar::seed_from_u64(5);
+/// let mut b = Xoshiro256StarStar::seed_from_u64(5);
+/// for _ in 0..1000 {
+///     assert_eq!(rate.sample(&mut a), sample_mask(&mut b, 1e-3));
+/// }
+/// assert_eq!(a.next_u64(), b.next_u64());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MaskRate {
+    p: f64,
+    log_keep: f64,
+    /// The smallest value `k·2⁻⁵³` on [`Rng::gen_f64`]'s grid whose
+    /// skip reaches 64 lanes, or `1.0` (above every draw) when no draw
+    /// does.
+    zero_from: f64,
+}
+
+/// The spacing of [`Rng::gen_f64`]'s output grid.
+const GRID: f64 = 1.0 / (1u64 << 53) as f64;
+
+impl MaskRate {
+    /// Precomputes the constants of probability `p`: one `ln` and a
+    /// 53-step binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is NaN.
+    pub fn new(p: f64) -> Self {
+        if p <= 0.0 || p >= 1.0 {
+            return MaskRate {
+                p,
+                log_keep: 0.0,
+                zero_from: 0.0,
+            };
+        }
+        let log_keep = log_keep(p);
+        // `skip` never decreases as `u` grows (1 - u falls, ln is
+        // monotone, log_keep < 0), so binary search the grid for the
+        // first point that skips all 64 lanes. `hi = 2⁵³` stands for
+        // "no such draw" and maps to 1.0.
+        let (mut lo, mut hi) = (0u64, 1u64 << 53);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if skip(mid as f64 * GRID, log_keep) >= 64 {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        MaskRate {
+            p,
+            log_keep,
+            zero_from: lo as f64 * GRID,
+        }
+    }
+
+    /// The zero-mask threshold: a first draw `u >= zero_from` yields
+    /// the empty mask. `None` for `p <= 0` and `p >= 1`, which draw
+    /// nothing.
+    pub fn zero_from(&self) -> Option<f64> {
+        (self.p > 0.0 && self.p < 1.0).then_some(self.zero_from)
+    }
+
+    /// Samples one mask: the same value and RNG consumption as
+    /// `sample_mask(rng, p)` for the `p` it was built with.
+    #[inline]
+    pub fn sample(&self, rng: &mut impl Rng) -> u64 {
+        if self.p <= 0.0 {
+            return 0;
+        }
+        if self.p >= 1.0 {
+            return !0u64;
+        }
+        let u = rng.gen_f64();
+        if u >= self.zero_from {
+            return 0;
+        }
+        skip_mask(rng, self.log_keep, u)
     }
 }
 
@@ -191,12 +346,25 @@ pub fn sample_mask(rng: &mut impl Rng, p: f64) -> u64 {
 #[derive(Debug)]
 pub struct FrameSampler<'c> {
     circuit: &'c Circuit,
+    /// One entry per op: the mask constants of its noise probability
+    /// (the channel total for `PauliChannel1`); gates get a zero rate.
+    rates: Vec<MaskRate>,
 }
 
 impl<'c> FrameSampler<'c> {
-    /// Creates a sampler over `circuit`.
+    /// Creates a sampler over `circuit`, computing the skip constants
+    /// of each distinct noise probability once.
     pub fn new(circuit: &'c Circuit) -> Self {
-        FrameSampler { circuit }
+        let mut cache: HashMap<u64, MaskRate> = HashMap::new();
+        let rates = circuit
+            .ops()
+            .iter()
+            .map(|op| {
+                let p = op.noise_probability().unwrap_or(0.0);
+                *cache.entry(p.to_bits()).or_insert_with(|| MaskRate::new(p))
+            })
+            .collect();
+        FrameSampler { circuit, rates }
     }
 
     /// Runs 64 shots and returns their detector/observable outcomes,
@@ -220,7 +388,7 @@ impl<'c> FrameSampler<'c> {
         let x = &mut scratch.x;
         let z = &mut scratch.z;
         let record = &mut scratch.record;
-        for op in self.circuit.ops() {
+        for (op, rate) in self.circuit.ops().iter().zip(&self.rates) {
             match op {
                 Op::H(targets) => {
                     for &q in targets {
@@ -239,23 +407,20 @@ impl<'c> FrameSampler<'c> {
                         z[q] = 0;
                     }
                 }
-                Op::Measure {
-                    targets,
-                    flip_probability,
-                } => {
+                Op::Measure { targets, .. } => {
                     for &q in targets {
-                        let flips = sample_mask(rng, *flip_probability);
+                        let flips = rate.sample(rng);
                         record.push(x[q] ^ flips);
                     }
                 }
-                Op::XError { targets, p } => {
+                Op::XError { targets, .. } => {
                     for &q in targets {
-                        x[q] ^= sample_mask(rng, *p);
+                        x[q] ^= rate.sample(rng);
                     }
                 }
-                Op::ZError { targets, p } => {
+                Op::ZError { targets, .. } => {
                     for &q in targets {
-                        z[q] ^= sample_mask(rng, *p);
+                        z[q] ^= rate.sample(rng);
                     }
                 }
                 Op::PauliChannel1 {
@@ -266,7 +431,7 @@ impl<'c> FrameSampler<'c> {
                 } => {
                     let total = px + py + pz;
                     for &q in targets {
-                        let mut m = sample_mask(rng, total);
+                        let mut m = rate.sample(rng);
                         while m != 0 {
                             let bit = m & m.wrapping_neg();
                             m &= m - 1;
@@ -280,9 +445,9 @@ impl<'c> FrameSampler<'c> {
                         }
                     }
                 }
-                Op::Depolarize1 { targets, p } => {
+                Op::Depolarize1 { targets, .. } => {
                     for &q in targets {
-                        let mut m = sample_mask(rng, *p);
+                        let mut m = rate.sample(rng);
                         while m != 0 {
                             let bit = m & m.wrapping_neg();
                             m &= m - 1;
@@ -297,9 +462,9 @@ impl<'c> FrameSampler<'c> {
                         }
                     }
                 }
-                Op::Depolarize2 { pairs, p } => {
+                Op::Depolarize2 { pairs, .. } => {
                     for &(a, b) in pairs {
-                        let mut m = sample_mask(rng, *p);
+                        let mut m = rate.sample(rng);
                         while m != 0 {
                             let bit = m & m.wrapping_neg();
                             m &= m - 1;

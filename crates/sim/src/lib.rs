@@ -43,5 +43,5 @@ mod tableau;
 
 pub use circuit::{Circuit, DetectorMeta, Op};
 pub use dem::{DetectorErrorModel, Mechanism};
-pub use frame::{sample_mask, FrameBatch, FrameSampler, ShotBatch, ShotRecord};
+pub use frame::{sample_mask, FrameBatch, FrameSampler, MaskRate, ShotBatch, ShotRecord};
 pub use tableau::{Pauli, TableauSimulator};
