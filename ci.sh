@@ -25,6 +25,12 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # guard).
 cargo test -q --offline --test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
 cargo test -q --offline --test properties path_tiers_agree
+# Differential matching-route test: shots priced on the CSR graph (the
+# complete instance up to 4 defects, graph-native above) must decode
+# exactly like the dense oracle's complete instances, and every decoded
+# shot must advance exactly one tier counter.
+cargo test -q --offline --test properties matching_routes_agree
+cargo test -q --offline --test properties tier_counters_count_each_decoded_shot_once
 
 # Differential streaming-service tests: qec-serve corrections must be
 # bit-identical to offline decode_into and reproduce run_ber's failure
@@ -70,9 +76,9 @@ QEC_BP_OSD_FUZZ_CASES=2000 cargo test -q --release --offline \
 # mwpm_oracle_speedup_d5 row reports the dense PathOracle's speedup
 # over the sparse path tier without a gate (its threshold has not been
 # measured), but its corrections must be identical. The
-# pass_sparse_blossom gate requires the graph-native SparseGraph
-# matching strategy to clear 2x over the dense complete-pricing
-# pipeline end to end on the hyperbolic fixture, and the pass_serve
+# pass_sparse_blossom gate requires the graph-native matching route to
+# clear 2x over the complete-instance route on the CSR graph on the
+# hyperbolic fixture's p = 1e-3 shots, and the pass_serve
 # gate requires the streaming service to sustain the throughput floor
 # on the hyperbolic fixture with corrections bit-identical to offline
 # decode_into. The pass_bp_osd gate requires the BP+OSD hypergraph
@@ -88,6 +94,7 @@ bench_out=$(cargo run --release --offline -p qec-bench -- \
     --shots 1000 --out BENCH_10.json --trace "$trace_file" | tee /dev/stderr)
 grep -q '"pass_2x":true' <<<"$bench_out"
 grep -q '"pass_sparse_blossom":true' <<<"$bench_out"
+grep -q '"weights_equal":true' <<<"$bench_out"
 grep -q '"pass_obs_overhead":true' <<<"$bench_out"
 grep -q '"pass_serve":true' <<<"$bench_out"
 grep -q '"pass_bp_osd":true' <<<"$bench_out"

@@ -27,12 +27,11 @@
 //! * the precomputed-path-oracle MWPM hot path against the sparse
 //!   path tier (ungated speedup, bit-identical output), plus the
 //!   oracle construction cost itself;
-//! * the graph-native sparse-blossom matching strategy
-//!   (`MatchingStrategy::SparseGraph`: truncated nearest-neighbour
-//!   discovery + dual-ball certification on the CSR graph) against
-//!   the dense complete-pricing pipeline, end to end on the same
-//!   hyperbolic fixture (2× target on full `decode_into`,
-//!   weight-identical matchings);
+//! * the two CSR matching routes on the hyperbolic fixture: the
+//!   graph-native sparse blossom (truncated nearest-neighbour
+//!   discovery + dual-ball certification) against the complete
+//!   defect-pair instance, per defect-count bucket (2× target over all
+//!   shots, identical matching weight);
 //! * the qec-obs instrumentation overhead on the fastest decode hot
 //!   path (per-batch spans + histogram vs. nothing, 10% ceiling,
 //!   bit-identical output);
@@ -517,95 +516,153 @@ fn bench_mwpm_oracle_speedup(shots: usize) {
     );
 }
 
-/// The graph-native sparse-blossom matching strategy against the
-/// dense complete-pricing pipeline, end to end, on the 1224-detector
-/// {4,5} hyperbolic fixture. Runs at `p = 1e-3` — still well below
-/// threshold, but with enough defects per shot that the
-/// nearest-neighbour discovery quota actually truncates the pricing
-/// searches (at `p = 3e-4` most shots have ≤ 4 defects, the candidate
-/// set is already complete, and the strategies coincide at ~1.3×; see
-/// DESIGN.md for the measured crossover). Unlike
-/// a matching-solve microbenchmark on pre-priced instances, this
-/// times the full `decode_into` hot path: the Dense strategy prices every
-/// defect-pair via matching-truncated Dijkstra before solving, while
-/// SparseGraph discovers only each defect's nearest neighbours on the
-/// CSR graph, solves the candidate instance, and certifies the result
-/// optimal with dual-ball scans (repairing and re-solving when a
-/// certificate fails). The contract is weight equality — corrections
-/// may differ only on tie-degenerate shots, counted and reported —
-/// and the gate (`pass_sparse_blossom`) requires a ≥ 2× lower
-/// end-to-end decode time per shot.
+/// The two CSR matching routes on the same shots of the 1224-detector
+/// {4,5} hyperbolic fixture at `p = 1e-3`, timed from public pieces:
+/// the complete route prices every defect pair
+/// ([`qec_decode::SparsePathFinder::matching_paths_into`]) and solves
+/// the complete instance
+/// ([`qec_decode::pooled_min_weight_perfect_matching_f64`]); the
+/// graph-native route ([`qec_decode::sparse_graph_match`]) prices only
+/// nearest neighbours and certifies the result. The gate
+/// (`pass_sparse_blossom`) requires the graph-native route to be ≥ 2×
+/// faster over all `p = 1e-3` shots (min of 5 interleaved repetitions),
+/// and both routes must reach the same total matching weight on every
+/// shot (`weights_equal`).
+///
+/// Every shot is also bucketed by defect count (≤ 4, 5–8, 9–16, > 16)
+/// and each bucket reports ns/shot for both routes — the crossover
+/// behind the engine's routing threshold (at ≤ 4 defects discovery
+/// already prices every pair). Almost no `p = 1e-3` shot has fewer than
+/// 9 defects, so a second draw of syndromes from the same fixture at
+/// `p = 2e-4` (priced with the same `p = 1e-3` weights) fills the small
+/// buckets; it does not enter the gate.
 fn bench_mwpm_sparse_blossom_speedup(shots: usize) {
-    use qec_decode::MatchingStrategy;
+    use qec_decode::{
+        pooled_min_weight_perfect_matching_f64, sparse_graph_match, BlossomScratch,
+        SparseBlossomScratch, SparsePathScratch,
+    };
+    /// Upper defect count of each bucket, and its field suffix.
+    const BUCKETS: [(usize, &str); 4] =
+        [(4, "le4"), (8, "5_8"), (16, "9_16"), (usize::MAX, "gt16")];
+    const REPS: usize = 5;
     let _span = qec_obs::span("bench.mwpm_sparse_blossom_speedup");
     let (_, exp, _) = qec_testkit::hyperbolic_memory_experiment_at(1e-3);
     let dem = DetectorErrorModel::from_circuit(&exp.circuit);
-    let dense_decoder = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
-    let graph_decoder = MwpmDecoder::new(
-        &dem,
-        MwpmConfig::unflagged().with_matching_strategy(MatchingStrategy::SparseGraph),
-    );
-    let syndromes = collect_nonzero_syndromes(&exp.circuit, shots, 321);
-
-    // Correctness first (untimed): every shot must match at identical
-    // total weight (pinned by the differential fuzz suite); here we
-    // additionally count shots where the equal-weight matching chose
-    // different pairs (tie degeneracy) — the corrections themselves
-    // are expected identical on this fixture.
-    let mut ds = DecodeScratch::new();
-    let mut out = BitVec::zeros(0);
-    let mut reference = BitVec::zeros(0);
-    let mut tie_mismatches = 0usize;
-    for d in &syndromes {
-        graph_decoder.decode_into(d, &mut ds, &mut out);
-        dense_decoder.decode_into(d, &mut ds, &mut reference);
-        if out != reference {
-            tie_mismatches += 1;
+    let decoder = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
+    let finder = decoder.sparse_finder().expect("the fixture has vertices");
+    let hypergraph = decoder.hypergraph();
+    let num_check = hypergraph.num_check_detectors();
+    // The MWPM decoding graph appends its boundary vertex after the checks.
+    let boundary = (finder.num_nodes() > num_check).then_some(num_check);
+    let weights = finder.class_weights();
+    // `buckets[draw][b]`: draw 0 at p = 1e-3 (the gate), draw 1 at 2e-4.
+    let (_, sparse_exp, _) = qec_testkit::hyperbolic_memory_experiment_at(2e-4);
+    let mut buckets: [[Vec<Vec<usize>>; 4]; 2] = Default::default();
+    for (draw, circuit) in [&exp.circuit, &sparse_exp.circuit].into_iter().enumerate() {
+        for d in collect_nonzero_syndromes(circuit, shots, 321) {
+            let (checks, _) = hypergraph.split_shot(&d);
+            if !checks.is_empty() {
+                let b = BUCKETS.iter().position(|&(hi, _)| checks.len() <= hi);
+                buckets[draw][b.expect("last bucket is unbounded")].push(checks);
+            }
         }
     }
-    let stats = graph_decoder.stats();
 
-    // Min-of-interleaved-reps: both strategies see the same load
-    // spikes, and the minima approximate unloaded steady state.
-    const REPS: usize = 5;
-    let mut dense_checksum = 0usize;
-    let mut graph_checksum = 0usize;
-    let (mut dense_ns, mut graph_ns) = (u128::MAX, u128::MAX);
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let mut checksum = 0usize;
-        for d in &syndromes {
-            dense_decoder.decode_into(d, &mut ds, &mut out);
-            checksum = checksum.wrapping_add(out.weight());
+    let (mut paths, mut complete_blossom) = (SparsePathScratch::new(), BlossomScratch::new());
+    let (mut targets, mut edges) = (Vec::new(), Vec::new());
+    let mut complete = |defects: &[usize]| {
+        let s = defects.len();
+        targets.clear();
+        targets.extend_from_slice(defects);
+        targets.extend(boundary);
+        finder.matching_paths_into(defects, &targets, |c| weights[c], &mut paths);
+        // The matching engine's instance: defect pairs and boundary legs
+        // under its unreachable-edge filter, then the boundary clique.
+        edges.clear();
+        for i in 0..s {
+            let legs = ((i + 1)..s).map(|j| (i, j, paths.dist(i, j)));
+            let boundary_leg = boundary.map(|_| (i, s + i, paths.dist(i, s)));
+            edges.extend(legs.chain(boundary_leg).filter(|e| e.2 < 1.0e8));
         }
-        dense_ns = dense_ns.min(t.elapsed().as_nanos());
-        dense_checksum = checksum;
-        let t = Instant::now();
-        let mut checksum = 0usize;
-        for d in &syndromes {
-            graph_decoder.decode_into(d, &mut ds, &mut out);
-            checksum = checksum.wrapping_add(out.weight());
+        if boundary.is_some() {
+            for i in 0..s {
+                edges.extend(((i + 1)..s).map(|j| (s + i, s + j, 0.0)));
+            }
         }
-        graph_ns = graph_ns.min(t.elapsed().as_nanos());
-        graph_checksum = checksum;
-    }
-    let n = syndromes.len().max(1) as u128;
-    let speedup = dense_ns as f64 / graph_ns.max(1) as f64;
-    emit(
-        header(
-            "mwpm_sparse_blossom_speedup_hyperbolic",
-            syndromes.len(),
-            REPS,
+        let nodes = if boundary.is_some() { 2 * s } else { s };
+        pooled_min_weight_perfect_matching_f64(nodes, &edges, &mut complete_blossom)
+            .map(|m| m.weight())
+    };
+    let (mut sparse, mut graph_blossom) = (SparseBlossomScratch::new(), BlossomScratch::new());
+    let mut pairs = Vec::new();
+    let cw = |c: usize| weights[c];
+    let mut graph = |defects: &[usize]| {
+        sparse_graph_match(
+            finder,
+            defects,
+            boundary,
+            &cw,
+            &mut sparse,
+            &mut graph_blossom,
+            &mut pairs,
         )
-        .field("dense_decode_ns", dense_ns / n)
-        .field("sparse_blossom_decode_ns", graph_ns / n)
+        .map(|o| o.weight)
+    };
+
+    // Correctness first (untimed): identical total weight on every shot.
+    let mut weights_equal = true;
+    let mut checksum = 0i64;
+    for defects in buckets.iter().flatten().flatten() {
+        let w = complete(defects);
+        weights_equal &= graph(defects) == w;
+        checksum = checksum.wrapping_add(w.unwrap_or(-1));
+    }
+    // Min-of-interleaved-reps per bucket: both routes see the same load
+    // spikes, and the minima approximate unloaded steady state.
+    let time = |route: &mut dyn FnMut(&[usize]) -> Option<i64>, shots: &[Vec<usize>]| {
+        let t = Instant::now();
+        for defects in shots {
+            std::hint::black_box(route(defects));
+        }
+        t.elapsed().as_nanos()
+    };
+    let mut complete_ns = [[u128::MAX; 4]; 2];
+    let mut graph_ns = [[u128::MAX; 4]; 2];
+    for _ in 0..REPS {
+        for (draw, draw_buckets) in buckets.iter().enumerate() {
+            for (b, shots) in draw_buckets.iter().enumerate() {
+                complete_ns[draw][b] = complete_ns[draw][b].min(time(&mut complete, shots));
+                graph_ns[draw][b] = graph_ns[draw][b].min(time(&mut graph, shots));
+            }
+        }
+    }
+    let per_shot = |ns: u128, shots: usize| ns / shots.max(1) as u128;
+    let n: usize = buckets[0].iter().map(Vec::len).sum();
+    let complete_total: u128 = complete_ns[0].iter().sum();
+    let graph_total: u128 = graph_ns[0].iter().sum();
+    let speedup = complete_total as f64 / graph_total.max(1) as f64;
+    let mut record = header("mwpm_sparse_blossom_speedup_hyperbolic", n, REPS)
+        .field("complete_ns", per_shot(complete_total, n))
+        .field("sparse_blossom_ns", per_shot(graph_total, n))
         .field("speedup", round1(speedup))
         .field("pass_sparse_blossom", speedup >= 2.0)
-        .field("corrections_identical", tie_mismatches == 0)
-        .field("tie_mismatches", tie_mismatches)
-        .field("sparse_blossom_shots", stats.sparse_blossom)
-        .field("checksum", graph_checksum.wrapping_add(dense_checksum)),
-    );
+        .field("weights_equal", weights_equal);
+    for (b, &(_, suffix)) in BUCKETS.iter().enumerate() {
+        let shots = buckets[0][b].len() + buckets[1][b].len();
+        let complete_b = complete_ns[0][b] + complete_ns[1][b];
+        let graph_b = graph_ns[0][b] + graph_ns[1][b];
+        record = record
+            .field(&format!("shots_{suffix}"), shots)
+            .field(
+                &format!("complete_ns_{suffix}"),
+                per_shot(complete_b, shots),
+            )
+            .field(
+                &format!("sparse_blossom_ns_{suffix}"),
+                per_shot(graph_b, shots),
+            );
+    }
+    emit(record.field("checksum", checksum));
 }
 
 /// The qec-obs instrumentation overhead gate: the same decode workload

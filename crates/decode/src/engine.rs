@@ -5,22 +5,27 @@
 //! [`crate::MwpmDecoder`] runs one engine over the full decoding graph,
 //! with a virtual boundary vertex when the code has one;
 //! [`crate::RestrictionDecoder`] runs three, one per restricted lattice,
-//! without a boundary. Path supply has two tiers:
+//! without a boundary. Each shot takes one of three routes, picked by
+//! [`MatchingEngine::tier`] from the shot's pricing and defect count:
 //!
 //! * the dense [`PathOracle`] — O(V²), built when V ≤ the node limit —
 //!   answers shots priced at the flag-free base weights;
-//! * the CSR [`SparsePathFinder`] — O(V+E), always built — answers
-//!   every other shot: graphs above the limit and flag-reweighted
-//!   shots.
+//! * every other shot (graphs above the limit, flag-reweighted shots)
+//!   is priced on the CSR [`SparsePathFinder`] — O(V+E), always built:
+//!   with at most `DISCOVERY_NEIGHBORS + 1` defects it prices every
+//!   defect pair and solves the complete instance; with more it matches
+//!   graph-natively ([`sparse_graph_match`]), pricing only nearest
+//!   neighbours and certifying the result against every omitted pair.
 //!
-//! Both tiers relax edges through the same formula, so the tier decides
-//! where a distance comes from, never its value.
+//! Both path tiers relax edges through the same formula, so the tier
+//! decides where a distance comes from, never its value; both CSR
+//! routes reach the same total matching weight.
 
 use crate::blossom::pooled_min_weight_perfect_matching_f64;
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{self, PathOracle, SparsePathFinder};
 use crate::scratch::MatchingCounters;
-use crate::sparse_blossom::{sparse_graph_match, MatchingStrategy};
+use crate::sparse_blossom::{sparse_graph_match, DISCOVERY_NEIGHBORS};
 use qec_math::BitVec;
 use qec_obs::Registry;
 use std::collections::HashMap;
@@ -129,8 +134,7 @@ pub(crate) enum Tier {
     Oracle,
     /// Sparse-finder path supply, complete defect-pair instance.
     Sparse,
-    /// Graph-native matching on the CSR
-    /// ([`MatchingStrategy::SparseGraph`]).
+    /// Graph-native matching on the CSR ([`sparse_graph_match`]).
     SparseGraph,
 }
 
@@ -142,10 +146,12 @@ pub(crate) struct MatchingEngine {
     adjacency: Vec<Vec<(usize, usize)>>,
     /// The virtual boundary vertex, when the graph has one.
     boundary: Option<usize>,
-    strategy: MatchingStrategy,
     oracle: Option<PathOracle>,
     /// `None` only for a graph without vertices.
     sparse: Option<SparsePathFinder>,
+    /// Test-only override of the route a CSR-priced shot takes.
+    #[cfg(test)]
+    csr_route: Option<Tier>,
 }
 
 /// Per-worker work arrays of [`MatchingEngine::solve`], reused across
@@ -190,7 +196,6 @@ impl MatchingEngine {
         class_weights: Vec<f64>,
         boundary: Option<usize>,
         oracle_node_limit: usize,
-        strategy: MatchingStrategy,
         metrics: &Registry,
         lattice: Option<usize>,
     ) -> Self {
@@ -219,18 +224,15 @@ impl MatchingEngine {
             let _span = span("decoder.build.csr");
             let sparse = SparsePathFinder::build(&adjacency, class_weights);
             gauges("sparse", sparse.num_nodes(), sparse.memory_bytes());
-            if strategy == MatchingStrategy::SparseGraph {
-                let _span = span("decoder.build.sparse_blossom");
-                gauges("sparse_blossom", sparse.num_nodes(), sparse.memory_bytes());
-            }
             sparse
         });
         MatchingEngine {
             adjacency,
             boundary,
-            strategy,
             oracle,
             sparse,
+            #[cfg(test)]
+            csr_route: None,
         }
     }
 
@@ -256,22 +258,43 @@ impl MatchingEngine {
         self.sparse.as_ref()
     }
 
-    /// The mechanism that serves a shot priced by `pricing`.
-    pub(crate) fn tier(&self, pricing: Pricing) -> Tier {
-        if self.strategy == MatchingStrategy::SparseGraph {
+    /// The mechanism that serves a shot of `defects` defects priced by
+    /// `pricing`: the dense oracle when it can price the shot; otherwise
+    /// the CSR graph, graph-natively once discovery would truncate
+    /// (more than `DISCOVERY_NEIGHBORS + 1` defects). At or below that
+    /// count discovery prices every pair anyway, so the graph-native
+    /// route would build the complete instance plus its own overhead.
+    pub(crate) fn tier(&self, pricing: Pricing, defects: usize) -> Tier {
+        if self.oracle.is_some() && matches!(pricing, Pricing::Base) {
+            return Tier::Oracle;
+        }
+        #[cfg(test)]
+        if let Some(route) = self.csr_route {
+            return route;
+        }
+        if defects > DISCOVERY_NEIGHBORS + 1 {
             Tier::SparseGraph
-        } else if self.oracle.is_some() && matches!(pricing, Pricing::Base) {
-            Tier::Oracle
         } else {
             Tier::Sparse
         }
     }
 
+    /// Sends every CSR-priced shot down `route` (`Sparse` or
+    /// `SparseGraph`) regardless of its defect count, so tests can run
+    /// both routes on the same shots.
+    #[cfg(test)]
+    pub(crate) fn force_csr_route(&mut self, route: Tier) {
+        assert_ne!(route, Tier::Oracle, "the oracle is not a CSR route");
+        self.csr_route = Some(route);
+    }
+
     /// Matches `defects` (graph vertices, each once) under `pricing` and
     /// feeds every hop of every matched path to `sink` as
     /// `(prev, cur, class)`, walking each path from its far end back to
-    /// its source defect. Returns `false` when no perfect matching
-    /// exists (the shot is given up and `sink` is never called).
+    /// its source defect. Returns the total matching weight in `1<<20`
+    /// fixed-point units — the same on every route — or `None` when no
+    /// perfect matching exists (the shot is given up and `sink` is never
+    /// called).
     pub(crate) fn solve(
         &self,
         defects: &[usize],
@@ -279,14 +302,12 @@ impl MatchingEngine {
         sc: &mut EngineScratch,
         counters: &MatchingCounters,
         mut sink: impl FnMut(usize, usize, usize),
-    ) -> bool {
+    ) -> Option<i64> {
         let s = defects.len();
         if s == 0 {
-            return true;
+            return Some(0);
         }
-        let Some(sp) = self.sparse.as_ref() else {
-            return false;
-        };
+        let sp = self.sparse.as_ref()?;
         let EngineScratch {
             sparse,
             blossom,
@@ -299,9 +320,8 @@ impl MatchingEngine {
             Pricing::Base => sp.class_weights(),
             Pricing::Shot(w) => w,
         };
-        let tier = self.tier(pricing);
+        let tier = self.tier(pricing, s);
         if tier == Tier::SparseGraph {
-            counters.sparse_blossom.inc();
             let outcome = sparse_graph_match(
                 sp,
                 defects,
@@ -310,10 +330,7 @@ impl MatchingEngine {
                 sparse_blossom,
                 blossom,
                 pairs,
-            );
-            let Some(outcome) = outcome else {
-                return false;
-            };
+            )?;
             counters.sparse_blossom_rounds.record(outcome.rounds as u64);
             counters
                 .sparse_blossom_edges
@@ -325,7 +342,7 @@ impl MatchingEngine {
                     }
                 }
             }
-            return true;
+            return Some(outcome.weight);
         }
         // Complete instance: defects 0..s, boundary copies s..2s when
         // the graph has a boundary. Target `tj` is defect `tj`, or the
@@ -373,9 +390,8 @@ impl MatchingEngine {
         let nodes = if has_boundary { 2 * s } else { s };
         counters.blossom_solves.inc();
         pairs.clear();
-        let Some(matching) = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom) else {
-            return false;
-        };
+        let matching = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
+        let weight = matching.weight();
         pairs.extend(matching.pairs());
         for &(a, b) in pairs.iter() {
             let Some(tj) = pair_target(a, b, s) else {
@@ -399,7 +415,7 @@ impl MatchingEngine {
                 }
             }
         }
-        true
+        Some(weight)
     }
 }
 
@@ -407,37 +423,59 @@ impl MatchingEngine {
 mod tests {
     use super::*;
 
-    fn engine(adjacency: Vec<Vec<(usize, usize)>>, limit: usize) -> MatchingEngine {
+    fn engine_with(
+        adjacency: Vec<Vec<(usize, usize)>>,
+        boundary: Option<usize>,
+        limit: usize,
+    ) -> MatchingEngine {
         let classes = adjacency.iter().flatten().map(|&(_, c)| c + 1).max();
-        MatchingEngine::build(
-            adjacency,
-            vec![1.0; classes.unwrap_or(0)],
-            None,
-            limit,
-            MatchingStrategy::Dense,
-            &Registry::new(),
-            None,
-        )
+        let weights = (0..classes.unwrap_or(0))
+            .map(|c| 1.0 + (c % 3) as f64 * 0.25)
+            .collect();
+        MatchingEngine::build(adjacency, weights, boundary, limit, &Registry::new(), None)
+    }
+
+    fn engine(adjacency: Vec<Vec<(usize, usize)>>, limit: usize) -> MatchingEngine {
+        engine_with(adjacency, None, limit)
+    }
+
+    /// A ring of `n` vertices, edge `i → i+1` in class `i`.
+    fn ring(n: usize) -> Vec<Vec<(usize, usize)>> {
+        let mut adjacency = vec![Vec::new(); n];
+        for a in 0..n {
+            let b = (a + 1) % n;
+            adjacency[a].push((b, a));
+            adjacency[b].push((a, a));
+        }
+        adjacency
+    }
+
+    /// Runs `e.solve` and collects the hops it emits.
+    fn run(
+        e: &MatchingEngine,
+        defects: &[usize],
+        pricing: Pricing,
+        sc: &mut EngineScratch,
+    ) -> (Option<i64>, Vec<(usize, usize, usize)>) {
+        let counters = MatchingCounters::register(&Registry::new());
+        let mut hops = Vec::new();
+        let weight = e.solve(defects, pricing, sc, &counters, |p, c, k| {
+            hops.push((p, c, k))
+        });
+        (weight, hops)
     }
 
     /// Vertices without edges: two defects can never be paired, and
     /// both tiers give up instead of panicking or emitting hops.
     #[test]
     fn edgeless_graph_gives_up_cleanly() {
-        let counters = MatchingCounters::register(&Registry::new());
         let mut sc = EngineScratch::default();
         for limit in [1024, 0] {
             let e = engine(vec![Vec::new(); 3], limit);
             assert_eq!(e.oracle().is_some(), limit > 0);
-            let mut hops = 0;
-            assert!(
-                !e.solve(&[0, 2], Pricing::Base, &mut sc, &counters, |_, _, _| {
-                    hops += 1
-                })
-            );
-            assert!(!e.solve(&[1], Pricing::Base, &mut sc, &counters, |_, _, _| hops += 1));
-            assert!(e.solve(&[], Pricing::Base, &mut sc, &counters, |_, _, _| hops += 1));
-            assert_eq!(hops, 0);
+            assert_eq!(run(&e, &[0, 2], Pricing::Base, &mut sc), (None, vec![]));
+            assert_eq!(run(&e, &[1], Pricing::Base, &mut sc), (None, vec![]));
+            assert_eq!(run(&e, &[], Pricing::Base, &mut sc), (Some(0), vec![]));
         }
     }
 
@@ -446,13 +484,12 @@ mod tests {
     fn empty_graph_builds_no_index() {
         let e = engine(Vec::new(), 1024);
         assert!(e.oracle().is_none() && e.sparse().is_none());
-        let counters = MatchingCounters::register(&Registry::new());
         let mut sc = EngineScratch::default();
-        assert!(e.solve(&[], Pricing::Base, &mut sc, &counters, |_, _, _| {}));
+        assert_eq!(run(&e, &[], Pricing::Base, &mut sc), (Some(0), vec![]));
     }
 
     /// Both tiers unroll the same hops in the same order, and a shot
-    /// priced per shot always takes the sparse tier.
+    /// priced per shot always takes the CSR graph.
     #[test]
     fn tiers_emit_identical_hops() {
         // Path 0 - 1 - 2 - 3, classes 0..3.
@@ -464,21 +501,71 @@ mod tests {
         ];
         let dense = engine(adjacency.clone(), 1024);
         let sparse = engine(adjacency, 0);
-        let counters = MatchingCounters::register(&Registry::new());
         let mut sc = EngineScratch::default();
-        let run = |e: &MatchingEngine, pricing: Pricing, sc: &mut EngineScratch| {
-            let mut hops = Vec::new();
-            assert!(e.solve(&[0, 3], pricing, sc, &counters, |p, c, k| hops
-                .push((p, c, k))));
-            hops
-        };
         let expected = vec![(2, 3, 2), (1, 2, 1), (0, 1, 0)];
-        assert_eq!(dense.tier(Pricing::Base), Tier::Oracle);
-        assert_eq!(run(&dense, Pricing::Base, &mut sc), expected);
-        assert_eq!(sparse.tier(Pricing::Base), Tier::Sparse);
-        assert_eq!(run(&sparse, Pricing::Base, &mut sc), expected);
-        let shot = [1.0; 3];
-        assert_eq!(dense.tier(Pricing::Shot(&shot)), Tier::Sparse);
-        assert_eq!(run(&dense, Pricing::Shot(&shot), &mut sc), expected);
+        let shot = [1.0, 1.25, 1.5];
+        assert_eq!(dense.tier(Pricing::Base, 2), Tier::Oracle);
+        assert_eq!(sparse.tier(Pricing::Base, 2), Tier::Sparse);
+        assert_eq!(dense.tier(Pricing::Shot(&shot), 2), Tier::Sparse);
+        let mut weights = Vec::new();
+        for (e, pricing) in [
+            (&dense, Pricing::Base),
+            (&sparse, Pricing::Base),
+            (&dense, Pricing::Shot(&shot)),
+        ] {
+            let (weight, hops) = run(e, &[0, 3], pricing, &mut sc);
+            assert_eq!(hops, expected);
+            weights.push(weight.expect("path graph matches"));
+        }
+        assert!(weights.iter().all(|&w| w == weights[0] && w > 0));
+    }
+
+    /// The route rule: the oracle whenever it can price the shot,
+    /// otherwise the complete CSR instance up to `DISCOVERY_NEIGHBORS +
+    /// 1` defects and the graph-native route above.
+    #[test]
+    fn route_follows_pricing_and_defect_count() {
+        let dense = engine(ring(8), 1024);
+        let sparse = engine(ring(8), 0);
+        let shot = [1.0; 8];
+        let (at, above) = (DISCOVERY_NEIGHBORS + 1, DISCOVERY_NEIGHBORS + 2);
+        for defects in [0, at, above, 64] {
+            assert_eq!(dense.tier(Pricing::Base, defects), Tier::Oracle);
+        }
+        for (e, pricing) in [
+            (&dense, Pricing::Shot(&shot)),
+            (&sparse, Pricing::Shot(&shot)),
+            (&sparse, Pricing::Base),
+        ] {
+            assert_eq!(e.tier(pricing, 0), Tier::Sparse);
+            assert_eq!(e.tier(pricing, at), Tier::Sparse);
+            assert_eq!(e.tier(pricing, above), Tier::SparseGraph);
+        }
+    }
+
+    /// The first routed count, `DISCOVERY_NEIGHBORS + 2` defects, on a
+    /// ring with a boundary: the graph-native route reaches the oracle's
+    /// and the complete CSR instance's weight with the same hops.
+    #[test]
+    fn first_routed_defect_count_matches_the_complete_instance() {
+        let mut adjacency = ring(12);
+        let hub = adjacency.len();
+        adjacency.push(Vec::new());
+        for (class, v) in [(12, 0), (13, 6)] {
+            adjacency[v].push((hub, class));
+            adjacency[hub].push((v, class));
+        }
+        let defects = [1, 3, 4, 8, 10];
+        assert_eq!(defects.len(), DISCOVERY_NEIGHBORS + 2);
+        let oracle = engine_with(adjacency.clone(), Some(hub), 1024);
+        let routed = engine_with(adjacency.clone(), Some(hub), 0);
+        let mut complete = engine_with(adjacency, Some(hub), 0);
+        complete.force_csr_route(Tier::Sparse);
+        assert_eq!(routed.tier(Pricing::Base, defects.len()), Tier::SparseGraph);
+        let mut sc = EngineScratch::default();
+        let reference = run(&oracle, &defects, Pricing::Base, &mut sc);
+        assert!(reference.0.is_some() && !reference.1.is_empty());
+        assert_eq!(run(&routed, &defects, Pricing::Base, &mut sc), reference);
+        assert_eq!(run(&complete, &defects, Pricing::Base, &mut sc), reference);
     }
 }

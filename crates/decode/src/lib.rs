@@ -39,13 +39,14 @@
 //!     (the paper's hyperbolic DEMs) and every flag-reweighted shot,
 //!     bit-identical to the oracle.
 //! * [`sparse_graph_match`] — the graph-native sparse blossom matching
-//!   tier ([`MatchingStrategy::SparseGraph`]): instead of pricing every
-//!   defect pair, it grows a candidate instance outward from each
-//!   defect on the `SparsePathFinder` CSR, solves it with the pooled
-//!   blossom scratch, and *certifies* the result against all omitted
-//!   pairs with dual-ball searches — total matching weight identical to
-//!   the dense baseline, per-shot cost scaling with the touched graph
-//!   region instead of defects².
+//!   route the engine takes for CSR-priced shots with more defects
+//!   than nearest-neighbour discovery prices completely: instead of
+//!   pricing every defect pair, it grows a candidate instance outward
+//!   from each defect on the `SparsePathFinder` CSR, solves it with the
+//!   pooled blossom scratch, and *certifies* the result against all
+//!   omitted pairs with dual-ball searches — total matching weight
+//!   identical to the complete instance, per-shot cost scaling with the
+//!   touched graph region instead of defects².
 //!
 //! * [`BpOsdDecoder`] — min-sum belief propagation with serial
 //!   scheduling over the *undecomposed* hypergraph plus
@@ -82,9 +83,7 @@ pub use paths::{
 };
 pub use restriction::{ColorCodeContext, RestrictionConfig, RestrictionDecoder, RestrictionEvent};
 pub use scratch::{DecodeScratch, DecoderStats};
-pub use sparse_blossom::{
-    sparse_graph_match, MatchingStrategy, SparseBlossomScratch, SparseSolveOutcome,
-};
+pub use sparse_blossom::{sparse_graph_match, SparseBlossomScratch, SparseSolveOutcome};
 pub use unionfind::{UnionFindConfig, UnionFindDecoder};
 
 use qec_math::BitVec;

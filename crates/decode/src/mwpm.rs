@@ -4,7 +4,6 @@ use crate::engine::{ClassPricing, MatchingEngine, Tier};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::MatchingStrategy;
 use crate::{Decoder, DecoderStats};
 use qec_math::BitVec;
 use qec_obs::Registry;
@@ -22,17 +21,11 @@ pub struct MwpmConfig {
     /// Precompute a [`PathOracle`] when the decoding graph has at most
     /// this many vertices (O(V²) storage); it serves the shots without
     /// flag reweighting. Every other shot, and every shot on a larger
-    /// graph, is served by the [`SparsePathFinder`]. `0` disables the
-    /// oracle.
+    /// graph, is priced on the [`SparsePathFinder`]'s CSR graph —
+    /// matched graph-natively (`decode.tier.sparse_blossom`) when it has
+    /// more defects than nearest-neighbour discovery would price
+    /// completely. `0` disables the oracle.
     pub oracle_node_limit: usize,
-    /// How the matching instance is built:
-    /// [`MatchingStrategy::Dense`] prices every defect pair through the
-    /// path tiers (decision-identical default, all goldens pinned
-    /// here); [`MatchingStrategy::SparseGraph`] grows the instance
-    /// lazily on the CSR decoding graph with dual-ball certification
-    /// (`decode.tier.sparse_blossom`) — identical total matching
-    /// weight, mates may differ on tie-degenerate shots.
-    pub matching_strategy: MatchingStrategy,
 }
 
 impl MwpmConfig {
@@ -42,7 +35,6 @@ impl MwpmConfig {
             flag_conditioning: true,
             measurement_error_probability: p_m,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            matching_strategy: MatchingStrategy::Dense,
         }
     }
 
@@ -52,7 +44,6 @@ impl MwpmConfig {
             flag_conditioning: false,
             measurement_error_probability: 0.5,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            matching_strategy: MatchingStrategy::Dense,
         }
     }
 
@@ -60,13 +51,6 @@ impl MwpmConfig {
     /// every shot to the sparse tier.
     pub fn with_oracle_node_limit(mut self, limit: usize) -> Self {
         self.oracle_node_limit = limit;
-        self
-    }
-
-    /// Selects the matching strategy (see
-    /// [`MwpmConfig::matching_strategy`]).
-    pub fn with_matching_strategy(mut self, strategy: MatchingStrategy) -> Self {
-        self.matching_strategy = strategy;
         self
     }
 }
@@ -77,7 +61,8 @@ impl MwpmConfig {
 /// clique (Fig. 16(a)). One matching engine matches the defects:
 /// path weights come from the precomputed [`PathOracle`] when no flag
 /// reweighting is in effect (the hot case), and from the
-/// [`SparsePathFinder`] with flag-conditioned class weights otherwise.
+/// [`SparsePathFinder`]'s CSR graph with flag-conditioned class weights
+/// otherwise — graph-natively for shots with many defects.
 #[derive(Debug)]
 pub struct MwpmDecoder {
     hypergraph: DecodingHypergraph,
@@ -138,7 +123,6 @@ impl MwpmDecoder {
             pricing.base_weights(),
             has_boundary.then_some(boundary),
             config.oracle_node_limit,
-            config.matching_strategy,
             &metrics,
             None,
         );
@@ -162,9 +146,7 @@ impl MwpmDecoder {
     /// (decoder unchanged) when the topology or a structural config
     /// knob differs, in which case the caller must rebuild.
     pub fn reprice(&mut self, dem: &DetectorErrorModel, config: MwpmConfig) -> bool {
-        if config.oracle_node_limit != self.config.oracle_node_limit
-            || config.matching_strategy != self.config.matching_strategy
-        {
+        if config.oracle_node_limit != self.config.oracle_node_limit {
             return false;
         }
         let hypergraph = DecodingHypergraph::new(dem);
@@ -289,10 +271,10 @@ impl MwpmDecoder {
         let pricing = self
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
-        match self.engine.tier(pricing) {
+        match self.engine.tier(pricing, checks.len()) {
             Tier::Oracle => self.counters.oracle_hits.inc(),
             Tier::Sparse => self.counters.sparse_hits.inc(),
-            Tier::SparseGraph => {}
+            Tier::SparseGraph => self.counters.sparse_blossom.inc(),
         }
         let classes = self.hypergraph.classes();
         // A shot without a perfect matching is given up: the correction
@@ -447,68 +429,153 @@ mod tests {
         }
     }
 
-    /// The graph-native matching strategy: every syndrome decodes to
-    /// the same correction as the dense strategy on this fixture, the
-    /// sparse-blossom tier counter advances, and `decode_into` stays
-    /// bit-identical to `decode`.
-    #[test]
-    fn sparse_graph_strategy_agrees_with_dense_exhaustively() {
-        let dem = repetition_dem(0.01);
-        let dense = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
-        let graph = MwpmDecoder::new(
-            &dem,
-            MwpmConfig::unflagged().with_matching_strategy(MatchingStrategy::SparseGraph),
-        );
-        assert!(graph.sparse_finder().is_some());
-        let nd = dem.num_detectors();
+    /// The total matching weight `decoder`'s engine reaches on `dets`,
+    /// priced exactly as `decode` prices it.
+    fn matching_weight(
+        decoder: &MwpmDecoder,
+        dets: &BitVec,
+        sc: &mut MatchingScratch,
+    ) -> Option<i64> {
+        let MatchingScratch {
+            checks,
+            flags,
+            overrides,
+            weights,
+            engine,
+            ..
+        } = sc;
+        decoder.hypergraph.split_shot_into(dets, checks, flags);
+        let pricing = decoder
+            .pricing
+            .price_shot(&decoder.hypergraph, flags, overrides, weights);
+        decoder
+            .engine
+            .solve(checks, pricing, engine, &decoder.counters, |_, _, _| {})
+    }
+
+    /// Decodes `shots` down both CSR routes — the oracle disabled and
+    /// every shot forced onto the complete instance or the graph-native
+    /// route — and through the default routed decoder. Corrections must
+    /// be bitwise equal and both routes must reach the same total
+    /// matching weight. Returns the routed decoder's stats.
+    fn assert_routes_agree(
+        dem: &DetectorErrorModel,
+        config: MwpmConfig,
+        shots: &[BitVec],
+    ) -> DecoderStats {
+        let csr = config.with_oracle_node_limit(0);
+        let [complete, graph] = [Tier::Sparse, Tier::SparseGraph].map(|route| {
+            let mut decoder = MwpmDecoder::new(dem, csr);
+            decoder.engine.force_csr_route(route);
+            decoder
+        });
+        let routed = MwpmDecoder::new(dem, config);
         let mut scratch = DecodeScratch::new();
+        let mut sc = MatchingScratch::default();
         let mut out = BitVec::zeros(0);
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            graph.decode_into(&dets, &mut scratch, &mut out);
-            assert_eq!(out, dense.decode(&dets), "vs dense, syndrome {pattern:#b}");
-            assert_eq!(out, graph.decode(&dets), "vs decode, syndrome {pattern:#b}");
-        }
-        let stats = graph.stats();
-        assert!(stats.sparse_blossom > 0);
-        assert_eq!(dense.stats().sparse_blossom, 0);
-        // Flagged preset too: flag reweighting flows through the
-        // per-shot effective-weights slice.
-        let flagged_dense = MwpmDecoder::new(&dem, MwpmConfig::flagged(0.01));
-        let flagged_graph = MwpmDecoder::new(
-            &dem,
-            MwpmConfig::flagged(0.01).with_matching_strategy(MatchingStrategy::SparseGraph),
-        );
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
+        let mut nonempty = 0;
+        for dets in shots {
+            let reference = complete.decode(dets);
+            graph.decode_into(dets, &mut scratch, &mut out);
+            assert_eq!(out, reference, "graph-native route, syndrome {dets:?}");
+            assert_eq!(routed.decode(dets), reference, "routed, syndrome {dets:?}");
             assert_eq!(
-                flagged_graph.decode(&dets),
-                flagged_dense.decode(&dets),
-                "flagged, syndrome {pattern:#b}"
+                matching_weight(&graph, dets, &mut sc),
+                matching_weight(&complete, dets, &mut sc),
+                "matching weight, syndrome {dets:?}"
             );
+            nonempty += u64::from(!sc.checks.is_empty());
+        }
+        let (c, g) = (complete.stats(), graph.stats());
+        assert_eq!((c.sparse_hits, c.sparse_blossom), (nonempty, 0));
+        assert_eq!((g.sparse_hits, g.sparse_blossom), (0, nonempty));
+        let r = routed.stats();
+        assert_eq!(r.oracle_hits + r.sparse_hits + r.sparse_blossom, nonempty);
+        r
+    }
+
+    /// Every syndrome of the repetition fixture, unflagged and flagged:
+    /// both CSR routes agree.
+    #[test]
+    fn csr_routes_agree_exhaustively() {
+        let dem = repetition_dem(0.01);
+        let nd = dem.num_detectors();
+        let shots: Vec<BitVec> = (0..(1u32 << nd))
+            .map(|pattern| BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1)))
+            .collect();
+        for config in [MwpmConfig::unflagged(), MwpmConfig::flagged(0.01)] {
+            assert_routes_agree(&dem, config, &shots);
         }
     }
 
-    /// Switching the matching strategy is a structural change: reprice
-    /// must refuse it in both directions.
+    /// Realistic multi-error syndromes on the d=3 surface DEM (boundary
+    /// matches, oracle present) and the hyperbolic fixture (no
+    /// boundary, above the oracle guard), unflagged and flagged: both
+    /// CSR routes agree, and the routed default decoder sends the
+    /// hyperbolic fixture's many-defect shots graph-native.
     #[test]
-    fn reprice_refuses_matching_strategy_change() {
-        let dem = repetition_dem(0.01);
-        let mut dense = MwpmDecoder::new(&dem, MwpmConfig::unflagged());
-        assert!(!dense.reprice(
-            &dem,
-            MwpmConfig::unflagged().with_matching_strategy(MatchingStrategy::SparseGraph)
-        ));
-        let mut graph = MwpmDecoder::new(
-            &dem,
-            MwpmConfig::unflagged().with_matching_strategy(MatchingStrategy::SparseGraph),
-        );
-        assert!(!graph.reprice(&dem, MwpmConfig::unflagged()));
-        let repriced = graph.reprice(
-            &dem,
-            MwpmConfig::unflagged().with_matching_strategy(MatchingStrategy::SparseGraph),
-        );
-        assert!(repriced);
+    fn csr_routes_agree_on_surface_and_hyperbolic_dems() {
+        use qec_math::rng::Xoshiro256StarStar;
+        for (dem, cases, seed) in [
+            (qec_testkit::surface_memory_dem(3), 32, 0x2047e3),
+            (qec_testkit::hyperbolic_memory_dem(), 8, 0x2047e4),
+        ] {
+            let q = qec_testkit::mechanism_fire_probability(&dem, 6.0);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let shots: Vec<BitVec> = (0..cases)
+                .map(|_| qec_testkit::random_syndrome(&mut rng, &dem, q))
+                .collect();
+            for config in [MwpmConfig::unflagged(), MwpmConfig::flagged(1e-3)] {
+                let routed = assert_routes_agree(&dem, config, &shots);
+                if dem.num_detectors() > DEFAULT_ORACLE_NODE_LIMIT {
+                    assert!(routed.sparse_blossom > 0, "{config:?}");
+                }
+            }
+        }
+    }
+
+    /// Two disconnected triangles of checks without a boundary, all
+    /// six checks flipped: more defects than the routing threshold, an
+    /// even total, but three in each component, so no perfect matching
+    /// exists. Both CSR routes and the routed default give up with an
+    /// empty correction.
+    #[test]
+    fn odd_components_give_up_on_both_routes() {
+        // Data qubit 3t + k flips checks 3t + k and 3t + (k + 1) % 3.
+        let mut c = Circuit::new(12);
+        c.reset(&(0..12).collect::<Vec<_>>());
+        c.x_error(&(0..6).collect::<Vec<_>>(), 0.01);
+        let mut gates = Vec::new();
+        for t in 0..2 {
+            for k in 0..3 {
+                gates.push((3 * t + k, 6 + 3 * t + k));
+                gates.push((3 * t + k, 6 + 3 * t + (k + 1) % 3));
+            }
+        }
+        c.cx(&gates);
+        let m = c.measure(&(6..12).collect::<Vec<_>>(), 0.0);
+        for i in 0..6 {
+            c.add_detector(vec![m + i], DetectorMeta::check(i, 0));
+        }
+        let md = c.measure(&[0], 0.0);
+        let obs = c.add_observable();
+        c.include_in_observable(obs, &[md]);
+        let dem = DetectorErrorModel::from_circuit(&c);
+        let all = BitVec::from_ones(6, 0..6);
+        let pair = BitVec::from_ones(6, [0, 1]);
+        assert_routes_agree(&dem, MwpmConfig::unflagged(), &[all.clone(), pair.clone()]);
+        for limit in [DEFAULT_ORACLE_NODE_LIMIT, 0] {
+            let config = MwpmConfig::unflagged().with_oracle_node_limit(limit);
+            let decoder = MwpmDecoder::new(&dem, config);
+            // A matchable pair: the fixture has edges.
+            assert_eq!(decoder.decode(&pair), BitVec::from_ones(1, [0]));
+            assert!(decoder.decode(&all).is_zero(), "limit {limit}");
+            let stats = decoder.stats();
+            assert_eq!(
+                (stats.oracle_hits, stats.sparse_hits, stats.sparse_blossom),
+                if limit > 0 { (2, 0, 0) } else { (0, 1, 1) }
+            );
+        }
     }
 
     /// Sweep reuse: re-pricing a decoder at a new error rate must be

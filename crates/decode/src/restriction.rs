@@ -5,7 +5,6 @@ use crate::engine::{ClassPricing, MatchingEngine, Pricing, Tier};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::MatchingStrategy;
 use crate::{Decoder, DecoderStats};
 use qec_math::{gf2, BitMatrix, BitVec};
 use qec_obs::Registry;
@@ -40,16 +39,10 @@ pub struct RestrictionConfig {
     /// Precompute a per-lattice [`PathOracle`] when a restricted
     /// lattice has at most this many vertices (O(V²) storage); it
     /// serves the shots without flag reweighting. Every other shot, and
-    /// every shot on a larger lattice, is served by that lattice's
-    /// [`SparsePathFinder`]. `0` disables the oracles.
+    /// every shot on a larger lattice, is priced on that lattice's
+    /// [`SparsePathFinder`] CSR graph, graph-natively when the lattice
+    /// sees many defects. `0` disables the oracles.
     pub oracle_node_limit: usize,
-    /// How each restricted lattice's matching instance is built.
-    /// [`MatchingStrategy::Dense`] prices every defect pair up front;
-    /// [`MatchingStrategy::SparseGraph`] solves directly on the
-    /// lattice's CSR with [`crate::sparse_graph_match`] — identical total
-    /// matching weight, per-shot cost scaling with the touched graph
-    /// region.
-    pub matching_strategy: MatchingStrategy,
 }
 
 impl RestrictionConfig {
@@ -60,7 +53,6 @@ impl RestrictionConfig {
             twice_used_rule: true,
             measurement_error_probability: p_m,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            matching_strategy: MatchingStrategy::Dense,
         }
     }
 
@@ -71,7 +63,6 @@ impl RestrictionConfig {
             twice_used_rule: false,
             measurement_error_probability: p_m,
             oracle_node_limit: DEFAULT_ORACLE_NODE_LIMIT,
-            matching_strategy: MatchingStrategy::Dense,
         }
     }
 
@@ -79,13 +70,6 @@ impl RestrictionConfig {
     /// every shot to the sparse tier.
     pub fn with_oracle_node_limit(mut self, limit: usize) -> Self {
         self.oracle_node_limit = limit;
-        self
-    }
-
-    /// Selects the matching-instance strategy (`decode.tier.sparse_blossom`
-    /// counts lattices solved graph-natively).
-    pub fn with_matching_strategy(mut self, strategy: MatchingStrategy) -> Self {
-        self.matching_strategy = strategy;
         self
     }
 }
@@ -187,7 +171,6 @@ impl RestrictionDecoder {
                 pricing.base_weights(),
                 None,
                 config.oracle_node_limit,
-                config.matching_strategy,
                 &metrics,
                 Some(li),
             );
@@ -229,9 +212,7 @@ impl RestrictionDecoder {
     /// `false` (decoder unchanged) when the topology or a structural
     /// config knob differs, in which case the caller must rebuild.
     pub fn reprice(&mut self, dem: &DetectorErrorModel, config: RestrictionConfig) -> bool {
-        if config.oracle_node_limit != self.config.oracle_node_limit
-            || config.matching_strategy != self.config.matching_strategy
-        {
+        if config.oracle_node_limit != self.config.oracle_node_limit {
             return false;
         }
         let hypergraph = DecodingHypergraph::with_primitive_size(dem, usize::MAX);
@@ -391,28 +372,24 @@ impl RestrictionDecoder {
         let pricing = self
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
-        // A shot counts as an oracle hit when every lattice answers
-        // from its dense matrix, and as a sparse hit otherwise.
-        if self
-            .lattices
-            .iter()
-            .all(|l| l.engine.tier(pricing) == Tier::Oracle)
-        {
-            self.counters.oracle_hits.inc();
-        } else {
-            self.counters.sparse_hits.inc();
-        }
-        // Matchings on L_RG, L_RB and L_GB.
+        // Matchings on L_RG, L_RB and L_GB. The shot counts once: as a
+        // graph-native solve when any lattice took that route, else as
+        // an oracle hit when every lattice answers from its dense
+        // matrix, else as a sparse hit.
         em.clear();
+        let (mut graph_native, mut all_oracle) = (false, true);
         for (li, lattice) in self.lattices.iter().enumerate() {
             sources.clear();
             sources.extend(checks.iter().filter_map(|&c| lattice.vertex_of[c]));
+            let tier = lattice.engine.tier(pricing, sources.len());
+            all_oracle &= tier == Tier::Oracle;
             if sources.len() % 2 == 1 {
                 // Closed codes always flip an even number per lattice;
                 // an odd count means an unusable shot — decode
                 // conservatively.
                 continue;
             }
+            graph_native |= tier == Tier::SparseGraph;
             let start = em.len();
             // A lattice without a perfect matching contributes no edges.
             lattice.engine.solve(
@@ -434,6 +411,13 @@ impl RestrictionDecoder {
                     });
                 }
             }
+        }
+        if graph_native {
+            self.counters.sparse_blossom.inc();
+        } else if all_oracle {
+            self.counters.oracle_hits.inc();
+        } else {
+            self.counters.sparse_hits.inc();
         }
         // Reconciliation: the three matchings may disagree on which
         // classes explain the syndrome (each lattice sees only a
@@ -718,31 +702,121 @@ mod tests {
         assert_eq!(dense_stats.decodes, sparse_stats.decodes);
     }
 
-    /// The graph-native matching strategy on restricted lattices:
-    /// every syndrome decodes to the same correction as the dense
-    /// strategy, the sparse-blossom tier counter advances, and
-    /// strategy changes refuse to reprice.
-    #[test]
-    fn sparse_graph_strategy_agrees_with_dense_exhaustively() {
-        let (dem, ctx) = tiny_color_dem();
-        let dense = RestrictionDecoder::new(&dem, ctx.clone(), RestrictionConfig::flagged(0.01));
-        let mut graph = RestrictionDecoder::new(
-            &dem,
-            ctx,
-            RestrictionConfig::flagged(0.01).with_matching_strategy(MatchingStrategy::SparseGraph),
-        );
-        assert!((0..3).all(|l| graph.sparse_finder(l).is_some()));
-        let nd = dem.num_detectors();
-        let mut scratch = DecodeScratch::new();
-        let mut out = BitVec::zeros(0);
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            graph.decode_into(&dets, &mut scratch, &mut out);
-            assert_eq!(out, dense.decode(&dets), "vs dense, syndrome {pattern:#b}");
+    /// Each lattice's total matching weight on `dets`, priced exactly
+    /// as `decode` prices it (`None` for a lattice it skips or gives
+    /// up on).
+    fn lattice_weights(
+        decoder: &RestrictionDecoder,
+        dets: &BitVec,
+        sc: &mut MatchingScratch,
+    ) -> Vec<Option<i64>> {
+        let MatchingScratch {
+            checks,
+            flags,
+            overrides,
+            weights,
+            engine,
+            sources,
+            ..
+        } = sc;
+        decoder.hypergraph.split_shot_into(dets, checks, flags);
+        let pricing = decoder
+            .pricing
+            .price_shot(&decoder.hypergraph, flags, overrides, weights);
+        let mut out = Vec::new();
+        for lattice in &decoder.lattices {
+            sources.clear();
+            sources.extend(checks.iter().filter_map(|&c| lattice.vertex_of[c]));
+            out.push(
+                (sources.len() % 2 == 0)
+                    .then(|| {
+                        lattice.engine.solve(
+                            sources,
+                            pricing,
+                            engine,
+                            &decoder.counters,
+                            |_, _, _| {},
+                        )
+                    })
+                    .flatten(),
+            );
         }
-        assert!(graph.stats().sparse_blossom > 0);
-        assert_eq!(dense.stats().sparse_blossom, 0);
-        assert!(!graph.reprice(&dem, RestrictionConfig::flagged(0.01)));
+        out
+    }
+
+    /// Both CSR routes on every lattice — the oracles disabled and
+    /// every lattice forced onto the complete instance or the
+    /// graph-native route — decode every syndrome of `shots` to the
+    /// same correction as the default decoder, at the same per-lattice
+    /// matching weight.
+    fn assert_routes_agree(
+        dem: &DetectorErrorModel,
+        ctx: &ColorCodeContext,
+        config: RestrictionConfig,
+        shots: &[BitVec],
+    ) {
+        let csr = config.with_oracle_node_limit(0);
+        let [complete, graph] = [Tier::Sparse, Tier::SparseGraph].map(|route| {
+            let mut decoder = RestrictionDecoder::new(dem, ctx.clone(), csr);
+            for lattice in &mut decoder.lattices {
+                lattice.engine.force_csr_route(route);
+            }
+            decoder
+        });
+        let routed = RestrictionDecoder::new(dem, ctx.clone(), config);
+        let mut scratch = DecodeScratch::new();
+        let mut sc = MatchingScratch::default();
+        let mut out = BitVec::zeros(0);
+        let mut nonempty = 0;
+        for dets in shots {
+            let reference = complete.decode(dets);
+            graph.decode_into(dets, &mut scratch, &mut out);
+            assert_eq!(out, reference, "graph-native route, syndrome {dets:?}");
+            assert_eq!(routed.decode(dets), reference, "routed, syndrome {dets:?}");
+            assert_eq!(
+                lattice_weights(&graph, dets, &mut sc),
+                lattice_weights(&complete, dets, &mut sc),
+                "lattice matching weights, syndrome {dets:?}"
+            );
+            nonempty += u64::from(!sc.checks.is_empty());
+        }
+        let (c, g, r) = (complete.stats(), graph.stats(), routed.stats());
+        assert_eq!((c.sparse_hits, c.sparse_blossom), (nonempty, 0));
+        assert_eq!((g.sparse_hits, g.sparse_blossom), (0, nonempty));
+        assert_eq!(r.oracle_hits + r.sparse_hits + r.sparse_blossom, nonempty);
+    }
+
+    /// Every syndrome of the tiny color fixture, and realistic
+    /// multi-error syndromes on the toric color DEM: both CSR routes
+    /// agree on every restricted lattice.
+    #[test]
+    fn csr_routes_agree_on_color_dems() {
+        use qec_math::rng::Xoshiro256StarStar;
+        let (dem, ctx) = tiny_color_dem();
+        let nd = dem.num_detectors();
+        let shots: Vec<BitVec> = (0..(1u32 << nd))
+            .map(|pattern| BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1)))
+            .collect();
+        assert_routes_agree(&dem, &ctx, RestrictionConfig::flagged(0.01), &shots);
+        let (dem, ctx, pm) = qec_testkit::toric_color_dem();
+        // The fixture's context type comes from the non-test build of
+        // this crate; copy it field by field.
+        let ctx = ColorCodeContext {
+            plaquette_colors: ctx.plaquette_colors,
+            plaquette_supports: ctx.plaquette_supports,
+            qubit_observables: ctx.qubit_observables,
+        };
+        let q = qec_testkit::mechanism_fire_probability(&dem, 8.0);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x2047c0);
+        let shots: Vec<BitVec> = (0..24)
+            .map(|_| qec_testkit::random_syndrome(&mut rng, &dem, q))
+            .collect();
+        for config in [
+            RestrictionConfig::flagged(pm),
+            RestrictionConfig::chamberland(pm),
+        ] {
+            assert_routes_agree(&dem, &ctx, config, &shots);
+        }
     }
 
     /// Sweep reuse: re-pricing at a new error rate must decode every

@@ -33,29 +33,34 @@ pub struct DecoderStats {
     /// Union-Find shots abandoned at the `4n`-round safety limit.
     pub giveups_round_limit: u64,
     /// Matching-decoder shots whose path queries were answered entirely
-    /// by the precomputed [`crate::PathOracle`].
+    /// by the precomputed [`crate::PathOracle`]. Every matching-decoder
+    /// shot with a check defect counts in exactly one of
+    /// `oracle_hits`, `sparse_hits` and `sparse_blossom`.
     pub oracle_hits: u64,
-    /// Matching-decoder shots answered by the lazy
-    /// [`crate::SparsePathFinder`] (defect-seeded truncated searches):
-    /// the graph exceeded the dense-oracle node limit, or raised flags
-    /// reweighted it shot-locally.
+    /// Matching-decoder shots matched as complete instances priced by
+    /// the lazy [`crate::SparsePathFinder`] (defect-seeded truncated
+    /// searches): the graph exceeded the dense-oracle node limit, or
+    /// raised flags reweighted it shot-locally, and the shot had too
+    /// few defects for the graph-native route.
     pub sparse_hits: u64,
     /// Retired: the per-shot Dijkstra tier no longer exists, so this
     /// is always 0.
     pub oracle_misses: u64,
-    /// Matching instances solved by the pooled blossom solver
-    /// ([`crate::BlossomScratch`]). MWPM runs one instance per shot; the
-    /// restriction decoder one per non-empty restricted lattice.
+    /// Complete matching instances solved by the pooled blossom solver
+    /// ([`crate::BlossomScratch`]). MWPM runs at most one per shot; the
+    /// restriction decoder one per non-empty restricted lattice. The
+    /// graph-native route's solves are not counted here.
     pub blossom_solves: u64,
     /// Retired: the single-flag secondary oracles no longer exist, so
     /// this is always 0.
     pub flag_oracle_hits: u64,
-    /// Matching instances solved by the graph-native sparse blossom
-    /// tier ([`crate::MatchingStrategy::SparseGraph`]): candidate
-    /// pricing on the CSR decoding graph plus dual-ball certification,
-    /// instead of pricing the complete defect graph. MWPM runs one
-    /// instance per shot; the restriction decoder one per non-empty
-    /// restricted lattice.
+    /// Matching-decoder shots matched graph-natively
+    /// ([`crate::sparse_graph_match`]): candidate pricing on the CSR
+    /// decoding graph plus dual-ball certification, instead of pricing
+    /// the complete defect graph. The engine takes this route for
+    /// CSR-priced shots with more defects than nearest-neighbour
+    /// discovery prices completely; a restriction-decoder shot counts
+    /// here when any of its lattices took it.
     pub sparse_blossom: u64,
     /// BP+OSD shots whose belief-propagation stage converged (the hard
     /// decision reproduced the syndrome), skipping OSD unless the

@@ -41,14 +41,16 @@
 //! it is optimal on the candidate subgraph (blossom is exact), every
 //! omitted pair provably satisfies the dual-feasibility constraint, and
 //! no perfect matching can prefer an edge too heavy to load. The
-//! **total matching weight is therefore identical to the dense
-//! baseline under the same `1<<20` fixed-point quantization** — the
+//! **total matching weight is therefore identical to the complete
+//! instance under the same `1<<20` fixed-point quantization** — the
 //! weight-equality contract pinned by the differential fuzz harness.
 //! The chosen *mates* may differ on genuinely tie-degenerate instances
-//! (two equal-weight perfect matchings), which is why the decoder-level
-//! contract is weight equality, not decision identity, and why the
-//! default [`MatchingStrategy`] stays [`MatchingStrategy::Dense`] so
-//! existing goldens are untouched.
+//! (two equal-weight perfect matchings).
+//!
+//! The matching engine routes a CSR-priced shot here only when it has
+//! more than `DISCOVERY_NEIGHBORS + 1` defects: at or below that count
+//! discovery already prices every pair, so the instance *is* the
+//! complete one and this route could only add overhead.
 
 use std::collections::{BinaryHeap, HashMap};
 
@@ -65,7 +67,7 @@ pub(crate) const UNREACHABLE: f64 = 1.0e8;
 /// How many nearest *later* defects each discovery search settles
 /// before stopping. Small on purpose: low-weight shots match locally,
 /// and the certification pass repairs any under-connection exactly.
-const DISCOVERY_NEIGHBORS: usize = 3;
+pub(crate) const DISCOVERY_NEIGHBORS: usize = 3;
 
 /// Certify/repair rounds before escalating to complete pricing.
 const MAX_REPAIR_ROUNDS: u32 = 8;
@@ -75,20 +77,6 @@ const MAX_REPAIR_ROUNDS: u32 = 8;
 /// *widens* balls, so it can cause a spurious repair round but never an
 /// unsound certificate.
 const RADIUS_SLOP: f64 = 5e-7;
-
-/// How the matching-based decoders build their blossom instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchingStrategy {
-    /// Price every defect pair through the path-supply tiers and solve
-    /// the complete defect graph. The decision-identical default: all
-    /// goldens are pinned under this strategy.
-    Dense,
-    /// Grow the instance lazily on the CSR decoding graph
-    /// (discovery → solve → dual-ball certify → repair). Identical
-    /// total matching weight; mates may legitimately differ on
-    /// tie-degenerate shots.
-    SparseGraph,
-}
 
 /// Per-pair pricing memo: exact distance plus the harvested
 /// predecessor-walk span into [`SparseBlossomScratch::hops`].

@@ -19,6 +19,10 @@
 //!   with [`ServeError::DeadlineExceeded`] without decoding
 //!   (`serve.deadline_misses`), exactly what a real-time pipeline wants
 //!   from stale syndrome data.
+//! * **Fault containment.** A decoder panic fails only the request it
+//!   happened in: the shard answers it with
+//!   [`ServeError::DecodeFailed`] (`serve.decode_panics`), replaces its
+//!   scratch and keeps serving.
 //! * **Per-request attribution.** Responses carry queue/decode/total
 //!   timings measured on the request itself, and each request emits a
 //!   `serve.request` span with the same fields. The service never uses
@@ -49,6 +53,7 @@ use qec_obs::window::Clock;
 use qec_obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
+use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -206,6 +211,9 @@ pub enum ServeError {
     },
     /// The service shut down before the request completed.
     ShuttingDown,
+    /// The decoder panicked while decoding the request; no correction
+    /// of the request is returned, and the shard keeps serving.
+    DecodeFailed,
 }
 
 impl std::fmt::Display for ServeError {
@@ -215,6 +223,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "deadline exceeded after {queue_ns} ns in queue")
             }
             ServeError::ShuttingDown => write!(f, "service shut down before completion"),
+            ServeError::DecodeFailed => write!(f, "decoder panicked while decoding the request"),
         }
     }
 }
@@ -296,6 +305,7 @@ struct ServeCounters {
     completed: Counter,
     rejected: Counter,
     deadline_misses: Counter,
+    decode_panics: Counter,
     queue_ns: Histogram,
     decode_ns: Histogram,
     e2e_ns: Histogram,
@@ -313,6 +323,7 @@ impl ServeCounters {
             completed: metrics.counter("serve.completed"),
             rejected: metrics.counter("serve.rejected"),
             deadline_misses: metrics.counter("serve.deadline_misses"),
+            decode_panics: metrics.counter("serve.decode_panics"),
             queue_ns: metrics.histogram("serve.queue_ns"),
             decode_ns: metrics.histogram("serve.decode_ns"),
             e2e_ns: metrics.histogram("serve.e2e_ns"),
@@ -611,12 +622,25 @@ fn worker_loop(
             continue;
         }
         let decode_start = Instant::now();
-        let mut corrections = Vec::with_capacity(job.syndromes.len());
-        for syndrome in &job.syndromes {
-            let mut out = BitVec::zeros(0);
-            decoder.decode_into(syndrome, &mut scratch, &mut out);
-            corrections.push(out);
-        }
+        // One unwind guard per request: a panic fails this request only.
+        let decoded = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut corrections = Vec::with_capacity(job.syndromes.len());
+            for syndrome in &job.syndromes {
+                let mut out = BitVec::zeros(0);
+                decoder.decode_into(syndrome, &mut scratch, &mut out);
+                corrections.push(out);
+            }
+            corrections
+        }));
+        let Ok(corrections) = decoded else {
+            // The scratch may hold a half-decoded shot.
+            scratch = DecodeScratch::new();
+            counters.decode_panics.inc();
+            telemetry.on_done(shard, None);
+            span.field("decode_panicked", true);
+            let _ = job.reply.send(Err(ServeError::DecodeFailed));
+            continue;
+        };
         let decode_ns = ns_since(decode_start);
         let total_ns = ns_since(job.submitted);
         counters.decode_ns.record(decode_ns);

@@ -423,6 +423,14 @@ fn sparse_finder_matches_oracle_and_dijkstra_on_random_graphs() {
     });
 }
 
+/// Shots matched on the sparse finder's CSR graph, by either route:
+/// the complete instance (`sparse_hits`) or graph-natively
+/// (`sparse_blossom`, shots with more defects than discovery prices
+/// completely).
+fn csr_hits(stats: &DecoderStats) -> u64 {
+    stats.sparse_hits + stats.sparse_blossom
+}
+
 /// On the hyperbolic fixture — whose 1224 check detectors exceed the
 /// default dense-oracle guard, the regime the sparse tier exists for —
 /// both path tiers must produce identical corrections on realistic
@@ -521,11 +529,12 @@ fn mwpm_path_tiers_agree_on_surface_dems() {
             }
         });
         // The unflagged dense decoder answers every nonzero shot from
-        // the oracle, the sparse decoder from the finder.
+        // the oracle, the sparse decoder from the finder's CSR graph
+        // (complete instance or graph-native route).
         let [dense, sparse] = &pairs[0];
         assert!(dense.stats().oracle_hits > 0);
-        assert_eq!(dense.stats().sparse_hits, 0);
-        assert!(sparse.stats().sparse_hits > 0);
+        assert_eq!(csr_hits(&dense.stats()), 0);
+        assert!(csr_hits(&sparse.stats()) > 0);
         assert_eq!(sparse.stats().oracle_hits, 0);
         for decoder in pairs.iter().flatten() {
             assert_eq!(decoder.stats().oracle_misses, 0);
@@ -533,7 +542,7 @@ fn mwpm_path_tiers_agree_on_surface_dems() {
         if flagged {
             let [dense, _] = &pairs[1];
             assert!(
-                dense.stats().sparse_hits > 0,
+                csr_hits(&dense.stats()) > 0,
                 "flagged shots take the sparse tier"
             );
         }
@@ -579,11 +588,12 @@ fn restriction_path_tiers_agree_on_toric_color_dem() {
         });
         assert!(dense.stats().oracle_hits > 0);
         assert_eq!(dense.stats().oracle_misses, 0);
-        assert!(sparse.stats().sparse_hits > 0);
+        assert!(csr_hits(&sparse.stats()) > 0);
+        assert_eq!(sparse.stats().oracle_hits, 0);
         assert_eq!(sparse.stats().oracle_misses, 0);
         if flagged {
             assert!(
-                dense.stats().sparse_hits > 0,
+                csr_hits(&dense.stats()) > 0,
                 "flagged shots take the sparse tier"
             );
         }
@@ -821,43 +831,99 @@ fn blossom_pool_reuse_is_clean_and_certified() {
     );
 }
 
-/// The graph-native sparse-blossom matching strategy must decode
-/// realistic multi-error syndromes to the same corrections as the
-/// dense complete-pricing strategy — on surface DEMs (boundary
-/// matches), flagged configs (per-shot reweighting), and the
-/// hyperbolic fixture (the no-boundary regime it was built for) —
-/// while routing every nonzero shot through the sparse-blossom tier.
+/// The matching routes through the public API: the default unflagged
+/// decoder with the dense oracle admitted (limit 2048: every shot
+/// priced by the oracle, complete instance) and with it disabled
+/// (limit 0: every shot priced on the CSR graph and routed by defect
+/// count) must decode realistic multi-error syndromes identically on
+/// the d=3 surface and hyperbolic DEMs, with many-defect shots taking
+/// the graph-native route.
 #[test]
-fn sparse_graph_strategy_agrees_with_dense_on_realistic_dems() {
-    use fpn_repro::qec_decode::MatchingStrategy;
-    let pm = NoiseModel::new(1e-3).measurement_flip();
+fn matching_routes_agree_on_realistic_dems() {
     let mut scratch = DecodeScratch::new();
     let mut out = BitVec::zeros(0);
     for (dem, cases, seed) in [
         (surface_memory_dem(3), 32u64, 0x5b9d3u64),
         (hyperbolic_memory_dem(), 10, 0x5b94),
     ] {
-        for config in [MwpmConfig::unflagged(), MwpmConfig::flagged(pm)] {
-            let dense = MwpmDecoder::new(&dem, config);
-            let graph = MwpmDecoder::new(
-                &dem,
-                config.with_matching_strategy(MatchingStrategy::SparseGraph),
-            );
-            assert!(graph.sparse_finder().is_some(), "strategy forces the CSR");
-            let q = mechanism_fire_probability(&dem, 6.0);
-            for_all(cases, seed, |g| {
-                let syndrome = random_syndrome(g.rng(), &dem, q);
-                let reference = dense.decode(&syndrome);
-                graph.decode_into(&syndrome, &mut scratch, &mut out);
-                assert_eq!(
-                    out, reference,
-                    "sparse-graph strategy diverged from dense matching"
-                );
-            });
-            assert!(graph.stats().sparse_blossom > 0);
-            assert_eq!(dense.stats().sparse_blossom, 0);
-        }
+        let oracle = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(2048));
+        let routed = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(0));
+        assert!(oracle.path_oracle().is_some() && routed.path_oracle().is_none());
+        let q = mechanism_fire_probability(&dem, 6.0);
+        for_all(cases, seed, |g| {
+            let syndrome = random_syndrome(g.rng(), &dem, q);
+            let reference = oracle.decode(&syndrome);
+            routed.decode_into(&syndrome, &mut scratch, &mut out);
+            assert_eq!(out, reference, "CSR routes diverged from the oracle");
+        });
+        assert_eq!(oracle.stats().sparse_blossom, 0);
+        assert!(routed.stats().sparse_blossom > 0);
     }
+}
+
+/// Every matching-decoder shot with a check defect advances exactly
+/// one tier counter (`oracle_hits`, `sparse_hits` or `sparse_blossom`),
+/// on the flagged shared-flag hyperbolic FPN (every shot reweighted,
+/// many defects: the graph-native route), the d=3 surface DEM with and
+/// without its oracle, the d=5 surface DEM (the oracle serves every
+/// shot) and the restriction decoder's lattices.
+#[test]
+fn tier_counters_count_each_decoded_shot_once() {
+    let hyperbolic = hyperbolic_surface_code(&SURFACE_REGISTRY[2]).expect("registry code builds");
+    let (hdem, hpm) = shared_flag_experiment(&hyperbolic, 1e-3);
+    let d3 = surface_memory_dem(3);
+    let d5 = surface_memory_dem(5);
+    let decoders = [
+        (&hdem, MwpmConfig::flagged(hpm)),
+        (&d3, MwpmConfig::unflagged()),
+        (&d3, MwpmConfig::unflagged().with_oracle_node_limit(0)),
+        (&d5, MwpmConfig::unflagged()),
+    ];
+    let mut scratch = DecodeScratch::new();
+    let mut out = BitVec::zeros(0);
+    let mut blossom_shots = Vec::new();
+    for (i, (dem, config)) in decoders.into_iter().enumerate() {
+        let decoder = MwpmDecoder::new(dem, config);
+        let q = mechanism_fire_probability(dem, 6.0);
+        let mut empty = 0;
+        for_all(24, 0x71e5 + i as u64, |g| {
+            let syndrome = random_syndrome(g.rng(), dem, q);
+            empty += u64::from(decoder.hypergraph().split_shot(&syndrome).0.is_empty());
+            decoder.decode_into(&syndrome, &mut scratch, &mut out);
+        });
+        let s = decoder.stats();
+        assert_eq!(
+            s.oracle_hits + s.sparse_hits + s.sparse_blossom,
+            s.decodes - empty,
+            "decoder {i}: {s:?}"
+        );
+        blossom_shots.push(s.sparse_blossom);
+    }
+    assert!(blossom_shots[0] > 0, "hyperbolic shots go graph-native");
+    assert!(
+        blossom_shots[2] > 0,
+        "oracle-less d=3 routes many-defect shots"
+    );
+    assert_eq!(blossom_shots[3], 0, "the oracle serves every d=5 shot");
+
+    let (dem, ctx, pm) = toric_color_dem();
+    let decoder = RestrictionDecoder::new(
+        &dem,
+        ctx,
+        RestrictionConfig::flagged(pm).with_oracle_node_limit(0),
+    );
+    let q = mechanism_fire_probability(&dem, 12.0);
+    let mut empty = 0;
+    for_all(24, 0x71e0, |g| {
+        let syndrome = random_syndrome(g.rng(), &dem, q);
+        empty += u64::from(decoder.hypergraph().split_shot(&syndrome).0.is_empty());
+        decoder.decode_into(&syndrome, &mut scratch, &mut out);
+    });
+    let s = decoder.stats();
+    assert_eq!(
+        s.oracle_hits + s.sparse_hits + s.sparse_blossom,
+        s.decodes - empty
+    );
 }
 
 /// The sparse-tier memo's high-water gauge must stop growing once the

@@ -12,7 +12,7 @@ use fpn_repro::prelude::*;
 use qec_math::rng::Xoshiro256StarStar;
 use qec_math::BitVec;
 use qec_obs::{JsonValue, Registry};
-use qec_serve::{DecodeService, PendingResponse, ServeConfig, SubmitError};
+use qec_serve::{DecodeService, PendingResponse, ServeConfig, ServeError, SubmitError};
 use qec_sim::FrameBatch;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -276,6 +276,94 @@ fn wrong_length_request_is_refused_and_the_shard_keeps_serving() {
         decoder.decode_into(dets, &mut scratch, &mut out);
         assert_eq!(got, &out, "service diverged from offline decode_into");
     }
+}
+
+/// A real decoder that panics on one marked syndrome — the mock for a
+/// decoder bug that only some inputs reach.
+struct PanicsOnMarked {
+    inner: Arc<dyn Decoder + Send + Sync>,
+    marked: BitVec,
+}
+
+impl Decoder for PanicsOnMarked {
+    fn decode(&self, detectors: &BitVec) -> BitVec {
+        let mut scratch = DecodeScratch::new();
+        let mut out = BitVec::zeros(0);
+        self.decode_into(detectors, &mut scratch, &mut out);
+        out
+    }
+
+    fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec) {
+        assert!(detectors != &self.marked, "marked syndrome");
+        self.inner.decode_into(detectors, scratch, out);
+    }
+
+    fn num_observables(&self) -> usize {
+        self.inner.num_observables()
+    }
+
+    fn num_detectors(&self) -> usize {
+        self.inner.num_detectors()
+    }
+}
+
+#[test]
+fn decoder_panic_fails_one_request_and_the_shard_keeps_serving() {
+    let code = rotated_surface_code(3);
+    let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
+    let noise = NoiseModel::new(2e-3);
+    let exp = build_memory_circuit(&code, &fpn, Some(&noise), 3, Basis::Z);
+    let inner =
+        DecodingPipeline::new(&code, &exp, DecoderKind::FlaggedMwpm, &noise).into_shared_decoder();
+    let shots: Vec<BitVec> = sample_shots(&exp.circuit, 256, 13)
+        .into_iter()
+        .filter(|(d, _)| !d.is_zero())
+        .map(|(d, _)| d)
+        .collect();
+    assert!(shots.len() > 1);
+    let n = inner.num_detectors();
+    let marked = BitVec::from_ones(n, 0..n);
+    assert!(!shots.contains(&marked));
+    let metrics = Registry::new();
+    // One shard: if the panic killed it, nothing would serve the rest.
+    let service = DecodeService::new(
+        Arc::new(PanicsOnMarked {
+            inner: Arc::clone(&inner),
+            marked: marked.clone(),
+        }),
+        ServeConfig::new()
+            .with_shards(1)
+            .with_queue_capacity(8)
+            .with_metrics(metrics.clone()),
+    );
+    // The panic strikes after the request's first shot has used the
+    // shard's scratch.
+    let failed = service
+        .try_submit(vec![shots[0].clone(), marked])
+        .expect("submit")
+        .wait();
+    assert_eq!(failed.unwrap_err(), ServeError::DecodeFailed);
+    let served = service
+        .try_submit(shots.clone())
+        .expect("submit after a panic")
+        .wait()
+        .expect("the shard is still alive");
+    let mut scratch = DecodeScratch::new();
+    let mut out = BitVec::zeros(0);
+    assert_eq!(served.corrections.len(), shots.len());
+    for (dets, got) in shots.iter().zip(&served.corrections) {
+        inner.decode_into(dets, &mut scratch, &mut out);
+        assert_eq!(got, &out, "service diverged from offline decode_into");
+    }
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("serve.decode_panics"), 1);
+    assert_eq!(snap.counter("serve.completed"), 1);
+    assert_eq!(
+        snap.counter("serve.requests"),
+        snap.counter("serve.completed")
+            + snap.counter("serve.deadline_misses")
+            + snap.counter("serve.decode_panics")
+    );
 }
 
 // ---------------------------------------------------------------------------
