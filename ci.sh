@@ -32,6 +32,13 @@ cargo test -q --offline --test properties path_tiers_agree
 cargo test -q --offline --test properties matching_routes_agree
 cargo test -q --offline --test properties tier_counters_count_each_decoded_shot_once
 
+# The paper's d_eff witnesses (Figs. 19/20) by single-fault injection:
+# on the shared-flag FPNs flagged MWPM and flagged BP+OSD mis-correct no
+# single fault and flagged Restriction at most two, while the unflagged
+# and Chamberland baselines mis-correct many.
+cargo test -q --offline --test pipeline flag_protocol_restores_effective_distance_surface
+cargo test -q --offline --test pipeline flag_protocol_restores_effective_distance_color
+
 # Differential streaming-service tests: qec-serve corrections must be
 # bit-identical to offline decode_into and reproduce run_ber's failure
 # counts on the d=5 surface and hyperbolic fixtures across 1/2/4
@@ -58,8 +65,8 @@ QEC_SPARSE_BLOSSOM_FUZZ_CASES=5000 cargo test -q --release --offline \
     -p qec-testkit --test sparse_blossom_fuzz
 
 # Differential BP+OSD fuzzing at the full release budget: 2k random
-# sparse hypergraphs (degenerate, disconnected and overcomplete shapes
-# included, plus a second 1k stream) asserting that every correction
+# sparse hypergraphs (degenerate and disconnected shapes included, plus
+# a second 1k stream) asserting that every correction
 # exactly reproduces its syndrome and that the OSD solution's weight
 # never exceeds the BP hard decision's, with shrunk reproducers on
 # failure (see crates/testkit/tests/bp_osd_fuzz.rs).

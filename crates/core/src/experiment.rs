@@ -325,8 +325,9 @@ pub struct BerStats {
     /// Number of logical qubits (for normalization).
     pub k: usize,
     /// Shots the decoder abandoned with a partial correction during
-    /// this run (nonzero only for decoders that can give up, currently
-    /// Union-Find; see [`qec_decode::DecoderStats`]).
+    /// this run: Union-Find stalls and round limits, matching shots
+    /// without a perfect matching, and BP+OSD syndromes outside the
+    /// column space (see [`qec_decode::DecoderStats::giveups`]).
     pub decode_giveups: usize,
     /// Shots whose path queries were answered by the precomputed
     /// [`qec_decode::PathOracle`] during this run (matching decoders

@@ -232,7 +232,10 @@ pub fn print_sweep_summary(label: &str, sweep: &BerSweep) {
     let executed: usize = sweep.points.iter().map(|pt| pt.stats.shots).sum();
     let requested: usize = sweep.points.iter().map(|pt| pt.stats.requested_shots).sum();
     let decodes = m.counter("decode.decodes");
-    let giveups = m.counter("decode.giveups.stalled") + m.counter("decode.giveups.round_limit");
+    let giveups = m.counter("decode.giveups.stalled")
+        + m.counter("decode.giveups.round_limit")
+        + m.counter("decode.giveups.unmatched")
+        + m.counter("decode.tier.bp_giveups");
     let oracle = m.counter("decode.tier.oracle_hits");
     let sparse = m.counter("decode.tier.sparse_hits");
     let tier_total = (oracle + sparse).max(1) as f64;

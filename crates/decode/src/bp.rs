@@ -23,20 +23,20 @@
 //! sweep (and once before the first, so a zero-error shot costs no
 //! sweeps) the hard decision `posterior < 0` is tested against the
 //! syndrome; the decoder stops at the first valid hard decision or
-//! after a fixed maximum number of sweeps, whichever comes first.
-//! Check messages use the self-correcting normalized min-sum update
-//! (excluded-minimum magnitudes scaled by [`BpOsdConfig::scale`],
-//! clamped to a fixed magnitude ceiling so degree-1 checks and
-//! saturated llrs stay finite).
+//! after [`MAX_ITERATIONS`] sweeps, whichever comes first. Check
+//! messages use the self-correcting normalized min-sum update
+//! (excluded-minimum magnitudes scaled by [`SCALE`], clamped to a fixed
+//! magnitude ceiling so degree-1 checks and saturated llrs stay
+//! finite).
 //!
 //! ## Flag conditioning
 //!
-//! Mirrors the matching decoders (§VI-C): raised flags re-choose class
-//! representatives ([`EquivClass::representative`]) and every
+//! Shots are priced by the same [`ClassPricing`] the matching decoders
+//! use (§VI-C): raised flags re-choose class representatives and every
 //! non-overridden class pays the global `|F|·(-ln p_M)` mismatch
-//! constant. The reweighted priors feed BP as per-shot llrs; the
-//! correction applies each chosen class's (possibly overridden)
-//! representative member.
+//! constant. The shot's class weights, gathered onto the Tanner
+//! variables, feed BP as per-shot llrs; the correction applies each
+//! chosen class's (possibly overridden) representative member.
 //!
 //! ## Determinism
 //!
@@ -45,22 +45,10 @@
 //! recomputed), the OSD reliability sort is total, and every buffer is
 //! fully (re)initialized per shot from decoder state — so the result is
 //! bit-identical across scratch reuse, thread counts and processes.
-//! Build-thread parallelism only chunks the per-class representative
-//! computation, which is independent per class and merged in chunk
-//! order. Golden tests pin fingerprints at 1 and 3 build threads.
-//!
-//! ## Overcomplete checks
-//!
-//! [`BpOsdConfig::overcomplete_checks`] appends up to `k` redundant
-//! rows — symmetric differences of adjacent original check pairs — to
-//! the BP Tanner graph (the Neural-BP trick: extra short-cycle-breaking
-//! constraints improve BP convergence on degenerate codes). Redundant
-//! syndrome bits are XORs of the parent bits; OSD always runs on the
-//! original rows only, so validity is unaffected.
 
+use crate::engine::{ClassPricing, Pricing};
 use crate::hypergraph::DecodingHypergraph;
 use crate::osd::osd_post_process;
-use crate::paths;
 use crate::scratch::{BpCounters, BpOsdScratch, DecodeScratch};
 use crate::{Decoder, DecoderStats};
 use qec_math::BitVec;
@@ -73,6 +61,13 @@ use std::collections::HashMap;
 /// staying far above any realistic llr (`-ln 1e-12 ≈ 27.6`).
 const MSG_CLAMP: f64 = 50.0;
 
+/// Maximum BP sweeps before falling through to OSD.
+const MAX_ITERATIONS: u32 = 32;
+
+/// Normalized min-sum scaling factor applied to the excluded minimum
+/// (< 1 compensates min-sum's magnitude overestimate).
+const SCALE: f64 = 0.8125;
+
 /// Configuration of [`BpOsdDecoder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BpOsdConfig {
@@ -82,29 +77,11 @@ pub struct BpOsdConfig {
     pub flag_conditioning: bool,
     /// Measurement error probability `p_M` pricing flag mismatches.
     pub measurement_error_probability: f64,
-    /// Maximum BP sweeps before falling through to OSD.
-    pub max_iterations: usize,
-    /// Normalized min-sum scaling factor applied to the excluded
-    /// minimum (1.0 = plain min-sum; < 1 compensates min-sum's
-    /// magnitude overestimate).
-    pub scale: f64,
-    /// OSD order `λ`: `2^λ` candidate patterns over the λ most
-    /// reliable-to-flip free columns are scored (0 = OSD-0). Clamped to
-    /// [`crate::osd::MAX_OSD_ORDER`].
-    pub osd_order: usize,
-    /// Redundant (overcomplete) check rows appended to the BP Tanner
-    /// graph; `0` disables the trick.
-    pub overcomplete_checks: usize,
     /// Run OSD even when BP converged, returning whichever of the BP
     /// hard decision and the OSD winner weighs less. Used by the fuzz
     /// harness to pin the OSD-weight ≤ BP-weight invariant; off by
     /// default (converged shots skip OSD entirely).
     pub osd_always: bool,
-    /// Worker threads for the per-class prior computation at build
-    /// time; `0` = one per available core. Bit-identical for any value
-    /// (golden tests pin 1 vs 3) — a determinism-testing and
-    /// resource-control knob, not a correctness one.
-    pub build_threads: usize,
 }
 
 impl BpOsdConfig {
@@ -113,12 +90,7 @@ impl BpOsdConfig {
         BpOsdConfig {
             flag_conditioning: true,
             measurement_error_probability: p_m,
-            max_iterations: 32,
-            scale: 0.8125,
-            osd_order: 4,
-            overcomplete_checks: 0,
             osd_always: false,
-            build_threads: 0,
         }
     }
 
@@ -127,49 +99,14 @@ impl BpOsdConfig {
         BpOsdConfig {
             flag_conditioning: false,
             measurement_error_probability: 0.5,
-            max_iterations: 32,
-            scale: 0.8125,
-            osd_order: 4,
-            overcomplete_checks: 0,
             osd_always: false,
-            build_threads: 0,
         }
-    }
-
-    /// Overrides the BP sweep budget.
-    pub fn with_max_iterations(mut self, iterations: usize) -> Self {
-        self.max_iterations = iterations;
-        self
-    }
-
-    /// Overrides the normalized min-sum scaling factor.
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Overrides the OSD order `λ` (0 = OSD-0).
-    pub fn with_osd_order(mut self, order: usize) -> Self {
-        self.osd_order = order;
-        self
-    }
-
-    /// Overrides the number of redundant overcomplete check rows.
-    pub fn with_overcomplete_checks(mut self, checks: usize) -> Self {
-        self.overcomplete_checks = checks;
-        self
     }
 
     /// Forces OSD post-processing on converged shots too (see
     /// [`BpOsdConfig::osd_always`]).
     pub fn with_osd_always(mut self, always: bool) -> Self {
         self.osd_always = always;
-        self
-    }
-
-    /// Overrides the build thread count (`0` = auto).
-    pub fn with_build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads;
         self
     }
 }
@@ -208,25 +145,19 @@ pub struct BpOsdOutcome {
 pub struct BpOsdDecoder {
     hypergraph: DecodingHypergraph,
     config: BpOsdConfig,
-    minus_ln_pm: f64,
-    /// Base `(member, weight)` per class with no flags raised.
-    base_choice: Vec<(usize, f64)>,
+    /// The flag-conditioned class pricing shared with the matching
+    /// decoders.
+    pricing: ClassPricing,
     /// Tanner variable → equivalence class (non-empty σ classes only).
     var_class: Vec<u32>,
-    /// Equivalence class → Tanner variable (`u32::MAX` = no variable).
-    class_var: Vec<u32>,
     /// Per-variable effective `-ln p` weight with no flags raised.
     base_weight: Vec<f64>,
     /// Per-variable prior llr `ln((1-p)/p)` with no flags raised.
     prior_llr: Vec<f64>,
-    /// Original check rows (`m`); rows `m..` of the CSR are redundant.
-    num_checks: usize,
-    /// Check-CSR offsets over `m + redundant.len()` rows.
+    /// Check-CSR offsets over the check rows.
     check_off: Vec<u32>,
     /// Check-CSR variable columns, ascending within each row.
     check_var: Vec<u32>,
-    /// Parent original-check pairs of each redundant row.
-    redundant: Vec<(u32, u32)>,
     metrics: Registry,
     counters: BpCounters,
 }
@@ -238,51 +169,15 @@ fn llr_from_weight(w: f64) -> f64 {
     ((1.0 - p) / p).ln()
 }
 
-/// Resolves the build-thread knob (`0` = auto) for `n` variables.
-fn bp_build_threads(config: &BpOsdConfig, n: usize) -> usize {
-    if config.build_threads > 0 {
-        config.build_threads
-    } else {
-        paths::default_build_threads(n)
-    }
-}
-
-/// Computes the base `(member, weight)` choice of every class,
-/// chunk-parallel across `threads` workers. Each class's choice is
-/// independent of every other, and chunks are merged in order, so the
-/// result is bit-identical for any thread count.
-fn compute_base_choice(
-    hypergraph: &DecodingHypergraph,
-    config: &BpOsdConfig,
-    minus_ln_pm: f64,
-) -> Vec<(usize, f64)> {
-    let classes = hypergraph.classes();
-    let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
-    let choose = |c: &crate::hypergraph::EquivClass| {
-        if config.flag_conditioning {
-            c.representative(&no_flags, minus_ln_pm)
-        } else {
-            c.representative_unflagged()
-        }
-    };
-    let threads = bp_build_threads(config, classes.len())
-        .max(1)
-        .min(classes.len().max(1));
-    if threads <= 1 || classes.len() < 2 {
-        return classes.iter().map(choose).collect();
-    }
-    let chunk = classes.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(classes.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = classes
-            .chunks(chunk)
-            .map(|ch| s.spawn(move || ch.iter().map(choose).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("base-choice worker panicked"));
-        }
-    });
-    out
+/// The flag-free per-variable weights and prior llrs of `pricing`.
+fn base_priors(pricing: &ClassPricing, var_class: &[u32]) -> (Vec<f64>, Vec<f64>) {
+    let class_weights = pricing.base_weights();
+    let weight: Vec<f64> = var_class
+        .iter()
+        .map(|&ci| class_weights[ci as usize])
+        .collect();
+    let llr = weight.iter().map(|&w| llr_from_weight(w)).collect();
+    (weight, llr)
 }
 
 impl BpOsdDecoder {
@@ -299,11 +194,11 @@ impl BpOsdDecoder {
         // No decomposition: BP works on the native hyperedges, so every
         // class keeps its full σ regardless of size.
         let hypergraph = DecodingHypergraph::with_primitive_size(dem, usize::MAX);
-        let minus_ln_pm = -config
-            .measurement_error_probability
-            .clamp(1e-12, 1.0 - 1e-12)
-            .ln();
-        let base_choice = compute_base_choice(&hypergraph, &config, minus_ln_pm);
+        let pricing = ClassPricing::new(
+            &hypergraph,
+            config.flag_conditioning,
+            config.measurement_error_probability,
+        );
         let m = hypergraph.num_check_detectors();
         let _span = qec_obs::span_with(
             "decoder.build.bp",
@@ -315,30 +210,19 @@ impl BpOsdDecoder {
         // Tanner variables: classes with non-empty σ. Classes with an
         // empty σ but observables (undetectable logicals) cannot be
         // inferred from any syndrome and are excluded, as in matching.
-        let mut var_class = Vec::new();
-        let mut class_var = vec![u32::MAX; hypergraph.classes().len()];
-        for (ci, class) in hypergraph.classes().iter().enumerate() {
-            if !class.sigma.is_empty() {
-                class_var[ci] = var_class.len() as u32;
-                var_class.push(ci as u32);
-            }
-        }
-        let n = var_class.len();
-        let base_weight: Vec<f64> = var_class
-            .iter()
-            .map(|&ci| base_choice[ci as usize].1)
+        let var_class: Vec<u32> = (0..hypergraph.classes().len() as u32)
+            .filter(|&ci| !hypergraph.classes()[ci as usize].sigma.is_empty())
             .collect();
-        let prior_llr: Vec<f64> = base_weight.iter().map(|&w| llr_from_weight(w)).collect();
-        // Check-CSR over the original m rows: count, prefix-sum, fill.
-        // Variables are visited in ascending order, so each row's
-        // columns come out ascending.
+        let (base_weight, prior_llr) = base_priors(&pricing, &var_class);
+        // Check-CSR: count, prefix-sum, fill. Variables are visited in
+        // ascending order, so each row's columns come out ascending.
         let mut degree = vec![0u32; m];
         for &ci in &var_class {
             for &c in &hypergraph.classes()[ci as usize].sigma {
                 degree[c as usize] += 1;
             }
         }
-        let mut check_off = Vec::with_capacity(m + 2);
+        let mut check_off = Vec::with_capacity(m + 1);
         check_off.push(0u32);
         for c in 0..m {
             check_off.push(check_off[c] + degree[c]);
@@ -351,98 +235,27 @@ impl BpOsdDecoder {
                 cursor[c as usize] += 1;
             }
         }
-        // Redundant overcomplete rows: for each original check c
-        // (ascending) take its smallest partner c' > c sharing a
-        // variable and append the symmetric difference of their
-        // variable sets, until the budget is spent.
-        let mut redundant = Vec::new();
-        if config.overcomplete_checks > 0 {
-            for c in 0..m {
-                if redundant.len() == config.overcomplete_checks {
-                    break;
-                }
-                let row = |k: usize| &check_var[check_off[k] as usize..check_off[k + 1] as usize];
-                let mut partner = usize::MAX;
-                for &v in row(c) {
-                    for &d in &hypergraph.classes()[var_class[v as usize] as usize].sigma {
-                        let d = d as usize;
-                        if d > c && d < partner {
-                            partner = d;
-                        }
-                    }
-                }
-                if partner == usize::MAX {
-                    continue;
-                }
-                // Merge the two ascending rows, keeping columns in
-                // exactly one.
-                let (a, b) = (row(c), row(partner));
-                let (mut i, mut j) = (0, 0);
-                let start = check_var.len();
-                let mut merged = Vec::new();
-                while i < a.len() || j < b.len() {
-                    match (a.get(i), b.get(j)) {
-                        (Some(&x), Some(&y)) if x == y => {
-                            i += 1;
-                            j += 1;
-                        }
-                        (Some(&x), Some(&y)) if x < y => {
-                            merged.push(x);
-                            i += 1;
-                        }
-                        (Some(_), Some(&y)) => {
-                            merged.push(y);
-                            j += 1;
-                        }
-                        (Some(&x), None) => {
-                            merged.push(x);
-                            i += 1;
-                        }
-                        (None, Some(&y)) => {
-                            merged.push(y);
-                            j += 1;
-                        }
-                        (None, None) => unreachable!(),
-                    }
-                }
-                if merged.is_empty() {
-                    continue;
-                }
-                check_var.extend_from_slice(&merged);
-                debug_assert!(start < check_var.len());
-                check_off.push(check_var.len() as u32);
-                redundant.push((c as u32, partner as u32));
-            }
-        }
-        metrics.gauge("build.bp.vars").set(n as u64);
+        metrics.gauge("build.bp.vars").set(var_class.len() as u64);
         metrics.gauge("build.bp.checks").set(m as u64);
-        metrics
-            .gauge("build.bp.redundant")
-            .set(redundant.len() as u64);
         metrics.gauge("build.bp.edges").set(check_var.len() as u64);
         let bytes = check_off.capacity() * 4
             + check_var.capacity() * 4
             + var_class.capacity() * 4
-            + class_var.capacity() * 4
             + (base_weight.capacity() + prior_llr.capacity()) * 8
-            + base_choice.capacity() * 16
-            + redundant.capacity() * 8;
+            // The pricing's flag-free `(member, weight)` per class.
+            + hypergraph.classes().len() * 16;
         metrics.gauge("build.bp.bytes").set(bytes as u64);
         let counters = BpCounters::register(&metrics);
         drop(_span);
         BpOsdDecoder {
             hypergraph,
             config,
-            minus_ln_pm,
-            base_choice,
+            pricing,
             var_class,
-            class_var,
             base_weight,
             prior_llr,
-            num_checks: m,
             check_off,
             check_var,
-            redundant,
             metrics,
             counters,
         }
@@ -452,45 +265,22 @@ impl BpOsdDecoder {
     /// **same Tanner topology** (the BER-sweep case: only mechanism
     /// probabilities change). On success priors are recomputed —
     /// bit-identical to a fresh build — and `true` is returned; `false`
-    /// (decoder unchanged) when the topology or a structural config
-    /// knob differs.
+    /// (decoder unchanged) when the topology differs.
     pub fn reprice(&mut self, dem: &DetectorErrorModel, config: BpOsdConfig) -> bool {
-        if config.overcomplete_checks != self.config.overcomplete_checks {
-            return false;
-        }
         let hypergraph = DecodingHypergraph::with_primitive_size(dem, usize::MAX);
-        let same_topology = hypergraph.num_check_detectors()
-            == self.hypergraph.num_check_detectors()
-            && hypergraph.num_flag_detectors() == self.hypergraph.num_flag_detectors()
-            && hypergraph.num_observables() == self.hypergraph.num_observables()
-            && hypergraph.classes().len() == self.hypergraph.classes().len()
-            && hypergraph
-                .classes()
-                .iter()
-                .zip(self.hypergraph.classes())
-                .all(|(a, b)| a.sigma == b.sigma);
-        if !same_topology {
+        if !hypergraph.same_topology(&self.hypergraph) {
             return false;
         }
         let _span = qec_obs::span("decoder.reprice");
         self.metrics.counter("decoder.reprices").inc();
         self.config = config;
-        self.minus_ln_pm = -config
-            .measurement_error_probability
-            .clamp(1e-12, 1.0 - 1e-12)
-            .ln();
-        self.base_choice = compute_base_choice(&hypergraph, &config, self.minus_ln_pm);
+        self.pricing = ClassPricing::new(
+            &hypergraph,
+            config.flag_conditioning,
+            config.measurement_error_probability,
+        );
         self.hypergraph = hypergraph;
-        self.base_weight = self
-            .var_class
-            .iter()
-            .map(|&ci| self.base_choice[ci as usize].1)
-            .collect();
-        self.prior_llr = self
-            .base_weight
-            .iter()
-            .map(|&w| llr_from_weight(w))
-            .collect();
+        (self.base_weight, self.prior_llr) = base_priors(&self.pricing, &self.var_class);
         true
     }
 
@@ -502,11 +292,6 @@ impl BpOsdDecoder {
     /// Number of Tanner variables (non-empty-σ classes).
     pub fn num_variables(&self) -> usize {
         self.var_class.len()
-    }
-
-    /// Number of redundant overcomplete rows actually built.
-    pub fn num_redundant_checks(&self) -> usize {
-        self.redundant.len()
     }
 
     /// Decodes like [`Decoder::decode_into`] but also returns the
@@ -529,20 +314,14 @@ impl BpOsdDecoder {
         r_msg: &mut [f64],
         q: &mut Vec<f64>,
         syndrome: &BitVec,
-        red_syndrome: &BitVec,
     ) {
-        let m = self.num_checks;
         for c in 0..self.check_off.len() - 1 {
             let lo = self.check_off[c] as usize;
             let hi = self.check_off[c + 1] as usize;
             if lo == hi {
                 continue;
             }
-            let mut neg = if c < m {
-                syndrome.get(c)
-            } else {
-                red_syndrome.get(c - m)
-            };
+            let mut neg = syndrome.get(c);
             // Pass 1: variable→check messages, their sign parity and
             // the two smallest magnitudes (with the argmin for the
             // excluded-minimum rule).
@@ -571,7 +350,7 @@ impl BpOsdDecoder {
                 let v = self.check_var[e] as usize;
                 let qe = q[k];
                 let excluded = if k == arg { min2 } else { min1 };
-                let mag = (self.config.scale * excluded).min(MSG_CLAMP);
+                let mag = (SCALE * excluded).min(MSG_CLAMP);
                 let others_negative = neg ^ (qe < 0.0);
                 let new_r = if others_negative { -mag } else { mag };
                 posterior[v] += new_r - r_msg[e];
@@ -594,32 +373,21 @@ impl BpOsdDecoder {
             checks,
             flags,
             overrides,
+            class_weights,
             llr,
             weight,
             posterior,
             r_msg,
             q,
             syndrome,
-            red_syndrome,
             residual,
             hard,
             osd,
         } = sc;
-        let m = self.num_checks;
         self.counters.decodes.inc();
         correction.reset_zeros(self.hypergraph.num_observables());
         self.hypergraph.split_shot_into(detectors, checks, flags);
         self.counters.defects.record(checks.len() as u64);
-        overrides.clear();
-        if self.config.flag_conditioning && !flags.is_zero() {
-            for f in flags.iter_ones() {
-                for &class in self.hypergraph.classes_with_flag(f) {
-                    overrides.entry(class).or_insert_with(|| {
-                        self.hypergraph.classes()[class].representative(flags, self.minus_ln_pm)
-                    });
-                }
-            }
-        }
         if checks.is_empty() {
             return BpOsdOutcome {
                 valid: true,
@@ -631,40 +399,25 @@ impl BpOsdDecoder {
                 bp_hard_weight: Some(0.0),
             };
         }
-        syndrome.reset_zeros(m);
+        syndrome.reset_zeros(self.check_off.len() - 1);
         for &c in checks.iter() {
             syndrome.flip(c);
         }
-        red_syndrome.reset_zeros(self.redundant.len());
-        for (j, &(a, b)) in self.redundant.iter().enumerate() {
-            if syndrome.get(a as usize) != syndrome.get(b as usize) {
-                red_syndrome.flip(j);
+        // Per-shot effective priors: flag-free shots read the decoder's
+        // precomputed slices; flag-reweighted shots gather the shot's
+        // class weights onto the Tanner variables.
+        let pricing = self
+            .pricing
+            .price_shot(&self.hypergraph, flags, overrides, class_weights);
+        let (llr_s, weight_s): (&[f64], &[f64]) = match pricing {
+            Pricing::Base => (&self.prior_llr, &self.base_weight),
+            Pricing::Shot(w) => {
+                weight.clear();
+                weight.extend(self.var_class.iter().map(|&ci| w[ci as usize]));
+                llr.clear();
+                llr.extend(weight.iter().map(|&w| llr_from_weight(w)));
+                (llr, weight)
             }
-        }
-        // Per-shot effective priors: unflagged shots read the decoder's
-        // precomputed slices; flagged shots resolve base + |F| constant
-        // with overridden classes replaced, exactly like the matching
-        // decoders' effective-weights slice.
-        let flag_constant = if self.config.flag_conditioning {
-            flags.weight() as f64 * self.minus_ln_pm
-        } else {
-            0.0
-        };
-        let reweighted = !overrides.is_empty() || flag_constant != 0.0;
-        let (llr_s, weight_s): (&[f64], &[f64]) = if reweighted {
-            weight.clear();
-            weight.extend(self.base_weight.iter().map(|&w| w + flag_constant));
-            for (&class, &(_, w)) in overrides.iter() {
-                let v = self.class_var[class];
-                if v != u32::MAX {
-                    weight[v as usize] = w;
-                }
-            }
-            llr.clear();
-            llr.extend(weight.iter().map(|&w| llr_from_weight(w)));
-            (llr, weight)
-        } else {
-            (&self.prior_llr, &self.base_weight)
         };
         posterior.clear();
         posterior.extend_from_slice(llr_s);
@@ -687,8 +440,8 @@ impl BpOsdDecoder {
         };
         let mut iterations = 0u32;
         let mut converged = hard_valid(posterior, residual, hard);
-        while !converged && (iterations as usize) < self.config.max_iterations {
-            self.bp_sweep(posterior, r_msg, q, syndrome, red_syndrome);
+        while !converged && iterations < MAX_ITERATIONS {
+            self.bp_sweep(posterior, r_msg, q, syndrome);
             iterations += 1;
             converged = hard_valid(posterior, residual, hard);
         }
@@ -711,17 +464,14 @@ impl BpOsdDecoder {
                 };
             }
         }
-        // OSD post-processing over the original rows.
         self.counters.osd_solves.inc();
         let outcome = osd_post_process(
             &self.check_off,
             &self.check_var,
-            m,
             self.var_class.len(),
             syndrome,
             posterior,
             weight_s,
-            self.config.osd_order,
             osd,
         );
         self.counters.osd_rank.record(outcome.rank as u64);
@@ -782,9 +532,7 @@ impl BpOsdDecoder {
     ) {
         for &v in vars {
             let class = self.var_class[v as usize] as usize;
-            let member = overrides
-                .get(&class)
-                .map_or(self.base_choice[class].0, |&(mbr, _)| mbr);
+            let (member, _) = self.pricing.member(class, overrides);
             for &obs in &self.hypergraph.classes()[class].members[member].observables {
                 correction.flip(obs as usize);
             }
@@ -918,26 +666,14 @@ mod tests {
         }
     }
 
-    /// Overcomplete rows change the BP graph, not the answer's
-    /// validity; and reprice is bit-identical to a fresh build.
+    /// Sweep reuse: re-pricing at a new error rate decodes every
+    /// syndrome exactly like a fresh build, and a different topology
+    /// refuses to reprice.
     #[test]
-    fn overcomplete_and_reprice() {
+    fn reprice_is_bitwise_equal_to_fresh_build() {
         let dem_a = repetition_dem(0.01);
         let dem_b = repetition_dem(0.05);
-        let over = BpOsdDecoder::new(&dem_a, BpOsdConfig::unflagged().with_overcomplete_checks(2));
-        assert!(over.num_redundant_checks() > 0);
-        let plain = BpOsdDecoder::new(&dem_a, BpOsdConfig::unflagged());
         let nd = dem_a.num_detectors();
-        let mut scratch = DecodeScratch::new();
-        let mut out = BitVec::zeros(0);
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            let outcome = over.decode_detail(&dets, &mut scratch, &mut out);
-            // Redundant rows change the BP graph, never the syndrome's
-            // consistency (they are linear combinations).
-            let baseline = plain.decode_detail(&dets, &mut scratch, &mut out);
-            assert_eq!(outcome.valid, baseline.valid, "syndrome {pattern:#b}");
-        }
         let mut repriced = BpOsdDecoder::new(&dem_a, BpOsdConfig::unflagged());
         assert!(repriced.reprice(&dem_b, BpOsdConfig::unflagged()));
         let fresh = BpOsdDecoder::new(&dem_b, BpOsdConfig::unflagged());
@@ -945,7 +681,9 @@ mod tests {
             let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
             assert_eq!(repriced.decode(&dets), fresh.decode(&dets));
         }
-        // Structural knob changes refuse to reprice.
-        assert!(!repriced.reprice(&dem_b, BpOsdConfig::unflagged().with_overcomplete_checks(2)));
+        assert!(!repriced.reprice(
+            &DetectorErrorModel::from_circuit(&Circuit::new(1)),
+            BpOsdConfig::unflagged()
+        ));
     }
 }

@@ -42,8 +42,8 @@ pub(crate) enum Pricing<'a> {
     Shot(&'a [f64]),
 }
 
-/// The flag-conditioned class pricing of the matching decoders
-/// (§VI-B): every class is represented by one member, chosen against
+/// The flag-conditioned class pricing of the matching decoders and of
+/// [`crate::BpOsdDecoder`] (§VI-B): every class is represented by one member, chosen against
 /// the shot's raised flags, and each raised flag costs `-ln p_M` on
 /// every class whose representative does not explain it.
 #[derive(Debug)]

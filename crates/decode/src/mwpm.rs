@@ -279,7 +279,7 @@ impl MwpmDecoder {
         let classes = self.hypergraph.classes();
         // A shot without a perfect matching is given up: the correction
         // stays empty.
-        self.engine.solve(
+        let matched = self.engine.solve(
             checks,
             pricing,
             engine,
@@ -300,6 +300,9 @@ impl MwpmDecoder {
                 }
             },
         );
+        if matched.is_none() {
+            self.counters.giveups_unmatched.inc();
+        }
     }
 }
 
@@ -538,7 +541,7 @@ mod tests {
     /// six checks flipped: more defects than the routing threshold, an
     /// even total, but three in each component, so no perfect matching
     /// exists. Both CSR routes and the routed default give up with an
-    /// empty correction.
+    /// empty correction, and the give-up is counted.
     #[test]
     fn odd_components_give_up_on_both_routes() {
         // Data qubit 3t + k flips checks 3t + k and 3t + (k + 1) % 3.
@@ -575,6 +578,8 @@ mod tests {
                 (stats.oracle_hits, stats.sparse_hits, stats.sparse_blossom),
                 if limit > 0 { (2, 0, 0) } else { (0, 1, 1) }
             );
+            // Only the unmatchable shot is counted as given up.
+            assert_eq!((stats.giveups_unmatched, stats.giveups()), (1, 1));
         }
     }
 

@@ -4,7 +4,7 @@
 //! When belief propagation fails to converge on a syndrome, OSD turns
 //! the BP soft output into a guaranteed syndrome-valid correction:
 //! sort the variables by reliability (most-likely-in-error first),
-//! Gauss–Jordan-reduce the original check matrix choosing pivots in
+//! Gauss–Jordan-reduce the check matrix choosing pivots in
 //! that order (the *most-likely information set*), and read off the
 //! canonical solution with all free variables zero (**OSD-0**). Order-E
 //! post-processing (**OSD-E**) additionally enumerates every
@@ -58,7 +58,7 @@ impl OsdBuffers {
 /// Outcome of one OSD run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OsdOutcome {
-    /// Rank of the original check matrix (pivot count).
+    /// Rank of the check matrix (pivot count).
     pub(crate) rank: usize,
     /// `false` when the syndrome is outside the column space — no
     /// correction can reproduce it and the caller must give up.
@@ -67,28 +67,23 @@ pub(crate) struct OsdOutcome {
     pub(crate) weight: f64,
 }
 
-/// Upper bound on the enumerated free columns: `2^λ` candidates are
-/// scored per shot, so the knob is clamped to keep the worst case
-/// bounded regardless of configuration.
-pub(crate) const MAX_OSD_ORDER: usize = 12;
+/// OSD order `λ`: `2^λ` candidate patterns over the λ most
+/// reliable-to-flip free columns are scored per shot.
+const OSD_ORDER: usize = 4;
 
-/// Runs OSD-0/OSD-E over the **original** check rows (`m` rows of the
-/// check-CSR prefix; redundant overcomplete rows are excluded — they
-/// are linear combinations and would only slow the elimination).
+/// Runs OSD-0/OSD-E over the check rows of the check-CSR.
 ///
 /// On success `buf.solution` holds the chosen variable columns.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn osd_post_process(
     check_off: &[u32],
     check_var: &[u32],
-    m: usize,
     n: usize,
     syndrome: &BitVec,
     posterior: &[f64],
     weight: &[f64],
-    osd_order: usize,
     buf: &mut OsdBuffers,
 ) -> OsdOutcome {
+    let m = check_off.len() - 1;
     // Reliability order: lowest posterior marginal first (most likely
     // to be in error); variable index breaks exact ties.
     buf.order.clear();
@@ -116,7 +111,7 @@ pub(crate) fn osd_post_process(
         };
     }
     // The λ most reliable-to-flip free columns.
-    let lambda = osd_order.min(n - rank).min(MAX_OSD_ORDER);
+    let lambda = OSD_ORDER.min(n - rank);
     buf.frees.clear();
     for &v in buf.order.iter() {
         if buf.frees.len() == lambda {

@@ -377,7 +377,7 @@ impl RestrictionDecoder {
         // an oracle hit when every lattice answers from its dense
         // matrix, else as a sparse hit.
         em.clear();
-        let (mut graph_native, mut all_oracle) = (false, true);
+        let (mut graph_native, mut all_oracle, mut gave_up) = (false, true, false);
         for (li, lattice) in self.lattices.iter().enumerate() {
             sources.clear();
             sources.extend(checks.iter().filter_map(|&c| lattice.vertex_of[c]));
@@ -392,15 +392,18 @@ impl RestrictionDecoder {
             graph_native |= tier == Tier::SparseGraph;
             let start = em.len();
             // A lattice without a perfect matching contributes no edges.
-            lattice.engine.solve(
-                sources,
-                pricing,
-                engine,
-                &self.counters,
-                |prev, cur, class| {
-                    em.push((class, lattice.check_of[prev], lattice.check_of[cur]));
-                },
-            );
+            gave_up |= lattice
+                .engine
+                .solve(
+                    sources,
+                    pricing,
+                    engine,
+                    &self.counters,
+                    |prev, cur, class| {
+                        em.push((class, lattice.check_of[prev], lattice.check_of[cur]));
+                    },
+                )
+                .is_none();
             if let Some(t) = trace.as_deref_mut() {
                 for &(class, a, b) in &em[start..] {
                     t.push(RestrictionEvent::MatchedEdge {
@@ -418,6 +421,9 @@ impl RestrictionDecoder {
             self.counters.oracle_hits.inc();
         } else {
             self.counters.sparse_hits.inc();
+        }
+        if gave_up {
+            self.counters.giveups_unmatched.inc();
         }
         // Reconciliation: the three matchings may disagree on which
         // classes explain the syndrome (each lattice sees only a
@@ -668,6 +674,26 @@ mod tests {
             let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
             decoder.decode_into(&dets, &mut scratch, &mut out);
             assert_eq!(out, decoder.decode(&dets), "syndrome {pattern:#b}");
+        }
+    }
+
+    /// Checks 3, 4 and 5 have no mechanism, so no lattice has an edge
+    /// between any two of them: flipping two gives up on the one
+    /// lattice holding both, flipping all three gives up on every
+    /// lattice. Each shot keeps an empty correction and counts as one
+    /// give-up.
+    #[test]
+    fn unmatched_lattices_count_one_giveup_per_shot() {
+        let (dem, ctx) = tiny_color_dem();
+        for limit in [DEFAULT_ORACLE_NODE_LIMIT, 0] {
+            let config = RestrictionConfig::flagged(0.01).with_oracle_node_limit(limit);
+            let decoder = RestrictionDecoder::new(&dem, ctx.clone(), config);
+            for (shots, checks) in [(1, vec![3, 4]), (2, vec![3, 4, 5])] {
+                let dets = BitVec::from_ones(dem.num_detectors(), checks);
+                assert!(decoder.decode(&dets).is_zero(), "limit {limit}");
+                let stats = decoder.stats();
+                assert_eq!((stats.giveups_unmatched, stats.giveups()), (shots, shots));
+            }
         }
     }
 

@@ -32,6 +32,12 @@ pub struct DecoderStats {
     pub giveups_stalled: u64,
     /// Union-Find shots abandoned at the `4n`-round safety limit.
     pub giveups_round_limit: u64,
+    /// Matching-decoder shots abandoned because a decoding graph had no
+    /// perfect matching of the shot's defects (an odd component with no
+    /// boundary to absorb it); the correction stays empty. A
+    /// restriction-decoder shot counts once when any of its lattices
+    /// gave up.
+    pub giveups_unmatched: u64,
     /// Matching-decoder shots whose path queries were answered entirely
     /// by the precomputed [`crate::PathOracle`]. Every matching-decoder
     /// shot with a check defect counts in exactly one of
@@ -78,7 +84,7 @@ impl DecoderStats {
     /// Total shots where the decoder gave up and returned a partial
     /// correction.
     pub fn giveups(&self) -> u64 {
-        self.giveups_stalled + self.giveups_round_limit + self.bp_giveups
+        self.giveups_stalled + self.giveups_round_limit + self.giveups_unmatched + self.bp_giveups
     }
 
     /// Counts accumulated since `earlier` was snapshotted (saturating,
@@ -94,6 +100,9 @@ impl DecoderStats {
             giveups_round_limit: self
                 .giveups_round_limit
                 .saturating_sub(earlier.giveups_round_limit),
+            giveups_unmatched: self
+                .giveups_unmatched
+                .saturating_sub(earlier.giveups_unmatched),
             oracle_hits: self.oracle_hits.saturating_sub(earlier.oracle_hits),
             sparse_hits: self.sparse_hits.saturating_sub(earlier.sparse_hits),
             oracle_misses: self.oracle_misses.saturating_sub(earlier.oracle_misses),
@@ -123,6 +132,8 @@ pub(crate) struct MatchingCounters {
     pub(crate) blossom_solves: Counter,
     /// Instances solved by the graph-native sparse blossom tier.
     pub(crate) sparse_blossom: Counter,
+    /// Shots given up because a decoding graph had no perfect matching.
+    pub(crate) giveups_unmatched: Counter,
     /// Log₂ histogram of flipped-check counts per decoded shot (defect
     /// density; size companion to the harness's per-batch latency
     /// histogram).
@@ -152,6 +163,7 @@ impl MatchingCounters {
             sparse_hits: metrics.counter("decode.tier.sparse_hits"),
             blossom_solves: metrics.counter("decode.tier.blossom"),
             sparse_blossom: metrics.counter("decode.tier.sparse_blossom"),
+            giveups_unmatched: metrics.counter("decode.giveups.unmatched"),
             defects: metrics.histogram("decode.defects"),
             sparse_blossom_rounds: metrics.histogram("decode.sparse_blossom.rounds"),
             sparse_blossom_edges: metrics.histogram("decode.sparse_blossom.edges"),
@@ -167,6 +179,7 @@ impl MatchingCounters {
             sparse_hits: self.sparse_hits.get(),
             blossom_solves: self.blossom_solves.get(),
             sparse_blossom: self.sparse_blossom.get(),
+            giveups_unmatched: self.giveups_unmatched.get(),
             ..DecoderStats::default()
         }
     }
@@ -223,7 +236,7 @@ impl BpCounters {
 }
 
 /// Work arrays of the BP+OSD decoder: shot splitting and flag
-/// overrides (shared idiom with [`MatchingScratch`]), the per-edge
+/// pricing (shared idiom with [`MatchingScratch`]), the per-edge
 /// min-sum message state, posterior marginals, syndrome/residual bit
 /// vectors and the pooled OSD elimination buffers. Buffers size
 /// themselves on first use against a given decoder and are reused
@@ -233,6 +246,8 @@ pub(crate) struct BpOsdScratch {
     pub(crate) checks: Vec<usize>,
     pub(crate) flags: BitVec,
     pub(crate) overrides: HashMap<usize, (usize, f64)>,
+    /// Per-shot effective class weights of a flag-reweighted shot.
+    pub(crate) class_weights: Vec<f64>,
     /// Flag-reweighted per-variable prior log-likelihood ratios
     /// (flagged shots only; unflagged shots use the decoder's slice).
     pub(crate) llr: Vec<f64>,
@@ -245,10 +260,8 @@ pub(crate) struct BpOsdScratch {
     pub(crate) r_msg: Vec<f64>,
     /// Per-check local variable→check message buffer.
     pub(crate) q: Vec<f64>,
-    /// Shot syndrome over the original checks.
+    /// Shot syndrome over the checks.
     pub(crate) syndrome: BitVec,
-    /// Shot syndrome over the redundant (overcomplete) checks.
-    pub(crate) red_syndrome: BitVec,
     /// Residual buffer for hard-decision validity checks.
     pub(crate) residual: BitVec,
     /// Variables set in the current BP hard decision.

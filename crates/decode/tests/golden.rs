@@ -270,11 +270,9 @@ fn path_oracle_is_thread_count_invariant_on_fixture_graphs() {
 // ---------------------------------------------------------------------------
 
 /// Goldens for the BP+OSD decoder on the fixture DEMs. Each constant
-/// pins both build thread counts (the per-class prior computation is
-/// chunk-parallel and must merge bit-identically) and the batched
-/// (`decode_into`, shared scratch) against unbatched (`decode`, fresh
-/// scratch) paths — the scratch-reuse and thread-count determinism
-/// claims of the BP+OSD contract made executable. `osd_always` is
+/// pins the batched (`decode_into`, shared scratch) against unbatched
+/// (`decode`, fresh scratch) paths — the scratch-reuse determinism
+/// claim of the BP+OSD contract made executable. `osd_always` is
 /// pinned too, so the OSD enumeration itself (not just converged BP
 /// shots) is under golden coverage on the small fixtures.
 const BP_OSD_REPETITION_GOLDEN: u64 = 0xae7f_c9ed_68a8_0ffc;
@@ -287,21 +285,18 @@ const BP_OSD_HYPERBOLIC_GOLDEN: u64 = 0x2558_3493_149c_8ee1;
 fn bp_osd_golden_fingerprint_repetition() {
     use qec_decode::{BpOsdConfig, BpOsdDecoder};
     let dem = repetition_dem(0.01, 1e-3);
-    for threads in [1usize, 3] {
-        let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged().with_build_threads(threads));
-        assert_single_faults_corrected(&dem, &decoder);
-        let fp = fingerprint(&dem, &decoder, 200, 0x601d_000d);
-        assert_eq!(
-            fp, BP_OSD_REPETITION_GOLDEN,
-            "BP+OSD repetition corrections changed ({threads} build threads); \
-             got {fp:#018x} — re-pin only if intentional",
-        );
-        let fpb = fingerprint_batched(&dem, &decoder, 200, 0x601d_000d);
-        assert_eq!(
-            fpb, BP_OSD_REPETITION_GOLDEN,
-            "BP+OSD decode_into diverged from decode; got {fpb:#018x}",
-        );
-    }
+    let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged());
+    assert_single_faults_corrected(&dem, &decoder);
+    let fp = fingerprint(&dem, &decoder, 200, 0x601d_000d);
+    assert_eq!(
+        fp, BP_OSD_REPETITION_GOLDEN,
+        "BP+OSD repetition corrections changed; got {fp:#018x} — re-pin only if intentional",
+    );
+    let fpb = fingerprint_batched(&dem, &decoder, 200, 0x601d_000d);
+    assert_eq!(
+        fpb, BP_OSD_REPETITION_GOLDEN,
+        "BP+OSD decode_into diverged from decode; got {fpb:#018x}",
+    );
     // The always-OSD path exercises the enumeration on every shot.
     let always = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged().with_osd_always(true));
     let fpa = fingerprint_batched(&dem, &always, 200, 0x601d_000d);
@@ -316,15 +311,12 @@ fn bp_osd_golden_fingerprint_surface_d3() {
     use qec_decode::{BpOsdConfig, BpOsdDecoder};
     let dem = qec_testkit::surface_memory_dem(3);
     let q = mechanism_fire_probability(&dem, 8.0);
-    for threads in [1usize, 3] {
-        let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged().with_build_threads(threads));
-        let fp = fingerprint_decoder(&dem, &decoder, 64, 0x601d_000e, q, true);
-        assert_eq!(
-            fp, BP_OSD_SURFACE_D3_GOLDEN,
-            "BP+OSD d=3 surface corrections changed ({threads} build threads); \
-             got {fp:#018x} — re-pin only if intentional",
-        );
-    }
+    let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged());
+    let fp = fingerprint_decoder(&dem, &decoder, 64, 0x601d_000e, q, true);
+    assert_eq!(
+        fp, BP_OSD_SURFACE_D3_GOLDEN,
+        "BP+OSD d=3 surface corrections changed; got {fp:#018x} — re-pin only if intentional",
+    );
 }
 
 #[test]
@@ -332,15 +324,12 @@ fn bp_osd_golden_fingerprint_toric_color() {
     use qec_decode::{BpOsdConfig, BpOsdDecoder};
     let (dem, _ctx, pm) = qec_testkit::toric_color_dem();
     let q = mechanism_fire_probability(&dem, 8.0);
-    for threads in [1usize, 3] {
-        let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::flagged(pm).with_build_threads(threads));
-        let fp = fingerprint_decoder(&dem, &decoder, 32, 0x601d_000f, q, true);
-        assert_eq!(
-            fp, BP_OSD_TORIC_COLOR_GOLDEN,
-            "BP+OSD toric color corrections changed ({threads} build threads); \
-             got {fp:#018x} — re-pin only if intentional",
-        );
-    }
+    let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::flagged(pm));
+    let fp = fingerprint_decoder(&dem, &decoder, 32, 0x601d_000f, q, true);
+    assert_eq!(
+        fp, BP_OSD_TORIC_COLOR_GOLDEN,
+        "BP+OSD toric color corrections changed; got {fp:#018x} — re-pin only if intentional",
+    );
 }
 
 /// The 1224-check hyperbolic DEM: the regime BP+OSD exists for (the
@@ -353,13 +342,10 @@ fn bp_osd_golden_fingerprint_hyperbolic() {
     use qec_decode::{BpOsdConfig, BpOsdDecoder};
     let dem = hyperbolic_memory_dem();
     let q = mechanism_fire_probability(&dem, 8.0);
-    for threads in [1usize, 3] {
-        let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged().with_build_threads(threads));
-        let fp = fingerprint_decoder(&dem, &decoder, 8, 0x601d_0010, q, true);
-        assert_eq!(
-            fp, BP_OSD_HYPERBOLIC_GOLDEN,
-            "BP+OSD hyperbolic corrections changed ({threads} build threads); \
-             got {fp:#018x} — re-pin only if intentional",
-        );
-    }
+    let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged());
+    let fp = fingerprint_decoder(&dem, &decoder, 8, 0x601d_0010, q, true);
+    assert_eq!(
+        fp, BP_OSD_HYPERBOLIC_GOLDEN,
+        "BP+OSD hyperbolic corrections changed; got {fp:#018x} — re-pin only if intentional",
+    );
 }

@@ -689,7 +689,7 @@ pub fn differential_sparse_blossom_fuzz(cases: u64, seed: u64) -> Result<(), Str
 /// One BP+OSD fuzz case: a synthetic sparse hypergraph DEM (built as a
 /// circuit, so it flows through the real `DetectorErrorModel`
 /// construction) plus the set of fired mechanisms defining a
-/// consistent syndrome, and the decoder's structural knobs.
+/// consistent syndrome.
 #[derive(Debug, Clone)]
 pub struct BpOsdFuzzCase {
     /// Check detectors in the model.
@@ -703,10 +703,6 @@ pub struct BpOsdFuzzCase {
     /// logical classes; an empty detector universe for some checks
     /// leaves degree-0 rows in the Tanner graph.
     pub mechanisms: Vec<(Vec<u32>, Vec<u32>, f64, bool)>,
-    /// Redundant overcomplete check rows the decoder should build.
-    pub overcomplete: usize,
-    /// OSD order `λ` for the case.
-    pub osd_order: usize,
 }
 
 impl BpOsdFuzzCase {
@@ -718,10 +714,7 @@ impl BpOsdFuzzCase {
         for (dets, obs, p, fired) in &self.mechanisms {
             s.push_str(&format!("(vec!{dets:?}, vec!{obs:?}, {p:?}, {fired}), "));
         }
-        s.push_str(&format!(
-            "], overcomplete: {}, osd_order: {} }}",
-            self.overcomplete, self.osd_order
-        ));
+        s.push_str("] }");
         s
     }
 }
@@ -770,10 +763,9 @@ pub fn synthetic_hypergraph_dem(
 
 /// Draws one BP+OSD fuzz case: 1–14 checks, 0–3 observables, 0–30
 /// mechanisms of degree 0–6 (degenerate duplicates, disconnected
-/// components and more-mechanisms-than-checks overcomplete shapes all
-/// arise naturally at these sizes), each fired into the syndrome with
-/// probability ~¼, plus randomized overcomplete-row and OSD-order
-/// knobs.
+/// components and more-mechanisms-than-checks shapes all arise
+/// naturally at these sizes), each fired into the syndrome with
+/// probability ~¼.
 pub fn random_bp_osd_case(rng: &mut Xoshiro256StarStar) -> BpOsdFuzzCase {
     let num_checks: usize = rng.gen_range(1usize..=14);
     let num_observables: usize = rng.gen_range(0usize..=3);
@@ -797,17 +789,10 @@ pub fn random_bp_osd_case(rng: &mut Xoshiro256StarStar) -> BpOsdFuzzCase {
         let p = 0.005 + rng.gen_f64() * 0.25;
         mechanisms.push((dets, obs, p, rng.gen_bool(0.25)));
     }
-    let overcomplete = if rng.gen_bool(0.3) {
-        rng.gen_range(1usize..=4)
-    } else {
-        0
-    };
     BpOsdFuzzCase {
         num_checks,
         num_observables,
         mechanisms,
-        overcomplete,
-        osd_order: rng.gen_range(0usize..=5),
     }
 }
 
@@ -827,11 +812,7 @@ fn bp_osd_case_failure(case: &BpOsdFuzzCase, scratch: &mut DecodeScratch) -> Opt
         .map(|(d, o, p, _)| (d.clone(), o.clone(), *p))
         .collect();
     let dem = synthetic_hypergraph_dem(case.num_checks, case.num_observables, &mechs);
-    let config = BpOsdConfig::unflagged()
-        .with_osd_always(true)
-        .with_overcomplete_checks(case.overcomplete)
-        .with_osd_order(case.osd_order);
-    let decoder = BpOsdDecoder::new(&dem, config);
+    let decoder = BpOsdDecoder::new(&dem, BpOsdConfig::unflagged().with_osd_always(true));
     let mut dets = BitVec::zeros(dem.num_detectors());
     for (d, _, _, fired) in &case.mechanisms {
         if *fired {
@@ -868,9 +849,8 @@ fn bp_osd_case_fails_fresh(case: &BpOsdFuzzCase) -> bool {
     bp_osd_case_failure(case, &mut DecodeScratch::new()).is_some()
 }
 
-/// Greedy shrink for a failing case: drop mechanisms, unfire fired
-/// ones, and zero the structural knobs, keeping each step only if the
-/// fresh-scratch failure persists.
+/// Greedy shrink for a failing case: drop mechanisms and unfire fired
+/// ones, keeping each step only if the fresh-scratch failure persists.
 fn shrink_bp_osd_case(mut case: BpOsdFuzzCase) -> BpOsdFuzzCase {
     loop {
         let mut reduced = false;
@@ -895,22 +875,6 @@ fn shrink_bp_osd_case(mut case: BpOsdFuzzCase) -> BpOsdFuzzCase {
                 }
             }
         }
-        if case.overcomplete > 0 {
-            let mut cand = case.clone();
-            cand.overcomplete = 0;
-            if bp_osd_case_fails_fresh(&cand) {
-                case = cand;
-                reduced = true;
-            }
-        }
-        if case.osd_order > 0 {
-            let mut cand = case.clone();
-            cand.osd_order = 0;
-            if bp_osd_case_fails_fresh(&cand) {
-                case = cand;
-                reduced = true;
-            }
-        }
         if !reduced {
             return case;
         }
@@ -918,8 +882,7 @@ fn shrink_bp_osd_case(mut case: BpOsdFuzzCase) -> BpOsdFuzzCase {
 }
 
 /// Differential fuzz of the BP+OSD decoder over random sparse
-/// hypergraphs (degenerate, disconnected and overcomplete shapes
-/// included): `cases` cases through one shared
+/// hypergraphs (degenerate and disconnected shapes included): `cases` cases through one shared
 /// [`qec_decode::DecodeScratch`], each asserting syndrome validity on
 /// its consistent fired-mechanism syndrome, the
 /// OSD-weight ≤ BP-hard-decision-weight contract, and bit-identity of

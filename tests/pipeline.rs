@@ -113,6 +113,16 @@ fn flag_protocol_restores_effective_distance_color() {
             c > 10 * f.max(1),
             "Chamberland baseline much worse: {c} vs {f} ({basis:?})"
         );
+        // BP+OSD recovers the same witness only with flag conditioning.
+        let flagged_bp = DecodingPipeline::new(&code, &exp, DecoderKind::FlaggedBpOsd, &noise);
+        let plain_bp = DecodingPipeline::new(&code, &exp, DecoderKind::PlainBpOsd, &noise);
+        let fb = count_single_fault_failures(flagged_bp.dem(), flagged_bp.decoder());
+        let pb = count_single_fault_failures(plain_bp.dem(), plain_bp.decoder());
+        assert_eq!(
+            fb, 0,
+            "flagged BP+OSD corrects every single fault ({basis:?})"
+        );
+        assert!(pb > 0, "plain BP+OSD misses some single faults ({basis:?})");
     }
 }
 
