@@ -5,10 +5,11 @@
 //! what comes back. Exits non-zero on any malformed exposition,
 //! unparseable health JSON, missing report key, or an unhealthy
 //! verdict — the zero-dep equivalent of
-//! `curl -f localhost:PORT/healthz` in a deploy pipeline.
+//! `curl -f localhost:PORT/healthz` in a deploy pipeline. With
+//! `QEC_OBS=1` the run also writes a qec-obs trace carrying the
+//! service's `serve.request` spans.
 
 use fpn_core::prelude::*;
-use qec_bench::memory_experiment;
 use qec_math::BitVec;
 use qec_obs::{JsonValue, Registry};
 use qec_serve::{DecodeService, ServeConfig};
@@ -47,7 +48,7 @@ fn run() -> Result<(), String> {
     // A small real decoding workload: d=3 surface code, flagged MWPM.
     let code = rotated_surface_code(3);
     let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
-    let exp = memory_experiment(&code, &fpn, 2e-3);
+    let exp = build_memory_circuit(&code, &fpn, Some(&NoiseModel::new(2e-3)), 3, Basis::Z);
     let dem = DetectorErrorModel::from_circuit(&exp.circuit);
     let decoder: Arc<dyn Decoder + Send + Sync> =
         Arc::new(MwpmDecoder::new(&dem, MwpmConfig::unflagged()));
@@ -158,7 +159,10 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    qec_obs::init_from_env();
+    let result = run();
+    qec_obs::finish();
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("telemetry_smoke: {err}");

@@ -112,8 +112,8 @@ pub trait Decoder: Sync {
     /// Cumulative decode statistics (shot counts, Union-Find give-ups).
     ///
     /// The default implementation reports zeros; decoders that can
-    /// abandon a shot (currently Union-Find) keep real counters so
-    /// `run_ber` and `qec-bench` can surface silent give-ups.
+    /// abandon a shot keep real counters so `run_ber`, perfbench and
+    /// `qec-bench`'s `pass_bp_osd` gate can surface silent give-ups.
     fn stats(&self) -> DecoderStats {
         DecoderStats::default()
     }

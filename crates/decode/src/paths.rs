@@ -594,9 +594,8 @@ impl SparsePathScratch {
     }
 
     /// Current footprint of the harvested per-shot path index in bytes
-    /// (pair table + spans + hops) — the O(defects · targets) memo,
-    /// reported by `qec-bench` against the dense oracle's would-be
-    /// O(V²).
+    /// (pair table + spans + hops) — the O(defects · targets) memo that
+    /// stands in for the dense oracle's O(V²) matrix.
     pub fn memo_bytes(&self) -> usize {
         self.pair_dist.len() * std::mem::size_of::<f64>()
             + self.path_span.len() * std::mem::size_of::<(u32, u32)>()

@@ -293,8 +293,8 @@ impl DecodeScratch {
 
     /// Current footprint in bytes of the sparse-tier per-shot path
     /// memos (both matching decoders' scratches) — the
-    /// O(defects · targets) structure `qec-bench` reports against the
-    /// dense oracle's would-be O(V²) matrix.
+    /// O(defects · targets) structure that stands in for the dense
+    /// oracle's O(V²) matrix.
     pub fn sparse_memo_bytes(&self) -> usize {
         self.mwpm.engine.sparse.memo_bytes() + self.restriction.engine.sparse.memo_bytes()
     }

@@ -15,12 +15,15 @@
 //! per unique stack, ready for `flamegraph.pl` or any compatible
 //! renderer.
 //!
-//! `--bench` reads one or more `BENCH_<pr>.json` artifacts and prints
-//! the per-component `per_iter_ns` / `speedup` trajectory across PRs,
-//! flagging any component that has regressed more than 20% since its
-//! best recorded value. Flags are informational: historical regressions
-//! must not fail CI smoke runs, so the exit code only reflects
-//! unreadable or malformed inputs.
+//! `--bench` reads one or more qec-bench artifacts and prints each
+//! component's `per_iter_ns` and ratio (`speedup`, `overhead_ratio`,
+//! `latency_ratio`) trajectory, artifacts ordered by `pr` (artifacts
+//! without one last, labelled by their path). A ratio is flagged only when
+//! its latest median lies outside the `[q1, q3]` band of the best record
+//! that carries one (schema 3); records without a band are listed but
+//! never serve as the reference. Flags are informational: historical regressions must not
+//! fail CI smoke runs, so the exit code only reflects unreadable or
+//! malformed inputs.
 
 use qec_obs::JsonValue;
 use std::collections::BTreeMap;
@@ -215,17 +218,23 @@ fn print_collapsed(spans: &[Span], self_ns: impl Fn(&Span) -> u64) {
 // --bench
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct Trajectory {
-    /// `(pr, per_iter_ns)` in PR order.
-    per_iter: Vec<(u64, u64)>,
-    /// `(pr, speedup)` in PR order.
-    speedup: Vec<(u64, f64)>,
+/// Ratio fields a gate record can carry, and whether higher is better.
+const RATIOS: [(&str, bool); 3] = [
+    ("speedup", true),
+    ("overhead_ratio", false),
+    ("latency_ratio", false),
+];
+
+/// One artifact's reading of a field: its label, value and, for schema-3
+/// ratio fields, the recorded `[q1, q3]` band.
+struct Reading {
+    label: String,
+    value: f64,
+    band: Option<(f64, f64)>,
 }
 
 fn report_bench(paths: &[String]) -> ExitCode {
-    let mut components: BTreeMap<String, Trajectory> = BTreeMap::new();
-    let mut artifacts: Vec<(u64, String)> = Vec::new();
+    let mut artifacts = Vec::new();
     for path in paths {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -234,90 +243,191 @@ fn report_bench(paths: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let doc = match JsonValue::parse(&text) {
-            Ok(doc) => doc,
+        match JsonValue::parse(&text) {
+            Ok(doc) => artifacts.push((path.clone(), doc)),
             Err(err) => {
                 eprintln!("obs_report: {path}: {err}");
                 return ExitCode::FAILURE;
             }
+        }
+    }
+    match bench_report(artifacts) {
+        Ok((lines, _)) => {
+            lines.iter().for_each(|line| println!("{line}"));
+            ExitCode::SUCCESS
+        }
+        Err(err) => {
+            eprintln!("obs_report: {err}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The `--bench` report lines and the number of regression flags.
+/// Artifacts are ordered by `pr`; those without one sort last, in input
+/// order, labelled by their path. Each component's `per_iter_ns` and ratio
+/// trajectories are listed, and a ratio is flagged only when the latest
+/// median lies outside the `[q1, q3]` band of the best record that has
+/// one; records without a band (schema ≤ 2) are listed, never compared.
+fn bench_report(mut artifacts: Vec<(String, JsonValue)>) -> Result<(Vec<String>, usize), String> {
+    artifacts.sort_by_key(|(_, doc)| {
+        doc.get("pr")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(u64::MAX)
+    });
+    let mut trajectories: BTreeMap<(String, &str), Vec<Reading>> = BTreeMap::new();
+    for (path, doc) in &artifacts {
+        let records = doc
+            .get("records")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| format!("{path}: not a BENCH artifact (need records)"))?;
+        let label = match doc.get("pr").and_then(JsonValue::as_u64) {
+            Some(pr) => format!("pr{pr}"),
+            None => path.clone(),
         };
-        let (Some(pr), Some(records)) = (
-            doc.get("pr").and_then(JsonValue::as_u64),
-            doc.get("records").and_then(JsonValue::as_array),
-        ) else {
-            eprintln!("obs_report: {path}: not a BENCH artifact (need pr + records)");
-            return ExitCode::FAILURE;
-        };
-        artifacts.push((pr, path.clone()));
         for record in records {
             let Some(component) = record.get("component").and_then(JsonValue::as_str) else {
                 continue;
             };
-            let entry = components.entry(component.to_string()).or_default();
-            if let Some(ns) = record.get("per_iter_ns").and_then(JsonValue::as_u64) {
-                entry.per_iter.push((pr, ns));
-            }
-            if let Some(speedup) = record.get("speedup").and_then(JsonValue::as_f64) {
-                entry.speedup.push((pr, speedup));
+            let fields = std::iter::once("per_iter_ns").chain(RATIOS.iter().map(|&(f, _)| f));
+            for field in fields {
+                let num = |key: &str| record.get(key).and_then(JsonValue::as_f64);
+                let Some(value) = num(field) else { continue };
+                let band = num(&format!("{field}_q1")).zip(num(&format!("{field}_q3")));
+                let reading = Reading {
+                    label: label.clone(),
+                    value,
+                    band,
+                };
+                trajectories
+                    .entry((component.to_string(), field))
+                    .or_default()
+                    .push(reading);
             }
         }
     }
-    artifacts.sort();
-    println!(
-        "{} artifacts (PR {}..{}), {} components",
+    let mut lines = vec![format!(
+        "{} artifacts ({}), {} trajectories",
         artifacts.len(),
-        artifacts.first().map_or(0, |(pr, _)| *pr),
-        artifacts.last().map_or(0, |(pr, _)| *pr),
-        components.len()
-    );
-
-    let mut regressed = 0usize;
-    for (component, mut traj) in components {
-        traj.per_iter.sort();
-        traj.speedup.sort_by_key(|&(pr, _)| pr);
-        let mut flags: Vec<String> = Vec::new();
-        if let (Some(&(latest_pr, latest)), Some(&(best_pr, best))) = (
-            traj.per_iter.last(),
-            traj.per_iter.iter().min_by_key(|(_, ns)| *ns),
-        ) {
-            let path = traj
-                .per_iter
-                .iter()
-                .map(|(pr, ns)| format!("pr{pr} {ns}ns"))
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            println!("{component}: {path}");
-            // Lower is better; >20% above the best recorded PR flags.
-            if latest as f64 > best as f64 * 1.2 {
-                flags.push(format!(
-                    "per_iter_ns regressed {:.0}% at pr{latest_pr} vs best {best}ns (pr{best_pr})",
-                    100.0 * (latest as f64 / best as f64 - 1.0)
-                ));
+        artifacts
+            .iter()
+            .map(|(path, _)| path.as_str())
+            .collect::<Vec<_>>()
+            .join(", "),
+        trajectories.len()
+    )];
+    let mut flags = 0;
+    for ((component, field), readings) in &trajectories {
+        let path: Vec<String> = readings
+            .iter()
+            .map(|r| format!("{} {}", r.label, r.value))
+            .collect();
+        lines.push(format!("{component} {field}: {}", path.join(" -> ")));
+        let Some(&(_, higher_better)) = RATIOS.iter().find(|(f, _)| f == field) else {
+            continue;
+        };
+        let better = |x: &&Reading, y: &&Reading| {
+            let order = x.value.total_cmp(&y.value);
+            if higher_better {
+                order
+            } else {
+                order.reverse()
             }
-        }
-        if let (Some(&(latest_pr, latest)), Some(&(best_pr, best))) = (
-            traj.speedup.last(),
-            traj.speedup.iter().max_by(|a, b| a.1.total_cmp(&b.1)),
-        ) {
-            let path = traj
-                .speedup
-                .iter()
-                .map(|(pr, s)| format!("pr{pr} {s:.1}x"))
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            println!("{component}: {path}");
-            // Higher is better; >20% below the best recorded PR flags.
-            if latest < best / 1.2 {
-                flags.push(format!(
-                    "speedup regressed to {latest:.1}x at pr{latest_pr} vs best {best:.1}x (pr{best_pr})"
-                ));
-            }
-        }
-        for flag in &flags {
-            regressed += 1;
-            println!("  !! {flag}");
+        };
+        let banded = readings.iter().filter(|r| r.band.is_some());
+        let (Some(latest), Some(best)) = (readings.last(), banded.max_by(better)) else {
+            continue;
+        };
+        let (q1, q3) = best.band.expect("filtered to banded readings");
+        if latest.value < q1 || latest.value > q3 {
+            flags += 1;
+            lines.push(format!(
+                "  !! {} at {} lies outside [{q1}, {q3}] of the best, {} at {}",
+                latest.value, latest.label, best.value, best.label
+            ));
         }
     }
-    println!("{regressed} regression flag(s) (informational; >20% since best)");
-    ExitCode::SUCCESS
+    lines.push(format!(
+        "{flags} regression flag(s) (informational; latest median outside the best banded record's IQR)"
+    ));
+    Ok((lines, flags))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn artifact(path: &str, head: &str, record: &str) -> (String, JsonValue) {
+        let text = format!(r#"{{{head}"records":[{{"component":"gate",{record}}}]}}"#);
+        (
+            path.to_string(),
+            JsonValue::parse(&text).expect("test artifact parses"),
+        )
+    }
+
+    fn flags(latest: &str) -> (Vec<String>, usize) {
+        let best = artifact(
+            "best.json",
+            r#""pr":12,"bench_schema":3,"#,
+            r#""speedup":3.0,"speedup_q1":2.8,"speedup_q3":3.2"#,
+        );
+        // Listed first but sorted last: it has no `pr`.
+        let current = artifact("target/bench.json", r#""bench_schema":3,"#, latest);
+        bench_report(vec![current, best]).expect("report builds")
+    }
+
+    #[test]
+    fn bench_flags_only_outside_the_best_records_band() {
+        let (lines, n) = flags(r#""speedup":2.9,"speedup_q1":2.7,"speedup_q3":3.1"#);
+        assert_eq!(n, 0, "{lines:?}");
+        assert!(lines.contains(&"gate speedup: pr12 3 -> target/bench.json 2.9".to_string()));
+
+        let (lines, n) = flags(r#""speedup":2.5,"speedup_q1":2.4,"speedup_q3":2.6"#);
+        assert_eq!(n, 1, "{lines:?}");
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("2.5 at target/bench.json lies outside [2.8, 3.2]")));
+
+        // Lower is better for overhead ratios.
+        let best = artifact(
+            "a.json",
+            r#""pr":3,"#,
+            r#""overhead_ratio":1.0,"overhead_ratio_q1":0.98,"overhead_ratio_q3":1.02"#,
+        );
+        let latest = artifact("b.json", "", r#""overhead_ratio":1.05"#);
+        assert_eq!(
+            bench_report(vec![best, latest]).expect("report builds").1,
+            1
+        );
+    }
+
+    #[test]
+    fn bench_lists_schema_2_records_without_a_flag() {
+        let old = artifact(
+            "BENCH_9.json",
+            r#""pr":9,"bench_schema":2,"#,
+            r#""speedup":4.0,"per_iter_ns":100"#,
+        );
+        let new = artifact(
+            "target/bench.json",
+            r#""bench_schema":3,"#,
+            r#""speedup":2.0,"speedup_q1":1.9,"speedup_q3":2.1"#,
+        );
+        let (lines, n) = bench_report(vec![new.clone(), old.clone()]).expect("report builds");
+        assert_eq!(n, 0, "no banded record beats the latest: {lines:?}");
+        assert!(lines.contains(&"gate speedup: pr9 4 -> target/bench.json 2".to_string()));
+        assert!(lines.contains(&"gate per_iter_ns: pr9 100".to_string()));
+
+        // A faster schema-2 record does not hide a banded baseline.
+        let baseline = artifact(
+            "BENCH_11.json",
+            r#""pr":11,"bench_schema":3,"#,
+            r#""speedup":3.0,"speedup_q1":2.9,"speedup_q3":3.1"#,
+        );
+        let (lines, n) = bench_report(vec![new, old, baseline]).expect("report builds");
+        assert_eq!(n, 1, "{lines:?}");
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("outside [2.9, 3.1] of the best, 3 at pr11")));
+    }
 }

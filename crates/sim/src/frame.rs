@@ -19,7 +19,7 @@
 //! * [`FrameSampler::sample_shot`] — a deliberately scalar one-shot
 //!   reference implementation (one `bool` per qubit per basis). It
 //!   exists as the baseline the batched engine is benchmarked against
-//!   (`qec-bench` reports the speedup) and as an independent
+//!   (`qec-bench`'s `pass_10x` gate) and as an independent
 //!   cross-check of the batch semantics.
 //!
 //! Detectors must be deterministic under zero noise (checked separately
