@@ -18,19 +18,21 @@ cargo test -q --offline --workspace
 # change that would break the benchmark.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# Differential path-tier tests: the lazy SparsePathFinder must match
-# the dense PathOracle and on-demand Dijkstra (the reference search)
-# bitwise, and both path tiers must decode identically on every
-# fixture DEM (including the hyperbolic one above the dense-oracle
-# guard).
+# Differential path-tier tests: every pair complete_graph_match prices
+# on the SparsePathFinder's CSR graph must match the dense PathOracle
+# and on-demand Dijkstra (the reference search) bitwise, distances and
+# hops, and both path tiers must decode identically on every fixture
+# DEM (including the hyperbolic one above the dense-oracle guard).
 cargo test -q --offline --test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
 cargo test -q --offline --test properties path_tiers_agree
-# Differential matching-route test: shots priced on the CSR graph (the
-# complete instance up to 4 defects, graph-native above) must decode
-# exactly like the dense oracle's complete instances, and every decoded
-# shot must advance exactly one tier counter.
+# Differential matching-route test: shots matched on the CSR graph by
+# sparse_graph_match (complete instances up to 4 defects, certified
+# above) must decode exactly like the dense oracle's complete
+# instances, every decoded shot must advance exactly one tier counter,
+# and the CSR matching pools must not regrow once warm.
 cargo test -q --offline --test properties matching_routes_agree
 cargo test -q --offline --test properties tier_counters_count_each_decoded_shot_once
+cargo test -q --offline --test properties csr_match_pools_are_stable_after_warmup
 
 # The paper's d_eff witnesses (Figs. 19/20) by single-fault injection:
 # on the shared-flag FPNs flagged MWPM and flagged BP+OSD mis-correct no
@@ -80,8 +82,9 @@ QEC_BP_OSD_FUZZ_CASES=2000 cargo test -q --release --offline \
 #   pass_10x                 batched frame sampler ≥10x the per-shot one
 #   pass_2x                  Union-Find decode_into ≥2x decode
 #   pass_oracle              dense PathOracle ≥2x the sparse path tier
-#   pass_sparse_blossom      graph-native matching ≥2x the complete CSR
-#                            route on the hyperbolic fixture, equal weights
+#   pass_sparse_blossom      graph-native matching ≥2x complete pricing
+#                            (complete_graph_match) on the hyperbolic
+#                            fixture, equal weights
 #   pass_obs_overhead        per-batch tracing ≤1.10x the untraced decode
 #   pass_telemetry_overhead  serve's windowed recording ≤1.10x bare decode
 #   pass_bp_osd              flagged BP+OSD on the [[96,12]] color FPN:

@@ -261,13 +261,13 @@ fn gate_oracle(shots: usize) -> Record {
         .field("checksum", checksum)
 }
 
-/// `pass_sparse_blossom` (≥ 2): the complete CSR matching route against
-/// the graph-native one on the {4,5} hyperbolic fixture at p = 1e-3, with
-/// equal weight on every shot. Defect-count buckets, filled out by a
-/// p = 2e-4 draw, show the crossover behind the engine's routing rule.
+/// `pass_sparse_blossom` (≥ 2): complete pricing on the CSR graph
+/// against graph-native matching on the {4,5} hyperbolic fixture at
+/// p = 1e-3, with equal weight on every shot. Defect-count buckets,
+/// filled out by a p = 2e-4 draw, show where certification pays.
 fn gate_sparse_blossom(shots: usize) -> Record {
-    use qec_decode::{pooled_min_weight_perfect_matching_f64 as solve_f64, sparse_graph_match};
-    use qec_decode::{BlossomScratch, SparseBlossomScratch, SparsePathScratch};
+    use qec_decode::{complete_graph_match, sparse_graph_match};
+    use qec_decode::{BlossomScratch, SparseBlossomScratch};
     const BUCKETS: [(usize, &str); 4] =
         [(4, "le4"), (8, "5_8"), (16, "9_16"), (usize::MAX, "gt16")];
     let circuit = |p| qec_testkit::hyperbolic_memory_experiment_at(p).1.circuit;
@@ -280,37 +280,29 @@ fn gate_sparse_blossom(shots: usize) -> Record {
     let num_check = hypergraph.num_check_detectors();
     let boundary = (finder.num_nodes() > num_check).then_some(num_check);
     let weights = finder.class_weights();
-    let cw = |c: usize| weights[c];
     let draws = circuits.map(|circuit| {
         let defects = nonzero_syndromes(&circuit, shots, 321).into_iter();
         let defects = defects.map(|d| hypergraph.split_shot(&d).0);
         defects.filter(|c| !c.is_empty()).collect::<Vec<_>>()
     });
 
-    let (mut paths, mut complete_blossom) = (SparsePathScratch::new(), BlossomScratch::new());
-    let (mut targets, mut edges) = (Vec::new(), Vec::new());
-    let mut complete = |defects: &[usize]| {
-        let s = defects.len();
-        targets.clear();
-        targets.extend(defects.iter().copied().chain(boundary));
-        finder.matching_paths_into(defects, &targets, cw, &mut paths);
-        // The engine's instance: defect pairs and boundary legs under its
-        // unreachable-edge filter, then the clique of boundary copies.
-        edges.clear();
-        for i in 0..s {
-            let legs = ((i + 1)..s).map(|j| (i, j, paths.dist(i, j)));
-            let boundary_leg = boundary.map(|_| (i, s + i, paths.dist(i, s)));
-            edges.extend(legs.chain(boundary_leg).filter(|e| e.2 < 1.0e8));
-        }
-        let copies = if boundary.is_some() { s } else { 0 };
-        for i in 0..copies {
-            edges.extend(((i + 1)..s).map(|j| (s + i, s + j, 0.0)));
-        }
-        solve_f64(s + copies, &edges, &mut complete_blossom).map(|m| m.weight())
+    // Each route keeps its own scratch, as a decoder thread would.
+    let scratch = || {
+        (
+            SparseBlossomScratch::new(),
+            BlossomScratch::new(),
+            Vec::new(),
+        )
     };
-    let (mut sb, mut bs, mut pairs) = (SparseBlossomScratch::new(), BlossomScratch::new(), vec![]);
+    let (mut c, mut g) = (scratch(), scratch());
+    let mut complete = |d: &[usize]| {
+        let matched =
+            complete_graph_match(finder, d, boundary, weights, &mut c.0, &mut c.1, &mut c.2);
+        matched.map(|o| o.weight)
+    };
     let mut graph = |d: &[usize]| {
-        let matched = sparse_graph_match(finder, d, boundary, &cw, &mut sb, &mut bs, &mut pairs);
+        let matched =
+            sparse_graph_match(finder, d, boundary, weights, &mut g.0, &mut g.1, &mut g.2);
         matched.map(|o| o.weight)
     };
 

@@ -333,12 +333,12 @@ pub struct BerStats {
     /// [`qec_decode::PathOracle`] during this run (matching decoders
     /// only).
     pub oracle_hits: usize,
-    /// Shots answered by the lazy [`qec_decode::SparsePathFinder`]
+    /// Shots matched on the [`qec_decode::SparsePathFinder`]'s CSR graph
     /// during this run (graph above the oracle node limit, or
-    /// flag-reweighted shot).
+    /// flag-reweighted shot): the decoder's `sparse_hits` plus its
+    /// `sparse_blossom`, so every decoded matching shot lands in
+    /// exactly one of `oracle_hits` and `sparse_hits`.
     pub sparse_hits: usize,
-    /// Retired with the per-shot Dijkstra tier: always 0.
-    pub oracle_misses: usize,
 }
 
 impl BerStats {
@@ -494,8 +494,7 @@ pub fn run_ber(
         k,
         decode_giveups: delta.giveups() as usize,
         oracle_hits: delta.oracle_hits as usize,
-        sparse_hits: delta.sparse_hits as usize,
-        oracle_misses: delta.oracle_misses as usize,
+        sparse_hits: (delta.sparse_hits + delta.sparse_blossom) as usize,
     }
 }
 
@@ -666,7 +665,6 @@ mod tests {
             decode_giveups: 0,
             oracle_hits: 0,
             sparse_hits: 0,
-            oracle_misses: 0,
         };
         assert!((stats.ber() - 0.04).abs() < 1e-12);
         assert!((stats.ber_norm() - 0.005).abs() < 1e-12);

@@ -69,7 +69,6 @@ fn run_point(
         decode_giveups: 0,
         oracle_hits: 0,
         sparse_hits: 0,
-        oracle_misses: 0,
     };
     let mut point_span = qec_obs::span_with(
         "ber.point",
@@ -96,7 +95,6 @@ fn run_point(
         total.decode_giveups += stats.decode_giveups;
         total.oracle_hits += stats.oracle_hits;
         total.sparse_hits += stats.sparse_hits;
-        total.oracle_misses += stats.oracle_misses;
         round_seed = round_seed.wrapping_add(0x9e3779b97f4a7c15);
         chunk = (chunk * 2).min(1 << 20);
     }
@@ -237,7 +235,7 @@ pub fn print_sweep_summary(label: &str, sweep: &BerSweep) {
         + m.counter("decode.giveups.unmatched")
         + m.counter("decode.tier.bp_giveups");
     let oracle = m.counter("decode.tier.oracle_hits");
-    let sparse = m.counter("decode.tier.sparse_hits");
+    let sparse = m.counter("decode.tier.sparse_hits") + m.counter("decode.tier.sparse_blossom");
     let tier_total = (oracle + sparse).max(1) as f64;
     let pct = |n: u64| 100.0 * n as f64 / tier_total;
     println!(
@@ -331,8 +329,7 @@ mod tests {
         );
         let mut tier_sum = 0u64;
         for (point, &p) in sweep.points.iter().zip(&ps) {
-            let tiers =
-                point.stats.oracle_hits + point.stats.sparse_hits + point.stats.oracle_misses;
+            let tiers = point.stats.oracle_hits + point.stats.sparse_hits;
             assert!(
                 tiers <= point.stats.shots,
                 "point at p={p} reports more tier hits ({tiers}) than shots — \
@@ -354,13 +351,11 @@ mod tests {
                 (
                     point.stats.oracle_hits,
                     point.stats.sparse_hits,
-                    point.stats.oracle_misses,
                     point.stats.decode_giveups,
                 ),
                 (
                     solo.stats.oracle_hits,
                     solo.stats.sparse_hits,
-                    solo.stats.oracle_misses,
                     solo.stats.decode_giveups,
                 ),
                 "per-point tier counts at p={p} must match a fresh decoder's"
@@ -371,7 +366,9 @@ mod tests {
         // the reported per-point deltas reassembles it exactly.
         let m = &sweep.metrics;
         assert_eq!(
-            m.counter("decode.tier.oracle_hits") + m.counter("decode.tier.sparse_hits"),
+            m.counter("decode.tier.oracle_hits")
+                + m.counter("decode.tier.sparse_hits")
+                + m.counter("decode.tier.sparse_blossom"),
             tier_sum,
             "per-point deltas must sum to the sweep-lifetime registry counters"
         );
@@ -381,5 +378,37 @@ mod tests {
         // must report both oracle-tier and sparse-tier activity, and
         // the decodes counter bounds the tier total.
         assert!(m.counter("decode.decodes") >= tier_sum);
+    }
+
+    /// On the flagged shared-flag hyperbolic FPN nearly every decoded
+    /// shot is certified on the CSR graph (`sparse_blossom`); the
+    /// point's tier counts must still cover every shot the decoder
+    /// matched, exactly once.
+    #[test]
+    fn ber_stats_count_every_csr_matched_shot() {
+        use qec_code::hyperbolic::{hyperbolic_surface_code, SURFACE_REGISTRY};
+        let code = hyperbolic_surface_code(&SURFACE_REGISTRY[2]).expect("registry code builds");
+        let fpn = FlagProxyNetwork::build(&code, &FpnConfig::shared());
+        let kind = DecoderKind::FlaggedMwpm;
+        let sweep = ber_sweep(
+            &code,
+            &fpn,
+            kind,
+            &[1e-3],
+            3,
+            Basis::Z,
+            128,
+            usize::MAX,
+            5,
+            2,
+        );
+        let (stats, m) = (&sweep.points[0].stats, &sweep.metrics);
+        assert!(m.counter("decode.tier.sparse_blossom") > 0);
+        assert_eq!(
+            (stats.oracle_hits + stats.sparse_hits) as u64,
+            m.counter("decode.tier.oracle_hits")
+                + m.counter("decode.tier.sparse_hits")
+                + m.counter("decode.tier.sparse_blossom"),
+        );
     }
 }

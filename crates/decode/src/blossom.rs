@@ -23,7 +23,7 @@
 //!   vectors and initialises an O(n²) adjacency per call);
 //! * between shots only the cells written by the previous shot are
 //!   restored (the `loaded` list — the same *O(touched)* reset
-//!   discipline as [`crate::SparsePathScratch`]), and the LCA visit
+//!   discipline as [`crate::SparseBlossomScratch`]), and the LCA visit
 //!   stamps are monotonic across shots so they never need clearing;
 //! * capacity grows geometrically and only when a shot exceeds every
 //!   previous one, so the pool generation count is log-bounded — a

@@ -359,10 +359,7 @@ impl BpOsdDecoder {
         }
     }
 
-    /// The shared decode body: `decode` runs it against a throwaway
-    /// scratch, `decode_into`/`decode_detail` against the caller's.
-    /// Identical computation sequence either way, so outputs are
-    /// bit-identical.
+    /// The shared decode body of `decode_into` and `decode_detail`.
     fn decode_core(
         &self,
         detectors: &BitVec,
@@ -541,13 +538,6 @@ impl BpOsdDecoder {
 }
 
 impl Decoder for BpOsdDecoder {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        let mut sc = BpOsdScratch::default();
-        let mut correction = BitVec::zeros(0);
-        self.decode_core(detectors, &mut sc, &mut correction);
-        correction
-    }
-
     fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec) {
         self.decode_core(detectors, &mut scratch.bp, out);
     }
@@ -623,7 +613,7 @@ mod tests {
 
     /// Every representable syndrome must come back syndrome-valid (the
     /// hard invariant), and `decode_into` with a reused scratch must
-    /// stay bit-identical to the throwaway-scratch `decode`.
+    /// stay bit-identical to the fresh-scratch `decode`.
     #[test]
     fn exhaustive_syndromes_valid_and_scratch_invariant() {
         let dem = repetition_dem(0.01);

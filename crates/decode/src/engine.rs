@@ -5,27 +5,28 @@
 //! [`crate::MwpmDecoder`] runs one engine over the full decoding graph,
 //! with a virtual boundary vertex when the code has one;
 //! [`crate::RestrictionDecoder`] runs three, one per restricted lattice,
-//! without a boundary. Each shot takes one of three routes, picked by
-//! [`MatchingEngine::tier`] from the shot's pricing and defect count:
+//! without a boundary. Each shot takes one of two routes, picked by
+//! [`MatchingEngine::prices_on_oracle`] from the shot's pricing:
 //!
 //! * the dense [`PathOracle`] — O(V²), built when V ≤ the node limit —
-//!   answers shots priced at the flag-free base weights;
+//!   answers shots priced at the flag-free base weights with the
+//!   complete defect-pair instance;
 //! * every other shot (graphs above the limit, flag-reweighted shots)
-//!   is priced on the CSR [`SparsePathFinder`] — O(V+E), always built:
-//!   with at most `DISCOVERY_NEIGHBORS + 1` defects it prices every
-//!   defect pair and solves the complete instance; with more it matches
-//!   graph-natively ([`sparse_graph_match`]), pricing only nearest
-//!   neighbours and certifying the result against every omitted pair.
+//!   is matched on the CSR [`SparsePathFinder`] — O(V+E), always built —
+//!   by [`sparse_graph_match`]: it prices nearest neighbours and
+//!   certifies the result against every omitted pair, and with at most
+//!   `DISCOVERY_NEIGHBORS + 1` defects prices every pair and solves the
+//!   complete instance outright.
 //!
-//! Both path tiers relax edges through the same formula, so the tier
-//! decides where a distance comes from, never its value; both CSR
-//! routes reach the same total matching weight.
+//! Both routes relax edges through the same formula, so the route
+//! decides where a distance comes from, never its value, and both reach
+//! the same total matching weight.
 
 use crate::blossom::pooled_min_weight_perfect_matching_f64;
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{self, PathOracle, SparsePathFinder};
 use crate::scratch::MatchingCounters;
-use crate::sparse_blossom::{sparse_graph_match, DISCOVERY_NEIGHBORS};
+use crate::sparse_blossom::{discovery_is_complete, sparse_graph_match};
 use qec_math::BitVec;
 use qec_obs::Registry;
 use std::collections::HashMap;
@@ -127,17 +128,6 @@ impl ClassPricing {
     }
 }
 
-/// Which mechanism serves a shot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// Dense-oracle path supply, complete defect-pair instance.
-    Oracle,
-    /// Sparse-finder path supply, complete defect-pair instance.
-    Sparse,
-    /// Graph-native matching on the CSR ([`sparse_graph_match`]).
-    SparseGraph,
-}
-
 /// One decoding graph and everything needed to match defects on it.
 #[derive(Debug)]
 pub(crate) struct MatchingEngine {
@@ -149,20 +139,19 @@ pub(crate) struct MatchingEngine {
     oracle: Option<PathOracle>,
     /// `None` only for a graph without vertices.
     sparse: Option<SparsePathFinder>,
-    /// Test-only override of the route a CSR-priced shot takes.
+    /// Test-only: match CSR-priced shots with
+    /// [`crate::sparse_blossom::complete_graph_match`].
     #[cfg(test)]
-    csr_route: Option<Tier>,
+    complete_pricing: bool,
 }
 
 /// Per-worker work arrays of [`MatchingEngine::solve`], reused across
 /// shots and across the engines of one decoder.
 #[derive(Debug, Default)]
 pub(crate) struct EngineScratch {
-    /// Sparse-tier per-shot path memo.
-    pub(crate) sparse: crate::paths::SparsePathScratch,
     /// Pooled incremental blossom solver state.
     pub(crate) blossom: crate::blossom::BlossomScratch,
-    /// Graph-native sparse blossom state.
+    /// Graph-native sparse blossom state: the CSR route's pair memo.
     pub(crate) sparse_blossom: crate::sparse_blossom::SparseBlossomScratch,
     /// Defect vertices, then the boundary when present.
     targets: Vec<usize>,
@@ -232,7 +221,7 @@ impl MatchingEngine {
             oracle,
             sparse,
             #[cfg(test)]
-            csr_route: None,
+            complete_pricing: false,
         }
     }
 
@@ -258,34 +247,18 @@ impl MatchingEngine {
         self.sparse.as_ref()
     }
 
-    /// The mechanism that serves a shot of `defects` defects priced by
-    /// `pricing`: the dense oracle when it can price the shot; otherwise
-    /// the CSR graph, graph-natively once discovery would truncate
-    /// (more than `DISCOVERY_NEIGHBORS + 1` defects). At or below that
-    /// count discovery prices every pair anyway, so the graph-native
-    /// route would build the complete instance plus its own overhead.
-    pub(crate) fn tier(&self, pricing: Pricing, defects: usize) -> Tier {
-        if self.oracle.is_some() && matches!(pricing, Pricing::Base) {
-            return Tier::Oracle;
-        }
-        #[cfg(test)]
-        if let Some(route) = self.csr_route {
-            return route;
-        }
-        if defects > DISCOVERY_NEIGHBORS + 1 {
-            Tier::SparseGraph
-        } else {
-            Tier::Sparse
-        }
+    /// Whether a shot priced by `pricing` is matched on the dense
+    /// oracle: it must exist and the shot must carry the flag-free base
+    /// weights. Every other shot is matched on the CSR graph.
+    pub(crate) fn prices_on_oracle(&self, pricing: Pricing) -> bool {
+        self.oracle.is_some() && matches!(pricing, Pricing::Base)
     }
 
-    /// Sends every CSR-priced shot down `route` (`Sparse` or
-    /// `SparseGraph`) regardless of its defect count, so tests can run
-    /// both routes on the same shots.
+    /// Matches every CSR-priced shot on its complete instance, so tests
+    /// can compare the graph-native route against it on the same shots.
     #[cfg(test)]
-    pub(crate) fn force_csr_route(&mut self, route: Tier) {
-        assert_ne!(route, Tier::Oracle, "the oracle is not a CSR route");
-        self.csr_route = Some(route);
+    pub(crate) fn force_complete_pricing(&mut self) {
+        self.complete_pricing = true;
     }
 
     /// Matches `defects` (graph vertices, each once) under `pricing` and
@@ -309,32 +282,45 @@ impl MatchingEngine {
         }
         let sp = self.sparse.as_ref()?;
         let EngineScratch {
-            sparse,
             blossom,
             sparse_blossom,
             targets,
             edges,
             pairs,
         } = sc;
-        let weights = match pricing {
-            Pricing::Base => sp.class_weights(),
-            Pricing::Shot(w) => w,
-        };
-        let tier = self.tier(pricing, s);
-        if tier == Tier::SparseGraph {
-            let outcome = sparse_graph_match(
+        let Some(oracle) = self
+            .oracle
+            .as_ref()
+            .filter(|_| self.prices_on_oracle(pricing))
+        else {
+            let weights = match pricing {
+                Pricing::Base => sp.class_weights(),
+                Pricing::Shot(w) => w,
+            };
+            let complete = discovery_is_complete(s);
+            if complete {
+                counters.blossom_solves.inc();
+            }
+            let route = match () {
+                #[cfg(test)]
+                () if self.complete_pricing => crate::sparse_blossom::complete_graph_match,
+                () => sparse_graph_match,
+            };
+            let outcome = route(
                 sp,
                 defects,
                 self.boundary,
-                &|c| weights[c],
+                weights,
                 sparse_blossom,
                 blossom,
                 pairs,
             )?;
-            counters.sparse_blossom_rounds.record(outcome.rounds as u64);
-            counters
-                .sparse_blossom_edges
-                .record(outcome.candidate_edges as u64);
+            if !complete {
+                counters.sparse_blossom_rounds.record(outcome.rounds as u64);
+                counters
+                    .sparse_blossom_edges
+                    .record(outcome.candidate_edges as u64);
+            }
             for &(a, b) in pairs.iter() {
                 if let Some(tj) = pair_target(a, b, s) {
                     for &(prev, cur, class) in sparse_blossom.pair_hops(a, tj) {
@@ -343,27 +329,14 @@ impl MatchingEngine {
                 }
             }
             return Some(outcome.weight);
-        }
+        };
         // Complete instance: defects 0..s, boundary copies s..2s when
         // the graph has a boundary. Target `tj` is defect `tj`, or the
         // boundary at `tj == s`.
         targets.clear();
         targets.extend_from_slice(defects);
         targets.extend(self.boundary);
-        let oracle = if tier == Tier::Oracle {
-            self.oracle.as_ref()
-        } else {
-            sp.matching_paths_into(defects, targets, |c| weights[c], sparse);
-            counters.sparse_memo_bytes.set(sparse.memo_bytes() as u64);
-            counters
-                .sparse_memo_high_water
-                .set(sparse.memo_high_water_bytes() as u64);
-            None
-        };
-        let pair_dist = |i: usize, tj: usize| match oracle {
-            Some(o) => o.dist(defects[i], targets[tj]),
-            None => sparse.dist(i, tj),
-        };
+        let pair_dist = |i: usize, tj: usize| oracle.dist(defects[i], targets[tj]);
         let has_boundary = self.boundary.is_some();
         edges.clear();
         for i in 0..s {
@@ -397,22 +370,13 @@ impl MatchingEngine {
             let Some(tj) = pair_target(a, b, s) else {
                 continue;
             };
-            match oracle {
-                Some(o) => {
-                    let src = defects[a];
-                    let mut cur = targets[tj];
-                    while cur != src {
-                        let (prev, class) = o.pred(src, cur);
-                        debug_assert_ne!(prev, usize::MAX, "matched path must exist");
-                        sink(prev, cur, class);
-                        cur = prev;
-                    }
-                }
-                None => {
-                    for &(prev, cur, class) in sparse.path(a, tj) {
-                        sink(prev as usize, cur as usize, class as usize);
-                    }
-                }
+            let src = defects[a];
+            let mut cur = targets[tj];
+            while cur != src {
+                let (prev, class) = oracle.pred(src, cur);
+                debug_assert_ne!(prev, usize::MAX, "matched path must exist");
+                sink(prev, cur, class);
+                cur = prev;
             }
         }
         Some(weight)
@@ -488,10 +452,10 @@ mod tests {
         assert_eq!(run(&e, &[], Pricing::Base, &mut sc), (Some(0), vec![]));
     }
 
-    /// Both tiers unroll the same hops in the same order, and a shot
+    /// Both routes unroll the same hops in the same order, and a shot
     /// priced per shot always takes the CSR graph.
     #[test]
-    fn tiers_emit_identical_hops() {
+    fn routes_emit_identical_hops() {
         // Path 0 - 1 - 2 - 3, classes 0..3.
         let adjacency = vec![
             vec![(1, 0)],
@@ -504,9 +468,9 @@ mod tests {
         let mut sc = EngineScratch::default();
         let expected = vec![(2, 3, 2), (1, 2, 1), (0, 1, 0)];
         let shot = [1.0, 1.25, 1.5];
-        assert_eq!(dense.tier(Pricing::Base, 2), Tier::Oracle);
-        assert_eq!(sparse.tier(Pricing::Base, 2), Tier::Sparse);
-        assert_eq!(dense.tier(Pricing::Shot(&shot), 2), Tier::Sparse);
+        assert!(dense.prices_on_oracle(Pricing::Base));
+        assert!(!sparse.prices_on_oracle(Pricing::Base));
+        assert!(!dense.prices_on_oracle(Pricing::Shot(&shot)));
         let mut weights = Vec::new();
         for (e, pricing) in [
             (&dense, Pricing::Base),
@@ -520,34 +484,25 @@ mod tests {
         assert!(weights.iter().all(|&w| w == weights[0] && w > 0));
     }
 
-    /// The route rule: the oracle whenever it can price the shot,
-    /// otherwise the complete CSR instance up to `DISCOVERY_NEIGHBORS +
-    /// 1` defects and the graph-native route above.
+    /// The route rule: the oracle whenever it can price the shot, the
+    /// CSR graph otherwise, at any defect count.
     #[test]
-    fn route_follows_pricing_and_defect_count() {
+    fn route_follows_pricing() {
         let dense = engine(ring(8), 1024);
         let sparse = engine(ring(8), 0);
         let shot = [1.0; 8];
-        let (at, above) = (DISCOVERY_NEIGHBORS + 1, DISCOVERY_NEIGHBORS + 2);
-        for defects in [0, at, above, 64] {
-            assert_eq!(dense.tier(Pricing::Base, defects), Tier::Oracle);
-        }
-        for (e, pricing) in [
-            (&dense, Pricing::Shot(&shot)),
-            (&sparse, Pricing::Shot(&shot)),
-            (&sparse, Pricing::Base),
-        ] {
-            assert_eq!(e.tier(pricing, 0), Tier::Sparse);
-            assert_eq!(e.tier(pricing, at), Tier::Sparse);
-            assert_eq!(e.tier(pricing, above), Tier::SparseGraph);
-        }
+        assert!(dense.prices_on_oracle(Pricing::Base));
+        assert!(!dense.prices_on_oracle(Pricing::Shot(&shot)));
+        assert!(!sparse.prices_on_oracle(Pricing::Base));
+        assert!(!sparse.prices_on_oracle(Pricing::Shot(&shot)));
     }
 
-    /// The first routed count, `DISCOVERY_NEIGHBORS + 2` defects, on a
-    /// ring with a boundary: the graph-native route reaches the oracle's
-    /// and the complete CSR instance's weight with the same hops.
+    /// The last defect count discovery prices completely and the first
+    /// it truncates, on a ring with a boundary: the CSR route reaches the
+    /// oracle's and the complete instance's weight with the same hops.
     #[test]
-    fn first_routed_defect_count_matches_the_complete_instance() {
+    fn csr_route_matches_the_complete_instance_around_the_discovery_quota() {
+        use crate::sparse_blossom::DISCOVERY_NEIGHBORS;
         let mut adjacency = ring(12);
         let hub = adjacency.len();
         adjacency.push(Vec::new());
@@ -555,17 +510,20 @@ mod tests {
             adjacency[v].push((hub, class));
             adjacency[hub].push((v, class));
         }
-        let defects = [1, 3, 4, 8, 10];
-        assert_eq!(defects.len(), DISCOVERY_NEIGHBORS + 2);
         let oracle = engine_with(adjacency.clone(), Some(hub), 1024);
         let routed = engine_with(adjacency.clone(), Some(hub), 0);
         let mut complete = engine_with(adjacency, Some(hub), 0);
-        complete.force_csr_route(Tier::Sparse);
-        assert_eq!(routed.tier(Pricing::Base, defects.len()), Tier::SparseGraph);
+        complete.force_complete_pricing();
         let mut sc = EngineScratch::default();
-        let reference = run(&oracle, &defects, Pricing::Base, &mut sc);
-        assert!(reference.0.is_some() && !reference.1.is_empty());
-        assert_eq!(run(&routed, &defects, Pricing::Base, &mut sc), reference);
-        assert_eq!(run(&complete, &defects, Pricing::Base, &mut sc), reference);
+        for (extra, defects) in [&[1, 4, 8, 10][..], &[1, 3, 4, 8, 10]]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(defects.len(), DISCOVERY_NEIGHBORS + 1 + extra);
+            let reference = run(&oracle, defects, Pricing::Base, &mut sc);
+            assert!(reference.0.is_some() && !reference.1.is_empty());
+            assert_eq!(run(&routed, defects, Pricing::Base, &mut sc), reference);
+            assert_eq!(run(&complete, defects, Pricing::Base, &mut sc), reference);
+        }
     }
 }

@@ -25,28 +25,27 @@
 //!   as a speed/accuracy ablation against MWPM.
 //! * The matching decoders share one crate-private matching engine per
 //!   decoding graph (MWPM: the full graph; Restriction: each restricted
-//!   lattice). It supplies paths from one of two tiers, builds the
-//!   matching instance, solves it with the pooled blossom solver
-//!   ([`BlossomScratch`]) and unrolls the matched paths:
+//!   lattice). It matches each shot on one of two routes, solves with
+//!   the pooled blossom solver ([`BlossomScratch`]) and unrolls the
+//!   matched paths:
 //!   * [`PathOracle`] — all-sources shortest paths precomputed once per
 //!     decoding graph at construction, so shots without flag
 //!     reweighting (the hot case) answer every defect-pair weight query
-//!     and unroll every correction path without a search; only built
-//!     below a configurable node limit (O(V²) memory guard).
-//!   * [`SparsePathFinder`] — lazy, defect-seeded truncated searches
-//!     over an O(V+E) CSR index, always built and memoized per shot in
-//!     [`DecodeScratch`]. It serves graphs above the oracle node limit
-//!     (the paper's hyperbolic DEMs) and every flag-reweighted shot,
-//!     bit-identical to the oracle.
-//! * [`sparse_graph_match`] — the graph-native sparse blossom matching
-//!   route the engine takes for CSR-priced shots with more defects
-//!   than nearest-neighbour discovery prices completely: instead of
-//!   pricing every defect pair, it grows a candidate instance outward
-//!   from each defect on the `SparsePathFinder` CSR, solves it with the
-//!   pooled blossom scratch, and *certifies* the result against all
-//!   omitted pairs with dual-ball searches — total matching weight
-//!   identical to the complete instance, per-shot cost scaling with the
-//!   touched graph region instead of defects².
+//!     of the complete instance and unroll every correction path
+//!     without a search; only built below a configurable node limit
+//!     (O(V²) memory guard).
+//!   * [`SparsePathFinder`] — an O(V+E) CSR index, always built, that
+//!     serves graphs above the oracle node limit (the paper's
+//!     hyperbolic DEMs) and every flag-reweighted shot through
+//!     [`sparse_graph_match`]: instead of pricing every defect pair, it
+//!     grows a candidate instance outward from each defect with
+//!     truncated searches, solves it, and *certifies* the result
+//!     against all omitted pairs with dual-ball searches — total
+//!     matching weight identical to the complete instance (bit-identical
+//!     distances to the oracle), per-shot cost scaling with the touched
+//!     graph region instead of defects². [`complete_graph_match`] prices
+//!     every pair instead: the reference it is tested and measured
+//!     against.
 //!
 //! * [`BpOsdDecoder`] — min-sum belief propagation with serial
 //!   scheduling over the *undecomposed* hypergraph plus
@@ -78,12 +77,12 @@ pub use blossom::{pooled_min_weight_perfect_matching_f64, BlossomScratch, Pooled
 pub use bp::{BpOsdConfig, BpOsdDecoder, BpOsdOutcome};
 pub use hypergraph::{ClassMember, DecodingHypergraph, EquivClass};
 pub use mwpm::{MwpmConfig, MwpmDecoder, TraceEdge};
-pub use paths::{
-    shortest_paths_from, PathOracle, SparsePathFinder, SparsePathScratch, DEFAULT_ORACLE_NODE_LIMIT,
-};
+pub use paths::{shortest_paths_from, PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 pub use restriction::{ColorCodeContext, RestrictionConfig, RestrictionDecoder, RestrictionEvent};
 pub use scratch::{DecodeScratch, DecoderStats};
-pub use sparse_blossom::{sparse_graph_match, SparseBlossomScratch, SparseSolveOutcome};
+pub use sparse_blossom::{
+    complete_graph_match, sparse_graph_match, SparseBlossomScratch, SparseSolveOutcome,
+};
 pub use unionfind::{UnionFindConfig, UnionFindDecoder};
 
 use qec_math::BitVec;
@@ -91,22 +90,20 @@ use qec_math::BitVec;
 /// A decoder: maps one shot's detector outcomes to the predicted set
 /// of flipped logical observables.
 pub trait Decoder: Sync {
-    /// Decodes one shot.
-    fn decode(&self, detectors: &BitVec) -> BitVec;
-
     /// Decodes one shot into `out`, reusing `scratch` across calls.
     ///
     /// This is the batched hot path: per-thread work arrays survive
     /// between shots and are reset in *O(touched)*, so steady-state
-    /// decoding allocates nothing. The result is bit-identical to
-    /// [`Decoder::decode`] (covered by property and golden tests).
-    ///
-    /// The default implementation falls back to `decode`, so trait
-    /// implementors only opt in when they have a real scratch-reusing
-    /// path.
-    fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec) {
-        let _ = scratch;
-        *out = self.decode(detectors);
+    /// decoding allocates nothing.
+    fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec);
+
+    /// Decodes one shot against a fresh [`DecodeScratch`]; the result is
+    /// bit-identical to [`Decoder::decode_into`] (covered by property
+    /// and golden tests).
+    fn decode(&self, detectors: &BitVec) -> BitVec {
+        let mut out = BitVec::zeros(0);
+        self.decode_into(detectors, &mut DecodeScratch::new(), &mut out);
+        out
     }
 
     /// Cumulative decode statistics (shot counts, Union-Find give-ups).

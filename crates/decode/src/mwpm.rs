@@ -1,9 +1,10 @@
 //! The flagged MWPM decoder (§VI-C) and its unflagged baseline.
 
-use crate::engine::{ClassPricing, MatchingEngine, Tier};
+use crate::engine::{ClassPricing, MatchingEngine};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
+use crate::sparse_blossom::discovery_is_complete;
 use crate::{Decoder, DecoderStats};
 use qec_math::BitVec;
 use qec_obs::Registry;
@@ -21,10 +22,8 @@ pub struct MwpmConfig {
     /// Precompute a [`PathOracle`] when the decoding graph has at most
     /// this many vertices (O(V²) storage); it serves the shots without
     /// flag reweighting. Every other shot, and every shot on a larger
-    /// graph, is priced on the [`SparsePathFinder`]'s CSR graph —
-    /// matched graph-natively (`decode.tier.sparse_blossom`) when it has
-    /// more defects than nearest-neighbour discovery would price
-    /// completely. `0` disables the oracle.
+    /// graph, is matched on the [`SparsePathFinder`]'s CSR graph by
+    /// [`crate::sparse_graph_match`]. `0` disables the oracle.
     pub oracle_node_limit: usize,
 }
 
@@ -48,7 +47,7 @@ impl MwpmConfig {
     }
 
     /// Overrides the oracle node limit (the memory guard); `0` sends
-    /// every shot to the sparse tier.
+    /// every shot to the CSR graph.
     pub fn with_oracle_node_limit(mut self, limit: usize) -> Self {
         self.oracle_node_limit = limit;
         self
@@ -62,7 +61,7 @@ impl MwpmConfig {
 /// path weights come from the precomputed [`PathOracle`] when no flag
 /// reweighting is in effect (the hot case), and from the
 /// [`SparsePathFinder`]'s CSR graph with flag-conditioned class weights
-/// otherwise — graph-natively for shots with many defects.
+/// otherwise, matched there graph-natively.
 #[derive(Debug)]
 pub struct MwpmDecoder {
     hypergraph: DecodingHypergraph,
@@ -213,13 +212,6 @@ impl MwpmDecoder {
 }
 
 impl Decoder for MwpmDecoder {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        let mut sc = MatchingScratch::default();
-        let mut correction = BitVec::zeros(0);
-        self.decode_core(detectors, &mut sc, &mut correction, None);
-        correction
-    }
-
     fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec) {
         self.decode_core(detectors, &mut scratch.mwpm, out, None);
     }
@@ -242,10 +234,7 @@ impl Decoder for MwpmDecoder {
 }
 
 impl MwpmDecoder {
-    /// The shared decode body: `decode` runs it against a throwaway
-    /// scratch, `decode_into` against the caller's. Both paths execute
-    /// the exact same computation sequence, so their outputs are
-    /// bit-identical.
+    /// The shared decode body of `decode_into` and `decode_with_trace`.
     fn decode_core(
         &self,
         detectors: &BitVec,
@@ -271,10 +260,12 @@ impl MwpmDecoder {
         let pricing = self
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
-        match self.engine.tier(pricing, checks.len()) {
-            Tier::Oracle => self.counters.oracle_hits.inc(),
-            Tier::Sparse => self.counters.sparse_hits.inc(),
-            Tier::SparseGraph => self.counters.sparse_blossom.inc(),
+        if self.engine.prices_on_oracle(pricing) {
+            self.counters.oracle_hits.inc();
+        } else if discovery_is_complete(checks.len()) {
+            self.counters.sparse_hits.inc();
+        } else {
+            self.counters.sparse_blossom.inc();
         }
         let classes = self.hypergraph.classes();
         // A shot without a perfect matching is given up: the correction
@@ -456,22 +447,20 @@ mod tests {
             .solve(checks, pricing, engine, &decoder.counters, |_, _, _| {})
     }
 
-    /// Decodes `shots` down both CSR routes — the oracle disabled and
-    /// every shot forced onto the complete instance or the graph-native
-    /// route — and through the default routed decoder. Corrections must
-    /// be bitwise equal and both routes must reach the same total
-    /// matching weight. Returns the routed decoder's stats.
+    /// Decodes `shots` with the oracle disabled — on the CSR route and
+    /// forced onto the complete instance — and through the default
+    /// routed decoder. Corrections must be bitwise equal and both CSR
+    /// decoders must reach the same total matching weight and count the
+    /// same tiers. Returns the routed decoder's stats.
     fn assert_routes_agree(
         dem: &DetectorErrorModel,
         config: MwpmConfig,
         shots: &[BitVec],
     ) -> DecoderStats {
         let csr = config.with_oracle_node_limit(0);
-        let [complete, graph] = [Tier::Sparse, Tier::SparseGraph].map(|route| {
-            let mut decoder = MwpmDecoder::new(dem, csr);
-            decoder.engine.force_csr_route(route);
-            decoder
-        });
+        let graph = MwpmDecoder::new(dem, csr);
+        let mut complete = MwpmDecoder::new(dem, csr);
+        complete.engine.force_complete_pricing();
         let routed = MwpmDecoder::new(dem, config);
         let mut scratch = DecodeScratch::new();
         let mut sc = MatchingScratch::default();
@@ -489,16 +478,19 @@ mod tests {
             );
             nonempty += u64::from(!sc.checks.is_empty());
         }
-        let (c, g) = (complete.stats(), graph.stats());
-        assert_eq!((c.sparse_hits, c.sparse_blossom), (nonempty, 0));
-        assert_eq!((g.sparse_hits, g.sparse_blossom), (0, nonempty));
+        let g = graph.stats();
+        assert_eq!(complete.stats(), g);
+        assert_eq!(
+            (g.oracle_hits, g.sparse_hits + g.sparse_blossom),
+            (0, nonempty)
+        );
         let r = routed.stats();
         assert_eq!(r.oracle_hits + r.sparse_hits + r.sparse_blossom, nonempty);
         r
     }
 
     /// Every syndrome of the repetition fixture, unflagged and flagged:
-    /// both CSR routes agree.
+    /// the CSR route agrees with the complete instance.
     #[test]
     fn csr_routes_agree_exhaustively() {
         let dem = repetition_dem(0.01);
@@ -513,9 +505,9 @@ mod tests {
 
     /// Realistic multi-error syndromes on the d=3 surface DEM (boundary
     /// matches, oracle present) and the hyperbolic fixture (no
-    /// boundary, above the oracle guard), unflagged and flagged: both
-    /// CSR routes agree, and the routed default decoder sends the
-    /// hyperbolic fixture's many-defect shots graph-native.
+    /// boundary, above the oracle guard), unflagged and flagged: the CSR
+    /// route agrees with the complete instance, and the routed default
+    /// decoder certifies the hyperbolic fixture's many-defect shots.
     #[test]
     fn csr_routes_agree_on_surface_and_hyperbolic_dems() {
         use qec_math::rng::Xoshiro256StarStar;
@@ -538,10 +530,11 @@ mod tests {
     }
 
     /// Two disconnected triangles of checks without a boundary, all
-    /// six checks flipped: more defects than the routing threshold, an
-    /// even total, but three in each component, so no perfect matching
-    /// exists. Both CSR routes and the routed default give up with an
-    /// empty correction, and the give-up is counted.
+    /// six checks flipped: more defects than discovery prices
+    /// completely, an even total, but three in each component, so no
+    /// perfect matching exists. The CSR route, the complete instance and
+    /// the routed default give up with an empty correction, and the
+    /// give-up is counted.
     #[test]
     fn odd_components_give_up_on_both_routes() {
         // Data qubit 3t + k flips checks 3t + k and 3t + (k + 1) % 3.

@@ -1,7 +1,8 @@
 //! Shared shortest-path machinery for the matching decoders' two path
 //! tiers: the all-sources [`PathOracle`] precomputed once per decoding
-//! graph, the lazy [`SparsePathFinder`], and the single-source Dijkstra
-//! the oracle is built from (also the tests' reference search).
+//! graph, the [`SparsePathFinder`]'s CSR index that
+//! [`crate::sparse_graph_match`] searches, and the single-source
+//! Dijkstra the oracle is built from (also the tests' reference search).
 //!
 //! PyMatching-class decoders get their speed by paying the path-search
 //! cost once per matching graph, not once per shot per defect. The
@@ -11,8 +12,8 @@
 //! `dist` matrix plus per-source predecessor trees answer defect-pair
 //! weight queries and unroll correction paths in O(1) per hop at decode
 //! time. Storage is O(V²), so graphs above a configurable node limit —
-//! and shots the flag-free matrix cannot price — are served by the
-//! sparse finder instead.
+//! and shots the flag-free matrix cannot price — are matched on the
+//! sparse finder's CSR graph instead.
 
 use crate::scratch::HeapItem;
 use std::collections::BinaryHeap;
@@ -130,7 +131,8 @@ pub(crate) fn default_build_threads(n: usize) -> usize {
 /// s)`: rows are computed independently (one Dijkstra per source,
 /// parallelized across construction threads), so the result is
 /// **bit-identical regardless of thread count** and bit-identical to
-/// the [`SparsePathFinder`]'s searches under the same class weights.
+/// the searches on the [`SparsePathFinder`]'s CSR graph under the same
+/// class weights.
 #[derive(Debug)]
 pub struct PathOracle {
     n: usize,
@@ -270,31 +272,16 @@ impl PathOracle {
     }
 }
 
-/// Lazy, defect-seeded shortest paths — the path tier that serves
-/// decoding graphs above the [`PathOracle`] node limit and every
-/// flag-reweighted shot.
+/// The CSR decoding graph — the path tier that serves decoding graphs
+/// above the [`PathOracle`] node limit and every flag-reweighted shot.
 ///
-/// Instead of precomputing all V² pairs (dense oracle) or running one
-/// *full-graph* Dijkstra per defect per shot, the finder grows a
-/// Dijkstra region from each defect that actually fired and stops as
-/// soon as every target that defect still needs is settled. Because
-/// Dijkstra settles nodes in nondecreasing distance order, the settled
-/// targets carry their **final** distances and predecessors — the
-/// truncation is exact, and since relaxations price edges through the
-/// same [`relaxed_dist`] tie-break the harvested results are **bitwise**
-/// equal to a full run's.
-///
-/// For matching, source `i` only needs targets `i+1..` (the matcher
-/// consumes each unordered pair once, from the lower-indexed side; the
-/// boundary, when present, is the last target so every source keeps
-/// it), which roughly halves the searched volume on top of the early
-/// exit. Results are memoized per shot in a [`SparsePathScratch`]:
-/// an `s × t` pair-distance table plus unrolled path hops, so the
-/// per-shot path index is O(defects · targets), never O(V²).
-///
-/// The finder itself stores only the CSR graph — O(V + E) — and the
-/// flag-free class weights; searches can be re-priced per shot through
-/// a weight closure, so unlike the dense oracle it also serves
+/// Instead of precomputing all V² pairs, the finder stores only the
+/// graph in CSR form — O(V + E) — and the flag-free class weights.
+/// [`crate::sparse_graph_match`] grows truncated Dijkstra regions from
+/// each shot's defects over it, relaxing edges through the same
+/// [`relaxed_dist`] tie-break, so its distances are **bitwise** equal
+/// to a full run's. Searches are priced per shot through a per-class
+/// weight slice, so unlike the dense oracle the finder also serves
 /// flag-reweighted shots.
 #[derive(Debug)]
 pub struct SparsePathFinder {
@@ -306,7 +293,7 @@ pub struct SparsePathFinder {
     /// bitwise-determinism contract).
     edges: Vec<(u32, u32)>,
     /// Flag-free per-class weights (the decoders' base pricing), kept
-    /// for standalone searches and sweep re-pricing.
+    /// for flag-free shots and sweep re-pricing.
     class_weights: Vec<f64>,
 }
 
@@ -356,7 +343,7 @@ impl SparsePathFinder {
     }
 
     /// The frozen CSR offsets (crate-internal: the sparse-graph blossom
-    /// solver walks the same index the path searches use).
+    /// solver's searches walk this index).
     pub(crate) fn csr_offsets(&self) -> &[u32] {
         &self.offsets
     }
@@ -383,237 +370,13 @@ impl SparsePathFinder {
         );
         self.class_weights.copy_from_slice(class_weights);
     }
-
-    /// Exact distances and unrolled paths from every source to **all**
-    /// `targets`, harvested into `scratch` (query them with
-    /// [`SparsePathScratch::dist`] / [`SparsePathScratch::path`]).
-    /// Edges are priced by `class_weight`; pass
-    /// `|c| finder.class_weights()[c]` for the flag-free base pricing.
-    pub fn all_paths_into(
-        &self,
-        sources: &[usize],
-        targets: &[usize],
-        class_weight: impl Fn(usize) -> f64,
-        scratch: &mut SparsePathScratch,
-    ) {
-        self.search_into(sources, targets, |_| 0, class_weight, scratch);
-    }
-
-    /// The matching-shaped search: source `i` gets exact distances and
-    /// paths to `targets[i + 1..]` only (entries below the diagonal
-    /// stay "unreachable" in the scratch). With `targets` = the defect
-    /// list (plus a trailing boundary node when the graph has one),
-    /// this is every pair the matcher can consume, at roughly half the
-    /// all-pairs search volume.
-    pub fn matching_paths_into(
-        &self,
-        sources: &[usize],
-        targets: &[usize],
-        class_weight: impl Fn(usize) -> f64,
-        scratch: &mut SparsePathScratch,
-    ) {
-        self.search_into(sources, targets, |i| i + 1, class_weight, scratch);
-    }
-
-    /// Shared search body: one truncated Dijkstra per source, needing
-    /// targets `first_needed(i)..`, harvesting distances and dst→src
-    /// path hops as each search finishes.
-    fn search_into(
-        &self,
-        sources: &[usize],
-        targets: &[usize],
-        first_needed: impl Fn(usize) -> usize,
-        class_weight: impl Fn(usize) -> f64,
-        sc: &mut SparsePathScratch,
-    ) {
-        let t = targets.len();
-        sc.ensure(self.num_nodes());
-        sc.num_targets = t;
-        sc.pair_dist.clear();
-        sc.pair_dist.resize(sources.len() * t, f64::INFINITY);
-        sc.path_span.clear();
-        sc.path_span.resize(sources.len() * t, (0, 0));
-        sc.hops.clear();
-        for (i, &src) in sources.iter().enumerate() {
-            let first = first_needed(i).min(t);
-            if first >= t {
-                continue;
-            }
-            let epoch = sc.next_epoch();
-            // Mark this source's needed targets; duplicates collapse.
-            let mut remaining = 0usize;
-            for &tn in &targets[first..] {
-                if sc.target[tn] != epoch {
-                    sc.target[tn] = epoch;
-                    remaining += 1;
-                }
-            }
-            sc.heap.clear();
-            sc.dist[src] = 0.0;
-            sc.pred[src] = (u32::MAX, u32::MAX);
-            sc.seen[src] = epoch;
-            sc.heap.push(HeapItem {
-                dist: 0.0,
-                node: src,
-            });
-            while let Some(HeapItem { dist: d, node: u }) = sc.heap.pop() {
-                if sc.done[u] == epoch {
-                    continue;
-                }
-                sc.done[u] = epoch;
-                if sc.target[u] == epoch {
-                    remaining -= 1;
-                    if remaining == 0 {
-                        // Every needed target settled: its dist/pred
-                        // are final (Dijkstra settles in nondecreasing
-                        // distance order), so stop growing the region.
-                        break;
-                    }
-                }
-                let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-                for &(v, class) in &self.edges[lo..hi] {
-                    let class = class as usize;
-                    let v = v as usize;
-                    let w = class_weight(class);
-                    let nd = relaxed_dist(d, w, class);
-                    let dv = if sc.seen[v] == epoch {
-                        sc.dist[v]
-                    } else {
-                        f64::INFINITY
-                    };
-                    if nd < dv {
-                        sc.dist[v] = nd;
-                        sc.pred[v] = (u as u32, class as u32);
-                        sc.seen[v] = epoch;
-                        sc.heap.push(HeapItem { dist: nd, node: v });
-                    }
-                }
-            }
-            // Harvest: settled targets carry final distances; anything
-            // unsettled was unreachable (the heap drained first) and
-            // keeps the INFINITY / empty-path defaults.
-            for (tj, &node) in targets.iter().enumerate().skip(first) {
-                if sc.done[node] != epoch {
-                    continue;
-                }
-                let idx = i * t + tj;
-                sc.pair_dist[idx] = sc.dist[node];
-                let start = sc.hops.len() as u32;
-                let mut cur = node;
-                while cur != src {
-                    let (prev, class) = sc.pred[cur];
-                    sc.hops.push((prev, cur as u32, class));
-                    cur = prev as usize;
-                }
-                sc.path_span[idx] = (start, sc.hops.len() as u32 - start);
-            }
-        }
-        let bytes = sc.memo_bytes();
-        if bytes > sc.memo_high_water_bytes {
-            sc.memo_high_water_bytes = bytes;
-        }
-    }
-}
-
-/// Per-shot memo of a [`SparsePathFinder`] search: epoch-stamped
-/// Dijkstra arrays (reset in O(touched) between searches) plus the
-/// harvested pair-distance table and unrolled path hops. Lives inside
-/// [`crate::DecodeScratch`], one per worker thread.
-#[derive(Debug, Default)]
-pub struct SparsePathScratch {
-    /// Current search epoch; an array entry is valid iff its stamp
-    /// matches.
-    epoch: u32,
-    /// Stamp: `dist`/`pred` of this node were written this search.
-    seen: Vec<u32>,
-    /// Stamp: this node was settled this search.
-    done: Vec<u32>,
-    /// Stamp: this node is a needed target of this search.
-    target: Vec<u32>,
-    dist: Vec<f64>,
-    pred: Vec<(u32, u32)>,
-    heap: BinaryHeap<HeapItem>,
-    /// Width of the harvested pair tables.
-    num_targets: usize,
-    /// Row-major `sources × targets` distances (`INFINITY` = not
-    /// searched or unreachable).
-    pair_dist: Vec<f64>,
-    /// Row-major `(start, len)` spans into `hops` per pair.
-    path_span: Vec<(u32, u32)>,
-    /// Unrolled `(prev, cur, class)` path hops in dst→src walk order.
-    hops: Vec<(u32, u32, u32)>,
-    /// Largest `memo_bytes()` any single search has reached — the
-    /// steady-state capacity the pool converges to after warmup.
-    memo_high_water_bytes: usize,
-}
-
-impl SparsePathScratch {
-    /// Creates an empty scratch; arrays size themselves on first use.
-    pub fn new() -> Self {
-        SparsePathScratch::default()
-    }
-
-    fn ensure(&mut self, n: usize) {
-        if self.seen.len() < n {
-            self.seen.resize(n, 0);
-            self.done.resize(n, 0);
-            self.target.resize(n, 0);
-            self.dist.resize(n, 0.0);
-            self.pred.resize(n, (u32::MAX, u32::MAX));
-        }
-    }
-
-    /// Advances to a fresh epoch, invalidating every stamped entry in
-    /// O(1); on the (astronomically rare) wrap, clears the stamps.
-    fn next_epoch(&mut self) -> u32 {
-        if self.epoch == u32::MAX {
-            self.seen.fill(0);
-            self.done.fill(0);
-            self.target.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.epoch
-    }
-
-    /// Harvested distance from source index `source` to target index
-    /// `target` of the last search (`INFINITY` = unreachable, or a
-    /// pair the search shape skipped).
-    #[inline]
-    pub fn dist(&self, source: usize, target: usize) -> f64 {
-        self.pair_dist[source * self.num_targets + target]
-    }
-
-    /// Harvested `(prev, cur, class)` hops of the shortest path for
-    /// the pair, in dst→src walk order — exactly the sequence a
-    /// predecessor-chain walk of the full Dijkstra would visit.
-    #[inline]
-    pub fn path(&self, source: usize, target: usize) -> &[(u32, u32, u32)] {
-        let (start, len) = self.path_span[source * self.num_targets + target];
-        &self.hops[start as usize..(start + len) as usize]
-    }
-
-    /// Current footprint of the harvested per-shot path index in bytes
-    /// (pair table + spans + hops) — the O(defects · targets) memo that
-    /// stands in for the dense oracle's O(V²) matrix.
-    pub fn memo_bytes(&self) -> usize {
-        self.pair_dist.len() * std::mem::size_of::<f64>()
-            + self.path_span.len() * std::mem::size_of::<(u32, u32)>()
-            + self.hops.len() * std::mem::size_of::<(u32, u32, u32)>()
-    }
-
-    /// High-water mark of [`Self::memo_bytes`] across every search this
-    /// scratch has served. Flat after warmup: repeated decodes of the
-    /// same workload must not regrow the memo (pinned by a regression
-    /// test), so this is a true steady-state footprint gauge.
-    pub fn memo_high_water_bytes(&self) -> usize {
-        self.memo_high_water_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse_blossom::{complete_graph_match, SparseBlossomScratch};
+    use crate::BlossomScratch;
 
     /// Path graph 0 - 1 - 2 with distinct classes, plus an isolated
     /// node 3.
@@ -688,25 +451,41 @@ mod tests {
         assert!((oracle.dist(0, 2) - expected).abs() < 1e-12);
     }
 
+    /// Every pair of `checks` priced on `finder`'s CSR graph by the
+    /// complete-pricing reference, left in its scratch.
+    fn csr_pairs(finder: &SparsePathFinder, checks: &[usize]) -> SparseBlossomScratch {
+        let weights = finder.class_weights();
+        let mut sc = SparseBlossomScratch::new();
+        let (mut blossom, mut pairs) = (BlossomScratch::new(), Vec::new());
+        complete_graph_match(
+            finder,
+            checks,
+            None,
+            weights,
+            &mut sc,
+            &mut blossom,
+            &mut pairs,
+        );
+        sc
+    }
+
     #[test]
     fn sparse_finder_matches_on_demand_dijkstra_bitwise() {
         let (adjacency, weights) = path_graph();
         let finder = SparsePathFinder::build(&adjacency, weights.clone());
         assert_eq!(finder.num_nodes(), 4);
-        let all: Vec<usize> = (0..4).collect();
-        let mut sc = SparsePathScratch::new();
-        finder.all_paths_into(&all, &all, |c| weights[c], &mut sc);
+        let sc = csr_pairs(&finder, &[0, 1, 2, 3]);
         for src in 0..4 {
             let (dist, pred) = shortest_paths_from(&adjacency, &weights, src);
-            for (dst, &full_dist) in dist.iter().enumerate() {
+            for (dst, &full_dist) in dist.iter().enumerate().skip(src + 1) {
                 assert_eq!(
-                    sc.dist(src, dst).to_bits(),
+                    sc.pair_dist(src, dst).to_bits(),
                     full_dist.to_bits(),
                     "sparse dist[{src}][{dst}]"
                 );
                 // The harvested hops replay the pred-chain walk.
                 let mut cur = dst;
-                for &(prev, hop_cur, class) in sc.path(src, dst) {
+                for &(prev, hop_cur, class) in sc.pair_hops(src, dst) {
                     assert_eq!(hop_cur as usize, cur);
                     assert_eq!(pred[cur], (prev as usize, class as usize));
                     cur = prev as usize;
@@ -714,27 +493,25 @@ mod tests {
                 if full_dist.is_finite() {
                     assert_eq!(cur, src, "path must reach the source");
                 } else {
-                    assert!(sc.path(src, dst).is_empty());
+                    assert!(sc.pair_hops(src, dst).is_empty());
                 }
             }
         }
     }
 
     #[test]
-    fn matching_shape_skips_the_lower_triangle() {
+    fn csr_pricing_skips_the_lower_triangle() {
         let (adjacency, weights) = path_graph();
         let finder = SparsePathFinder::build(&adjacency, weights.clone());
-        let nodes = [0usize, 1, 2];
-        let mut sc = SparsePathScratch::new();
-        finder.matching_paths_into(&nodes, &nodes, |c| weights[c], &mut sc);
+        let sc = csr_pairs(&finder, &[0, 1, 2]);
         // Upper triangle is exact…
         let (dist0, _) = shortest_paths_from(&adjacency, &weights, 0);
-        assert_eq!(sc.dist(0, 1).to_bits(), dist0[1].to_bits());
-        assert_eq!(sc.dist(0, 2).to_bits(), dist0[2].to_bits());
+        assert_eq!(sc.pair_dist(0, 1).to_bits(), dist0[1].to_bits());
+        assert_eq!(sc.pair_dist(0, 2).to_bits(), dist0[2].to_bits());
         // …the diagonal and below were never searched.
-        assert!(sc.dist(1, 0).is_infinite());
-        assert!(sc.dist(2, 2).is_infinite());
-        assert!(sc.path(1, 0).is_empty());
+        assert!(sc.pair_dist(1, 0).is_infinite());
+        assert!(sc.pair_dist(2, 2).is_infinite());
+        assert!(sc.pair_hops(1, 0).is_empty());
     }
 
     #[test]
@@ -743,12 +520,10 @@ mod tests {
         let mut finder = SparsePathFinder::build(&adjacency, weights);
         let new_weights = vec![3.0, 0.5];
         finder.reprice(&new_weights);
-        let all: Vec<usize> = (0..4).collect();
-        let mut sc = SparsePathScratch::new();
-        finder.all_paths_into(&all, &all, |c| finder.class_weights()[c], &mut sc);
+        let sc = csr_pairs(&finder, &[0, 1, 2, 3]);
         let (dist, _) = shortest_paths_from(&adjacency, &new_weights, 0);
-        for (dst, &full_dist) in dist.iter().enumerate() {
-            assert_eq!(sc.dist(0, dst).to_bits(), full_dist.to_bits());
+        for (dst, &full_dist) in dist.iter().enumerate().skip(1) {
+            assert_eq!(sc.pair_dist(0, dst).to_bits(), full_dist.to_bits());
         }
     }
 

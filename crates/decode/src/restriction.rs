@@ -1,10 +1,11 @@
 //! The flagged Restriction decoder for color codes (§VI-D) and its
 //! Chamberland-style baseline.
 
-use crate::engine::{ClassPricing, MatchingEngine, Pricing, Tier};
+use crate::engine::{ClassPricing, MatchingEngine, Pricing};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
+use crate::sparse_blossom::discovery_is_complete;
 use crate::{Decoder, DecoderStats};
 use qec_math::{gf2, BitMatrix, BitVec};
 use qec_obs::Registry;
@@ -40,8 +41,8 @@ pub struct RestrictionConfig {
     /// lattice has at most this many vertices (O(V²) storage); it
     /// serves the shots without flag reweighting. Every other shot, and
     /// every shot on a larger lattice, is priced on that lattice's
-    /// [`SparsePathFinder`] CSR graph, graph-natively when the lattice
-    /// sees many defects. `0` disables the oracles.
+    /// [`SparsePathFinder`] CSR graph, graph-natively. `0` disables the
+    /// oracles.
     pub oracle_node_limit: usize,
 }
 
@@ -67,7 +68,7 @@ impl RestrictionConfig {
     }
 
     /// Overrides the oracle node limit (the memory guard); `0` sends
-    /// every shot to the sparse tier.
+    /// every shot to the CSR graphs.
     pub fn with_oracle_node_limit(mut self, limit: usize) -> Self {
         self.oracle_node_limit = limit;
         self
@@ -309,13 +310,6 @@ impl RestrictionDecoder {
 }
 
 impl Decoder for RestrictionDecoder {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        let mut sc = MatchingScratch::default();
-        let mut correction = BitVec::zeros(0);
-        self.decode_core(detectors, &mut sc, &mut correction, None);
-        correction
-    }
-
     fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec) {
         self.decode_core(detectors, &mut scratch.restriction, out, None);
     }
@@ -338,10 +332,10 @@ impl Decoder for RestrictionDecoder {
 }
 
 impl RestrictionDecoder {
-    /// The shared decode body: `decode` runs it against a throwaway
-    /// scratch, `decode_into` against the caller's. The reconciliation
-    /// and lifting stages keep small bounded per-shot allocations; the
-    /// matching stage (the per-shot cost driver) reuses the scratch.
+    /// The shared decode body of `decode_into` and `decode_with_trace`.
+    /// The reconciliation and lifting stages keep small bounded per-shot
+    /// allocations; the matching stage (the per-shot cost driver) reuses
+    /// the scratch.
     fn decode_core(
         &self,
         detectors: &BitVec,
@@ -373,23 +367,23 @@ impl RestrictionDecoder {
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
         // Matchings on L_RG, L_RB and L_GB. The shot counts once: as a
-        // graph-native solve when any lattice took that route, else as
-        // an oracle hit when every lattice answers from its dense
-        // matrix, else as a sparse hit.
+        // certified CSR solve when any lattice needed one, else as an
+        // oracle hit when every lattice answers from its dense matrix,
+        // else as a complete CSR solve.
         em.clear();
         let (mut graph_native, mut all_oracle, mut gave_up) = (false, true, false);
         for (li, lattice) in self.lattices.iter().enumerate() {
             sources.clear();
             sources.extend(checks.iter().filter_map(|&c| lattice.vertex_of[c]));
-            let tier = lattice.engine.tier(pricing, sources.len());
-            all_oracle &= tier == Tier::Oracle;
+            let on_oracle = lattice.engine.prices_on_oracle(pricing);
+            all_oracle &= on_oracle;
             if sources.len() % 2 == 1 {
                 // Closed codes always flip an even number per lattice;
                 // an odd count means an unusable shot — decode
                 // conservatively.
                 continue;
             }
-            graph_native |= tier == Tier::SparseGraph;
+            graph_native |= !on_oracle && !discovery_is_complete(sources.len());
             let start = em.len();
             // A lattice without a perfect matching contributes no edges.
             gave_up |= lattice
@@ -770,11 +764,10 @@ mod tests {
         out
     }
 
-    /// Both CSR routes on every lattice — the oracles disabled and
-    /// every lattice forced onto the complete instance or the
-    /// graph-native route — decode every syndrome of `shots` to the
-    /// same correction as the default decoder, at the same per-lattice
-    /// matching weight.
+    /// With the oracles disabled, the CSR route and every lattice forced
+    /// onto the complete instance decode every syndrome of `shots` to
+    /// the same correction as the default decoder, at the same
+    /// per-lattice matching weight and with the same tier counts.
     fn assert_routes_agree(
         dem: &DetectorErrorModel,
         ctx: &ColorCodeContext,
@@ -782,13 +775,11 @@ mod tests {
         shots: &[BitVec],
     ) {
         let csr = config.with_oracle_node_limit(0);
-        let [complete, graph] = [Tier::Sparse, Tier::SparseGraph].map(|route| {
-            let mut decoder = RestrictionDecoder::new(dem, ctx.clone(), csr);
-            for lattice in &mut decoder.lattices {
-                lattice.engine.force_csr_route(route);
-            }
-            decoder
-        });
+        let graph = RestrictionDecoder::new(dem, ctx.clone(), csr);
+        let mut complete = RestrictionDecoder::new(dem, ctx.clone(), csr);
+        for lattice in &mut complete.lattices {
+            lattice.engine.force_complete_pricing();
+        }
         let routed = RestrictionDecoder::new(dem, ctx.clone(), config);
         let mut scratch = DecodeScratch::new();
         let mut sc = MatchingScratch::default();
@@ -806,15 +797,18 @@ mod tests {
             );
             nonempty += u64::from(!sc.checks.is_empty());
         }
-        let (c, g, r) = (complete.stats(), graph.stats(), routed.stats());
-        assert_eq!((c.sparse_hits, c.sparse_blossom), (nonempty, 0));
-        assert_eq!((g.sparse_hits, g.sparse_blossom), (0, nonempty));
+        let (g, r) = (graph.stats(), routed.stats());
+        assert_eq!(complete.stats(), g);
+        assert_eq!(
+            (g.oracle_hits, g.sparse_hits + g.sparse_blossom),
+            (0, nonempty)
+        );
         assert_eq!(r.oracle_hits + r.sparse_hits + r.sparse_blossom, nonempty);
     }
 
     /// Every syndrome of the tiny color fixture, and realistic
-    /// multi-error syndromes on the toric color DEM: both CSR routes
-    /// agree on every restricted lattice.
+    /// multi-error syndromes on the toric color DEM: the CSR route
+    /// agrees with the complete instance on every restricted lattice.
     #[test]
     fn csr_routes_agree_on_color_dems() {
         use qec_math::rng::Xoshiro256StarStar;

@@ -43,30 +43,32 @@ pub struct DecoderStats {
     /// shot with a check defect counts in exactly one of
     /// `oracle_hits`, `sparse_hits` and `sparse_blossom`.
     pub oracle_hits: u64,
-    /// Matching-decoder shots matched as complete instances priced by
-    /// the lazy [`crate::SparsePathFinder`] (defect-seeded truncated
-    /// searches): the graph exceeded the dense-oracle node limit, or
-    /// raised flags reweighted it shot-locally, and the shot had too
-    /// few defects for the graph-native route.
+    /// Matching-decoder shots matched on the CSR graph of the
+    /// [`crate::SparsePathFinder`] (the graph exceeded the dense-oracle
+    /// node limit, or raised flags reweighted it shot-locally) whose
+    /// nearest-neighbour discovery priced the complete instance: at
+    /// most four defects.
     pub sparse_hits: u64,
     /// Retired: the per-shot Dijkstra tier no longer exists, so this
-    /// is always 0.
+    /// is always 0. Kept because perfbench reports it
+    /// (`decode.tier.dijkstra_share`).
     pub oracle_misses: u64,
     /// Complete matching instances solved by the pooled blossom solver
-    /// ([`crate::BlossomScratch`]). MWPM runs at most one per shot; the
-    /// restriction decoder one per non-empty restricted lattice. The
-    /// graph-native route's solves are not counted here.
+    /// ([`crate::BlossomScratch`]): every oracle-priced instance and
+    /// every CSR instance counted in `sparse_hits`. MWPM runs at most
+    /// one per shot; the restriction decoder one per non-empty
+    /// restricted lattice. Certified CSR solves are not counted here.
     pub blossom_solves: u64,
     /// Retired: the single-flag secondary oracles no longer exist, so
-    /// this is always 0.
+    /// this is always 0. Kept because perfbench reports it
+    /// (`decode.tier.flag_oracle_share`).
     pub flag_oracle_hits: u64,
-    /// Matching-decoder shots matched graph-natively
-    /// ([`crate::sparse_graph_match`]): candidate pricing on the CSR
-    /// decoding graph plus dual-ball certification, instead of pricing
-    /// the complete defect graph. The engine takes this route for
-    /// CSR-priced shots with more defects than nearest-neighbour
-    /// discovery prices completely; a restriction-decoder shot counts
-    /// here when any of its lattices took it.
+    /// Every other shot matched on the CSR graph: more defects than
+    /// nearest-neighbour discovery prices completely, so
+    /// [`crate::sparse_graph_match`] solves a candidate instance and
+    /// certifies it against every omitted pair with dual-ball searches.
+    /// A restriction-decoder shot counts here when any of its lattices
+    /// did.
     pub sparse_blossom: u64,
     /// BP+OSD shots whose belief-propagation stage converged (the hard
     /// decision reproduced the syndrome), skipping OSD unless the
@@ -130,7 +132,7 @@ pub(crate) struct MatchingCounters {
     pub(crate) oracle_hits: Counter,
     pub(crate) sparse_hits: Counter,
     pub(crate) blossom_solves: Counter,
-    /// Instances solved by the graph-native sparse blossom tier.
+    /// Shots solved by certified CSR matching.
     pub(crate) sparse_blossom: Counter,
     /// Shots given up because a decoding graph had no perfect matching.
     pub(crate) giveups_unmatched: Counter,
@@ -138,17 +140,11 @@ pub(crate) struct MatchingCounters {
     /// density; size companion to the harness's per-batch latency
     /// histogram).
     pub(crate) defects: Histogram,
-    /// Log₂ histogram of certify/repair rounds per sparse-blossom solve.
+    /// Log₂ histogram of certify/repair rounds per certified solve.
     pub(crate) sparse_blossom_rounds: Histogram,
-    /// Log₂ histogram of priced candidate pairs per sparse-blossom
-    /// solve (what the dense tier would have priced as defects²/2).
+    /// Log₂ histogram of priced candidate pairs per certified solve
+    /// (what complete pricing would have priced as defects²/2).
     pub(crate) sparse_blossom_edges: Histogram,
-    /// Steady-state sparse-tier memo footprint of the *most recent*
-    /// worker scratch to finish a shot (bytes).
-    pub(crate) sparse_memo_bytes: qec_obs::Gauge,
-    /// High-water sparse-tier memo footprint of that scratch (bytes);
-    /// flat after warmup — repeated decodes must not regrow it.
-    pub(crate) sparse_memo_high_water: qec_obs::Gauge,
 }
 
 impl MatchingCounters {
@@ -167,8 +163,6 @@ impl MatchingCounters {
             defects: metrics.histogram("decode.defects"),
             sparse_blossom_rounds: metrics.histogram("decode.sparse_blossom.rounds"),
             sparse_blossom_edges: metrics.histogram("decode.sparse_blossom.edges"),
-            sparse_memo_bytes: metrics.gauge("build.sparse.memo_bytes"),
-            sparse_memo_high_water: metrics.gauge("build.sparse.memo_high_water_bytes"),
         }
     }
 
@@ -273,7 +267,7 @@ pub(crate) struct BpOsdScratch {
 /// Reusable scratch for [`crate::Decoder::decode_into`].
 ///
 /// Holds the work arrays of every decoder kind (Union-Find cluster
-/// state, path-memo/matching buffers) so one scratch can serve whatever
+/// state, pair-memo/matching buffers) so one scratch can serve whatever
 /// decoder a pipeline selects. Allocate once per worker thread; buffers
 /// size themselves on first use and are reset in *O(touched)* between
 /// shots.
@@ -291,14 +285,6 @@ impl DecodeScratch {
         DecodeScratch::default()
     }
 
-    /// Current footprint in bytes of the sparse-tier per-shot path
-    /// memos (both matching decoders' scratches) — the
-    /// O(defects · targets) structure that stands in for the dense
-    /// oracle's O(V²) matrix.
-    pub fn sparse_memo_bytes(&self) -> usize {
-        self.mwpm.engine.sparse.memo_bytes() + self.restriction.engine.sparse.memo_bytes()
-    }
-
     /// The MWPM decoder's pooled blossom solver state (read-only; pool
     /// growth and dual-certificate inspection for tests and benches).
     pub fn mwpm_blossom(&self) -> &crate::BlossomScratch {
@@ -310,24 +296,15 @@ impl DecodeScratch {
         &self.restriction.engine.blossom
     }
 
-    /// The MWPM decoder's graph-native sparse blossom tier state
-    /// (read-only; pool growth and solve statistics for tests and
-    /// benches).
+    /// The MWPM decoder's CSR matching state (read-only; pool growth
+    /// and solve statistics for tests and benches).
     pub fn mwpm_sparse_blossom(&self) -> &crate::SparseBlossomScratch {
         &self.mwpm.engine.sparse_blossom
     }
 
-    /// The restriction decoder's graph-native sparse blossom tier state.
+    /// The restriction decoder's CSR matching state.
     pub fn restriction_sparse_blossom(&self) -> &crate::SparseBlossomScratch {
         &self.restriction.engine.sparse_blossom
-    }
-
-    /// High-water mark in bytes of the sparse-tier per-shot path memos
-    /// across both matching scratches (see
-    /// [`crate::SparsePathScratch::memo_high_water_bytes`]).
-    pub fn sparse_memo_high_water_bytes(&self) -> usize {
-        self.mwpm.engine.sparse.memo_high_water_bytes()
-            + self.restriction.engine.sparse.memo_high_water_bytes()
     }
 
     /// Current footprint in bytes of the BP+OSD pooled elimination and
@@ -399,7 +376,7 @@ pub(crate) struct MatchingScratch {
     pub(crate) overrides: HashMap<usize, (usize, f64)>,
     /// Per-shot effective class weights of a flag-reweighted shot.
     pub(crate) weights: Vec<f64>,
-    /// Path memo, matching instance and blossom pools of the shot's
+    /// Pair memo, matching instance and blossom pools of the shot's
     /// [`crate::engine::MatchingEngine`] solves.
     pub(crate) engine: crate::engine::EngineScratch,
     /// Restriction only: sources of the current restricted lattice.

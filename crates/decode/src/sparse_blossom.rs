@@ -1,25 +1,24 @@
 //! Graph-native sparse blossom matching: exact MWPM priced lazily on
 //! the CSR decoding graph.
 //!
-//! The dense matching stage prices **every** defect pair — O(defects²)
-//! truncated-Dijkstra distance queries whose search regions grow until
-//! the *farthest* needed defect settles — before handing a complete
-//! graph to the blossom solver. This module keeps the same solver but
-//! inverts the pricing: it grows the instance outward from each defect
-//! on the CSR adjacency already frozen for
-//! [`SparsePathFinder`], so per-shot cost scales with the
-//! *touched graph region* instead of defects².
+//! Pricing **every** defect pair costs O(defects²) truncated-Dijkstra
+//! distance queries whose search regions grow until the *farthest*
+//! needed defect settles. This module prices lazily instead: it grows
+//! the instance outward from each defect on the CSR adjacency frozen in
+//! [`SparsePathFinder`], so per-shot cost scales with the *touched
+//! graph region* instead of defects², and hands the candidate instance
+//! to the pooled blossom solver.
 //!
 //! The algorithm is exact, not heuristic:
 //!
 //! 1. **Discovery.** One truncated Dijkstra per defect (ascending, so
-//!    every pair is priced from its lower index exactly like the dense
-//!    tier's triangular `matching_paths_into`) that stops once the
+//!    every pair is priced from its lower index, as the dense oracle's
+//!    complete instance reads it) that stops once the
 //!    [`DISCOVERY_NEIGHBORS`] nearest *later* defects and the boundary
 //!    vertex (when present) have settled. Settled distances are bitwise
 //!    identical to a full Dijkstra — truncation never changes values
 //!    settled before the stop — so every candidate edge carries the
-//!    exact dense-tier weight.
+//!    exact dense-oracle weight.
 //! 2. **Solve.** The candidate subgraph (plus all boundary edges and
 //!    the zero-weight boundary clique, which are always included) goes
 //!    through the pooled [`BlossomScratch`] solver.
@@ -47,12 +46,14 @@
 //! The chosen *mates* may differ on genuinely tie-degenerate instances
 //! (two equal-weight perfect matchings).
 //!
-//! The matching engine routes a CSR-priced shot here only when it has
-//! more than `DISCOVERY_NEIGHBORS + 1` defects: at or below that count
-//! discovery already prices every pair, so the instance *is* the
-//! complete one and this route could only add overhead.
+//! With at most `DISCOVERY_NEIGHBORS + 1` defects discovery already
+//! prices every pair, so the instance *is* the complete one and
+//! certification is skipped. Every instance lists its edges in the
+//! dense oracle's `(i, j)` order, so a complete one — priced that way,
+//! by escalation, or by [`complete_graph_match`] — reaches the oracle's
+//! decisions and not only its weight.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use qec_math::graph::matching::F64_WEIGHT_SCALE;
 
@@ -68,6 +69,15 @@ pub(crate) const UNREACHABLE: f64 = 1.0e8;
 /// before stopping. Small on purpose: low-weight shots match locally,
 /// and the certification pass repairs any under-connection exactly.
 pub(crate) const DISCOVERY_NEIGHBORS: usize = 3;
+
+/// Whether discovery prices every pair of a `defects`-defect shot, so
+/// that [`sparse_graph_match`] solves the complete instance and skips
+/// certification. The decoders count such a shot as a
+/// complete-instance solve (`sparse_hits`, `blossom_solves`), any other
+/// CSR shot as a graph-native one (`sparse_blossom`).
+pub(crate) fn discovery_is_complete(defects: usize) -> bool {
+    defects <= DISCOVERY_NEIGHBORS + 1
+}
 
 /// Certify/repair rounds before escalating to complete pricing.
 const MAX_REPAIR_ROUNDS: u32 = 8;
@@ -86,6 +96,14 @@ struct PairEntry {
     start: u32,
     len: u32,
 }
+
+/// A pair not (yet) priced. A priced pair always has a finite distance:
+/// only settled targets are harvested.
+const UNPRICED: PairEntry = PairEntry {
+    dist: f64::INFINITY,
+    start: 0,
+    len: 0,
+};
 
 /// What one [`sparse_graph_match`] solve did, for observability.
 #[derive(Debug, Clone, Copy)]
@@ -125,14 +143,16 @@ pub struct SparseBlossomScratch {
     pred: Vec<(u32, u32)>,
     heap: BinaryHeap<HeapItem>,
     /// Target staging buffer `(node, pair-key column)` for the next
-    /// search; taken and restored around each search.
+    /// search.
     tbuf: Vec<(u32, u32)>,
-    /// Priced pairs, keyed `(i, j)` with `i < j` over defect indices
-    /// (`j == s` is the boundary column). Cleared per shot.
-    pair: HashMap<(u32, u32), PairEntry>,
-    /// Keys of `pair` in insertion order — the deterministic emission
-    /// order of the instance edge list.
-    cand: Vec<(u32, u32)>,
+    /// Row-major `s × (s + 1)` pair memo: entry `(i, j)` with `i < j`
+    /// over defect indices (`j == s` is the boundary column). Reset per
+    /// shot.
+    pair: Vec<PairEntry>,
+    /// Row width of `pair` (`s + 1`).
+    width: usize,
+    /// Pairs priced this shot.
+    priced: usize,
     /// Pooled `(prev, cur, class)` path hops in dst→src walk order.
     hops: Vec<(u32, u32, u32)>,
     /// Per-defect dual ball radii of the current certification pass.
@@ -196,7 +216,7 @@ impl SparseBlossomScratch {
             + self.dist.len() * 8
             + self.pred.len() * 8
             + self.tbuf.capacity() * 8
-            + self.cand.capacity() * 8
+            + self.pair.capacity() * 16
             + self.hops.capacity() * 12
             + self.radius.capacity() * 8
             + self.ledger.capacity() * 16
@@ -204,19 +224,30 @@ impl SparseBlossomScratch {
             + self.edges.capacity() * 24
     }
 
-    /// Harvested `(prev, cur, class)` hops of the shortest path for a
-    /// matched pair of the last solve, in dst→src walk order (the same
-    /// sequence a predecessor-chain walk of the full Dijkstra visits).
-    /// `j == s` addresses the pair's boundary leg.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair was never priced — impossible for a pair
-    /// returned in the matching, because matched edges are a subset of
-    /// the priced candidates.
+    /// Harvested `(prev, cur, class)` hops of the shortest path from
+    /// defect `i` to defect `j > i` of the last solve, in dst→src walk
+    /// order (the same sequence a predecessor-chain walk of the full
+    /// Dijkstra visits). `j == s` addresses the boundary leg. Empty for
+    /// a pair that was never priced; every matched pair was.
     pub fn pair_hops(&self, i: usize, j: usize) -> &[(u32, u32, u32)] {
-        let e = &self.pair[&(i as u32, j as u32)];
+        let e = self.entry(i as u32, j as u32);
         &self.hops[e.start as usize..(e.start + e.len) as usize]
+    }
+
+    /// Exact distance from defect `i` to defect `j > i` (`j == s`: the
+    /// boundary) priced by the last solve, bitwise equal to a full
+    /// Dijkstra's; `INFINITY` for a pair that was never priced or is
+    /// unreachable.
+    pub fn pair_dist(&self, i: usize, j: usize) -> f64 {
+        self.entry(i as u32, j as u32).dist
+    }
+
+    fn entry(&self, i: u32, j: u32) -> &PairEntry {
+        &self.pair[i as usize * self.width + j as usize]
+    }
+
+    fn priced(&self, i: u32, j: u32) -> bool {
+        self.entry(i, j).dist < f64::INFINITY
     }
 
     fn ensure(&mut self, n: usize) {
@@ -246,8 +277,10 @@ impl SparseBlossomScratch {
 
     fn begin_shot(&mut self, num_nodes: usize, num_defects: usize) {
         self.ensure(num_nodes);
+        self.width = num_defects + 1;
         self.pair.clear();
-        self.cand.clear();
+        self.pair.resize(num_defects * self.width, UNPRICED);
+        self.priced = 0;
         self.hops.clear();
         self.radius.clear();
         self.ledger.clear();
@@ -265,12 +298,12 @@ impl SparseBlossomScratch {
 /// `(src_idx, column)` keys. Stops once `defect_quota` non-boundary
 /// targets *and* the boundary target (the one whose column equals
 /// `boundary_idx`, when given) have settled; every target that happens
-/// to settle before the stop is harvested. The relaxation body is the
-/// same as [`SparsePathFinder`]'s search, so settled distances are
-/// bitwise identical to the dense tier's.
-fn price_from<F: Fn(usize) -> f64>(
+/// to settle before the stop is harvested. Edges relax through
+/// [`relaxed_dist`] in CSR order, as the dense oracle's rows were
+/// built, so settled distances are bitwise identical to the oracle's.
+fn price_from(
     finder: &SparsePathFinder,
-    class_weight: &F,
+    class_weights: &[f64],
     sc: &mut SparseBlossomScratch,
     src: usize,
     src_idx: u32,
@@ -279,12 +312,11 @@ fn price_from<F: Fn(usize) -> f64>(
 ) {
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
-    let targets = std::mem::take(&mut sc.tbuf);
     let epoch = sc.next_epoch();
     sc.searches += 1;
     let mut defect_targets = 0usize;
     let mut boundary_left = 0usize;
-    for &(node, idx) in &targets {
+    for &(node, idx) in &sc.tbuf {
         let node = node as usize;
         sc.target[node] = epoch;
         sc.target_idx[node] = idx;
@@ -320,15 +352,12 @@ fn price_from<F: Fn(usize) -> f64>(
                 cur = prev as usize;
             }
             let len = sc.hops.len() as u32 - start;
-            sc.pair.insert(
-                (src_idx, idx),
-                PairEntry {
-                    dist: sc.dist[u],
-                    start,
-                    len,
-                },
-            );
-            sc.cand.push((src_idx, idx));
+            sc.pair[src_idx as usize * sc.width + idx as usize] = PairEntry {
+                dist: sc.dist[u],
+                start,
+                len,
+            };
+            sc.priced += 1;
             if boundary_idx == Some(idx) {
                 boundary_left -= 1;
             } else {
@@ -342,7 +371,7 @@ fn price_from<F: Fn(usize) -> f64>(
         for &(v, class) in &csr[lo..hi] {
             let class = class as usize;
             let v = v as usize;
-            let w = class_weight(class);
+            let w = class_weights[class];
             let nd = relaxed_dist(d, w, class);
             let dv = if sc.seen[v] == epoch {
                 sc.dist[v]
@@ -357,7 +386,6 @@ fn price_from<F: Fn(usize) -> f64>(
             }
         }
     }
-    sc.tbuf = targets;
     if sc.hops.len() > sc.high_water_hops {
         sc.high_water_hops = sc.hops.len();
     }
@@ -367,9 +395,9 @@ fn price_from<F: Fn(usize) -> f64>(
 /// certification ledger as `(node, src_idx, dist)`. A non-positive
 /// radius still seeds the defect's own vertex at distance 0 — required
 /// by the overlap lemma when the partner's ball reaches this defect.
-fn ball_search<F: Fn(usize) -> f64>(
+fn ball_search(
     finder: &SparsePathFinder,
-    class_weight: &F,
+    class_weights: &[f64],
     sc: &mut SparseBlossomScratch,
     src: usize,
     src_idx: u32,
@@ -406,7 +434,7 @@ fn ball_search<F: Fn(usize) -> f64>(
         for &(v, class) in &csr[lo..hi] {
             let class = class as usize;
             let v = v as usize;
-            let w = class_weight(class);
+            let w = class_weights[class];
             let nd = relaxed_dist(d, w, class);
             let dv = if sc.seen[v] == epoch {
                 sc.dist[v]
@@ -429,11 +457,7 @@ fn ball_search<F: Fn(usize) -> f64>(
 /// `sc.flagged`. Every omitted pair that could violate dual feasibility
 /// is flagged (the combined-radius threshold over-approximates the
 /// exact `4·s_uv < r_u + r_v` bound).
-fn flag_overlaps<F: Fn(usize) -> f64>(
-    finder: &SparsePathFinder,
-    class_weight: &F,
-    sc: &mut SparseBlossomScratch,
-) {
+fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut SparseBlossomScratch) {
     sc.ledger.sort_unstable_by_key(|e| (e.0, e.1));
     sc.flagged.clear();
     let offsets = finder.csr_offsets();
@@ -464,7 +488,7 @@ fn flag_overlaps<F: Fn(usize) -> f64>(
         let x = x as usize;
         let (lo, hi) = (offsets[x] as usize, offsets[x + 1] as usize);
         for &(y, class) in &csr[lo..hi] {
-            let w = class_weight(class as usize);
+            let w = class_weights[class as usize];
             let mut k = ledger.partition_point(|e| e.0 < y);
             while k < ledger.len() && ledger[k].0 == y {
                 let (_, b, db) = ledger[k];
@@ -477,24 +501,23 @@ fn flag_overlaps<F: Fn(usize) -> f64>(
     }
     sc.flagged.sort_unstable();
     sc.flagged.dedup();
-    let pair = &sc.pair;
-    sc.flagged.retain(|&(a, b)| !pair.contains_key(&(a, b)));
+    let (pair, width) = (&sc.pair, sc.width);
+    sc.flagged
+        .retain(|&(a, b)| pair[a as usize * width + b as usize].dist == f64::INFINITY);
 }
 
-/// Rebuilds the instance edge list from the priced candidates: finite
-/// defect/boundary edges under the dense tier's `UNREACHABLE` filter,
-/// plus the complete zero-weight clique over boundary copies.
+/// Rebuilds the instance edge list from the priced pairs: finite
+/// defect/boundary edges under the dense oracle's `UNREACHABLE` filter,
+/// in the oracle's `(i, j)` order with the boundary leg last in each
+/// row, plus the complete zero-weight clique over boundary copies.
 fn build_edges(sc: &mut SparseBlossomScratch, s: usize, has_boundary: bool) {
     sc.edges.clear();
-    for &(a, b) in &sc.cand {
-        let d = sc.pair[&(a, b)].dist;
-        if d < UNREACHABLE {
-            let (u, v) = if b as usize == s {
-                (a as usize, s + a as usize)
-            } else {
-                (a as usize, b as usize)
-            };
-            sc.edges.push((u, v, d));
+    for (i, row) in sc.pair.chunks_exact(sc.width).enumerate() {
+        for (j, e) in row.iter().enumerate() {
+            if e.dist < UNREACHABLE {
+                let v = if j == s { s + i } else { j };
+                sc.edges.push((i, v, e.dist));
+            }
         }
     }
     if has_boundary {
@@ -509,9 +532,9 @@ fn build_edges(sc: &mut SparseBlossomScratch, s: usize, has_boundary: bool) {
 /// Prices every not-yet-priced pair (all later defects plus the
 /// boundary, per source) — afterwards the instance is exactly the
 /// dense one.
-fn escalate<F: Fn(usize) -> f64>(
+fn escalate(
     finder: &SparsePathFinder,
-    class_weight: &F,
+    class_weights: &[f64],
     sc: &mut SparseBlossomScratch,
     checks: &[usize],
     boundary: Option<usize>,
@@ -521,12 +544,12 @@ fn escalate<F: Fn(usize) -> f64>(
     for i in 0..s {
         sc.tbuf.clear();
         for (j, &check) in checks.iter().enumerate().skip(i + 1) {
-            if !sc.pair.contains_key(&(i as u32, j as u32)) {
+            if !sc.priced(i as u32, j as u32) {
                 sc.tbuf.push((check as u32, j as u32));
             }
         }
         if let Some(b) = boundary {
-            if !sc.pair.contains_key(&(i as u32, bidx)) {
+            if !sc.priced(i as u32, bidx) {
                 sc.tbuf.push((b as u32, bidx));
             }
         }
@@ -535,7 +558,7 @@ fn escalate<F: Fn(usize) -> f64>(
         }
         price_from(
             finder,
-            class_weight,
+            class_weights,
             sc,
             checks[i],
             i as u32,
@@ -551,17 +574,19 @@ fn escalate<F: Fn(usize) -> f64>(
 /// are defects, `s..2s` their boundary copies, and the returned `pairs`
 /// use that numbering (so callers apply corrections the same way as
 /// for the dense tier, reading path hops from
-/// [`SparseBlossomScratch::pair_hops`]).
+/// [`SparseBlossomScratch::pair_hops`]). An edge of class `c` costs
+/// `class_weights[c]`: the finder's flag-free weights or a shot's
+/// flag-reweighted ones.
 ///
 /// Returns `None` exactly when the dense baseline would give up (odd
 /// instance, or no perfect matching exists); otherwise the outcome's
 /// `weight` — and the weight implied by the matched pairs — equals the
 /// dense baseline's under the shared fixed-point quantization.
-pub fn sparse_graph_match<F: Fn(usize) -> f64>(
+pub fn sparse_graph_match(
     finder: &SparsePathFinder,
     checks: &[usize],
     boundary: Option<usize>,
-    class_weight: &F,
+    class_weights: &[f64],
     sc: &mut SparseBlossomScratch,
     blossom: &mut BlossomScratch,
     pairs: &mut Vec<(usize, usize)>,
@@ -598,7 +623,7 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
         }
         price_from(
             finder,
-            class_weight,
+            class_weights,
             sc,
             checks[i],
             i as u32,
@@ -608,7 +633,7 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
     }
     // When the neighbor quota already covers every later defect the
     // instance *is* the dense one and certification is unnecessary.
-    let mut complete = s.saturating_sub(1) <= DISCOVERY_NEIGHBORS;
+    let mut complete = discovery_is_complete(s);
     let mut escalated = false;
     let mut rounds = 0u32;
     loop {
@@ -619,7 +644,7 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
             }
             // The candidate subgraph is infeasible but the complete
             // instance may not be: price everything and retry once.
-            escalate(finder, class_weight, sc, checks, boundary);
+            escalate(finder, class_weights, sc, checks, boundary);
             complete = true;
             escalated = true;
             continue;
@@ -630,7 +655,7 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
         if complete {
             return Some(SparseSolveOutcome {
                 rounds,
-                candidate_edges: sc.cand.len(),
+                candidate_edges: sc.priced,
                 escalated,
                 weight,
             });
@@ -647,7 +672,7 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
         if sc.radius.iter().all(|&b| b <= 0.0) {
             return Some(SparseSolveOutcome {
                 rounds,
-                candidate_edges: sc.cand.len(),
+                candidate_edges: sc.priced,
                 escalated,
                 weight,
             });
@@ -655,20 +680,20 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
         sc.ledger.clear();
         for (i, &src) in checks.iter().enumerate() {
             let r = sc.radius[i];
-            ball_search(finder, class_weight, sc, src, i as u32, r);
+            ball_search(finder, class_weights, sc, src, i as u32, r);
         }
-        flag_overlaps(finder, class_weight, sc);
+        flag_overlaps(finder, class_weights, sc);
         if sc.flagged.is_empty() {
             return Some(SparseSolveOutcome {
                 rounds,
-                candidate_edges: sc.cand.len(),
+                candidate_edges: sc.priced,
                 escalated,
                 weight,
             });
         }
         rounds += 1;
         if rounds > MAX_REPAIR_ROUNDS {
-            escalate(finder, class_weight, sc, checks, boundary);
+            escalate(finder, class_weights, sc, checks, boundary);
             complete = true;
             escalated = true;
             continue;
@@ -686,7 +711,7 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
             }
             price_from(
                 finder,
-                class_weight,
+                class_weights,
                 sc,
                 checks[a as usize],
                 a,
@@ -695,6 +720,38 @@ pub fn sparse_graph_match<F: Fn(usize) -> f64>(
             );
         }
     }
+}
+
+/// Solves the shot's complete instance on the CSR decoding graph:
+/// every defect pair and boundary leg priced exactly, with no discovery
+/// quota and no certification. This is the reference
+/// [`sparse_graph_match`] is measured and tested against; it takes the
+/// same arguments, numbers `pairs` the same way, leaves the same hops in
+/// [`SparseBlossomScratch::pair_hops`], and returns `None` exactly when
+/// the complete instance has no perfect matching.
+pub fn complete_graph_match(
+    finder: &SparsePathFinder,
+    checks: &[usize],
+    boundary: Option<usize>,
+    class_weights: &[f64],
+    sc: &mut SparseBlossomScratch,
+    blossom: &mut BlossomScratch,
+    pairs: &mut Vec<(usize, usize)>,
+) -> Option<SparseSolveOutcome> {
+    let s = checks.len();
+    pairs.clear();
+    sc.begin_shot(finder.num_nodes(), s);
+    escalate(finder, class_weights, sc, checks, boundary);
+    build_edges(sc, s, boundary.is_some());
+    let nodes = if boundary.is_some() { 2 * s } else { s };
+    let m = pooled_min_weight_perfect_matching_f64(nodes, &sc.edges, blossom)?;
+    pairs.extend(m.pairs());
+    Some(SparseSolveOutcome {
+        rounds: 0,
+        candidate_edges: sc.priced,
+        escalated: false,
+        weight: m.weight(),
+    })
 }
 
 #[cfg(test)]
@@ -766,13 +823,11 @@ mod tests {
         let mut sc = SparseBlossomScratch::new();
         let mut blossom = BlossomScratch::new();
         let mut pairs = Vec::new();
-        let weights = weights.to_vec();
-        let cw = move |c: usize| weights[c];
         let out = sparse_graph_match(
             &finder,
             checks,
             boundary,
-            &cw,
+            weights,
             &mut sc,
             &mut blossom,
             &mut pairs,

@@ -219,7 +219,7 @@ mod tests {
     fn golden_exposition_for_a_fixed_registry() {
         let reg = Registry::new();
         reg.counter("serve.requests").add(7);
-        reg.gauge("build.sparse.memo_bytes").set(4096);
+        reg.gauge("build.sparse.bytes").set(4096);
         // Escaping-hostile name: dots, a dash and a quote all sanitise.
         let h = reg.histogram("weird-name.\"q\".ns");
         for v in [0u64, 1, 1, 100, 5000] {
@@ -227,8 +227,8 @@ mod tests {
         }
         let text = render_registry(&reg.snapshot());
         let expected = "\
-# TYPE build_sparse_memo_bytes gauge
-build_sparse_memo_bytes 4096
+# TYPE build_sparse_bytes gauge
+build_sparse_bytes 4096
 # TYPE serve_requests counter
 serve_requests 7
 # TYPE weird_name__q__ns histogram

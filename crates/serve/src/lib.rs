@@ -49,7 +49,7 @@ mod telemetry;
 
 use qec_decode::{DecodeScratch, Decoder};
 use qec_math::BitVec;
-use qec_obs::window::Clock;
+use qec_obs::window::MonotonicClock;
 use qec_obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -78,22 +78,10 @@ pub struct ServeConfig {
     /// [`DecodeService::telemetry_addr`]). `None` (the default) starts
     /// no listener.
     pub telemetry_addr: Option<String>,
-    /// Whether the serve hot path feeds the rolling 1 s/10 s/60 s
-    /// window aggregates (`serve.e2e_ns`, `serve.queue_ns`,
-    /// `serve.queue_depth_window`, miss/reject rates). Defaults to
-    /// `true`; forced on whenever `telemetry_addr` is set (the
-    /// endpoints would otherwise serve empty windows). The
-    /// `telemetry_overhead` bench gate pins the recording cost at
-    /// ≤ 1.10× of a windowless hot path.
-    pub windowed_metrics: bool,
     /// How long one request may occupy a shard before the shard counts
     /// as stalled in the `/healthz` verdict. Defaults to
     /// [`DEFAULT_STALL_THRESHOLD`].
     pub stall_threshold: Duration,
-    /// Clock behind heartbeats and window aggregates. `None` (the
-    /// default) uses the monotonic wall clock; tests inject a
-    /// [`qec_obs::ManualClock`] for deterministic window arithmetic.
-    pub clock: Option<Arc<dyn Clock>>,
 }
 
 impl Default for ServeConfig {
@@ -103,9 +91,7 @@ impl Default for ServeConfig {
             queue_capacity: 0,
             metrics: None,
             telemetry_addr: None,
-            windowed_metrics: true,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
-            clock: None,
         }
     }
 }
@@ -119,8 +105,7 @@ pub const DEFAULT_STALL_THRESHOLD: Duration = Duration::from_secs(1);
 
 impl ServeConfig {
     /// Default configuration: one shard per core, default capacity,
-    /// metrics shared with the decoder, windowed metrics on, no
-    /// telemetry listener.
+    /// metrics shared with the decoder, no telemetry listener.
     pub fn new() -> Self {
         Self::default()
     }
@@ -149,21 +134,9 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables the rolling window aggregates.
-    pub fn with_windowed_metrics(mut self, enabled: bool) -> Self {
-        self.windowed_metrics = enabled;
-        self
-    }
-
     /// Sets the per-shard stall threshold for the health verdict.
     pub fn with_stall_threshold(mut self, threshold: Duration) -> Self {
         self.stall_threshold = threshold;
-        self
-    }
-
-    /// Injects the clock behind heartbeats and window aggregates.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
         self
     }
 }
@@ -395,15 +368,10 @@ impl DecodeService {
             .or_else(|| decoder.metrics().cloned())
             .unwrap_or_default();
         let counters = ServeCounters::register(&metrics);
-        let clock = config.clock.unwrap_or_else(telemetry::default_clock);
-        // A telemetry endpoint with empty windows would be useless, so
-        // the listener forces the aggregates on.
-        let windowed = config.windowed_metrics || config.telemetry_addr.is_some();
         let telemetry = Arc::new(Telemetry::new(
-            clock,
+            Arc::new(MonotonicClock::new()),
             shards,
             config.stall_threshold,
-            windowed,
             metrics.clone(),
         ));
         let shared = Arc::new(Shared {
@@ -675,11 +643,11 @@ mod tests {
     }
 
     impl Decoder for Parrot {
-        fn decode(&self, detectors: &BitVec) -> BitVec {
+        fn decode_into(&self, detectors: &BitVec, _: &mut DecodeScratch, out: &mut BitVec) {
             if !self.delay.is_zero() {
                 std::thread::sleep(self.delay);
             }
-            detectors.clone()
+            out.copy_from(detectors);
         }
 
         fn num_observables(&self) -> usize {

@@ -28,7 +28,7 @@
 //! deadline-miss / rejection rates, so an operator sees *why* a verdict
 //! changed, not just that it did.
 
-use qec_obs::window::{Clock, MonotonicClock, RateCounter, WindowedHistogram};
+use qec_obs::window::{Clock, RateCounter, WindowedHistogram};
 use qec_obs::{Record, Registry, WINDOW_10S, WINDOW_1S, WINDOW_60S};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,7 +70,7 @@ pub(crate) struct Telemetry {
     stall_ns: u64,
     start_ns: u64,
     shards: Vec<ShardHealth>,
-    windows: Option<TelemetryWindows>,
+    windows: TelemetryWindows,
     metrics: Registry,
 }
 
@@ -79,16 +79,15 @@ impl Telemetry {
         clock: Arc<dyn Clock>,
         shards: usize,
         stall_threshold: Duration,
-        windowed: bool,
         metrics: Registry,
     ) -> Self {
-        let windows = windowed.then(|| TelemetryWindows {
+        let windows = TelemetryWindows {
             e2e_ns: WindowedHistogram::new(Arc::clone(&clock)),
             queue_ns: WindowedHistogram::new(Arc::clone(&clock)),
             queue_depth: WindowedHistogram::new(Arc::clone(&clock)),
             deadline_misses: RateCounter::new(Arc::clone(&clock)),
             rejected: RateCounter::new(Arc::clone(&clock)),
-        });
+        };
         Telemetry {
             start_ns: clock.now_ns(),
             stall_ns: u64::try_from(stall_threshold.as_nanos()).unwrap_or(u64::MAX),
@@ -108,25 +107,19 @@ impl Telemetry {
     /// is the post-push length).
     #[inline]
     pub(crate) fn on_submit(&self, depth: u64) {
-        if let Some(w) = &self.windows {
-            w.queue_depth.record(depth);
-        }
+        self.windows.queue_depth.record(depth);
     }
 
     /// A submission bounced off the full queue.
     #[inline]
     pub(crate) fn on_reject(&self) {
-        if let Some(w) = &self.windows {
-            w.rejected.inc();
-        }
+        self.windows.rejected.inc();
     }
 
     /// A deadline miss (either refused at submit or expired at pickup).
     #[inline]
     pub(crate) fn on_deadline_miss(&self) {
-        if let Some(w) = &self.windows {
-            w.deadline_misses.inc();
-        }
+        self.windows.deadline_misses.inc();
     }
 
     /// Shard `shard` pulled a job off the queue: heartbeat + busy stamp,
@@ -140,18 +133,16 @@ impl Telemetry {
         self.shards[shard]
             .busy_since_ns
             .store(now, Ordering::Relaxed);
-        if let Some(w) = &self.windows {
-            w.queue_depth.record(depth);
-            w.queue_ns.record(queue_ns);
-        }
+        self.windows.queue_depth.record(depth);
+        self.windows.queue_ns.record(queue_ns);
     }
 
     /// Shard `shard` finished (answered) the job it picked up.
     #[inline]
     pub(crate) fn on_done(&self, shard: usize, e2e_ns: Option<u64>) {
         self.shards[shard].busy_since_ns.store(0, Ordering::Relaxed);
-        if let (Some(w), Some(e2e)) = (&self.windows, e2e_ns) {
-            w.e2e_ns.record(e2e);
+        if let Some(e2e) = e2e_ns {
+            self.windows.e2e_ns.record(e2e);
         }
     }
 
@@ -206,34 +197,33 @@ impl Telemetry {
                     .into_value()
             })
             .collect();
-        let mut body = Record::new()
+        let w = &self.windows;
+        let e2e = w.e2e_ns.stats(WINDOW_10S);
+        let body = Record::new()
             .field("status", verdict)
             .field("stalled_shards", stalled)
             .field("shards", qec_obs::JsonValue::Array(shards))
             .field("queue_depth", queue_depth)
             .field("uptime_ns", now.saturating_sub(self.start_ns))
-            .field("stall_threshold_ns", self.stall_ns);
-        if let Some(w) = &self.windows {
-            body.push(
+            .field("stall_threshold_ns", self.stall_ns)
+            .field(
                 "queue_depth_max_10s",
                 // Inclusive log₂-bin upper bound over the window:
                 // conservative (never underestimates the true max).
                 w.queue_depth
                     .max_over(WINDOW_10S)
                     .map_or(qec_obs::JsonValue::Null, Into::into),
-            );
-            body.push(
+            )
+            .field(
                 "deadline_miss_per_sec_10s",
                 w.deadline_misses.per_sec(WINDOW_10S),
-            );
-            body.push("rejected_per_sec_10s", w.rejected.per_sec(WINDOW_10S));
-            let e2e = w.e2e_ns.stats(WINDOW_10S);
-            body.push(
+            )
+            .field("rejected_per_sec_10s", w.rejected.per_sec(WINDOW_10S))
+            .field(
                 "e2e_p99_ns_10s",
                 e2e.p99.map_or(qec_obs::JsonValue::Null, Into::into),
-            );
-            body.push("completed_per_sec_10s", e2e.per_sec);
-        }
+            )
+            .field("completed_per_sec_10s", e2e.per_sec);
         let status = if verdict == "unhealthy" { 503 } else { 200 };
         (status, body.to_line())
     }
@@ -243,38 +233,36 @@ impl Telemetry {
     pub(crate) fn metrics_text(&self) -> String {
         let mut expo = qec_obs::Exposition::new();
         expo.registry(&self.metrics.snapshot());
-        if let Some(w) = &self.windows {
-            for (label, window_ns) in [("1s", WINDOW_1S), ("10s", WINDOW_10S), ("60s", WINDOW_60S)]
-            {
-                let labels = [("window", label.to_string())];
-                let e2e = w.e2e_ns.stats(window_ns);
-                for (name, q) in [
-                    ("serve.e2e_p50_ns", e2e.p50),
-                    ("serve.e2e_p99_ns", e2e.p99),
-                    ("serve.e2e_p999_ns", e2e.p999),
-                ] {
-                    if let Some(v) = q {
-                        expo.labeled_gauge(name, &labels, v as f64);
-                    }
+        let w = &self.windows;
+        for (label, window_ns) in [("1s", WINDOW_1S), ("10s", WINDOW_10S), ("60s", WINDOW_60S)] {
+            let labels = [("window", label.to_string())];
+            let e2e = w.e2e_ns.stats(window_ns);
+            for (name, q) in [
+                ("serve.e2e_p50_ns", e2e.p50),
+                ("serve.e2e_p99_ns", e2e.p99),
+                ("serve.e2e_p999_ns", e2e.p999),
+            ] {
+                if let Some(v) = q {
+                    expo.labeled_gauge(name, &labels, v as f64);
                 }
-                expo.labeled_gauge("serve.completed_per_sec", &labels, e2e.per_sec);
-                if let Some(p99) = w.queue_ns.stats(window_ns).p99 {
-                    expo.labeled_gauge("serve.queue_p99_ns", &labels, p99 as f64);
-                }
-                if let Some(depth) = w.queue_depth.max_over(window_ns) {
-                    expo.labeled_gauge("serve.queue_depth_max", &labels, depth as f64);
-                }
-                expo.labeled_gauge(
-                    "serve.deadline_miss_per_sec",
-                    &labels,
-                    w.deadline_misses.per_sec(window_ns),
-                );
-                expo.labeled_gauge(
-                    "serve.rejected_per_sec",
-                    &labels,
-                    w.rejected.per_sec(window_ns),
-                );
             }
+            expo.labeled_gauge("serve.completed_per_sec", &labels, e2e.per_sec);
+            if let Some(p99) = w.queue_ns.stats(window_ns).p99 {
+                expo.labeled_gauge("serve.queue_p99_ns", &labels, p99 as f64);
+            }
+            if let Some(depth) = w.queue_depth.max_over(window_ns) {
+                expo.labeled_gauge("serve.queue_depth_max", &labels, depth as f64);
+            }
+            expo.labeled_gauge(
+                "serve.deadline_miss_per_sec",
+                &labels,
+                w.deadline_misses.per_sec(window_ns),
+            );
+            expo.labeled_gauge(
+                "serve.rejected_per_sec",
+                &labels,
+                w.rejected.per_sec(window_ns),
+            );
         }
         expo.finish()
     }
@@ -283,11 +271,6 @@ impl Telemetry {
     pub(crate) fn snapshot_json(&self) -> String {
         self.metrics.snapshot().to_json().to_string()
     }
-}
-
-/// Default clock for services that do not inject one.
-pub(crate) fn default_clock() -> Arc<dyn Clock> {
-    Arc::new(MonotonicClock::new())
 }
 
 /// The blocking loopback HTTP listener serving the telemetry endpoints.
@@ -446,7 +429,6 @@ mod tests {
             Arc::clone(&clock) as Arc<dyn Clock>,
             shards,
             Duration::from_millis(100),
-            true,
             Registry::new(),
         );
         (clock, t)
@@ -526,25 +508,5 @@ mod tests {
         assert!(text.contains("serve_e2e_p50_ns{window=\"1s\"}"));
         assert!(text.contains("serve_queue_depth_max{window=\"10s\"}"));
         assert!(text.contains("serve_rejected_per_sec{window=\"60s\"}"));
-    }
-
-    #[test]
-    fn windowless_telemetry_still_reports_health() {
-        let clock = Arc::new(ManualClock::new());
-        clock.set(1_000);
-        let t = Telemetry::new(
-            clock as Arc<dyn Clock>,
-            1,
-            Duration::from_millis(100),
-            false,
-            Registry::new(),
-        );
-        t.on_pickup(0, 1, 10);
-        t.on_done(0, Some(500));
-        let (code, body) = t.healthz(0);
-        assert_eq!(code, 200);
-        let parsed = JsonValue::parse(&body).unwrap();
-        assert_eq!(parsed.get("status").unwrap().as_str(), Some("ok"));
-        assert!(parsed.get("queue_depth_max_10s").is_none());
     }
 }

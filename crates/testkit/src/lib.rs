@@ -576,12 +576,11 @@ fn sparse_case_sparse_weight(
 ) -> Option<i64> {
     let finder = qec_decode::SparsePathFinder::build(&case.adjacency, case.class_weights.clone());
     let mut pairs = Vec::new();
-    let cw = |c: usize| case.class_weights[c];
     qec_decode::sparse_graph_match(
         &finder,
         &case.defects,
         case.boundary,
-        &cw,
+        &case.class_weights,
         sc,
         blossom,
         &mut pairs,

@@ -346,41 +346,67 @@ fn path_oracle_matches_on_demand_dijkstra_on_random_graphs() {
     });
 }
 
-/// The lazy sparse finder's harvested pair distances and paths must
+/// Pair distances and paths priced on the sparse finder's CSR graph
+/// (by the complete-pricing reference, `complete_graph_match`) must
 /// equal the dense oracle's rows and on-demand Dijkstra **bitwise** on
 /// random sparse graphs — including disconnected components
-/// (unreachable stays `INFINITY` and an empty path both ways) — and
-/// the triangular matching-shaped search must agree with the all-pairs
-/// search on every pair it claims to cover.
+/// (unreachable stays `INFINITY` with an empty path) — for every pair
+/// of a random vertex order, priced from its lower index; and the
+/// matching it solves must have the weight of the oracle-priced
+/// complete instance, with every matched pair's hops on a shortest path.
 #[test]
 fn sparse_finder_matches_oracle_and_dijkstra_on_random_graphs() {
-    use fpn_repro::qec_decode::{shortest_paths_from, SparsePathFinder, SparsePathScratch};
-    let mut sc = SparsePathScratch::new();
+    use fpn_repro::qec_decode::{
+        complete_graph_match, pooled_min_weight_perfect_matching_f64, shortest_paths_from,
+        BlossomScratch, SparseBlossomScratch, SparsePathFinder,
+    };
+    let (mut sc, mut blossom, mut pairs) =
+        (SparseBlossomScratch::new(), BlossomScratch::new(), vec![]);
     for_all(48, 0x59a45e, |g| {
         let (adjacency, class_weights) = random_sparse_graph(g.rng());
         let n = adjacency.len();
         let oracle = PathOracle::build(&adjacency, &class_weights, 1);
         let finder = SparsePathFinder::build(&adjacency, class_weights.clone());
         assert_eq!(finder.num_nodes(), n);
-        let all: Vec<usize> = (0..n).collect();
-        finder.all_paths_into(&all, &all, |c| class_weights[c], &mut sc);
-        for src in 0..n {
+        // Every vertex, in a random order, so pairs are priced from
+        // either end across cases; a random one of them may serve as
+        // the boundary.
+        let mut checks: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            checks.swap(i, g.usize_in(0..=i));
+        }
+        let boundary = g.bool(0.5).then(|| checks.pop()).flatten();
+        let s = checks.len();
+        let outcome = complete_graph_match(
+            &finder,
+            &checks,
+            boundary,
+            &class_weights,
+            &mut sc,
+            &mut blossom,
+            &mut pairs,
+        );
+        let mut targets = checks.clone();
+        targets.extend(boundary);
+        let mut edges = Vec::new();
+        for (i, &src) in checks.iter().enumerate() {
             let (dist, pred) = shortest_paths_from(&adjacency, &class_weights, src);
-            for (dst, &full_dist) in dist.iter().enumerate() {
+            for (j, &dst) in targets.iter().enumerate().skip(i + 1) {
+                let csr = sc.pair_dist(i, j);
                 assert_eq!(
-                    sc.dist(src, dst).to_bits(),
-                    full_dist.to_bits(),
-                    "sparse dist[{src}][{dst}] != on-demand Dijkstra"
+                    csr.to_bits(),
+                    dist[dst].to_bits(),
+                    "CSR dist[{src}][{dst}] != on-demand Dijkstra"
                 );
                 assert_eq!(
-                    sc.dist(src, dst).to_bits(),
+                    csr.to_bits(),
                     oracle.dist(src, dst).to_bits(),
-                    "sparse dist[{src}][{dst}] != dense oracle"
+                    "CSR dist[{src}][{dst}] != dense oracle"
                 );
                 // The harvested hops must replay the full Dijkstra's
                 // predecessor-chain walk exactly (dst→src order).
                 let mut expect: Vec<(u32, u32, u32)> = Vec::new();
-                if dst != src && full_dist.is_finite() {
+                if dist[dst].is_finite() {
                     let mut cur = dst;
                     while cur != src {
                         let (prev, class) = pred[cur];
@@ -388,45 +414,39 @@ fn sparse_finder_matches_oracle_and_dijkstra_on_random_graphs() {
                         cur = prev;
                     }
                 }
-                assert_eq!(sc.path(src, dst), &expect[..]);
+                assert_eq!(sc.pair_hops(i, j), &expect[..]);
+                // The oracle-priced complete instance, as the engine
+                // builds it.
+                if oracle.dist(src, dst) < 1.0e8 {
+                    edges.push((i, if j == s { s + i } else { j }, oracle.dist(src, dst)));
+                }
             }
         }
-        // Matching-shaped search over a random defect list with a
-        // boundary-style trailing target: source `i` covers targets
-        // `i+1..` (duplicates included), and each covered pair must be
-        // bitwise identical to the full per-source Dijkstra.
-        let s = g.usize_in(0..=n.min(6));
-        let sources: Vec<usize> = (0..s).map(|_| g.usize_in(0..=n - 1)).collect();
-        let mut targets = sources.clone();
-        targets.push(g.usize_in(0..=n - 1));
-        finder.matching_paths_into(&sources, &targets, |c| class_weights[c], &mut sc);
-        for (i, &src) in sources.iter().enumerate() {
-            let (dist, pred) = shortest_paths_from(&adjacency, &class_weights, src);
-            for (tj, &dst) in targets.iter().enumerate().skip(i + 1) {
-                assert_eq!(
-                    sc.dist(i, tj).to_bits(),
-                    dist[dst].to_bits(),
-                    "matching-shaped dist[{i}][{tj}] != on-demand Dijkstra"
-                );
-                let mut expect: Vec<(u32, u32, u32)> = Vec::new();
-                if dst != src && dist[dst].is_finite() {
-                    let mut cur = dst;
-                    while cur != src {
-                        let (prev, class) = pred[cur];
-                        expect.push((prev as u32, cur as u32, class as u32));
-                        cur = prev;
-                    }
-                }
-                assert_eq!(sc.path(i, tj), &expect[..]);
-            }
+        let copies = if boundary.is_some() { s } else { 0 };
+        for i in 0..copies {
+            edges.extend(((i + 1)..s).map(|j| (s + i, s + j, 0.0)));
+        }
+        let mut reference_blossom = BlossomScratch::new();
+        let reference =
+            pooled_min_weight_perfect_matching_f64(s + copies, &edges, &mut reference_blossom);
+        assert_eq!(
+            outcome.map(|o| o.weight),
+            reference.as_ref().map(|m| m.weight())
+        );
+        if let Some(m) = reference {
+            assert_eq!(
+                pairs,
+                m.pairs().collect::<Vec<_>>(),
+                "complete instances match alike"
+            );
         }
     });
 }
 
-/// Shots matched on the sparse finder's CSR graph, by either route:
-/// the complete instance (`sparse_hits`) or graph-natively
-/// (`sparse_blossom`, shots with more defects than discovery prices
-/// completely).
+/// Shots matched on the sparse finder's CSR graph, whether discovery
+/// priced the complete instance (`sparse_hits`) or the solve was
+/// certified (`sparse_blossom`, shots with more defects than discovery
+/// prices completely).
 fn csr_hits(stats: &DecoderStats) -> u64 {
     stats.sparse_hits + stats.sparse_blossom
 }
@@ -926,14 +946,14 @@ fn tier_counters_count_each_decoded_shot_once() {
     );
 }
 
-/// The sparse-tier memo's high-water gauge must stop growing once the
-/// scratch is warm: replaying the same shots through a warmed
-/// `DecodeScratch` may not regrow the memo pools.
+/// The CSR matching pools must stop growing once the scratch is warm:
+/// replaying the same shots through a warmed `DecodeScratch` may not
+/// regrow the node arrays or raise the hop-pool high water.
 #[test]
-fn sparse_memo_high_water_is_stable_after_warmup() {
+fn csr_match_pools_are_stable_after_warmup() {
     let dem = surface_memory_dem(3);
-    // Limit 0 drops the dense oracle, so every shot exercises the
-    // sparse path tier and its per-shot memo.
+    // Limit 0 drops the dense oracle, so every shot is matched on the
+    // CSR graph.
     let decoder = MwpmDecoder::new(&dem, MwpmConfig::unflagged().with_oracle_node_limit(0));
     assert!(decoder.sparse_finder().is_some());
     let q = mechanism_fire_probability(&dem, 8.0);
@@ -945,22 +965,19 @@ fn sparse_memo_high_water_is_stable_after_warmup() {
         decoder.decode_into(&syndrome, &mut scratch, &mut out);
         shots.push(syndrome);
     });
-    let warm = scratch.sparse_memo_high_water_bytes();
-    assert!(warm > 0, "sparse-tier decodes must touch the memo");
+    let pools = |sc: &DecodeScratch| {
+        let csr = sc.mwpm_sparse_blossom();
+        (csr.generations(), csr.high_water_hops(), csr.shots())
+    };
+    let (generations, hops, warm_shots) = pools(&scratch);
+    assert!(hops > 0, "CSR decodes must harvest path hops");
     for syndrome in &shots {
         decoder.decode_into(syndrome, &mut scratch, &mut out);
     }
     assert_eq!(
-        scratch.sparse_memo_high_water_bytes(),
-        warm,
-        "replaying warmed shots regrew the sparse memo"
-    );
-    // The decoder's registry exports the same figure as gauges.
-    let snap = decoder.metrics().expect("mwpm keeps a registry").snapshot();
-    assert!(snap.gauge("build.sparse.memo_bytes") > 0);
-    assert_eq!(
-        snap.gauge("build.sparse.memo_high_water_bytes") as usize,
-        warm
+        pools(&scratch),
+        (generations, hops, 2 * warm_shots),
+        "replaying warmed shots regrew the CSR matching pools"
     );
 }
 

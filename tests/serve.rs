@@ -286,13 +286,6 @@ struct PanicsOnMarked {
 }
 
 impl Decoder for PanicsOnMarked {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        let mut scratch = DecodeScratch::new();
-        let mut out = BitVec::zeros(0);
-        self.decode_into(detectors, &mut scratch, &mut out);
-        out
-    }
-
     fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec) {
         assert!(detectors != &self.marked, "marked syndrome");
         self.inner.decode_into(detectors, scratch, out);
@@ -535,13 +528,13 @@ struct GatedDecoder {
 }
 
 impl Decoder for GatedDecoder {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
+    fn decode_into(&self, detectors: &BitVec, _: &mut DecodeScratch, out: &mut BitVec) {
         let (lock, cvar) = &*self.gate;
         let mut open = lock.lock().expect("gate lock");
         while !*open {
             open = cvar.wait(open).expect("gate lock");
         }
-        detectors.clone()
+        out.copy_from(detectors);
     }
 
     fn num_observables(&self) -> usize {
