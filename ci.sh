@@ -9,6 +9,9 @@ cd "$(dirname "$0")"
 
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc must stay warning-free: a doc link left pointing at a
+# renamed or deleted item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo build --release --offline --workspace
 # --workspace so every crate's unit tests run, not just the root
 # package's integration tests.
@@ -18,28 +21,42 @@ cargo test -q --offline --workspace
 # change that would break the benchmark.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Runs the tests of integration target $1 whose names match filter $2,
+# and fails unless at least one ran: `cargo test <filter>` exits 0 when
+# nothing matches, so a renamed test would otherwise turn its named
+# step below into a silent no-op.
+named_test() {
+    local out
+    out=$(cargo test -q --offline --test "$1" "$2" 2>&1) || { echo "$out"; exit 1; }
+    echo "$out"
+    if ! grep -Eq '^test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+        echo "ci.sh: no test in --test $1 matches '$2'" >&2
+        exit 1
+    fi
+}
+
 # Differential path-tier tests: every pair complete_graph_match prices
 # on the SparsePathFinder's CSR graph must match the dense PathOracle
 # and on-demand Dijkstra (the reference search) bitwise, distances and
 # hops, and both path tiers must decode identically on every fixture
 # DEM (including the hyperbolic one above the dense-oracle guard).
-cargo test -q --offline --test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
-cargo test -q --offline --test properties path_tiers_agree
+named_test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
+named_test properties path_tiers_agree
 # Differential matching-route test: shots matched on the CSR graph by
 # sparse_graph_match (complete instances up to 4 defects, certified
 # above) must decode exactly like the dense oracle's complete
 # instances, every decoded shot must advance exactly one tier counter,
 # and the CSR matching pools must not regrow once warm.
-cargo test -q --offline --test properties matching_routes_agree
-cargo test -q --offline --test properties tier_counters_count_each_decoded_shot_once
-cargo test -q --offline --test properties csr_match_pools_are_stable_after_warmup
+named_test properties matching_routes_agree
+named_test properties tier_counters_count_each_decoded_shot_once
+named_test properties csr_match_pools_are_stable_after_warmup
 
 # The paper's d_eff witnesses (Figs. 19/20) by single-fault injection:
 # on the shared-flag FPNs flagged MWPM and flagged BP+OSD mis-correct no
 # single fault and flagged Restriction at most two, while the unflagged
 # and Chamberland baselines mis-correct many.
-cargo test -q --offline --test pipeline flag_protocol_restores_effective_distance_surface
-cargo test -q --offline --test pipeline flag_protocol_restores_effective_distance_color
+named_test pipeline flag_protocol_restores_effective_distance_surface
+named_test pipeline flag_protocol_restores_effective_distance_color
 
 # Differential streaming-service tests: qec-serve corrections must be
 # bit-identical to offline decode_into and reproduce run_ber's failure

@@ -419,7 +419,7 @@ fn gate_telemetry_overhead(shots: usize) -> Record {
 }
 
 /// `pass_bp_osd`: every flagged BP+OSD correction syndrome-valid with no
-/// give-ups on the [[96,12]] {4,6} shared-flag color FPN (4 rounds,
+/// give-ups on the `[[96,12]]` {4,6} shared-flag color FPN (4 rounds,
 /// p = 1e-3, memory-Z); failures and latency against flagged Restriction
 /// are published, not gated.
 fn gate_bp_osd(shots: usize) -> Record {

@@ -13,6 +13,7 @@ use qec_sched::{Basis, MemoryExperiment};
 use qec_sim::noise::NoiseModel;
 use qec_sim::{Circuit, DetectorErrorModel, FrameBatch, FrameSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Which decoder to instantiate for an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,45 +33,15 @@ pub enum DecoderKind {
     PlainBpOsd,
 }
 
-/// The pipeline's concrete decoder: kept as an enum (not a boxed
-/// trait object) so sweep harnesses can reprice the existing path
-/// indexes in place when only error probabilities change.
-// One instance per pipeline, never collected — variant size skew is
-// irrelevant here.
-#[allow(clippy::large_enum_variant)]
-enum PipelineDecoder {
-    Mwpm(MwpmDecoder),
-    Restriction(RestrictionDecoder),
-    BpOsd(BpOsdDecoder),
-}
-
-impl PipelineDecoder {
-    fn as_decoder(&self) -> &(dyn Decoder + Send) {
-        match self {
-            PipelineDecoder::Mwpm(d) => d,
-            PipelineDecoder::Restriction(d) => d,
-            PipelineDecoder::BpOsd(d) => d,
-        }
-    }
-}
-
 /// A ready-to-run decoding pipeline: the experiment's detector error
 /// model plus a configured decoder.
 ///
-/// Across a BER sweep the decoding-graph *topology* is fixed — only
-/// mechanism probabilities move with `p` — so [`Self::retarget`]
-/// reuses the constructed decoder (repricing its path indexes in
-/// place) instead of rebuilding it; [`Self::constructions`] counts how
-/// many full decoder constructions actually happened.
+/// A pipeline serves one experiment: a BER sweep builds a fresh one per
+/// point through [`Self::with_metrics`], passing one registry along so
+/// the decoders' counters form a single series over the sweep.
 pub struct DecodingPipeline {
     dem: DetectorErrorModel,
-    decoder: PipelineDecoder,
-    kind: DecoderKind,
-    constructions: u64,
-    /// Metrics registry shared by every decoder this pipeline ever
-    /// builds: counter names are interned, so a retarget rebuild
-    /// continues the same series instead of starting over.
-    metrics: Registry,
+    decoder: Arc<dyn Decoder + Send + Sync>,
 }
 
 impl std::fmt::Debug for DecodingPipeline {
@@ -86,7 +57,7 @@ impl std::fmt::Debug for DecodingPipeline {
 
 impl DecodingPipeline {
     /// Builds the detector error model of `experiment` and a decoder of
-    /// the requested kind.
+    /// the requested kind, with a private metrics registry.
     ///
     /// # Panics
     ///
@@ -98,19 +69,24 @@ impl DecodingPipeline {
         kind: DecoderKind,
         noise: &NoiseModel,
     ) -> Self {
-        Self::build(code, experiment, kind, noise, Registry::new(), 1)
+        Self::with_metrics(code, experiment, kind, noise, Registry::new())
     }
 
-    /// Shared constructor: `new` starts a fresh registry, a retarget
-    /// rebuild passes the existing one through so counters accumulate
-    /// across decoder generations.
-    fn build(
+    /// Like [`Self::new`], but the decoder records into a
+    /// caller-supplied metrics registry. Metric names are interned, so
+    /// a pipeline built against a registry an earlier one used
+    /// continues its counter series instead of starting over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a restriction decoder is requested for a code without
+    /// plaquette colors.
+    pub fn with_metrics(
         code: &CssCode,
         experiment: &MemoryExperiment,
         kind: DecoderKind,
         noise: &NoiseModel,
         metrics: Registry,
-        constructions: u64,
     ) -> Self {
         let mut span =
             qec_obs::span_with("pipeline.build", &[("kind", format!("{kind:?}").into())]);
@@ -118,109 +94,26 @@ impl DecodingPipeline {
         span.field("detectors", dem.num_detectors());
         span.field("mechanisms", dem.mechanisms().len());
         let pm = noise.measurement_flip();
-        let decoder = match kind {
-            DecoderKind::FlaggedMwpm => PipelineDecoder::Mwpm(MwpmDecoder::with_metrics(
+        let mwpm = |config| Arc::new(MwpmDecoder::with_metrics(&dem, config, metrics.clone()));
+        let bp_osd = |config| Arc::new(BpOsdDecoder::with_metrics(&dem, config, metrics.clone()));
+        let restriction = |config| {
+            let ctx = color_context(code, experiment.basis);
+            Arc::new(RestrictionDecoder::with_metrics(
                 &dem,
-                MwpmConfig::flagged(pm),
+                ctx,
+                config,
                 metrics.clone(),
-            )),
-            DecoderKind::PlainMwpm => PipelineDecoder::Mwpm(MwpmDecoder::with_metrics(
-                &dem,
-                MwpmConfig::unflagged(),
-                metrics.clone(),
-            )),
-            DecoderKind::FlaggedRestriction => {
-                PipelineDecoder::Restriction(RestrictionDecoder::with_metrics(
-                    &dem,
-                    color_context(code, experiment.basis),
-                    RestrictionConfig::flagged(pm),
-                    metrics.clone(),
-                ))
-            }
-            DecoderKind::ChamberlandRestriction => {
-                PipelineDecoder::Restriction(RestrictionDecoder::with_metrics(
-                    &dem,
-                    color_context(code, experiment.basis),
-                    RestrictionConfig::chamberland(pm),
-                    metrics.clone(),
-                ))
-            }
-            DecoderKind::FlaggedBpOsd => PipelineDecoder::BpOsd(BpOsdDecoder::with_metrics(
-                &dem,
-                BpOsdConfig::flagged(pm),
-                metrics.clone(),
-            )),
-            DecoderKind::PlainBpOsd => PipelineDecoder::BpOsd(BpOsdDecoder::with_metrics(
-                &dem,
-                BpOsdConfig::unflagged(),
-                metrics.clone(),
-            )),
+            ))
         };
-        DecodingPipeline {
-            dem,
-            decoder,
-            kind,
-            constructions,
-            metrics,
-        }
-    }
-
-    /// Points the pipeline at a new experiment of the same shape,
-    /// preferring to **reprice** the existing decoder in place: when
-    /// `kind` is unchanged and the new DEM has the same decoding-graph
-    /// topology (same detectors, edge classes and flag structure —
-    /// true across the points of a `p` sweep), only probabilities are
-    /// recomputed and the constructed path indexes survive. Returns
-    /// `true` on reprice; on any structural change it falls back to a
-    /// full rebuild (incrementing [`Self::constructions`]) and returns
-    /// `false`.
-    pub fn retarget(
-        &mut self,
-        code: &CssCode,
-        experiment: &MemoryExperiment,
-        kind: DecoderKind,
-        noise: &NoiseModel,
-    ) -> bool {
-        let mut span = qec_obs::span("pipeline.retarget");
-        let dem = DetectorErrorModel::from_circuit(&experiment.circuit);
-        let pm = noise.measurement_flip();
-        let repriced = kind == self.kind
-            && match (&mut self.decoder, kind) {
-                (PipelineDecoder::Mwpm(d), DecoderKind::FlaggedMwpm) => {
-                    d.reprice(&dem, MwpmConfig::flagged(pm))
-                }
-                (PipelineDecoder::Mwpm(d), DecoderKind::PlainMwpm) => {
-                    d.reprice(&dem, MwpmConfig::unflagged())
-                }
-                (PipelineDecoder::Restriction(d), DecoderKind::FlaggedRestriction) => {
-                    d.reprice(&dem, RestrictionConfig::flagged(pm))
-                }
-                (PipelineDecoder::Restriction(d), DecoderKind::ChamberlandRestriction) => {
-                    d.reprice(&dem, RestrictionConfig::chamberland(pm))
-                }
-                (PipelineDecoder::BpOsd(d), DecoderKind::FlaggedBpOsd) => {
-                    d.reprice(&dem, BpOsdConfig::flagged(pm))
-                }
-                (PipelineDecoder::BpOsd(d), DecoderKind::PlainBpOsd) => {
-                    d.reprice(&dem, BpOsdConfig::unflagged())
-                }
-                _ => false,
-            };
-        span.field("repriced", repriced);
-        if repriced {
-            self.dem = dem;
-            true
-        } else {
-            *self = DecodingPipeline::build(
-                code,
-                experiment,
-                kind,
-                noise,
-                self.metrics.clone(),
-                self.constructions + 1,
-            );
-            false
-        }
+        let decoder: Arc<dyn Decoder + Send + Sync> = match kind {
+            DecoderKind::FlaggedMwpm => mwpm(MwpmConfig::flagged(pm)),
+            DecoderKind::PlainMwpm => mwpm(MwpmConfig::unflagged()),
+            DecoderKind::FlaggedRestriction => restriction(RestrictionConfig::flagged(pm)),
+            DecoderKind::ChamberlandRestriction => restriction(RestrictionConfig::chamberland(pm)),
+            DecoderKind::FlaggedBpOsd => bp_osd(BpOsdConfig::flagged(pm)),
+            DecoderKind::PlainBpOsd => bp_osd(BpOsdConfig::unflagged()),
+        };
+        DecodingPipeline { dem, decoder }
     }
 
     /// The experiment's detector error model.
@@ -230,26 +123,7 @@ impl DecodingPipeline {
 
     /// The configured decoder.
     pub fn decoder(&self) -> &(dyn Decoder + Send) {
-        self.decoder.as_decoder()
-    }
-
-    /// The decoder kind currently configured.
-    pub fn kind(&self) -> DecoderKind {
-        self.kind
-    }
-
-    /// Number of full decoder constructions over this pipeline's
-    /// lifetime (1 after [`Self::new`]; unchanged by a successful
-    /// [`Self::retarget`] reprice).
-    pub fn constructions(&self) -> u64 {
-        self.constructions
-    }
-
-    /// The metrics registry shared by every decoder generation of this
-    /// pipeline (tier counters, build gauges, the harness's per-batch
-    /// latency histogram). Observe-only.
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
+        &*self.decoder
     }
 
     /// Consumes the pipeline and returns its constructed decoder as a
@@ -257,12 +131,8 @@ impl DecodingPipeline {
     /// (`qec-serve`'s `DecodeService`) takes. The decoder keeps its
     /// metrics registry, so `decode.*` counters keep accumulating in
     /// the same series the pipeline exposed.
-    pub fn into_shared_decoder(self) -> std::sync::Arc<dyn Decoder + Send + Sync> {
-        match self.decoder {
-            PipelineDecoder::Mwpm(d) => std::sync::Arc::new(d),
-            PipelineDecoder::Restriction(d) => std::sync::Arc::new(d),
-            PipelineDecoder::BpOsd(d) => std::sync::Arc::new(d),
-        }
+    pub fn into_shared_decoder(self) -> Arc<dyn Decoder + Send + Sync> {
+        self.decoder
     }
 }
 
@@ -616,43 +486,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pipeline_retarget_reprices_without_rebuilding() {
-        let code = rotated_surface_code(3);
-        let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
-        let noise_a = NoiseModel::new(1e-3);
-        let exp_a = build_memory_circuit(&code, &fpn, Some(&noise_a), 3, Basis::Z);
-        let mut pipeline = DecodingPipeline::new(&code, &exp_a, DecoderKind::FlaggedMwpm, &noise_a);
-        assert_eq!(pipeline.constructions(), 1);
-        // Same topology, different error rate: reprice in place.
-        let noise_b = NoiseModel::new(2e-3);
-        let exp_b = build_memory_circuit(&code, &fpn, Some(&noise_b), 3, Basis::Z);
-        assert!(pipeline.retarget(&code, &exp_b, DecoderKind::FlaggedMwpm, &noise_b));
-        assert_eq!(pipeline.constructions(), 1);
-        // The repriced decoder must be indistinguishable from one built
-        // fresh at the new rate.
-        let fresh = DecodingPipeline::new(&code, &exp_b, DecoderKind::FlaggedMwpm, &noise_b);
-        for mech in fresh.dem().mechanisms() {
-            let dets = BitVec::from_ones(
-                fresh.dem().num_detectors(),
-                mech.detectors.iter().map(|&d| d as usize),
-            );
-            assert_eq!(
-                pipeline.decoder().decode(&dets),
-                fresh.decoder().decode(&dets),
-                "repriced pipeline diverged from a fresh build"
-            );
-        }
-        // A decoder-kind change cannot be repriced: full rebuild.
-        assert!(!pipeline.retarget(&code, &exp_b, DecoderKind::PlainMwpm, &noise_b));
-        assert_eq!(pipeline.constructions(), 2);
-        assert_eq!(pipeline.kind(), DecoderKind::PlainMwpm);
-        // A round-count change alters the DEM topology: full rebuild.
-        let exp_c = build_memory_circuit(&code, &fpn, Some(&noise_b), 4, Basis::Z);
-        assert!(!pipeline.retarget(&code, &exp_c, DecoderKind::PlainMwpm, &noise_b));
-        assert_eq!(pipeline.constructions(), 3);
     }
 
     #[test]

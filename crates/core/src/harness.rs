@@ -4,7 +4,7 @@
 use crate::{run_ber, BerStats, DecoderKind, DecodingPipeline};
 use qec_arch::FlagProxyNetwork;
 use qec_code::CssCode;
-use qec_obs::RegistrySnapshot;
+use qec_obs::{Registry, RegistrySnapshot};
 use qec_sched::{build_memory_circuit, Basis};
 use qec_sim::noise::NoiseModel;
 
@@ -28,31 +28,28 @@ pub struct BerPoint {
     pub rounds: usize,
 }
 
-/// Result of a [`ber_sweep`]: the estimated points plus how many full
-/// decoder constructions the sweep needed ([`DecodingPipeline`] keeps
-/// the count — 1 when every point after the first merely repriced the
-/// constructed decoder).
+/// Result of a [`ber_sweep`]: the estimated points plus the metrics
+/// their decoders recorded.
 #[derive(Debug)]
 pub struct BerSweep {
     /// One point per requested physical error rate, in order.
     pub points: Vec<BerPoint>,
-    /// Full decoder constructions over the whole sweep.
-    pub decoder_constructions: u64,
-    /// Snapshot of the pipeline's metrics registry at the end of the
-    /// sweep: lifetime decode/tier/give-up counters, build-size gauges
-    /// and the per-batch latency histogram, covering every point (the
-    /// registry survives retarget rebuilds). Feeds the experiment
-    /// binaries' summary lines ([`print_sweep_summary`]).
+    /// Snapshot of the sweep's metrics registry at its end: the
+    /// decode/tier/give-up counters, build-size gauges and per-batch
+    /// latency histogram of every point's decoder, one series per
+    /// sweep. Feeds the experiment binaries' summary lines
+    /// ([`sweep_summary`]).
     pub metrics: RegistrySnapshot,
 }
 
-/// Grows the shot count on an already-built pipeline until
-/// `target_failures` failures or `max_shots` shots.
+/// Builds the pipeline for rate `p` with its decoder recording into
+/// `metrics`, then grows the shot count until `target_failures`
+/// failures or `max_shots` shots.
 #[allow(clippy::too_many_arguments)]
 fn run_point(
-    pipeline: &DecodingPipeline,
-    exp: &qec_sched::MemoryExperiment,
-    k: usize,
+    code: &CssCode,
+    fpn: &FlagProxyNetwork,
+    kind: DecoderKind,
     p: f64,
     rounds: usize,
     basis: Basis,
@@ -60,12 +57,16 @@ fn run_point(
     target_failures: usize,
     seed: u64,
     threads: usize,
+    metrics: Registry,
 ) -> BerPoint {
+    let noise = NoiseModel::new(p);
+    let exp = build_memory_circuit(code, fpn, Some(&noise), rounds, basis);
+    let pipeline = DecodingPipeline::with_metrics(code, &exp, kind, &noise, metrics);
     let mut total = BerStats {
         shots: 0,
         requested_shots: 0,
         failures: 0,
-        k,
+        k: code.k(),
         decode_giveups: 0,
         oracle_hits: 0,
         sparse_hits: 0,
@@ -124,13 +125,10 @@ pub fn ber_point(
     seed: u64,
     threads: usize,
 ) -> BerPoint {
-    let noise = NoiseModel::new(p);
-    let exp = build_memory_circuit(code, fpn, Some(&noise), rounds, basis);
-    let pipeline = DecodingPipeline::new(code, &exp, kind, &noise);
     run_point(
-        &pipeline,
-        &exp,
-        code.k(),
+        code,
+        fpn,
+        kind,
         p,
         rounds,
         basis,
@@ -138,16 +136,16 @@ pub fn ber_point(
         target_failures,
         seed,
         threads,
+        Registry::new(),
     )
 }
 
-/// Runs [`ber_point`]-equivalent estimations at every rate in `ps`,
-/// **reusing one constructed decoder** across the sweep: a `p` change
-/// moves mechanism probabilities but not the decoding-graph topology,
-/// so each point after the first reprices the pipeline in place
-/// ([`DecodingPipeline::retarget`]) instead of rebuilding its path
-/// indexes. Every point uses the same `seed`, so each returned point
-/// is bit-identical to a standalone [`ber_point`] call at that rate.
+/// Runs [`ber_point`]-equivalent estimations at every rate in `ps`.
+/// Each point builds its own pipeline
+/// ([`DecodingPipeline::with_metrics`]) against one registry shared by
+/// the whole sweep, so the tier counters form one series. Every point
+/// uses the same `seed`, so each returned point is bit-identical to a
+/// standalone [`ber_point`] call at that rate.
 #[allow(clippy::too_many_arguments)]
 pub fn ber_sweep(
     code: &CssCode,
@@ -169,40 +167,28 @@ pub fn ber_sweep(
             ("rounds", rounds.into()),
         ],
     );
-    let mut points = Vec::with_capacity(ps.len());
-    let mut pipeline: Option<DecodingPipeline> = None;
-    for &p in ps {
-        let noise = NoiseModel::new(p);
-        let exp = build_memory_circuit(code, fpn, Some(&noise), rounds, basis);
-        let pl = match pipeline.take() {
-            None => DecodingPipeline::new(code, &exp, kind, &noise),
-            Some(mut pl) => {
-                pl.retarget(code, &exp, kind, &noise);
-                pl
-            }
-        };
-        points.push(run_point(
-            &pl,
-            &exp,
-            code.k(),
-            p,
-            rounds,
-            basis,
-            max_shots,
-            target_failures,
-            seed,
-            threads,
-        ));
-        pipeline = Some(pl);
-    }
-    let (decoder_constructions, metrics) = pipeline
-        .map_or((0, RegistrySnapshot::default()), |pl| {
-            (pl.constructions(), pl.metrics().snapshot())
-        });
+    let metrics = Registry::new();
+    let points = ps
+        .iter()
+        .map(|&p| {
+            run_point(
+                code,
+                fpn,
+                kind,
+                p,
+                rounds,
+                basis,
+                max_shots,
+                target_failures,
+                seed,
+                threads,
+                metrics.clone(),
+            )
+        })
+        .collect();
     BerSweep {
         points,
-        decoder_constructions,
-        metrics,
+        metrics: metrics.snapshot(),
     }
 }
 
@@ -220,12 +206,28 @@ pub fn print_ber_row(label: &str, point: &BerPoint) {
     );
 }
 
-/// Prints a sweep's one-line summary from its registry snapshot:
-/// executed vs requested shot totals (the 64-shot batch padding made
-/// visible), total decodes, decoder give-ups (silent partial
-/// corrections, now visible), the two path-tier shares, and how many
-/// times the decoder was actually constructed vs repriced.
-pub fn print_sweep_summary(label: &str, sweep: &BerSweep) {
+/// Tier counters per decoder family, each as `(label, counters)`: the
+/// matching decoders' two path tiers and BP+OSD's two stages. Every
+/// decoded shot advances exactly one entry of its family.
+const TIER_FAMILIES: [[(&str, &[&str]); 2]; 2] = [
+    [
+        ("oracle", &["decode.tier.oracle_hits"]),
+        (
+            "sparse",
+            &["decode.tier.sparse_hits", "decode.tier.sparse_blossom"],
+        ),
+    ],
+    [
+        ("bp_converged", &["decode.tier.bp_converged"]),
+        ("bp_osd", &["decode.tier.bp_osd"]),
+    ],
+];
+
+/// A sweep's one-line summary from its registry snapshot: executed vs
+/// requested shot totals (the 64-shot batch padding made visible),
+/// total decodes, decoder give-ups, and the tier shares of the family
+/// whose counters the sweep's decoder advanced.
+pub fn sweep_summary(label: &str, sweep: &BerSweep) -> String {
     let m = &sweep.metrics;
     let executed: usize = sweep.points.iter().map(|pt| pt.stats.shots).sum();
     let requested: usize = sweep.points.iter().map(|pt| pt.stats.requested_shots).sum();
@@ -234,16 +236,25 @@ pub fn print_sweep_summary(label: &str, sweep: &BerSweep) {
         + m.counter("decode.giveups.round_limit")
         + m.counter("decode.giveups.unmatched")
         + m.counter("decode.tier.bp_giveups");
-    let oracle = m.counter("decode.tier.oracle_hits");
-    let sparse = m.counter("decode.tier.sparse_hits") + m.counter("decode.tier.sparse_blossom");
-    let tier_total = (oracle + sparse).max(1) as f64;
-    let pct = |n: u64| 100.0 * n as f64 / tier_total;
-    println!(
-        "{label:<42} summary: shots={executed} (requested {requested}) decodes={decodes} giveups={giveups} tiers: oracle={:.1}% sparse={:.1}% constructions={}",
-        pct(oracle),
-        pct(sparse),
-        sweep.decoder_constructions,
+    let mut line = format!(
+        "{label:<42} summary: shots={executed} (requested {requested}) decodes={decodes} giveups={giveups} tiers:"
     );
+    for family in &TIER_FAMILIES {
+        let counts = family.map(|(_, names)| names.iter().map(|n| m.counter(n)).sum::<u64>());
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            continue;
+        }
+        for ((tier, _), n) in family.iter().zip(counts) {
+            line += &format!(" {tier}={:.1}%", 100.0 * n as f64 / total as f64);
+        }
+    }
+    line
+}
+
+/// Prints [`sweep_summary`].
+pub fn print_sweep_summary(label: &str, sweep: &BerSweep) {
+    println!("{}", sweep_summary(label, sweep));
 }
 
 /// Number of worker threads to use (all cores, minimum 1).
@@ -257,12 +268,11 @@ mod tests {
     use qec_arch::FpnConfig;
     use qec_code::planar::rotated_surface_code;
 
-    /// A sweep must construct its decoder exactly once (later points
-    /// reprice in place) and still return point-for-point identical
-    /// statistics to standalone `ber_point` calls — the repriced
-    /// decoder is bit-for-bit equivalent to a fresh build.
+    /// A sweep must return point-for-point identical statistics to
+    /// standalone `ber_point` calls: sharing one registry across the
+    /// points' decoders changes no decode and no per-point count.
     #[test]
-    fn ber_sweep_constructs_once_and_matches_standalone_points() {
+    fn ber_sweep_matches_standalone_points() {
         let code = rotated_surface_code(3);
         let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
         let ps = [1e-3, 2e-3, 3e-3];
@@ -277,10 +287,6 @@ mod tests {
             usize::MAX,
             17,
             2,
-        );
-        assert_eq!(
-            sweep.decoder_constructions, 1,
-            "sweep points must reprice, not rebuild"
         );
         assert_eq!(sweep.points.len(), ps.len());
         for (point, &p) in sweep.points.iter().zip(&ps) {
@@ -304,7 +310,7 @@ mod tests {
     }
 
     /// Per-sweep-point stats attribution: the decoder's counters are
-    /// lifetime atomics shared across retarget rebuilds, so each
+    /// atomics shared by every point's decoder, so each
     /// point's `BerStats` must report that point's *delta*, not the
     /// accumulated totals. Pinned two ways: (a) each point's tier
     /// counts equal a standalone `ber_point`'s (whose decoder starts
@@ -372,12 +378,48 @@ mod tests {
             tier_sum,
             "per-point deltas must sum to the sweep-lifetime registry counters"
         );
-        assert_eq!(m.counter("decoder.constructions"), 1);
-        assert_eq!(m.counter("decoder.reprices"), ps.len() as u64 - 1);
+        assert_eq!(m.counter("decoder.constructions"), ps.len() as u64);
         // At p-sweep rates some shots raise flags: the flagged decoder
         // must report both oracle-tier and sparse-tier activity, and
         // the decodes counter bounds the tier total.
         assert!(m.counter("decode.decodes") >= tier_sum);
+    }
+
+    /// A sweep's summary reports the tiers its decoder advanced: BP+OSD's
+    /// two stages, never the matching tiers BP does not use, with shares
+    /// summing to 100 %; a matching sweep reports the path tiers.
+    #[test]
+    fn sweep_summary_reports_the_decoders_own_tiers() {
+        let code = rotated_surface_code(3);
+        let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
+        let sweep_line = |kind| {
+            let sweep = ber_sweep(
+                &code,
+                &fpn,
+                kind,
+                &[1e-3, 3e-3],
+                3,
+                Basis::Z,
+                512,
+                usize::MAX,
+                7,
+                2,
+            );
+            sweep_summary("label", &sweep)
+        };
+        let share = |line: &str, tier: &str| -> f64 {
+            let rest = line.split(&format!(" {tier}=")).nth(1).expect(tier);
+            rest.split('%').next().unwrap().parse().unwrap()
+        };
+        let bp = sweep_line(DecoderKind::FlaggedBpOsd);
+        assert!(!bp.contains("oracle=") && !bp.contains("sparse="), "{bp}");
+        assert!(!bp.contains("constructions="), "{bp}");
+        let sum = share(&bp, "bp_converged") + share(&bp, "bp_osd");
+        assert!((sum - 100.0).abs() < 0.15, "{bp}");
+        let mwpm = sweep_line(DecoderKind::FlaggedMwpm);
+        assert!(!mwpm.contains("bp_"), "{mwpm}");
+        let sum = share(&mwpm, "oracle") + share(&mwpm, "sparse");
+        assert!((sum - 100.0).abs() < 0.15, "{mwpm}");
     }
 
     /// On the flagged shared-flag hyperbolic FPN nearly every decoded

@@ -169,17 +169,6 @@ fn llr_from_weight(w: f64) -> f64 {
     ((1.0 - p) / p).ln()
 }
 
-/// The flag-free per-variable weights and prior llrs of `pricing`.
-fn base_priors(pricing: &ClassPricing, var_class: &[u32]) -> (Vec<f64>, Vec<f64>) {
-    let class_weights = pricing.base_weights();
-    let weight: Vec<f64> = var_class
-        .iter()
-        .map(|&ci| class_weights[ci as usize])
-        .collect();
-    let llr = weight.iter().map(|&w| llr_from_weight(w)).collect();
-    (weight, llr)
-}
-
 impl BpOsdDecoder {
     /// Builds the decoder from a detector error model, with a private
     /// metrics registry.
@@ -188,7 +177,9 @@ impl BpOsdDecoder {
     }
 
     /// Builds the decoder recording into a caller-supplied metrics
-    /// registry (the pipeline-retarget case continues existing series).
+    /// registry. Metric names are interned, so building against a
+    /// registry an earlier decoder used (one decoder per sweep point)
+    /// continues the existing counter series.
     pub fn with_metrics(dem: &DetectorErrorModel, config: BpOsdConfig, metrics: Registry) -> Self {
         metrics.counter("decoder.constructions").inc();
         // No decomposition: BP works on the native hyperedges, so every
@@ -213,7 +204,12 @@ impl BpOsdDecoder {
         let var_class: Vec<u32> = (0..hypergraph.classes().len() as u32)
             .filter(|&ci| !hypergraph.classes()[ci as usize].sigma.is_empty())
             .collect();
-        let (base_weight, prior_llr) = base_priors(&pricing, &var_class);
+        let class_weights = pricing.base_weights();
+        let base_weight: Vec<f64> = var_class
+            .iter()
+            .map(|&ci| class_weights[ci as usize])
+            .collect();
+        let prior_llr: Vec<f64> = base_weight.iter().map(|&w| llr_from_weight(w)).collect();
         // Check-CSR: count, prefix-sum, fill. Variables are visited in
         // ascending order, so each row's columns come out ascending.
         let mut degree = vec![0u32; m];
@@ -259,29 +255,6 @@ impl BpOsdDecoder {
             metrics,
             counters,
         }
-    }
-
-    /// Re-targets the decoder at a new detector error model with the
-    /// **same Tanner topology** (the BER-sweep case: only mechanism
-    /// probabilities change). On success priors are recomputed —
-    /// bit-identical to a fresh build — and `true` is returned; `false`
-    /// (decoder unchanged) when the topology differs.
-    pub fn reprice(&mut self, dem: &DetectorErrorModel, config: BpOsdConfig) -> bool {
-        let hypergraph = DecodingHypergraph::with_primitive_size(dem, usize::MAX);
-        if !hypergraph.same_topology(&self.hypergraph) {
-            return false;
-        }
-        let _span = qec_obs::span("decoder.reprice");
-        self.metrics.counter("decoder.reprices").inc();
-        self.config = config;
-        self.pricing = ClassPricing::new(
-            &hypergraph,
-            config.flag_conditioning,
-            config.measurement_error_probability,
-        );
-        self.hypergraph = hypergraph;
-        (self.base_weight, self.prior_llr) = base_priors(&self.pricing, &self.var_class);
-        true
     }
 
     /// The underlying (undecomposed) hypergraph.
@@ -654,26 +627,5 @@ mod tests {
                 assert!(a.weight <= p.weight + 1e-9, "syndrome {pattern:#b}");
             }
         }
-    }
-
-    /// Sweep reuse: re-pricing at a new error rate decodes every
-    /// syndrome exactly like a fresh build, and a different topology
-    /// refuses to reprice.
-    #[test]
-    fn reprice_is_bitwise_equal_to_fresh_build() {
-        let dem_a = repetition_dem(0.01);
-        let dem_b = repetition_dem(0.05);
-        let nd = dem_a.num_detectors();
-        let mut repriced = BpOsdDecoder::new(&dem_a, BpOsdConfig::unflagged());
-        assert!(repriced.reprice(&dem_b, BpOsdConfig::unflagged()));
-        let fresh = BpOsdDecoder::new(&dem_b, BpOsdConfig::unflagged());
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            assert_eq!(repriced.decode(&dets), fresh.decode(&dets));
-        }
-        assert!(!repriced.reprice(
-            &DetectorErrorModel::from_circuit(&Circuit::new(1)),
-            BpOsdConfig::unflagged()
-        ));
     }
 }

@@ -131,9 +131,6 @@ impl ClassPricing {
 /// One decoding graph and everything needed to match defects on it.
 #[derive(Debug)]
 pub(crate) struct MatchingEngine {
-    /// `adjacency[v]` lists `(neighbor, class)`; kept for re-pricing
-    /// the dense oracle.
-    adjacency: Vec<Vec<(usize, usize)>>,
     /// The virtual boundary vertex, when the graph has one.
     boundary: Option<usize>,
     oracle: Option<PathOracle>,
@@ -181,7 +178,7 @@ impl MatchingEngine {
     /// engine serves: it suffixes the build gauges (`build.oracle.l0.*`)
     /// and tags the build spans.
     pub(crate) fn build(
-        adjacency: Vec<Vec<(usize, usize)>>,
+        adjacency: &[Vec<(usize, usize)>],
         class_weights: Vec<f64>,
         boundary: Option<usize>,
         oracle_node_limit: usize,
@@ -205,35 +202,22 @@ impl MatchingEngine {
         let oracle = (n > 0 && n <= oracle_node_limit).then(|| {
             let _span = span("decoder.build.oracle");
             let oracle =
-                PathOracle::build(&adjacency, &class_weights, paths::default_build_threads(n));
+                PathOracle::build(adjacency, &class_weights, paths::default_build_threads(n));
             gauges("oracle", oracle.num_nodes(), oracle.memory_bytes());
             oracle
         });
         let sparse = (n > 0).then(|| {
             let _span = span("decoder.build.csr");
-            let sparse = SparsePathFinder::build(&adjacency, class_weights);
+            let sparse = SparsePathFinder::build(adjacency, class_weights);
             gauges("sparse", sparse.num_nodes(), sparse.memory_bytes());
             sparse
         });
         MatchingEngine {
-            adjacency,
             boundary,
             oracle,
             sparse,
             #[cfg(test)]
             complete_pricing: false,
-        }
-    }
-
-    /// Re-prices both path indexes in place against new flag-free class
-    /// weights over the same graph — bit-identical to a fresh build.
-    pub(crate) fn reprice(&mut self, class_weights: &[f64]) {
-        if let Some(oracle) = &mut self.oracle {
-            let threads = paths::default_build_threads(self.adjacency.len());
-            oracle.reprice(&self.adjacency, class_weights, threads);
-        }
-        if let Some(sparse) = &mut self.sparse {
-            sparse.reprice(class_weights);
         }
     }
 
@@ -388,7 +372,7 @@ mod tests {
     use super::*;
 
     fn engine_with(
-        adjacency: Vec<Vec<(usize, usize)>>,
+        adjacency: &[Vec<(usize, usize)>],
         boundary: Option<usize>,
         limit: usize,
     ) -> MatchingEngine {
@@ -399,7 +383,7 @@ mod tests {
         MatchingEngine::build(adjacency, weights, boundary, limit, &Registry::new(), None)
     }
 
-    fn engine(adjacency: Vec<Vec<(usize, usize)>>, limit: usize) -> MatchingEngine {
+    fn engine(adjacency: &[Vec<(usize, usize)>], limit: usize) -> MatchingEngine {
         engine_with(adjacency, None, limit)
     }
 
@@ -435,7 +419,7 @@ mod tests {
     fn edgeless_graph_gives_up_cleanly() {
         let mut sc = EngineScratch::default();
         for limit in [1024, 0] {
-            let e = engine(vec![Vec::new(); 3], limit);
+            let e = engine(&vec![Vec::new(); 3], limit);
             assert_eq!(e.oracle().is_some(), limit > 0);
             assert_eq!(run(&e, &[0, 2], Pricing::Base, &mut sc), (None, vec![]));
             assert_eq!(run(&e, &[1], Pricing::Base, &mut sc), (None, vec![]));
@@ -446,7 +430,7 @@ mod tests {
     /// A graph without vertices builds no index and matches nothing.
     #[test]
     fn empty_graph_builds_no_index() {
-        let e = engine(Vec::new(), 1024);
+        let e = engine(&[], 1024);
         assert!(e.oracle().is_none() && e.sparse().is_none());
         let mut sc = EngineScratch::default();
         assert_eq!(run(&e, &[], Pricing::Base, &mut sc), (Some(0), vec![]));
@@ -463,8 +447,8 @@ mod tests {
             vec![(1, 1), (3, 2)],
             vec![(2, 2)],
         ];
-        let dense = engine(adjacency.clone(), 1024);
-        let sparse = engine(adjacency, 0);
+        let dense = engine(&adjacency, 1024);
+        let sparse = engine(&adjacency, 0);
         let mut sc = EngineScratch::default();
         let expected = vec![(2, 3, 2), (1, 2, 1), (0, 1, 0)];
         let shot = [1.0, 1.25, 1.5];
@@ -488,8 +472,8 @@ mod tests {
     /// CSR graph otherwise, at any defect count.
     #[test]
     fn route_follows_pricing() {
-        let dense = engine(ring(8), 1024);
-        let sparse = engine(ring(8), 0);
+        let dense = engine(&ring(8), 1024);
+        let sparse = engine(&ring(8), 0);
         let shot = [1.0; 8];
         assert!(dense.prices_on_oracle(Pricing::Base));
         assert!(!dense.prices_on_oracle(Pricing::Shot(&shot)));
@@ -510,9 +494,9 @@ mod tests {
             adjacency[v].push((hub, class));
             adjacency[hub].push((v, class));
         }
-        let oracle = engine_with(adjacency.clone(), Some(hub), 1024);
-        let routed = engine_with(adjacency.clone(), Some(hub), 0);
-        let mut complete = engine_with(adjacency, Some(hub), 0);
+        let oracle = engine_with(&adjacency, Some(hub), 1024);
+        let routed = engine_with(&adjacency, Some(hub), 0);
+        let mut complete = engine_with(&adjacency, Some(hub), 0);
         complete.force_complete_pricing();
         let mut sc = EngineScratch::default();
         for (extra, defects) in [&[1, 4, 8, 10][..], &[1, 3, 4, 8, 10]]

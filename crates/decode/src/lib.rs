@@ -120,12 +120,12 @@ pub trait Decoder: Sync {
     ///
     /// Every in-tree decoder owns a [`qec_obs::Registry`] — private by
     /// default, or shared when constructed through a `with_metrics`
-    /// constructor (how [`fpn_core`'s] pipeline keeps one continuous
-    /// counter series across retarget rebuilds). Metrics are
+    /// constructor (how [`fpn_core`'s] BER sweep keeps one continuous
+    /// counter series across its per-point decoders). Metrics are
     /// observe-only: nothing read from the registry ever influences
     /// decoding.
     ///
-    /// [`fpn_core`'s]: ../fpn_core/struct.DecodingPipeline.html
+    /// [`fpn_core`'s]: ../fpn_core/harness/fn.ber_sweep.html
     fn metrics(&self) -> Option<&qec_obs::Registry> {
         None
     }

@@ -65,7 +65,6 @@ impl MwpmConfig {
 #[derive(Debug)]
 pub struct MwpmDecoder {
     hypergraph: DecodingHypergraph,
-    config: MwpmConfig,
     pricing: ClassPricing,
     /// The decoding graph; vertex `num_check` is the virtual boundary
     /// when present.
@@ -84,9 +83,10 @@ impl MwpmDecoder {
     }
 
     /// Builds the decoder recording into a caller-supplied metrics
-    /// registry. Metric names are interned, so rebuilding a decoder
-    /// against the same registry (the pipeline-retarget case) continues
-    /// the existing counter series instead of starting over.
+    /// registry. Metric names are interned, so building a decoder
+    /// against a registry an earlier decoder used (one decoder per
+    /// sweep point) continues the existing counter series instead of
+    /// starting over.
     pub fn with_metrics(dem: &DetectorErrorModel, config: MwpmConfig, metrics: Registry) -> Self {
         metrics.counter("decoder.constructions").inc();
         let hypergraph = DecodingHypergraph::new(dem);
@@ -118,7 +118,7 @@ impl MwpmDecoder {
             }
         }
         let engine = MatchingEngine::build(
-            adjacency,
+            &adjacency,
             pricing.base_weights(),
             has_boundary.then_some(boundary),
             config.oracle_node_limit,
@@ -128,41 +128,11 @@ impl MwpmDecoder {
         let counters = MatchingCounters::register(&metrics);
         MwpmDecoder {
             hypergraph,
-            config,
             pricing,
             engine,
             metrics,
             counters,
         }
-    }
-
-    /// Re-targets the decoder at a new detector error model with the
-    /// **same decoding-graph topology** (the BER-sweep case: only the
-    /// mechanism probabilities change with the physical error rate).
-    /// On success the decoding graph, oracle matrix and sparse CSR index
-    /// are reused and only re-priced — bit-identical to a fresh
-    /// [`MwpmDecoder::new`] — and `true` is returned. Returns `false`
-    /// (decoder unchanged) when the topology or a structural config
-    /// knob differs, in which case the caller must rebuild.
-    pub fn reprice(&mut self, dem: &DetectorErrorModel, config: MwpmConfig) -> bool {
-        if config.oracle_node_limit != self.config.oracle_node_limit {
-            return false;
-        }
-        let hypergraph = DecodingHypergraph::new(dem);
-        if !hypergraph.same_topology(&self.hypergraph) {
-            return false;
-        }
-        let _span = qec_obs::span("decoder.reprice");
-        self.metrics.counter("decoder.reprices").inc();
-        self.config = config;
-        self.pricing = ClassPricing::new(
-            &hypergraph,
-            config.flag_conditioning,
-            config.measurement_error_probability,
-        );
-        self.hypergraph = hypergraph;
-        self.engine.reprice(&self.pricing.base_weights());
-        true
     }
 
     /// The underlying hypergraph.
@@ -574,44 +544,5 @@ mod tests {
             // Only the unmatchable shot is counted as given up.
             assert_eq!((stats.giveups_unmatched, stats.giveups()), (1, 1));
         }
-    }
-
-    /// Sweep reuse: re-pricing a decoder at a new error rate must be
-    /// indistinguishable from building it fresh — oracle matrices
-    /// bitwise equal, every syndrome decoding identically.
-    #[test]
-    fn reprice_is_bitwise_equal_to_fresh_build() {
-        let dem_a = repetition_dem(0.01);
-        let dem_b = repetition_dem(0.05);
-        let mut repriced = MwpmDecoder::new(&dem_a, MwpmConfig::unflagged());
-        assert!(repriced.reprice(&dem_b, MwpmConfig::unflagged()));
-        let fresh = MwpmDecoder::new(&dem_b, MwpmConfig::unflagged());
-        let (ro, fo) = (
-            repriced.path_oracle().unwrap(),
-            fresh.path_oracle().unwrap(),
-        );
-        for src in 0..ro.num_nodes() {
-            for dst in 0..ro.num_nodes() {
-                assert_eq!(ro.dist(src, dst).to_bits(), fo.dist(src, dst).to_bits());
-                assert_eq!(ro.pred(src, dst), fo.pred(src, dst));
-            }
-        }
-        let nd = dem_b.num_detectors();
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            assert_eq!(repriced.decode(&dets), fresh.decode(&dets));
-        }
-        // Sparse-tier variant re-prices the CSR weights in place.
-        let mut sparse =
-            MwpmDecoder::new(&dem_a, MwpmConfig::unflagged().with_oracle_node_limit(0));
-        assert!(sparse.reprice(&dem_b, MwpmConfig::unflagged().with_oracle_node_limit(0)));
-        let sparse_fresh =
-            MwpmDecoder::new(&dem_b, MwpmConfig::unflagged().with_oracle_node_limit(0));
-        for pattern in 0..(1u32 << nd) {
-            let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-            assert_eq!(sparse.decode(&dets), sparse_fresh.decode(&dets));
-        }
-        // Structural config changes refuse to reprice.
-        assert!(!sparse.reprice(&dem_b, MwpmConfig::unflagged()));
     }
 }

@@ -156,88 +156,52 @@ impl PathOracle {
         threads: usize,
     ) -> PathOracle {
         let n = adjacency.len();
-        let mut oracle = PathOracle {
-            n,
-            dist: vec![f64::INFINITY; n * n],
-            pred: vec![(u32::MAX, u32::MAX); n * n],
-        };
-        oracle.fill(adjacency, class_weights, threads);
-        oracle
-    }
-
-    /// Recomputes every row against new class weights over the same
-    /// graph, reusing the allocated matrices — the sweep-reuse path: a
-    /// BER sweep re-prices the decoding graph at each physical error
-    /// rate without reallocating O(V²) storage. Bit-identical to a
-    /// fresh [`PathOracle::build`] with the same inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `adjacency` has a different vertex count than the
-    /// oracle was built for.
-    pub fn reprice(
-        &mut self,
-        adjacency: &[Vec<(usize, usize)>],
-        class_weights: &[f64],
-        threads: usize,
-    ) {
-        assert_eq!(
-            adjacency.len(),
-            self.n,
-            "reprice requires the graph the oracle was built for"
-        );
-        self.fill(adjacency, class_weights, threads);
-    }
-
-    /// Runs the all-sources Dijkstra sweep into the existing matrices,
-    /// overwriting every entry.
-    fn fill(&mut self, adjacency: &[Vec<(usize, usize)>], class_weights: &[f64], threads: usize) {
-        let n = self.n;
-        if n == 0 {
-            return;
-        }
-        assert!(n <= u32::MAX as usize, "node indices must fit in u32");
-        let rows_per_chunk = n.div_ceil(threads.clamp(1, n));
-        std::thread::scope(|scope| {
-            for (chunk, (dist_chunk, pred_chunk)) in self
-                .dist
-                .chunks_mut(rows_per_chunk * n)
-                .zip(self.pred.chunks_mut(rows_per_chunk * n))
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    let mut d = Vec::new();
-                    let mut p = Vec::new();
-                    let mut done = Vec::new();
-                    let mut heap = BinaryHeap::new();
-                    for (row, (dist_row, pred_row)) in dist_chunk
-                        .chunks_mut(n)
-                        .zip(pred_chunk.chunks_mut(n))
-                        .enumerate()
-                    {
-                        let src = chunk * rows_per_chunk + row;
-                        dijkstra_into(
-                            adjacency,
-                            src,
-                            |c| class_weights[c],
-                            &mut d,
-                            &mut p,
-                            &mut done,
-                            &mut heap,
-                        );
-                        dist_row.copy_from_slice(&d);
-                        for (slot, &(u, c)) in pred_row.iter_mut().zip(&p) {
-                            *slot = if u == usize::MAX {
-                                (u32::MAX, u32::MAX)
-                            } else {
-                                assert!(c <= u32::MAX as usize, "class index must fit in u32");
-                                (u as u32, c as u32)
-                            };
+        let mut dist = vec![f64::INFINITY; n * n];
+        let mut pred = vec![(u32::MAX, u32::MAX); n * n];
+        if n > 0 {
+            assert!(n <= u32::MAX as usize, "node indices must fit in u32");
+            let rows_per_chunk = n.div_ceil(threads.clamp(1, n));
+            std::thread::scope(|scope| {
+                for (chunk, (dist_chunk, pred_chunk)) in dist
+                    .chunks_mut(rows_per_chunk * n)
+                    .zip(pred.chunks_mut(rows_per_chunk * n))
+                    .enumerate()
+                {
+                    scope.spawn(move || {
+                        let mut d = Vec::new();
+                        let mut p = Vec::new();
+                        let mut done = Vec::new();
+                        let mut heap = BinaryHeap::new();
+                        for (row, (dist_row, pred_row)) in dist_chunk
+                            .chunks_mut(n)
+                            .zip(pred_chunk.chunks_mut(n))
+                            .enumerate()
+                        {
+                            let src = chunk * rows_per_chunk + row;
+                            dijkstra_into(
+                                adjacency,
+                                src,
+                                |c| class_weights[c],
+                                &mut d,
+                                &mut p,
+                                &mut done,
+                                &mut heap,
+                            );
+                            dist_row.copy_from_slice(&d);
+                            for (slot, &(u, c)) in pred_row.iter_mut().zip(&p) {
+                                *slot = if u == usize::MAX {
+                                    (u32::MAX, u32::MAX)
+                                } else {
+                                    assert!(c <= u32::MAX as usize, "class index must fit in u32");
+                                    (u as u32, c as u32)
+                                };
+                            }
                         }
-                    }
-                });
-            }
-        });
+                    });
+                }
+            });
+        }
+        PathOracle { n, dist, pred }
     }
 
     /// Number of graph nodes (the matrix is `num_nodes × num_nodes`).
@@ -279,7 +243,7 @@ impl PathOracle {
 /// graph in CSR form — O(V + E) — and the flag-free class weights.
 /// [`crate::sparse_graph_match`] grows truncated Dijkstra regions from
 /// each shot's defects over it, relaxing edges through the same
-/// [`relaxed_dist`] tie-break, so its distances are **bitwise** equal
+/// deterministic tie-break as the oracle, so its distances are **bitwise** equal
 /// to a full run's. Searches are priced per shot through a per-class
 /// weight slice, so unlike the dense oracle the finder also serves
 /// flag-reweighted shots.
@@ -293,7 +257,7 @@ pub struct SparsePathFinder {
     /// bitwise-determinism contract).
     edges: Vec<(u32, u32)>,
     /// Flag-free per-class weights (the decoders' base pricing), kept
-    /// for flag-free shots and sweep re-pricing.
+    /// for flag-free shots.
     class_weights: Vec<f64>,
 }
 
@@ -353,22 +317,6 @@ impl SparsePathFinder {
     /// contract every consumer of this index shares).
     pub(crate) fn csr_edges(&self) -> &[(u32, u32)] {
         &self.edges
-    }
-
-    /// Replaces the stored flag-free class weights — the sweep-reuse
-    /// path, mirroring [`PathOracle::reprice`]. The CSR structure is
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight count changes.
-    pub fn reprice(&mut self, class_weights: &[f64]) {
-        assert_eq!(
-            class_weights.len(),
-            self.class_weights.len(),
-            "reprice requires the class set the finder was built for"
-        );
-        self.class_weights.copy_from_slice(class_weights);
     }
 }
 
@@ -512,36 +460,5 @@ mod tests {
         assert!(sc.pair_dist(1, 0).is_infinite());
         assert!(sc.pair_dist(2, 2).is_infinite());
         assert!(sc.pair_hops(1, 0).is_empty());
-    }
-
-    #[test]
-    fn sparse_finder_reprice_changes_base_weights_only() {
-        let (adjacency, weights) = path_graph();
-        let mut finder = SparsePathFinder::build(&adjacency, weights);
-        let new_weights = vec![3.0, 0.5];
-        finder.reprice(&new_weights);
-        let sc = csr_pairs(&finder, &[0, 1, 2, 3]);
-        let (dist, _) = shortest_paths_from(&adjacency, &new_weights, 0);
-        for (dst, &full_dist) in dist.iter().enumerate().skip(1) {
-            assert_eq!(sc.pair_dist(0, dst).to_bits(), full_dist.to_bits());
-        }
-    }
-
-    #[test]
-    fn oracle_reprice_is_bitwise_equal_to_fresh_build() {
-        let (adjacency, weights) = path_graph();
-        let mut oracle = PathOracle::build(&adjacency, &weights, 2);
-        let new_weights = vec![0.25, 7.5];
-        oracle.reprice(&adjacency, &new_weights, 3);
-        let fresh = PathOracle::build(&adjacency, &new_weights, 1);
-        for src in 0..4 {
-            for dst in 0..4 {
-                assert_eq!(
-                    oracle.dist(src, dst).to_bits(),
-                    fresh.dist(src, dst).to_bits()
-                );
-                assert_eq!(oracle.pred(src, dst), fresh.pred(src, dst));
-            }
-        }
     }
 }

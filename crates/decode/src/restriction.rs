@@ -119,9 +119,9 @@ impl RestrictionDecoder {
     }
 
     /// Builds the decoder recording into a caller-supplied metrics
-    /// registry. Metric names are interned, so rebuilding against the
-    /// same registry (the pipeline-retarget case) continues the
-    /// existing counter series.
+    /// registry. Metric names are interned, so building against a
+    /// registry an earlier decoder used (one decoder per sweep point)
+    /// continues the existing counter series.
     ///
     /// # Panics
     ///
@@ -168,7 +168,7 @@ impl RestrictionDecoder {
                 }
             }
             let engine = MatchingEngine::build(
-                adjacency,
+                &adjacency,
                 pricing.base_weights(),
                 None,
                 config.oracle_node_limit,
@@ -202,43 +202,6 @@ impl RestrictionDecoder {
             metrics,
             sigma_index,
         }
-    }
-
-    /// Re-targets the decoder at a new detector error model with the
-    /// **same decoding-graph topology** (the BER-sweep case: only the
-    /// mechanism probabilities change with the physical error rate).
-    /// On success the lattices, oracle matrices and sparse CSR indexes
-    /// are reused and only re-priced — bit-identical to a fresh
-    /// [`RestrictionDecoder::new`] — and `true` is returned. Returns
-    /// `false` (decoder unchanged) when the topology or a structural
-    /// config knob differs, in which case the caller must rebuild.
-    pub fn reprice(&mut self, dem: &DetectorErrorModel, config: RestrictionConfig) -> bool {
-        if config.oracle_node_limit != self.config.oracle_node_limit {
-            return false;
-        }
-        let hypergraph = DecodingHypergraph::with_primitive_size(dem, usize::MAX);
-        let same_topology = hypergraph.same_topology(&self.hypergraph)
-            && (0..hypergraph.num_check_detectors()).all(|c| {
-                hypergraph.check_meta(c).color == self.hypergraph.check_meta(c).color
-                    && hypergraph.check_meta(c).id == self.hypergraph.check_meta(c).id
-            });
-        if !same_topology {
-            return false;
-        }
-        let _span = qec_obs::span("decoder.reprice");
-        self.metrics.counter("decoder.reprices").inc();
-        self.config = config;
-        self.pricing = ClassPricing::new(
-            &hypergraph,
-            config.flag_conditioning,
-            config.measurement_error_probability,
-        );
-        self.hypergraph = hypergraph;
-        let weights = self.pricing.base_weights();
-        for lattice in &mut self.lattices {
-            lattice.engine.reprice(&weights);
-        }
-        true
     }
 
     /// The underlying hypergraph.
@@ -836,30 +799,6 @@ mod tests {
             RestrictionConfig::chamberland(pm),
         ] {
             assert_routes_agree(&dem, &ctx, config, &shots);
-        }
-    }
-
-    /// Sweep reuse: re-pricing at a new error rate must decode every
-    /// syndrome exactly like a freshly built decoder.
-    #[test]
-    fn reprice_is_bitwise_equal_to_fresh_build() {
-        let (dem, ctx) = tiny_color_dem();
-        for limit in [DEFAULT_ORACLE_NODE_LIMIT, 0] {
-            let config = RestrictionConfig::flagged(0.05).with_oracle_node_limit(limit);
-            let mut repriced = RestrictionDecoder::new(
-                &dem,
-                ctx.clone(),
-                RestrictionConfig::flagged(0.01).with_oracle_node_limit(limit),
-            );
-            assert!(repriced.reprice(&dem, config));
-            let fresh = RestrictionDecoder::new(&dem, ctx.clone(), config);
-            let nd = dem.num_detectors();
-            for pattern in 0..(1u32 << nd) {
-                let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
-                assert_eq!(repriced.decode(&dets), fresh.decode(&dets), "limit {limit}");
-            }
-            // Structural config changes refuse to reprice.
-            assert!(!repriced.reprice(&dem, config.with_oracle_node_limit(limit.wrapping_add(1))));
         }
     }
 }

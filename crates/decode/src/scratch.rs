@@ -18,8 +18,8 @@ use std::collections::HashMap;
 /// All counts are cumulative over the decoder's metrics [`Registry`] —
 /// i.e. since construction, unless the decoder was built with a shared
 /// registry (`with_metrics`), in which case they span every decoder
-/// attached to it (this is how a retargeted pipeline keeps one
-/// continuous series across rebuilds). Callers that want per-run
+/// attached to it (this is how a BER sweep keeps one continuous series
+/// across its per-point decoders). Callers that want per-run
 /// numbers (e.g. `run_ber`) snapshot before/after and take
 /// [`DecoderStats::delta`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,7 +94,7 @@ impl DecoderStats {
     /// per-run / per-sweep-point attribution mechanism: snapshot before
     /// a run, snapshot after, and `after.delta(&before)` is exactly
     /// that run's work even though the underlying registry counters are
-    /// lifetime atomics shared across `retarget` rebuilds.
+    /// lifetime atomics shared by every decoder built against them.
     pub fn delta(&self, earlier: &DecoderStats) -> DecoderStats {
         DecoderStats {
             decodes: self.decodes.saturating_sub(earlier.decodes),

@@ -107,9 +107,9 @@ impl UnionFindDecoder {
     }
 
     /// Builds the decoder recording into a caller-supplied metrics
-    /// registry. Metric names are interned, so rebuilding against the
-    /// same registry (the pipeline-retarget case) continues the
-    /// existing counter series.
+    /// registry. Metric names are interned, so building against a
+    /// registry an earlier decoder used (one decoder per sweep point)
+    /// continues the existing counter series.
     pub fn with_metrics(
         dem: &DetectorErrorModel,
         config: UnionFindConfig,

@@ -253,11 +253,9 @@ enum Metric {
 /// A name-interning registry of metrics.
 ///
 /// `counter`/`gauge`/`histogram` are get-or-create: asking for the same name
-/// twice returns a handle to the same underlying cell, which is what lets a
-/// rebuilt decoder (after [`retarget`]) keep accumulating into the counters
-/// its predecessor created. Clones share the same map.
-///
-/// [`retarget`]: ../fpn_core/struct.DecodingPipeline.html
+/// twice returns a handle to the same underlying cell, which is what lets the
+/// decoder a BER sweep builds for each point keep accumulating into the
+/// counters the previous point's decoder created. Clones share the same map.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<BTreeMap<String, Metric>>>,

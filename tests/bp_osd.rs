@@ -220,10 +220,15 @@ fn flagged_bp_osd_corrects_single_faults_on_fpn() {
     );
 }
 
-/// Degenerate detector error models: BP+OSD never panics, decodes a
-/// syndrome in the check matrix's column space to a valid
-/// finite-weight correction, and gives up on any other syndrome with
-/// an infinite weight and one counted give-up.
+/// Degenerate detector error models, on every decoder family:
+/// BP+OSD, Union-Find (`decode` and `decode_into`, flagged and
+/// unflagged) and MWPM (dense oracle and CSR route). No decoder panics;
+/// each counts exactly one give-up on a syndrome outside the check
+/// matrix's column space and none on any other; and the rows whose
+/// only cheap explanation is a p ≥ 0.5 mechanism decode to that
+/// mechanism's observable flip. BP+OSD additionally decodes a
+/// column-space syndrome to a valid finite-weight correction and gives
+/// up on any other with an infinite weight.
 #[test]
 fn bp_osd_degenerate_dems_decode_or_give_up() {
     type Mechanism = (Vec<u32>, Vec<u32>, f64);
@@ -290,6 +295,47 @@ fn bp_osd_degenerate_dems_decode_or_give_up() {
                 u64::from(!in_column_space),
                 "{label}"
             );
+        }
+        let csr = MwpmConfig::unflagged().with_oracle_node_limit(0);
+        let decoders: [(&str, Box<dyn Decoder>); 6] = [
+            (
+                "bp_osd",
+                Box::new(BpOsdDecoder::new(&dem, BpOsdConfig::unflagged())),
+            ),
+            (
+                "flagged bp_osd",
+                Box::new(BpOsdDecoder::new(&dem, BpOsdConfig::flagged(1e-3))),
+            ),
+            (
+                "union_find",
+                Box::new(UnionFindDecoder::new(&dem, UnionFindConfig::unflagged())),
+            ),
+            (
+                "flagged union_find",
+                Box::new(UnionFindDecoder::new(&dem, UnionFindConfig::flagged(1e-3))),
+            ),
+            (
+                "mwpm",
+                Box::new(MwpmDecoder::new(&dem, MwpmConfig::unflagged())),
+            ),
+            ("csr mwpm", Box::new(MwpmDecoder::new(&dem, csr))),
+        ];
+        for (name, decoder) in &decoders {
+            let before = decoder.stats();
+            let decoded = decoder.decode(&dets);
+            let mid = decoder.stats();
+            let mut decoded_into = BitVec::zeros(0);
+            decoder.decode_into(&dets, &mut DecodeScratch::new(), &mut decoded_into);
+            let expected_giveups = u64::from(!in_column_space);
+            for (call, delta, out) in [
+                ("decode", mid.delta(&before), &decoded),
+                ("decode_into", decoder.stats().delta(&mid), &decoded_into),
+            ] {
+                assert_eq!(delta.giveups(), expected_giveups, "{label}: {name} {call}");
+                if label.starts_with("p = ") {
+                    assert_eq!(*out, BitVec::from_ones(1, [0]), "{label}: {name} {call}");
+                }
+            }
         }
     }
 }
