@@ -50,6 +50,12 @@ named_test properties path_tiers_agree
 named_test properties matching_routes_agree
 named_test properties tier_counters_count_each_decoded_shot_once
 named_test properties csr_match_pools_are_stable_after_warmup
+# Differential DEM-builder property: the streaming
+# DetectorErrorModel::from_circuit must equal qec-testkit's
+# collect-then-merge reference (same mechanisms, same order,
+# probabilities equal by to_bits) on seeded random circuits over every
+# Op variant.
+named_test properties dem_builder_matches_reference_on_random_circuits
 
 # The paper's d_eff witnesses (Figs. 19/20) by single-fault injection:
 # on the shared-flag FPNs flagged MWPM and flagged BP+OSD mis-correct no

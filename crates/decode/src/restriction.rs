@@ -342,8 +342,9 @@ impl RestrictionDecoder {
             all_oracle &= on_oracle;
             if sources.len() % 2 == 1 {
                 // Closed codes always flip an even number per lattice;
-                // an odd count means an unusable shot — decode
-                // conservatively.
+                // an odd count has no perfect matching, so the shot
+                // gives up on this lattice and decodes from the others.
+                gave_up = true;
                 continue;
             }
             graph_native |= !on_oracle && !discovery_is_complete(sources.len());

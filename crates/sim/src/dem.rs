@@ -4,9 +4,12 @@
 //! The model is computed with a single **backward sensitivity pass**:
 //! walking the circuit in reverse while maintaining, for each qubit,
 //! the set of detectors/observables an X (resp. Z) error at the current
-//! position would flip. Each noise channel then emits one mechanism per
-//! independent Pauli component. This is equivalent to propagating every
-//! fault forward (as Stim does) but costs a single pass.
+//! position would flip. Each noise channel then emits one fault per
+//! independent Pauli component, and each fault is folded into the
+//! mechanism table as it is emitted, merging identical effects. Like
+//! Stim's error analyzer (Gidney, arXiv:2103.02202), the pass keeps
+//! nothing per raw fault: the only allocation in the walk is the key of
+//! a mechanism seen for the first time.
 
 use crate::circuit::{Circuit, DetectorMeta, Op};
 use qec_math::rng::Rng;
@@ -49,6 +52,63 @@ pub struct DetectorErrorModel {
     mechanisms: Vec<Mechanism>,
 }
 
+/// The mechanisms found so far, keyed by effect: sorted indices into
+/// the `(detectors, observables)` bit space, observable `i` at `d + i`.
+/// Each fault is folded in as the backward pass emits it, so no
+/// per-fault effect is ever stored.
+#[derive(Default)]
+struct MergeTable {
+    merged: HashMap<Vec<u32>, f64>,
+    /// Reused key buffer: the effect being folded.
+    key: Vec<u32>,
+}
+
+impl MergeTable {
+    /// Merges a fault of probability `p` flipping `effect` into its
+    /// mechanism: `p <- p1 (1 - p2) + p2 (1 - p1)` for independent
+    /// faults. Faults that never occur or flip nothing are skipped.
+    fn fold(&mut self, effect: &BitVec, p: f64) {
+        if p <= 0.0 || effect.is_zero() {
+            return;
+        }
+        self.key.clear();
+        self.key.extend(effect.iter_ones().map(|bit| bit as u32));
+        let entry = match self.merged.get_mut(self.key.as_slice()) {
+            Some(entry) => entry,
+            None => self.merged.entry(self.key.clone()).or_insert(0.0),
+        };
+        *entry = *entry * (1.0 - p) + p * (1.0 - *entry);
+    }
+
+    /// The merged mechanisms, detectors split from observables at
+    /// index `d`, sorted by `(detectors, observables)`.
+    fn into_mechanisms(self, d: usize) -> Vec<Mechanism> {
+        let d = d as u32;
+        let mut mechanisms: Vec<Mechanism> = self
+            .merged
+            .into_iter()
+            .map(|(mut detectors, probability)| {
+                let mut observables =
+                    detectors.split_off(detectors.partition_point(|&bit| bit < d));
+                for bit in &mut observables {
+                    *bit -= d;
+                }
+                Mechanism {
+                    probability,
+                    detectors,
+                    observables,
+                }
+            })
+            .collect();
+        mechanisms.sort_by(|a, b| {
+            a.detectors
+                .cmp(&b.detectors)
+                .then(a.observables.cmp(&b.observables))
+        });
+        mechanisms
+    }
+}
+
 impl DetectorErrorModel {
     /// Builds the detector error model of `circuit`.
     pub fn from_circuit(circuit: &Circuit) -> Self {
@@ -70,27 +130,32 @@ impl DetectorErrorModel {
         let nq = circuit.num_qubits();
         let mut sens_x = vec![BitVec::zeros(width); nq];
         let mut sens_z = vec![BitVec::zeros(width); nq];
+        // Reused scratch: the identity's empty effect, a CX operand,
+        // the Y sensitivities of a channel's qubits and the XOR of a
+        // two-qubit component.
+        let zero = BitVec::zeros(width);
+        let mut tmp = BitVec::zeros(width);
+        let mut y_a = BitVec::zeros(width);
+        let mut y_b = BitVec::zeros(width);
+        let mut pair = BitVec::zeros(width);
+        let mut table = MergeTable::default();
         // Walk measurement indices backward as we pass Measure ops.
         let mut next_meas = circuit.num_measurements();
-        let mut raw: Vec<(BitVec, f64)> = Vec::new();
         for op in circuit.ops().iter().rev() {
             match op {
                 Op::H(ts) => {
                     for &q in ts {
-                        sens_x.swap(q, q);
-                        let tmp = sens_x[q].clone();
-                        sens_x[q] = sens_z[q].clone();
-                        sens_z[q] = tmp;
+                        std::mem::swap(&mut sens_x[q], &mut sens_z[q]);
                     }
                 }
                 Op::Cx(pairs) => {
                     // Forward: X_c -> X_c X_t, Z_t -> Z_t Z_c; backward
                     // sensitivities compose accordingly.
                     for &(c, t) in pairs.iter().rev() {
-                        let st = sens_x[t].clone();
-                        sens_x[c].xor_assign(&st);
-                        let sc = sens_z[c].clone();
-                        sens_z[t].xor_assign(&sc);
+                        tmp.copy_from(&sens_x[t]);
+                        sens_x[c].xor_assign(&tmp);
+                        tmp.copy_from(&sens_z[c]);
+                        sens_z[t].xor_assign(&tmp);
                     }
                 }
                 Op::Reset(ts) => {
@@ -106,7 +171,7 @@ impl DetectorErrorModel {
                     for (k, &q) in targets.iter().enumerate().rev() {
                         let m = next_meas - (targets.len() - k);
                         if *flip_probability > 0.0 {
-                            raw.push((effects[m].clone(), *flip_probability));
+                            table.fold(&effects[m], *flip_probability);
                         }
                         sens_x[q].xor_assign(&effects[m]);
                     }
@@ -114,12 +179,12 @@ impl DetectorErrorModel {
                 }
                 Op::XError { targets, p } => {
                     for &q in targets {
-                        raw.push((sens_x[q].clone(), *p));
+                        table.fold(&sens_x[q], *p);
                     }
                 }
                 Op::ZError { targets, p } => {
                     for &q in targets {
-                        raw.push((sens_z[q].clone(), *p));
+                        table.fold(&sens_z[q], *p);
                     }
                 }
                 Op::PauliChannel1 {
@@ -130,82 +195,53 @@ impl DetectorErrorModel {
                 } => {
                     for &q in targets {
                         if *px > 0.0 {
-                            raw.push((sens_x[q].clone(), *px));
+                            table.fold(&sens_x[q], *px);
                         }
                         if *py > 0.0 {
-                            raw.push((&sens_x[q] ^ &sens_z[q], *py));
+                            y_a.copy_from(&sens_x[q]);
+                            y_a.xor_assign(&sens_z[q]);
+                            table.fold(&y_a, *py);
                         }
                         if *pz > 0.0 {
-                            raw.push((sens_z[q].clone(), *pz));
+                            table.fold(&sens_z[q], *pz);
                         }
                     }
                 }
                 Op::Depolarize1 { targets, p } => {
                     let pp = p / 3.0;
                     for &q in targets {
-                        raw.push((sens_x[q].clone(), pp));
-                        raw.push((&sens_x[q] ^ &sens_z[q], pp));
-                        raw.push((sens_z[q].clone(), pp));
+                        y_a.copy_from(&sens_x[q]);
+                        y_a.xor_assign(&sens_z[q]);
+                        table.fold(&sens_x[q], pp);
+                        table.fold(&y_a, pp);
+                        table.fold(&sens_z[q], pp);
                     }
                 }
                 Op::Depolarize2 { pairs, p } => {
                     let pp = p / 15.0;
                     for &(a, b) in pairs {
-                        let singles = |q: usize, code: u8| -> BitVec {
-                            match code {
-                                1 => sens_x[q].clone(),
-                                2 => &sens_x[q] ^ &sens_z[q],
-                                3 => sens_z[q].clone(),
-                                _ => BitVec::zeros(width),
-                            }
-                        };
-                        for k in 1u8..16 {
-                            let ea = singles(a, k / 4);
-                            let eb = singles(b, k % 4);
-                            raw.push((&ea ^ &eb, pp));
+                        y_a.copy_from(&sens_x[a]);
+                        y_a.xor_assign(&sens_z[a]);
+                        y_b.copy_from(&sens_x[b]);
+                        y_b.xor_assign(&sens_z[b]);
+                        // Pauli code 0 = I, 1 = X, 2 = Y, 3 = Z.
+                        let singles_a = [&zero, &sens_x[a], &y_a, &sens_z[a]];
+                        let singles_b = [&zero, &sens_x[b], &y_b, &sens_z[b]];
+                        for k in 1..16 {
+                            pair.copy_from(singles_a[k / 4]);
+                            pair.xor_assign(singles_b[k % 4]);
+                            table.fold(&pair, pp);
                         }
                     }
                 }
                 Op::Tick => {}
             }
         }
-        // Merge mechanisms with identical effects:
-        // p <- p1 (1 - p2) + p2 (1 - p1) for independent faults.
-        let mut merged: HashMap<(Vec<u32>, Vec<u32>), f64> = HashMap::new();
-        for (effect, p) in raw {
-            if p <= 0.0 || effect.is_zero() {
-                continue;
-            }
-            let mut dets = Vec::new();
-            let mut obss = Vec::new();
-            for bit in effect.iter_ones() {
-                if bit < d {
-                    dets.push(bit as u32);
-                } else {
-                    obss.push((bit - d) as u32);
-                }
-            }
-            let entry = merged.entry((dets, obss)).or_insert(0.0);
-            *entry = *entry * (1.0 - p) + p * (1.0 - *entry);
-        }
-        let mut mechanisms: Vec<Mechanism> = merged
-            .into_iter()
-            .map(|((detectors, observables), probability)| Mechanism {
-                probability,
-                detectors,
-                observables,
-            })
-            .collect();
-        mechanisms.sort_by(|a, b| {
-            a.detectors
-                .cmp(&b.detectors)
-                .then(a.observables.cmp(&b.observables))
-        });
         DetectorErrorModel {
             num_detectors: d,
             num_observables: o,
             detector_meta: circuit.detectors().iter().map(|dd| dd.meta).collect(),
-            mechanisms,
+            mechanisms: table.into_mechanisms(d),
         }
     }
 

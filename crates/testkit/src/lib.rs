@@ -18,7 +18,8 @@
 use fpn_core::prelude::*;
 use qec_math::rng::{Rng, Xoshiro256StarStar};
 use qec_math::BitVec;
-use qec_sim::DetectorMeta;
+use qec_sim::{DetectorMeta, Mechanism, Op};
+use std::collections::HashMap;
 
 pub use qec_decode::ColorCodeContext;
 
@@ -134,6 +135,198 @@ pub fn hyperbolic_memory_experiment_at(p: f64) -> (CssCode, MemoryExperiment, No
 pub fn hyperbolic_memory_dem() -> DetectorErrorModel {
     let (_, exp, _) = hyperbolic_memory_experiment();
     DetectorErrorModel::from_circuit(&exp.circuit)
+}
+
+/// The detector error model's mechanisms as built before the builder
+/// became streaming: one backward sensitivity pass that stores every
+/// raw fault's dense effect, then merges identical effects through a
+/// `HashMap` and sorts by `(detectors, observables)`. Kept verbatim as
+/// the oracle that `DetectorErrorModel::from_circuit` is pinned to,
+/// mechanism for mechanism and probability bit for bit (see
+/// [`assert_dem_matches_reference`]).
+pub fn reference_dem_mechanisms(circuit: &Circuit) -> Vec<Mechanism> {
+    let d = circuit.detectors().len();
+    let o = circuit.observables().len();
+    let width = d + o;
+    // effects[m]: which detectors/observables contain measurement m.
+    let mut effects = vec![BitVec::zeros(width); circuit.num_measurements()];
+    for (di, det) in circuit.detectors().iter().enumerate() {
+        for &m in &det.measurements {
+            effects[m].flip(di);
+        }
+    }
+    for (oi, obs) in circuit.observables().iter().enumerate() {
+        for &m in obs {
+            effects[m].flip(d + oi);
+        }
+    }
+    let nq = circuit.num_qubits();
+    let mut sens_x = vec![BitVec::zeros(width); nq];
+    let mut sens_z = vec![BitVec::zeros(width); nq];
+    // Walk measurement indices backward as we pass Measure ops.
+    let mut next_meas = circuit.num_measurements();
+    let mut raw: Vec<(BitVec, f64)> = Vec::new();
+    for op in circuit.ops().iter().rev() {
+        match op {
+            Op::H(ts) => {
+                for &q in ts {
+                    sens_x.swap(q, q);
+                    let tmp = sens_x[q].clone();
+                    sens_x[q] = sens_z[q].clone();
+                    sens_z[q] = tmp;
+                }
+            }
+            Op::Cx(pairs) => {
+                // Forward: X_c -> X_c X_t, Z_t -> Z_t Z_c; backward
+                // sensitivities compose accordingly.
+                for &(c, t) in pairs.iter().rev() {
+                    let st = sens_x[t].clone();
+                    sens_x[c].xor_assign(&st);
+                    let sc = sens_z[c].clone();
+                    sens_z[t].xor_assign(&sc);
+                }
+            }
+            Op::Reset(ts) => {
+                for &q in ts {
+                    sens_x[q].clear();
+                    sens_z[q].clear();
+                }
+            }
+            Op::Measure {
+                targets,
+                flip_probability,
+            } => {
+                for (k, &q) in targets.iter().enumerate().rev() {
+                    let m = next_meas - (targets.len() - k);
+                    if *flip_probability > 0.0 {
+                        raw.push((effects[m].clone(), *flip_probability));
+                    }
+                    sens_x[q].xor_assign(&effects[m]);
+                }
+                next_meas -= targets.len();
+            }
+            Op::XError { targets, p } => {
+                for &q in targets {
+                    raw.push((sens_x[q].clone(), *p));
+                }
+            }
+            Op::ZError { targets, p } => {
+                for &q in targets {
+                    raw.push((sens_z[q].clone(), *p));
+                }
+            }
+            Op::PauliChannel1 {
+                targets,
+                px,
+                py,
+                pz,
+            } => {
+                for &q in targets {
+                    if *px > 0.0 {
+                        raw.push((sens_x[q].clone(), *px));
+                    }
+                    if *py > 0.0 {
+                        raw.push((&sens_x[q] ^ &sens_z[q], *py));
+                    }
+                    if *pz > 0.0 {
+                        raw.push((sens_z[q].clone(), *pz));
+                    }
+                }
+            }
+            Op::Depolarize1 { targets, p } => {
+                let pp = p / 3.0;
+                for &q in targets {
+                    raw.push((sens_x[q].clone(), pp));
+                    raw.push((&sens_x[q] ^ &sens_z[q], pp));
+                    raw.push((sens_z[q].clone(), pp));
+                }
+            }
+            Op::Depolarize2 { pairs, p } => {
+                let pp = p / 15.0;
+                for &(a, b) in pairs {
+                    let singles = |q: usize, code: u8| -> BitVec {
+                        match code {
+                            1 => sens_x[q].clone(),
+                            2 => &sens_x[q] ^ &sens_z[q],
+                            3 => sens_z[q].clone(),
+                            _ => BitVec::zeros(width),
+                        }
+                    };
+                    for k in 1u8..16 {
+                        let ea = singles(a, k / 4);
+                        let eb = singles(b, k % 4);
+                        raw.push((&ea ^ &eb, pp));
+                    }
+                }
+            }
+            Op::Tick => {}
+        }
+    }
+    // Merge mechanisms with identical effects:
+    // p <- p1 (1 - p2) + p2 (1 - p1) for independent faults.
+    let mut merged: HashMap<(Vec<u32>, Vec<u32>), f64> = HashMap::new();
+    for (effect, p) in raw {
+        if p <= 0.0 || effect.is_zero() {
+            continue;
+        }
+        let mut dets = Vec::new();
+        let mut obss = Vec::new();
+        for bit in effect.iter_ones() {
+            if bit < d {
+                dets.push(bit as u32);
+            } else {
+                obss.push((bit - d) as u32);
+            }
+        }
+        let entry = merged.entry((dets, obss)).or_insert(0.0);
+        *entry = *entry * (1.0 - p) + p * (1.0 - *entry);
+    }
+    let mut mechanisms: Vec<Mechanism> = merged
+        .into_iter()
+        .map(|((detectors, observables), probability)| Mechanism {
+            probability,
+            detectors,
+            observables,
+        })
+        .collect();
+    mechanisms.sort_by(|a, b| {
+        a.detectors
+            .cmp(&b.detectors)
+            .then(a.observables.cmp(&b.observables))
+    });
+    mechanisms
+}
+
+/// Asserts that `DetectorErrorModel::from_circuit(circuit)` equals
+/// [`reference_dem_mechanisms`]: the same detector and observable
+/// counts, the same mechanisms in the same order, and every
+/// probability equal by `to_bits`. `label` names the circuit in the
+/// failure message.
+pub fn assert_dem_matches_reference(circuit: &Circuit, label: &str) {
+    let dem = DetectorErrorModel::from_circuit(circuit);
+    let reference = reference_dem_mechanisms(circuit);
+    assert_eq!(dem.num_detectors(), circuit.detectors().len(), "{label}");
+    assert_eq!(
+        dem.num_observables(),
+        circuit.observables().len(),
+        "{label}"
+    );
+    assert_eq!(
+        dem.mechanisms().len(),
+        reference.len(),
+        "{label}: mechanism count"
+    );
+    for (i, (got, want)) in dem.mechanisms().iter().zip(&reference).enumerate() {
+        assert_eq!(got.detectors, want.detectors, "{label}: mechanism {i}");
+        assert_eq!(got.observables, want.observables, "{label}: mechanism {i}");
+        assert_eq!(
+            got.probability.to_bits(),
+            want.probability.to_bits(),
+            "{label}: mechanism {i}: {} vs {}",
+            got.probability,
+            want.probability
+        );
+    }
 }
 
 /// A random sparse undirected graph in the decoders' adjacency format:
@@ -728,6 +921,38 @@ pub fn synthetic_hypergraph_dem(
     num_observables: usize,
     mechanisms: &[(Vec<u32>, Vec<u32>, f64)],
 ) -> DetectorErrorModel {
+    synthetic_dem_with_meta(num_checks, num_observables, mechanisms, |d| {
+        DetectorMeta::check(d, 0)
+    })
+}
+
+/// [`synthetic_hypergraph_dem`] with check `d` colored `colors[d]`
+/// (0 = red, 1 = green, 2 = blue), plus the color context a
+/// [`qec_decode::RestrictionDecoder`] needs. The plaquettes have no
+/// data-qubit support, so lifting applies nothing: only the restricted
+/// matchings and the reconciliation of their classes act.
+pub fn synthetic_colored_hypergraph_dem(
+    colors: &[u8],
+    num_observables: usize,
+    mechanisms: &[(Vec<u32>, Vec<u32>, f64)],
+) -> (DetectorErrorModel, ColorCodeContext) {
+    let dem = synthetic_dem_with_meta(colors.len(), num_observables, mechanisms, |d| {
+        DetectorMeta::colored_check(d, 0, colors[d])
+    });
+    let ctx = ColorCodeContext {
+        plaquette_colors: colors.to_vec(),
+        plaquette_supports: vec![Vec::new(); colors.len()],
+        qubit_observables: Vec::new(),
+    };
+    (dem, ctx)
+}
+
+fn synthetic_dem_with_meta(
+    num_checks: usize,
+    num_observables: usize,
+    mechanisms: &[(Vec<u32>, Vec<u32>, f64)],
+    meta: impl Fn(usize) -> DetectorMeta,
+) -> DetectorErrorModel {
     let nq = num_checks + num_observables + mechanisms.len();
     let mut c = Circuit::new(nq);
     c.reset(&(0..nq).collect::<Vec<_>>());
@@ -745,7 +970,7 @@ pub fn synthetic_hypergraph_dem(
     }
     let m = c.measure(&(0..num_checks).collect::<Vec<_>>(), 0.0);
     for d in 0..num_checks {
-        c.add_detector(vec![m + d], DetectorMeta::check(d, 0));
+        c.add_detector(vec![m + d], meta(d));
     }
     if num_observables > 0 {
         let mo = c.measure(

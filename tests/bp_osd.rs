@@ -17,7 +17,7 @@ use qec_math::BitVec;
 use qec_sim::DetectorErrorModel;
 use qec_testkit::{
     hyperbolic_memory_dem, mechanism_fire_probability, surface_memory_dem,
-    synthetic_hypergraph_dem, toric_color_dem,
+    synthetic_colored_hypergraph_dem, synthetic_hypergraph_dem, toric_color_dem,
 };
 
 /// Samples `shots` seeded (syndrome, true-observable-flips) pairs by
@@ -220,18 +220,33 @@ fn flagged_bp_osd_corrects_single_faults_on_fpn() {
     );
 }
 
+/// A synthetic mechanism: `(detectors, observables, probability)`.
+type Mechanism = (Vec<u32>, Vec<u32>, f64);
+
+/// Checks 0–2 and 3–5 as two triangles of weight-2 mechanisms, each
+/// flipping observable 0.
+fn triangles_of_pairs() -> Vec<Mechanism> {
+    (0..2u32)
+        .flat_map(|t| (0..3u32).map(move |k| (vec![3 * t + k, 3 * t + (k + 1) % 3], vec![0], 0.01)))
+        .map(|(mut dets, obs, p)| {
+            dets.sort_unstable();
+            (dets, obs, p)
+        })
+        .collect()
+}
+
 /// Degenerate detector error models, on every decoder family:
 /// BP+OSD, Union-Find (`decode` and `decode_into`, flagged and
-/// unflagged) and MWPM (dense oracle and CSR route). No decoder panics;
-/// each counts exactly one give-up on a syndrome outside the check
-/// matrix's column space and none on any other; and the rows whose
-/// only cheap explanation is a p ≥ 0.5 mechanism decode to that
-/// mechanism's observable flip. BP+OSD additionally decodes a
+/// unflagged), MWPM (dense oracle and CSR route) and, on colored
+/// analogs, Restriction (flagged, CSR-only and Chamberland). No
+/// decoder panics; each counts exactly one give-up on a syndrome
+/// outside the check matrix's column space and none on any other; and
+/// the rows whose only cheap explanation is a p ≥ 0.5 mechanism decode
+/// to that mechanism's observable flip. BP+OSD additionally decodes a
 /// column-space syndrome to a valid finite-weight correction and gives
 /// up on any other with an infinite weight.
 #[test]
 fn bp_osd_degenerate_dems_decode_or_give_up() {
-    type Mechanism = (Vec<u32>, Vec<u32>, f64);
     // Check 0 is explained by a mechanism of probability `p` or by the
     // pair of ordinary ones through check 1.
     let chain = |p: f64| -> Vec<Mechanism> {
@@ -243,13 +258,7 @@ fn bp_osd_degenerate_dems_decode_or_give_up() {
     };
     // Two triangles of weight-2 mechanisms: every column has an even
     // weight in each component, so three flips in one is unreachable.
-    let triangles: Vec<Mechanism> = (0..2u32)
-        .flat_map(|t| (0..3u32).map(move |k| (vec![3 * t + k, 3 * t + (k + 1) % 3], vec![0], 0.01)))
-        .map(|(mut dets, obs, p)| {
-            dets.sort_unstable();
-            (dets, obs, p)
-        })
-        .collect();
+    let triangles: Vec<Mechanism> = triangles_of_pairs();
     let cases = [
         ("empty DEM", 2, vec![], vec![], true),
         (
@@ -321,21 +330,122 @@ fn bp_osd_degenerate_dems_decode_or_give_up() {
             ("csr mwpm", Box::new(MwpmDecoder::new(&dem, csr))),
         ];
         for (name, decoder) in &decoders {
-            let before = decoder.stats();
-            let decoded = decoder.decode(&dets);
-            let mid = decoder.stats();
-            let mut decoded_into = BitVec::zeros(0);
-            decoder.decode_into(&dets, &mut DecodeScratch::new(), &mut decoded_into);
-            let expected_giveups = u64::from(!in_column_space);
-            for (call, delta, out) in [
-                ("decode", mid.delta(&before), &decoded),
-                ("decode_into", decoder.stats().delta(&mid), &decoded_into),
-            ] {
-                assert_eq!(delta.giveups(), expected_giveups, "{label}: {name} {call}");
-                if label.starts_with("p = ") {
-                    assert_eq!(*out, BitVec::from_ones(1, [0]), "{label}: {name} {call}");
-                }
-            }
+            assert_decodes_or_gives_up(label, name, decoder.as_ref(), &dets, in_column_space, true);
+        }
+    }
+    // Restriction matches on restricted lattices that have no boundary,
+    // so its rows use colored analogs of the cases above in which every
+    // mechanism flips 0 or 2 checks of each lattice: a data fault's
+    // red/green/blue triple or a same-colored (measurement-like) pair.
+    // The chain explains the triple {0, 1, 2} by a mechanism of
+    // probability `p` or by the ordinary pair through red check 3.
+    let colored_chain = |p: f64| -> Vec<Mechanism> {
+        vec![
+            (vec![0, 1, 2], vec![0], p),
+            (vec![1, 2, 3], vec![], 0.01),
+            (vec![0, 3], vec![], 0.01),
+        ]
+    };
+    // Two triangles of red pairs: three flips in one is unreachable.
+    let red_triangles: Vec<Mechanism> = triangles_of_pairs();
+    let triple = || vec![(vec![0, 1, 2], vec![0], 0.01)];
+    let colored_cases = [
+        ("empty DEM", vec![0, 1, 2], vec![], vec![], true),
+        (
+            "flipped detector without a mechanism",
+            vec![0, 1, 2, 0],
+            triple(),
+            vec![3],
+            false,
+        ),
+        (
+            "flipped triple without a mechanism",
+            vec![0, 1, 2, 0, 1, 2],
+            triple(),
+            vec![3, 4, 5],
+            false,
+        ),
+        (
+            "fired p = 0 mechanism",
+            vec![0, 1, 2],
+            vec![(vec![0, 1, 2], vec![0], 0.0)],
+            vec![0, 1, 2],
+            false,
+        ),
+        (
+            "p = 0.5 mechanism",
+            vec![0, 1, 2, 0],
+            colored_chain(0.5),
+            vec![0, 1, 2],
+            true,
+        ),
+        (
+            "p = 0.7 mechanism",
+            vec![0, 1, 2, 0],
+            colored_chain(0.7),
+            vec![0, 1, 2],
+            true,
+        ),
+        (
+            "p = 1.0 mechanism",
+            vec![0, 1, 2, 0],
+            colored_chain(1.0),
+            vec![0, 1, 2],
+            true,
+        ),
+        (
+            "odd disconnected components",
+            vec![0; 6],
+            red_triangles,
+            (0..6).collect(),
+            false,
+        ),
+    ];
+    for (label, colors, mechanisms, flipped, in_column_space) in colored_cases {
+        let (dem, ctx) = synthetic_colored_hypergraph_dem(&colors, 1, &mechanisms);
+        let dets = BitVec::from_ones(dem.num_detectors(), flipped);
+        let flagged = RestrictionConfig::flagged(1e-3);
+        let decoders = [
+            ("restriction", flagged),
+            ("csr restriction", flagged.with_oracle_node_limit(0)),
+            ("chamberland", RestrictionConfig::chamberland(1e-3)),
+        ];
+        for (name, config) in decoders {
+            let decoder = RestrictionDecoder::new(&dem, ctx.clone(), config);
+            // The fixture's plaquettes carry no data qubits, so only the
+            // reconciliation of matched classes (the twice-used rule)
+            // can flip an observable; Chamberland's comes from lifting.
+            let check_flip = config.twice_used_rule;
+            assert_decodes_or_gives_up(label, name, &decoder, &dets, in_column_space, check_flip);
+        }
+    }
+}
+
+/// Decodes `dets` through both `decode` and `decode_into` and asserts
+/// that each call counts exactly one give-up when the syndrome lies
+/// outside the column space and none otherwise. With `check_flip`, a
+/// `p = …` row must decode to its p ≥ 0.5 mechanism's observable flip.
+fn assert_decodes_or_gives_up(
+    label: &str,
+    name: &str,
+    decoder: &dyn Decoder,
+    dets: &BitVec,
+    in_column_space: bool,
+    check_flip: bool,
+) {
+    let before = decoder.stats();
+    let decoded = decoder.decode(dets);
+    let mid = decoder.stats();
+    let mut decoded_into = BitVec::zeros(0);
+    decoder.decode_into(dets, &mut DecodeScratch::new(), &mut decoded_into);
+    let expected_giveups = u64::from(!in_column_space);
+    for (call, delta, out) in [
+        ("decode", mid.delta(&before), &decoded),
+        ("decode_into", decoder.stats().delta(&mid), &decoded_into),
+    ] {
+        assert_eq!(delta.giveups(), expected_giveups, "{label}: {name} {call}");
+        if check_flip && label.starts_with("p = ") {
+            assert_eq!(*out, BitVec::from_ones(1, [0]), "{label}: {name} {call}");
         }
     }
 }

@@ -11,8 +11,8 @@ use fpn_repro::qec_sim::{
 };
 use qec_math::rng::Xoshiro256StarStar;
 use qec_testkit::{
-    hyperbolic_memory_dem, mechanism_fire_probability, random_sparse_graph, random_syndrome,
-    surface_memory_dem, toric_color_dem,
+    assert_dem_matches_reference, hyperbolic_memory_dem, mechanism_fire_probability,
+    random_sparse_graph, random_syndrome, surface_memory_dem, toric_color_dem,
 };
 
 /// A random GF(2) matrix with 1..=max_rows rows and 1..=max_cols cols.
@@ -207,6 +207,99 @@ fn dem_predicts_tableau_fault_propagation() {
         }
         assert_eq!(predicted, flipped);
         true
+    });
+}
+
+/// A random noisy circuit on 2–4 qubits over every `Op` variant:
+/// mid-circuit resets and measurements, Pauli channels with zeroed
+/// components, noise ops emitted twice in a row (identical faults that
+/// must merge), zero-probability channels, detectors over one or two
+/// measurements (so two-qubit components can cancel to an empty
+/// effect), measurements in no detector, and up to two observables.
+fn gen_noisy_circuit(g: &mut Gen) -> Circuit {
+    const PROBS: [f64; 5] = [0.0, 1e-3, 0.01, 0.125, 0.3];
+    let nq = g.usize_in(2..=4);
+    let mut c = Circuit::new(nq);
+    c.reset(&(0..nq).collect::<Vec<_>>());
+    let p = |g: &mut Gen| PROBS[g.usize_in(0..=PROBS.len() - 1)];
+    let targets = |g: &mut Gen| g.vec(1..=nq, |g| g.usize_in(0..=nq - 1));
+    let pairs = |g: &mut Gen| {
+        g.vec(1..=3, |g| {
+            let a = g.usize_in(0..=nq - 1);
+            (a, (a + g.usize_in(1..=nq - 1)) % nq)
+        })
+    };
+    for _ in 0..g.usize_in(4..=24) {
+        let reps = if g.bool(0.25) { 2 } else { 1 };
+        match g.usize_in(0..=9) {
+            0 => c.h(&targets(g)),
+            1 => c.cx(&pairs(g)),
+            2 => c.reset(&targets(g)),
+            3 => {
+                c.measure(&targets(g), p(g));
+            }
+            4 => {
+                let (ts, p) = (targets(g), p(g));
+                (0..reps).for_each(|_| c.x_error(&ts, p));
+            }
+            5 => {
+                let (ts, p) = (targets(g), p(g));
+                (0..reps).for_each(|_| c.z_error(&ts, p));
+            }
+            6 => {
+                let (ts, px, py, pz) = (targets(g), p(g), p(g), p(g));
+                (0..reps).for_each(|_| c.pauli_channel1(&ts, px, py, pz));
+            }
+            7 => {
+                let (ts, p) = (targets(g), p(g));
+                (0..reps).for_each(|_| c.depolarize1(&ts, p));
+            }
+            8 => {
+                let (ps, p) = (pairs(g), p(g));
+                (0..reps).for_each(|_| c.depolarize2(&ps, p));
+            }
+            _ => c.tick(),
+        }
+    }
+    c.measure(&(0..nq).collect::<Vec<_>>(), p(g));
+    let nm = c.num_measurements();
+    for id in 0..g.usize_in(1..=nm.min(6)) {
+        let ms = g.vec(1..=2, |g| g.usize_in(0..=nm - 1));
+        c.add_detector(ms, DetectorMeta::check(id, 0));
+    }
+    for _ in 0..g.usize_in(0..=2) {
+        let obs = c.add_observable();
+        let ms = g.vec(1..=2, |g| g.usize_in(0..=nm - 1));
+        c.include_in_observable(obs, &ms);
+    }
+    c
+}
+
+/// The streaming DEM builder must equal the collect-then-merge
+/// reference in `qec-testkit` — same mechanisms, same order,
+/// probabilities equal by `to_bits` — on a hand-built circuit that
+/// holds each edge case once and on seeded random circuits.
+#[test]
+fn dem_builder_matches_reference_on_random_circuits() {
+    let mut c = Circuit::new(3);
+    c.reset(&[0, 1, 2]);
+    // Under the detector m0 ^ m1, X0X1 and Y0Y1 cancel to nothing.
+    c.depolarize2(&[(0, 1)], 0.15);
+    c.pauli_channel1(&[0], 0.0, 0.02, 0.0);
+    c.x_error(&[1], 0.01);
+    c.x_error(&[1], 0.01);
+    // A mid-circuit reset erases the fault before it.
+    c.x_error(&[2], 0.3);
+    c.reset(&[2]);
+    // Measurement m + 2 lies in no detector: its flips are invisible.
+    let m = c.measure(&[0, 1, 2], 0.05);
+    c.add_detector(vec![m, m + 1], DetectorMeta::check(0, 0));
+    let obs = c.add_observable();
+    c.include_in_observable(obs, &[m]);
+    assert_dem_matches_reference(&c, "hand-built");
+    for_all(512, 0xde5e, |g| {
+        let circuit = gen_noisy_circuit(g);
+        assert_dem_matches_reference(&circuit, "random circuit");
     });
 }
 
