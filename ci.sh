@@ -102,8 +102,10 @@ QEC_BP_OSD_FUZZ_CASES=2000 cargo test -q --release --offline \
 # half a minute). Every gate times both sides through one paired
 # median/IQR helper (11 interleaved reps after a warmup) and is judged
 # on the ratio median, after an untimed correctness pass:
-#   pass_10x                 batched frame sampler ≥10x the per-shot one
-#   pass_2x                  Union-Find decode_into ≥2x decode
+#   pass_10x                 batched frame sampler ≥10x qec-testkit's
+#                            per-shot reference sampler
+#   pass_2x                  Union-Find decode_into ≥2x qec-testkit's
+#                            allocating reference decoder
 #   pass_oracle              dense PathOracle ≥2x the sparse path tier
 #   pass_sparse_blossom      graph-native matching ≥2x complete pricing
 #                            (complete_graph_match) on the hyperbolic
@@ -118,8 +120,10 @@ mkdir -p target
 git_status() { git status --porcelain 2>/dev/null || true; }
 status_before=$(git_status)
 trace_file=target/obs_trace.jsonl
+# The records are echoed through the already-open stderr descriptor:
+# `tee /dev/stderr` would reopen it and truncate a redirected log.
 bench_out=$(cargo run --release --offline -p qec-bench -- \
-    --shots 1000 --out target/bench.json --trace "$trace_file" | tee /dev/stderr)
+    --shots 1000 --out target/bench.json --trace "$trace_file" | tee >(cat >&2))
 grep -q '"pass_10x":true' <<<"$bench_out"
 grep -q '"pass_2x":true' <<<"$bench_out"
 grep -q '"pass_oracle":true' <<<"$bench_out"

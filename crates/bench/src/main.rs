@@ -11,6 +11,7 @@ use qec_math::rng::Xoshiro256StarStar;
 use qec_math::BitVec;
 use qec_obs::{JsonValue, Record};
 use qec_sim::FrameBatch;
+use qec_testkit::reference::{sample_shot, UnionFindReference};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -196,9 +197,10 @@ fn compare(
     (measure(syndromes, a, b), identical, checksum)
 }
 
-/// `pass_10x` (≥ 10): the per-shot frame sampler against the batched one
-/// on the d = 5 surface circuit, 64 shots per batch index (the per-shot
-/// side draws a slice's shots from its first index's stream).
+/// `pass_10x` (≥ 10): the testkit's per-shot frame sampler against the
+/// batched one on the d = 5 surface circuit, 64 shots per batch index
+/// (the per-shot side draws a slice's shots from its first index's
+/// stream).
 fn gate_sampler(shots: usize) -> Record {
     let circuit = d5_surface(0, 0).0;
     let sampler = FrameSampler::new(&circuit);
@@ -214,7 +216,7 @@ fn gate_sampler(shots: usize) -> Record {
     let checksum = batched(&batches);
     let per_shot = |bs: &[u64]| {
         let mut r = rng(bs[0]);
-        let fired = (0..64 * bs.len()).map(|_| sampler.sample_shot(&mut r).detectors);
+        let fired = (0..64 * bs.len()).map(|_| sample_shot(&circuit, &mut r).detectors);
         fired.filter(|d| !d.is_zero()).count()
     };
     let mut m = measure(&batches, per_shot, batched);
@@ -225,15 +227,17 @@ fn gate_sampler(shots: usize) -> Record {
         .field("checksum", checksum)
 }
 
-/// `pass_2x` (≥ 2): Union-Find's allocating `decode` against its
-/// scratch-reusing `decode_into` on the same d = 5 syndromes.
+/// `pass_2x` (≥ 2): the testkit's allocating Union-Find reference
+/// against the production decoder's scratch-reusing `decode_into` on the
+/// same d = 5 syndromes.
 fn gate_unionfind(shots: usize) -> Record {
     let (_, dem, syndromes) = d5_surface(shots, 123);
     let uf = UnionFindDecoder::new(&dem, UnionFindConfig::unflagged());
+    let reference = UnionFindReference::new(&dem, UnionFindConfig::unflagged());
     let decode = |ss: &[BitVec], (_, out): &mut Scratch| {
         let mut weight = 0;
         for d in ss {
-            *out = uf.decode(d);
+            *out = reference.decode(d);
             weight += out.weight();
         }
         weight

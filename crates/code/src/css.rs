@@ -297,18 +297,6 @@ impl CssCode {
     pub fn ideal_rate(&self) -> f64 {
         self.k as f64 / self.n() as f64
     }
-
-    /// Degree of each data qubit in the Tanner graph (number of checks
-    /// acting on it, X and Z combined).
-    pub fn data_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.n()];
-        for row in self.hx.iter_rows().chain(self.hz.iter_rows()) {
-            for q in row.iter_ones() {
-                deg[q] += 1;
-            }
-        }
-        deg
-    }
 }
 
 #[cfg(test)]

@@ -262,11 +262,6 @@ impl BpOsdDecoder {
         &self.hypergraph
     }
 
-    /// Number of Tanner variables (non-empty-σ classes).
-    pub fn num_variables(&self) -> usize {
-        self.var_class.len()
-    }
-
     /// Decodes like [`Decoder::decode_into`] but also returns the
     /// per-shot outcome detail (convergence, iterations, OSD rank,
     /// weights) for tests, benches and diagnostics.

@@ -44,17 +44,6 @@ pub(crate) struct OsdBuffers {
     pub(crate) solution: Vec<u32>,
 }
 
-impl OsdBuffers {
-    /// Current pool footprint in bytes (approximate; capacities).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.order.capacity() * 4
-            + self.elim.memory_bytes()
-            + self.frees.capacity() * 4
-            + self.masks.capacity() * std::mem::size_of::<BitVec>()
-            + self.solution.capacity() * 4
-    }
-}
-
 /// Outcome of one OSD run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OsdOutcome {

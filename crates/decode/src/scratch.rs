@@ -302,17 +302,6 @@ impl DecodeScratch {
         &self.mwpm.engine.sparse_blossom
     }
 
-    /// The restriction decoder's CSR matching state.
-    pub fn restriction_sparse_blossom(&self) -> &crate::SparseBlossomScratch {
-        &self.restriction.engine.sparse_blossom
-    }
-
-    /// Current footprint in bytes of the BP+OSD pooled elimination and
-    /// candidate buffers (capacities, so flat after warmup).
-    pub fn bp_osd_bytes(&self) -> usize {
-        self.bp.osd.memory_bytes()
-    }
-
     /// High-water footprint in bytes of the BP+OSD elimination pool —
     /// repeated decodes against one decoder must not regrow it.
     pub fn bp_osd_high_water_bytes(&self) -> usize {

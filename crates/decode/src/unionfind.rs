@@ -13,17 +13,12 @@
 //! flags re-select each affected class's representative, which decides
 //! the Pauli frames applied during peeling.
 //!
-//! Two decode paths share the same semantics:
-//!
-//! * [`Decoder::decode`] — the allocating reference implementation,
-//!   which scans every edge each growth round. Golden fingerprints pin
-//!   its behaviour.
-//! * [`Decoder::decode_into`] — the batched hot path: cluster state
-//!   lives in a caller-owned [`DecodeScratch`], growth scans only the
-//!   frontier (edges incident to active clusters, discovered through
-//!   the per-vertex adjacency), and the scratch is reset in
-//!   *O(touched)* between shots. Its output is bit-identical to the
-//!   reference path (property-tested).
+//! Cluster state lives in a caller-owned [`DecodeScratch`], growth
+//! scans only the frontier (edges incident to active clusters,
+//! discovered through the per-vertex adjacency), and the scratch is
+//! reset in *O(touched)* between shots. The output is bit-identical to
+//! `qec-testkit`'s allocating reference, which scans every edge each
+//! growth round (golden- and property-tested).
 //!
 //! Graphlike classes that would map to the same vertex pair are merged
 //! into one **edge group** at construction: growth sees a single edge,
@@ -34,7 +29,6 @@
 use crate::hypergraph::DecodingHypergraph;
 use crate::scratch::{DecodeScratch, UfScratch};
 use crate::{Decoder, DecoderStats};
-use qec_math::graph::UnionFind;
 use qec_math::BitVec;
 use qec_obs::{Counter, Registry};
 use qec_sim::DetectorErrorModel;
@@ -265,144 +259,6 @@ fn union_roots(parent: &mut [u32], size: &mut [u32], mut ra: usize, mut rb: usiz
 }
 
 impl Decoder for UnionFindDecoder {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        self.decodes.inc();
-        let mut correction = BitVec::zeros(self.hypergraph.num_observables());
-        let (checks, flags) = self.hypergraph.split_shot(detectors);
-        if checks.is_empty() {
-            return correction;
-        }
-        let mut edge_override: HashMap<usize, (usize, usize)> = HashMap::new();
-        if self.config.flag_conditioning && !flags.is_zero() {
-            self.conditioned_overrides(&flags, &mut edge_override);
-        }
-        let n = self.boundary + 1;
-        let mut flipped = vec![false; n];
-        for &c in &checks {
-            flipped[c] = true;
-        }
-        // Cluster growth: each edge has 2 half-steps; grow all odd
-        // clusters simultaneously until every cluster is even or
-        // contains the boundary.
-        let mut uf = UnionFind::new(n);
-        let mut growth = vec![0u8; self.edges.len()];
-        let mut in_forest = vec![false; self.edges.len()];
-        let mut rounds = 0usize;
-        let mut gave_up = false;
-        loop {
-            // Compute cluster parity and boundary contact.
-            let mut odd: HashMap<usize, bool> = HashMap::new();
-            for (v, &flip) in flipped.iter().enumerate() {
-                if flip {
-                    let r = uf.find(v);
-                    *odd.entry(r).or_insert(false) ^= true;
-                }
-            }
-            let boundary_root = uf.find(self.boundary);
-            odd.remove(&boundary_root);
-            if odd.values().all(|&o| !o) {
-                break;
-            }
-            rounds += 1;
-            if rounds > 4 * n {
-                // Round-limit safety net (should be unreachable on
-                // connected graphs); surfaced through `stats`.
-                gave_up = true;
-                self.giveups_round_limit.inc();
-                break;
-            }
-            // Grow every edge on the boundary of an odd cluster.
-            let mut to_merge = Vec::new();
-            let mut grew = false;
-            for (e, &(u, v)) in self.edges.iter().enumerate() {
-                if growth[e] >= 2 {
-                    continue;
-                }
-                let ru = uf.find(u);
-                let rv = uf.find(v);
-                let grow_u = odd.get(&ru).copied().unwrap_or(false);
-                let grow_v = odd.get(&rv).copied().unwrap_or(false);
-                if grow_u || grow_v {
-                    grew = true;
-                    growth[e] += if grow_u && grow_v { 2 } else { 1 };
-                    if growth[e] >= 2 {
-                        growth[e] = 2;
-                        to_merge.push(e);
-                    }
-                }
-            }
-            if !grew {
-                // Isolated odd cluster with no usable edges: the
-                // correction stays partial; surfaced through `stats`.
-                gave_up = true;
-                self.giveups_stalled.inc();
-                break;
-            }
-            for e in to_merge {
-                let (u, v) = self.edges[e];
-                if !uf.connected(u, v) {
-                    uf.union(u, v);
-                    in_forest[e] = true;
-                }
-            }
-        }
-        // Peeling: build the grown spanning forest and peel leaves.
-        // Work on the forest edges only.
-        let mut degree = vec![0usize; n];
-        let mut incident: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (e, &(u, v)) in self.edges.iter().enumerate() {
-            if in_forest[e] {
-                degree[u] += 1;
-                degree[v] += 1;
-                incident[u].push(e);
-                incident[v].push(e);
-            }
-        }
-        let mut defect = flipped;
-        let mut removed = vec![false; self.edges.len()];
-        let mut stack: Vec<usize> = (0..n)
-            .filter(|&v| degree[v] == 1 && v != self.boundary)
-            .collect();
-        while let Some(v) = stack.pop() {
-            if degree[v] != 1 || v == self.boundary {
-                continue;
-            }
-            let Some(&e) = incident[v].iter().find(|&&e| !removed[e]) else {
-                continue;
-            };
-            removed[e] = true;
-            let (a, b) = self.edges[e];
-            let other = if a == v { b } else { a };
-            degree[v] -= 1;
-            degree[other] -= 1;
-            if defect[v] {
-                defect[v] = false;
-                if other != self.boundary {
-                    defect[other] = !defect[other];
-                }
-                let (class, member) = edge_override
-                    .get(&e)
-                    .copied()
-                    .unwrap_or(self.base_member[e]);
-                for &obs in &self.hypergraph.classes()[class].members[member].observables {
-                    correction.flip(obs as usize);
-                }
-            }
-            if degree[other] == 1 {
-                stack.push(other);
-            }
-        }
-        debug_assert!(
-            gave_up
-                || defect
-                    .iter()
-                    .enumerate()
-                    .all(|(v, &d)| v == self.boundary || !d),
-            "peeling left non-boundary defects unmatched without a give-up"
-        );
-        correction
-    }
-
     fn decode_into(&self, detectors: &BitVec, scratch: &mut DecodeScratch, out: &mut BitVec) {
         self.decodes.inc();
         out.reset_zeros(self.hypergraph.num_observables());
@@ -522,9 +378,9 @@ impl Decoder for UnionFindDecoder {
                 self.giveups_stalled.inc();
                 break;
             }
-            // Merge in ascending edge order — the reference path scans
-            // edges in index order, and the forest (hence the peeled
-            // correction) depends on it.
+            // Merge in ascending edge order — the reference decoder
+            // scans edges in index order, and the forest (hence the
+            // peeled correction) depends on it.
             sc.to_merge.sort_unstable();
             for i in 0..sc.to_merge.len() {
                 let e = sc.to_merge[i];
@@ -556,7 +412,7 @@ impl Decoder for UnionFindDecoder {
         }
         sc.odd_roots.clear();
         // Peeling over the forest edges, leaf order identical to the
-        // reference path (ascending initial leaves, stack pops last).
+        // reference decoder (ascending initial leaves, stack pops last).
         for &e in &sc.forest {
             let (u, v) = self.edges[e];
             sc.degree[u] += 1;
@@ -689,8 +545,8 @@ mod tests {
         let nd = dem.num_detectors();
         let mut scratch = DecodeScratch::new();
         let mut out = BitVec::zeros(0);
-        // All 2^6 syndromes, through ONE scratch, interleaved with the
-        // reference path.
+        // All 2^6 syndromes, through ONE scratch, interleaved with
+        // fresh-scratch decodes.
         for pattern in 0..(1u32 << nd) {
             let dets = BitVec::from_ones(nd, (0..nd).filter(|&d| pattern >> d & 1 == 1));
             decoder.decode_into(&dets, &mut scratch, &mut out);
@@ -754,7 +610,7 @@ mod tests {
             BitVec::from_ones(2, [1]),
             "flagged shot decodes with the flagged member's observables"
         );
-        // The batched path agrees on both.
+        // One reused scratch agrees on both.
         let mut scratch = DecodeScratch::new();
         let mut out = BitVec::zeros(0);
         for dets in [&check_only, &check_and_flag] {
@@ -792,8 +648,12 @@ mod tests {
         assert_eq!(
             after.giveups() - before.giveups(),
             2,
-            "both paths count the give-up"
+            "every decode counts the give-up"
         );
-        assert_eq!(out, decoder.decode(&dets), "paths agree even on give-ups");
+        assert_eq!(
+            out,
+            decoder.decode(&dets),
+            "scratches agree even on give-ups"
+        );
     }
 }

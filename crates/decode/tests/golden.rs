@@ -23,6 +23,7 @@ use qec_decode::{
     RestrictionDecoder, UnionFindConfig, UnionFindDecoder,
 };
 use qec_sim::DetectorErrorModel;
+use qec_testkit::reference::UnionFindReference;
 use qec_testkit::{
     assert_single_faults_corrected, fingerprint_decoder, hyperbolic_memory_dem,
     mechanism_fire_probability, repetition_dem, tiny_color_dem,
@@ -91,6 +92,13 @@ fn unionfind_golden_fingerprint() {
     assert_eq!(
         fpb, UNIONFIND_GOLDEN,
         "union-find decode_into diverged from decode; got {fpb:#018x}",
+    );
+    // The allocating testkit reference reaches the same constant.
+    let reference = UnionFindReference::new(&dem, UnionFindConfig::unflagged());
+    let fpr = fingerprint(&dem, &reference, 200, 0x601d_0002);
+    assert_eq!(
+        fpr, UNIONFIND_GOLDEN,
+        "union-find reference diverged from the golden; got {fpr:#018x}",
     );
 }
 

@@ -109,21 +109,6 @@ impl Presentation {
     pub fn relators(&self) -> &[Word] {
         &self.relators
     }
-
-    /// Adds a relator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relator uses an out-of-range letter.
-    pub fn add_relator(&mut self, relator: Word) {
-        for &l in &relator {
-            assert!(
-                l != 0 && l.unsigned_abs() as usize <= self.num_generators,
-                "relator letter {l} out of range"
-            );
-        }
-        self.relators.push(relator);
-    }
 }
 
 /// The von Dyck (orientation-preserving triangle) group

@@ -60,18 +60,6 @@ impl BitMatrix {
         }
     }
 
-    /// Creates a matrix whose rows are the given vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have differing lengths.
-    pub fn from_row_vecs(rows: Vec<BitVec>, cols: usize) -> Self {
-        for r in &rows {
-            assert_eq!(r.len(), cols, "row length mismatch");
-        }
-        BitMatrix { rows, cols }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows.len()

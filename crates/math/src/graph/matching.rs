@@ -9,8 +9,9 @@
 //!   matching used by MWPM decoders (reduction: negate weights and add a
 //!   large per-edge cardinality bonus so maximum-cardinality matchings
 //!   dominate);
-//! * [`max_weight_matching_f64`] — convenience wrapper for float weights
-//!   (fixed-point scaled), used e.g. by flag-sharing.
+//! * [`min_weight_perfect_matching_f64`] — the same for float weights
+//!   (fixed-point scaled), the reference the decoders' pooled blossom
+//!   solver is tested against.
 //!
 //! Correctness is checked in the test-suite against the brute-force
 //! enumerator [`brute_force_max_weight`] on exhaustive small instances
@@ -533,26 +534,9 @@ pub fn min_weight_perfect_matching(n: usize, edges: &[(usize, usize, i64)]) -> O
     })
 }
 
-/// Fixed-point scale used by [`max_weight_matching_f64`] and float MWPM
-/// wrappers: weights are multiplied by this and rounded.
+/// Fixed-point scale used by [`min_weight_perfect_matching_f64`] and the
+/// decoders' float matching: weights are multiplied by this and rounded.
 pub const F64_WEIGHT_SCALE: f64 = (1u64 << 20) as f64;
-
-/// [`max_weight_matching`] for `f64` weights (fixed-point scaled by
-/// [`F64_WEIGHT_SCALE`]). The returned `weight` is in scaled units.
-///
-/// # Panics
-///
-/// Panics if any weight is NaN.
-pub fn max_weight_matching_f64(n: usize, edges: &[(usize, usize, f64)]) -> Matching {
-    let scaled: Vec<(usize, usize, i64)> = edges
-        .iter()
-        .map(|&(u, v, w)| {
-            assert!(!w.is_nan(), "NaN edge weight");
-            (u, v, (w * F64_WEIGHT_SCALE).round() as i64)
-        })
-        .collect();
-    max_weight_matching(n, &scaled)
-}
 
 /// [`min_weight_perfect_matching`] for `f64` weights (fixed-point scaled
 /// by [`F64_WEIGHT_SCALE`]).

@@ -1,20 +1,12 @@
-//! Graph algorithms used by architecture construction, scheduling and
+//! Graph algorithms used by architecture construction, tiling and
 //! decoding.
 //!
-//! * [`dijkstra`] — single-source shortest paths with predecessors, the
-//!   basis of path weights in MWPM decoding graphs.
 //! * [`matching`] — exact blossom maximum-weight matching and
 //!   minimum-weight perfect matching.
-//! * [`UnionFind`] — disjoint sets, used in tiling construction and
-//!   connectivity checks.
 //! * [`two_coloring`] — bipartiteness test used to 2-color hyperbolic
 //!   tilings when building color codes.
 
 mod bipartite;
-mod dijkstra;
 pub mod matching;
-mod unionfind;
 
 pub use bipartite::two_coloring;
-pub use dijkstra::{dijkstra, shortest_path_to, Dijkstra};
-pub use unionfind::UnionFind;

@@ -7,11 +7,11 @@
 //!   bit-packed vectors and matrices with rank, reduced row echelon form,
 //!   nullspace extraction and linear solving. Parity-check matrices,
 //!   stabilizer groups and logical operators are all GF(2) objects.
-//! * **Graph algorithms** ([`graph`]): Dijkstra shortest paths,
-//!   union-find, bipartiteness checks, and an exact *O(V³)* blossom
-//!   implementation of maximum-weight general matching, from which
-//!   minimum-weight perfect matching (the core of MWPM decoding) and
-//!   maximum-weight matching (used for flag sharing) are derived.
+//! * **Graph algorithms** ([`graph`]): bipartiteness checks and an
+//!   exact *O(V³)* blossom implementation of maximum-weight general
+//!   matching (used for flag sharing), from which minimum-weight
+//!   perfect matching (the reference the decoders' pooled solver is
+//!   tested against) is derived.
 //! * **Deterministic RNG** ([`rng`]): splitmix64 seeding and
 //!   xoshiro256** generation with per-stream forking, so the workspace
 //!   needs no external `rand` dependency and Monte-Carlo results are

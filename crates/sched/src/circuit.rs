@@ -678,43 +678,10 @@ fn emit_experiment(
 mod tests {
     use super::*;
     use qec_arch::FpnConfig;
-    use qec_code::hyperbolic::{hyperbolic_surface_code, toric_surface_code, SURFACE_REGISTRY};
+    use qec_code::hyperbolic::{hyperbolic_surface_code, SURFACE_REGISTRY};
     use qec_code::planar::rotated_surface_code;
     use qec_math::rng::Xoshiro256StarStar;
-    use qec_sim::{FrameSampler, TableauSimulator};
-
-    fn assert_deterministic(code: &CssCode, fpn: &FlagProxyNetwork, basis: Basis) {
-        let exp = build_memory_circuit(code, fpn, None, 2, basis);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(12345);
-        let bad = TableauSimulator::find_nondeterministic_detector(&exp.circuit, 3, &mut rng);
-        assert_eq!(bad, None, "nondeterministic detector in {basis:?} memory");
-    }
-
-    #[test]
-    fn planar_interleaved_detectors_are_deterministic() {
-        let code = rotated_surface_code(3);
-        let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
-        assert_deterministic(&code, &fpn, Basis::Z);
-        assert_deterministic(&code, &fpn, Basis::X);
-    }
-
-    #[test]
-    fn direct_greedy_circuit_detectors_are_deterministic() {
-        let code = toric_surface_code(2).unwrap();
-        let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
-        assert_deterministic(&code, &fpn, Basis::Z);
-        assert_deterministic(&code, &fpn, Basis::X);
-    }
-
-    #[test]
-    fn fpn_flag_circuit_detectors_are_deterministic() {
-        let code = hyperbolic_surface_code(&SURFACE_REGISTRY[12]).unwrap(); // [[30,8]]
-        for config in [FpnConfig::flags_only(), FpnConfig::shared()] {
-            let fpn = FlagProxyNetwork::build(&code, &config);
-            assert_deterministic(&code, &fpn, Basis::Z);
-            assert_deterministic(&code, &fpn, Basis::X);
-        }
-    }
+    use qec_sim::FrameSampler;
 
     #[test]
     fn noiseless_sampling_fires_nothing() {
@@ -803,32 +770,6 @@ mod tests {
                 "proxy {p}: {} CXs but only {} resets",
                 cx_touch[p],
                 resets[p]
-            );
-        }
-    }
-
-    #[test]
-    fn code_capacity_circuit_is_clean_and_deterministic() {
-        use crate::circuit::build_code_capacity_circuit;
-        let code = toric_surface_code(2).unwrap();
-        let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
-        for basis in [Basis::Z, Basis::X] {
-            let exp = build_code_capacity_circuit(&code, &fpn, 0.05, basis);
-            assert_eq!(exp.rounds, 1);
-            // Exactly one noise op (the data-error layer).
-            let noise_ops = exp
-                .circuit
-                .ops()
-                .iter()
-                .filter(|op| matches!(op, qec_sim::Op::XError { .. } | qec_sim::Op::ZError { .. }))
-                .count();
-            assert_eq!(noise_ops, 1);
-            let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-            // Noiseless version (p=0) must have deterministic detectors.
-            let clean = build_code_capacity_circuit(&code, &fpn, 0.0, basis);
-            assert_eq!(
-                TableauSimulator::find_nondeterministic_detector(&clean.circuit, 2, &mut rng),
-                None
             );
         }
     }

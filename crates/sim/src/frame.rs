@@ -8,23 +8,17 @@
 //! shots costs barely more than one. This is the same strategy Stim
 //! uses for sampling memory experiments.
 //!
-//! Two sampling paths are provided:
+//! [`FrameSampler::sample_batch_with`] sweeps the instructions once per
+//! 64 shots, writing into a caller-owned [`FrameBatch`] scratch so the
+//! hot loop never reallocates frames. Each noise op injects faults
+//! through a [`MaskRate`] precomputed in [`FrameSampler::new`],
+//! bit-identical to calling [`sample_mask`] per location. The scalar
+//! one-shot sampler it is benchmarked and cross-checked against lives
+//! in `qec-testkit`'s `reference` module.
 //!
-//! * [`FrameSampler::sample_batch_with`] — the production path: 64
-//!   shots per instruction sweep, writing into a caller-owned
-//!   [`FrameBatch`] scratch so the hot loop never reallocates frames.
-//!   Each noise op injects faults through a [`MaskRate`] precomputed
-//!   in [`FrameSampler::new`], bit-identical to calling
-//!   [`sample_mask`] per location.
-//! * [`FrameSampler::sample_shot`] — a deliberately scalar one-shot
-//!   reference implementation (one `bool` per qubit per basis). It
-//!   exists as the baseline the batched engine is benchmarked against
-//!   (`qec-bench`'s `pass_10x` gate) and as an independent
-//!   cross-check of the batch semantics.
-//!
-//! Detectors must be deterministic under zero noise (checked separately
-//! with [`crate::TableauSimulator`]); their sampled value is then the
-//! XOR of the *flips* of their constituent measurements.
+//! Detectors must be deterministic under zero noise (checked in the
+//! tests with `qec-testkit`'s tableau simulator); their sampled value
+//! is then the XOR of the *flips* of their constituent measurements.
 
 use crate::circuit::{Circuit, Op};
 use qec_math::rng::Rng;
@@ -41,9 +35,6 @@ pub struct ShotBatch {
 }
 
 impl ShotBatch {
-    /// Number of shots in the batch (always 64).
-    pub const SHOTS: usize = 64;
-
     /// Extracts the detector outcomes of one shot as a [`BitVec`].
     ///
     /// # Panics
@@ -116,15 +107,6 @@ impl ShotBatch {
     pub fn flipped_shots(&self) -> u64 {
         self.observables.iter().fold(0, |acc, &m| acc | m)
     }
-}
-
-/// One shot sampled by the scalar reference path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShotRecord {
-    /// Detector outcomes.
-    pub detectors: BitVec,
-    /// Observable flips.
-    pub observables: BitVec,
 }
 
 /// Reusable scratch space for batched sampling: the X/Z frame words and
@@ -496,129 +478,6 @@ impl<'c> FrameSampler<'c> {
             observables,
         }
     }
-
-    /// Runs **one** shot with a scalar (non-bit-packed) frame: one
-    /// boolean X/Z pair per qubit, one Bernoulli draw per noise-channel
-    /// target.
-    ///
-    /// This is the per-shot loop the batched engine replaces. It is
-    /// kept as the benchmark baseline and as a semantic cross-check; it
-    /// consumes the RNG differently from the batched path, so identical
-    /// seeds do not reproduce identical shots across the two paths.
-    pub fn sample_shot(&self, rng: &mut impl Rng) -> ShotRecord {
-        let n = self.circuit.num_qubits();
-        let mut x = vec![false; n];
-        let mut z = vec![false; n];
-        let mut record: Vec<bool> = Vec::with_capacity(self.circuit.num_measurements());
-        for op in self.circuit.ops() {
-            match op {
-                Op::H(targets) => {
-                    for &q in targets {
-                        let (xq, zq) = (x[q], z[q]);
-                        x[q] = zq;
-                        z[q] = xq;
-                    }
-                }
-                Op::Cx(pairs) => {
-                    for &(c, t) in pairs {
-                        let (xc, zt) = (x[c], z[t]);
-                        x[t] ^= xc;
-                        z[c] ^= zt;
-                    }
-                }
-                Op::Reset(targets) => {
-                    for &q in targets {
-                        x[q] = false;
-                        z[q] = false;
-                    }
-                }
-                Op::Measure {
-                    targets,
-                    flip_probability,
-                } => {
-                    for &q in targets {
-                        record.push(x[q] ^ rng.gen_bool(*flip_probability));
-                    }
-                }
-                Op::XError { targets, p } => {
-                    for &q in targets {
-                        x[q] ^= rng.gen_bool(*p);
-                    }
-                }
-                Op::ZError { targets, p } => {
-                    for &q in targets {
-                        z[q] ^= rng.gen_bool(*p);
-                    }
-                }
-                Op::PauliChannel1 {
-                    targets,
-                    px,
-                    py,
-                    pz,
-                } => {
-                    let total = px + py + pz;
-                    for &q in targets {
-                        if rng.gen_bool(total) {
-                            let u: f64 = rng.gen_f64() * total;
-                            if u < px + py {
-                                x[q] = !x[q];
-                            }
-                            if u >= *px {
-                                z[q] = !z[q];
-                            }
-                        }
-                    }
-                }
-                Op::Depolarize1 { targets, p } => {
-                    for &q in targets {
-                        if rng.gen_bool(*p) {
-                            match rng.gen_range(0..3u8) {
-                                0 => x[q] = !x[q],
-                                1 => {
-                                    x[q] = !x[q];
-                                    z[q] = !z[q];
-                                }
-                                _ => z[q] = !z[q],
-                            }
-                        }
-                    }
-                }
-                Op::Depolarize2 { pairs, p } => {
-                    for &(a, b) in pairs {
-                        if rng.gen_bool(*p) {
-                            let k = rng.gen_range(1..16u8);
-                            let (pa, pb) = (k / 4, k % 4);
-                            apply_pauli_bool(&mut x[a], &mut z[a], pa);
-                            apply_pauli_bool(&mut x[b], &mut z[b], pb);
-                        }
-                    }
-                }
-                Op::Tick => {}
-            }
-        }
-        let detectors = BitVec::from_ones(
-            self.circuit.detectors().len(),
-            self.circuit
-                .detectors()
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.measurements.iter().fold(false, |acc, &m| acc ^ record[m]))
-                .map(|(i, _)| i),
-        );
-        let observables = BitVec::from_ones(
-            self.circuit.observables().len(),
-            self.circuit
-                .observables()
-                .iter()
-                .enumerate()
-                .filter(|(_, obs)| obs.iter().fold(false, |acc, &m| acc ^ record[m]))
-                .map(|(i, _)| i),
-        );
-        ShotRecord {
-            detectors,
-            observables,
-        }
-    }
 }
 
 /// Applies Pauli code `code` (0 = I, 1 = X, 2 = Y, 3 = Z) to the given
@@ -631,19 +490,6 @@ fn apply_pauli_bit(x: &mut u64, z: &mut u64, code: u8, bit: u64) {
             *z ^= bit;
         }
         3 => *z ^= bit,
-        _ => {}
-    }
-}
-
-/// Scalar twin of [`apply_pauli_bit`].
-fn apply_pauli_bool(x: &mut bool, z: &mut bool, code: u8) {
-    match code {
-        1 => *x = !*x,
-        2 => {
-            *x = !*x;
-            *z = !*z;
-        }
-        3 => *z = !*z,
         _ => {}
     }
 }
@@ -668,23 +514,6 @@ mod tests {
         }
         assert_eq!(sample_mask(&mut rng, 0.0), 0);
         assert_eq!(sample_mask(&mut rng, 1.0), !0u64);
-    }
-
-    #[test]
-    fn noiseless_circuit_fires_nothing() {
-        // Bell-pair parity: deterministic 0 detector.
-        let mut c = Circuit::new(3);
-        c.reset(&[0, 1, 2]);
-        c.h(&[0]);
-        c.cx(&[(0, 1)]);
-        c.cx(&[(0, 2), (1, 2)]);
-        let m = c.measure(&[2], 0.0);
-        c.add_detector(vec![m], DetectorMeta::check(0, 0));
-        let sampler = FrameSampler::new(&c);
-        let batch = sampler.sample_batch(&mut Xoshiro256StarStar::seed_from_u64(7));
-        assert!(!batch.any_detection());
-        let shot = sampler.sample_shot(&mut Xoshiro256StarStar::seed_from_u64(7));
-        assert!(shot.detectors.is_zero());
     }
 
     #[test]
@@ -742,21 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn observable_tracks_logical_flip() {
-        let mut c = Circuit::new(1);
-        c.reset(&[0]);
-        c.x_error(&[0], 1.0);
-        let m = c.measure(&[0], 0.0);
-        let obs = c.add_observable();
-        c.include_in_observable(obs, &[m]);
-        let batch = FrameSampler::new(&c).sample_batch(&mut Xoshiro256StarStar::seed_from_u64(3));
-        assert_eq!(batch.observables[0], !0u64);
-        assert_eq!(batch.observable_bits(17).weight(), 1);
-        let shot = FrameSampler::new(&c).sample_shot(&mut Xoshiro256StarStar::seed_from_u64(3));
-        assert_eq!(shot.observables.weight(), 1);
-    }
-
-    #[test]
     fn depolarize2_acts_on_both_qubits() {
         let mut c = Circuit::new(2);
         c.reset(&[0, 1]);
@@ -799,59 +613,5 @@ mod tests {
             assert_eq!(a.detectors, b.detectors);
             assert_eq!(a.observables, b.observables);
         }
-    }
-
-    #[test]
-    fn scalar_shot_agrees_with_batch_on_deterministic_faults() {
-        // With p in {0, 1} both paths are fault-deterministic, so the
-        // scalar reference and every batch lane must agree exactly.
-        let mut c = Circuit::new(3);
-        c.reset(&[0, 1, 2]);
-        c.x_error(&[0], 1.0);
-        c.z_error(&[1], 1.0);
-        c.h(&[1]);
-        c.cx(&[(0, 2), (1, 2)]);
-        let m = c.measure(&[0, 1, 2], 0.0);
-        for i in 0..3 {
-            c.add_detector(vec![m + i], DetectorMeta::check(i, 0));
-        }
-        let sampler = FrameSampler::new(&c);
-        let batch = sampler.sample_batch(&mut Xoshiro256StarStar::seed_from_u64(1));
-        let shot = sampler.sample_shot(&mut Xoshiro256StarStar::seed_from_u64(2));
-        for d in 0..3 {
-            let batch_fired = batch.detectors[d] == !0u64;
-            assert_eq!(
-                batch_fired,
-                shot.detectors.get(d),
-                "detector {d} disagrees between batch and scalar paths"
-            );
-            assert!(batch.detectors[d] == 0 || batch.detectors[d] == !0u64);
-        }
-    }
-
-    #[test]
-    fn scalar_shot_frequency_matches_batch_frequency() {
-        // Statistical agreement on a genuinely random channel.
-        let mut c = Circuit::new(1);
-        c.reset(&[0]);
-        c.x_error(&[0], 0.3);
-        let m = c.measure(&[0], 0.0);
-        c.add_detector(vec![m], DetectorMeta::check(0, 0));
-        let sampler = FrameSampler::new(&c);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(8);
-        let mut batch_fired = 0usize;
-        for _ in 0..100 {
-            batch_fired += sampler.sample_batch(&mut rng).detectors[0].count_ones() as usize;
-        }
-        let mut scalar_fired = 0usize;
-        for _ in 0..6400 {
-            if sampler.sample_shot(&mut rng).detectors.get(0) {
-                scalar_fired += 1;
-            }
-        }
-        let fb = batch_fired as f64 / 6400.0;
-        let fs = scalar_fired as f64 / 6400.0;
-        assert!((fb - 0.3).abs() < 0.03, "batch freq {fb}");
-        assert!((fs - 0.3).abs() < 0.03, "scalar freq {fs}");
     }
 }

@@ -11,9 +11,6 @@
 //! * [`FrameSampler`] — a bit-parallel (64 shots per batch) Pauli-frame
 //!   sampler: the standard fast path for sampling detector outcomes of
 //!   noisy memory circuits.
-//! * [`TableauSimulator`] — an Aaronson–Gottesman stabilizer simulator
-//!   used to verify that every detector is deterministic under zero
-//!   noise (the precondition for frame sampling).
 //! * [`DetectorErrorModel`] — enumeration of all independent fault
 //!   mechanisms and the detectors/observables each flips, computed by a
 //!   single backward sensitivity pass over the circuit.
@@ -39,9 +36,7 @@ mod circuit;
 mod dem;
 mod frame;
 pub mod noise;
-mod tableau;
 
 pub use circuit::{Circuit, DetectorMeta, Op};
 pub use dem::{DetectorErrorModel, Mechanism};
-pub use frame::{sample_mask, FrameBatch, FrameSampler, MaskRate, ShotBatch, ShotRecord};
-pub use tableau::{Pauli, TableauSimulator};
+pub use frame::{sample_mask, FrameBatch, FrameSampler, MaskRate, ShotBatch};

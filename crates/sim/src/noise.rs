@@ -80,12 +80,6 @@ impl NoiseModel {
         &self.latencies
     }
 
-    /// Overrides the default latencies.
-    pub fn with_latencies(mut self, latencies: Latencies) -> Self {
-        self.latencies = latencies;
-        self
-    }
-
     /// `T1` in nanoseconds: `(1/p) µs`.
     pub fn t1_ns(&self) -> f64 {
         1000.0 / self.p

@@ -11,9 +11,16 @@
 //! Everything here is deterministic: fixtures take explicit seeds or
 //! none at all, and the fingerprint helpers replay seeded syndrome
 //! streams byte-for-byte reproducibly.
+//!
+//! [`reference`](mod@reference) holds the slow, independent
+//! implementations the production crates are checked and benchmarked
+//! against: the tableau simulator, the scalar per-shot frame sampler and
+//! the allocating Union-Find decoder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod reference;
 
 use fpn_core::prelude::*;
 use qec_math::rng::{Rng, Xoshiro256StarStar};

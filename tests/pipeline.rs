@@ -2,8 +2,8 @@
 //! circuit → sample → decode pipeline.
 
 use fpn_repro::prelude::*;
-use fpn_repro::qec_sim::TableauSimulator;
 use qec_math::rng::Xoshiro256StarStar;
+use qec_testkit::reference::TableauSimulator;
 
 #[test]
 fn noiseless_pipeline_never_fails() {
@@ -37,14 +37,71 @@ fn detectors_deterministic_across_architectures() {
         let fpn = FlagProxyNetwork::build(code, config);
         for basis in [Basis::X, Basis::Z] {
             let exp = build_memory_circuit(code, &fpn, None, 2, basis);
+            assert_eq!(exp.circuit.observables().len(), code.k());
             assert_eq!(
-                TableauSimulator::find_nondeterministic_detector(&exp.circuit, 2, &mut rng),
+                TableauSimulator::find_nondeterministic(&exp.circuit, 2, &mut rng),
                 None,
                 "{} {:?}",
                 code.name(),
                 basis
             );
         }
+    }
+}
+
+/// Every detector and logical observable of the noiseless memory
+/// circuit is deterministic under the tableau simulator, in both bases.
+fn assert_deterministic(code: &CssCode, fpn: &FlagProxyNetwork) {
+    for basis in [Basis::Z, Basis::X] {
+        let exp = build_memory_circuit(code, fpn, None, 2, basis);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(12345);
+        let bad = TableauSimulator::find_nondeterministic(&exp.circuit, 3, &mut rng);
+        assert_eq!(bad, None, "nondeterministic parity in {basis:?} memory");
+    }
+}
+
+#[test]
+fn planar_interleaved_detectors_are_deterministic() {
+    let code = rotated_surface_code(3);
+    assert_deterministic(&code, &FlagProxyNetwork::build(&code, &FpnConfig::direct()));
+}
+
+#[test]
+fn direct_greedy_circuit_detectors_are_deterministic() {
+    let code = toric_surface_code(2).unwrap();
+    assert_deterministic(&code, &FlagProxyNetwork::build(&code, &FpnConfig::direct()));
+}
+
+#[test]
+fn fpn_flag_circuit_detectors_are_deterministic() {
+    let code = hyperbolic_surface_code(&SURFACE_REGISTRY[12]).unwrap(); // [[30,8]]
+    for config in [FpnConfig::flags_only(), FpnConfig::shared()] {
+        assert_deterministic(&code, &FlagProxyNetwork::build(&code, &config));
+    }
+}
+
+#[test]
+fn code_capacity_circuit_is_clean_and_deterministic() {
+    let code = toric_surface_code(2).unwrap();
+    let fpn = FlagProxyNetwork::build(&code, &FpnConfig::direct());
+    for basis in [Basis::Z, Basis::X] {
+        let exp = build_code_capacity_circuit(&code, &fpn, 0.05, basis);
+        assert_eq!(exp.rounds, 1);
+        // Exactly one noise op (the data-error layer).
+        let noise_ops = exp
+            .circuit
+            .ops()
+            .iter()
+            .filter(|op| matches!(op, qec_sim::Op::XError { .. } | qec_sim::Op::ZError { .. }))
+            .count();
+        assert_eq!(noise_ops, 1);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        // Noiseless version (p=0) must have deterministic parities.
+        let clean = build_code_capacity_circuit(&code, &fpn, 0.0, basis);
+        assert_eq!(
+            TableauSimulator::find_nondeterministic(&clean.circuit, 2, &mut rng),
+            None
+        );
     }
 }
 

@@ -6,10 +6,9 @@ use fpn_repro::proptest_lite::{for_all, for_all_filtered, Gen};
 use fpn_repro::qec_math::graph::matching::{brute_force_max_weight, max_weight_matching};
 use fpn_repro::qec_math::{gf2, BitMatrix, BitVec};
 use fpn_repro::qec_sched::try_greedy_schedule;
-use fpn_repro::qec_sim::{
-    sample_mask, Circuit, DetectorErrorModel, DetectorMeta, Pauli, TableauSimulator,
-};
+use fpn_repro::qec_sim::{sample_mask, Circuit, DetectorErrorModel, DetectorMeta};
 use qec_math::rng::Xoshiro256StarStar;
+use qec_testkit::reference::{Pauli, TableauSimulator, UnionFindReference};
 use qec_testkit::{
     assert_dem_matches_reference, hyperbolic_memory_dem, mechanism_fire_probability,
     random_sparse_graph, random_syndrome, surface_memory_dem, toric_color_dem,
@@ -350,6 +349,7 @@ fn decode_into_matches_decode_on_surface_dems() {
         // so debug-mode matching stays fast while still exercising
         // multi-error clusters.
         let q = mechanism_fire_probability(&dem, 8.0);
+        let uf_reference = UnionFindReference::new(&dem, UnionFindConfig::unflagged());
         let mut scratch = DecodeScratch::new();
         let mut out = BitVec::zeros(0);
         for_all(cases, seed, |g| {
@@ -362,6 +362,13 @@ fn decode_into_matches_decode_on_surface_dems() {
                     "decode_into diverged from decode on d={d} surface DEM",
                 );
             }
+            // Union-Find's decode_into (the last decoder above) against
+            // the allocating testkit reference.
+            assert_eq!(
+                out,
+                uf_reference.decode(&syndrome),
+                "Union-Find diverged from its reference on d={d} surface DEM",
+            );
         });
     }
 }
@@ -372,6 +379,9 @@ fn decode_into_matches_decode_on_toric_color_pipeline() {
     let pipeline = DecodingPipeline::new(&code, &exp, DecoderKind::FlaggedRestriction, &noise);
     let dem = DetectorErrorModel::from_circuit(&exp.circuit);
     let q = mechanism_fire_probability(&dem, 8.0);
+    let uf_config = UnionFindConfig::flagged(noise.measurement_flip());
+    let uf = UnionFindDecoder::new(&dem, uf_config);
+    let uf_reference = UnionFindReference::new(&dem, uf_config);
     let mut scratch = DecodeScratch::new();
     let mut out = BitVec::zeros(0);
     for_all(32, 0xc010, |g| {
@@ -383,6 +393,13 @@ fn decode_into_matches_decode_on_toric_color_pipeline() {
         assert_eq!(
             out, reference,
             "decode_into diverged from decode on the toric color-code pipeline",
+        );
+        // Flag-conditioned Union-Find against its allocating reference.
+        uf.decode_into(&syndrome, &mut scratch, &mut out);
+        assert_eq!(
+            out,
+            uf_reference.decode(&syndrome),
+            "flagged Union-Find diverged from its reference on the toric color DEM",
         );
     });
 }

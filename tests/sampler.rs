@@ -1,5 +1,6 @@
 //! Bit-identity pins for the batched frame sampler and `run_ber`'s
-//! empty-shot skip.
+//! empty-shot skip, and the batched sampler's cross-checks against
+//! qec-testkit's scalar one-shot reference.
 //!
 //! The golden constants below hash every detector and observable word
 //! of 64 RNG streams, plus the next RNG draw after each batch (so a
@@ -13,6 +14,7 @@ use fpn_repro::prelude::*;
 use fpn_repro::qec_sim::{sample_mask, DetectorMeta, FrameBatch, MaskRate, Op};
 use qec_math::rng::{Rng, Xoshiro256StarStar};
 use qec_math::BitVec;
+use qec_testkit::reference::sample_shot;
 use std::collections::BTreeMap;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -291,4 +293,94 @@ fn run_ber_empty_shot_skip_matches_full_extraction() {
         let stats = run_ber(&exp.circuit, pipeline.decoder(), shots, seed, threads);
         assert_eq!(stats.failures, failures, "{threads} threads");
     }
+}
+
+// The batched sampler against qec-testkit's scalar one-shot reference:
+// exact agreement where faults are deterministic, matching frequencies
+// where they are not.
+
+#[test]
+fn noiseless_circuit_fires_nothing() {
+    // Bell-pair parity: deterministic 0 detector.
+    let mut c = Circuit::new(3);
+    c.reset(&[0, 1, 2]);
+    c.h(&[0]);
+    c.cx(&[(0, 1)]);
+    c.cx(&[(0, 2), (1, 2)]);
+    let m = c.measure(&[2], 0.0);
+    c.add_detector(vec![m], DetectorMeta::check(0, 0));
+    let sampler = FrameSampler::new(&c);
+    let batch = sampler.sample_batch(&mut Xoshiro256StarStar::seed_from_u64(7));
+    assert!(!batch.any_detection());
+    let shot = sample_shot(&c, &mut Xoshiro256StarStar::seed_from_u64(7));
+    assert!(shot.detectors.is_zero());
+}
+
+#[test]
+fn observable_tracks_logical_flip() {
+    let mut c = Circuit::new(1);
+    c.reset(&[0]);
+    c.x_error(&[0], 1.0);
+    let m = c.measure(&[0], 0.0);
+    let obs = c.add_observable();
+    c.include_in_observable(obs, &[m]);
+    let batch = FrameSampler::new(&c).sample_batch(&mut Xoshiro256StarStar::seed_from_u64(3));
+    assert_eq!(batch.observables[0], !0u64);
+    assert_eq!(batch.observable_bits(17).weight(), 1);
+    let shot = sample_shot(&c, &mut Xoshiro256StarStar::seed_from_u64(3));
+    assert_eq!(shot.observables.weight(), 1);
+}
+
+#[test]
+fn scalar_shot_agrees_with_batch_on_deterministic_faults() {
+    // With p in {0, 1} both paths are fault-deterministic, so the
+    // scalar reference and every batch lane must agree exactly.
+    let mut c = Circuit::new(3);
+    c.reset(&[0, 1, 2]);
+    c.x_error(&[0], 1.0);
+    c.z_error(&[1], 1.0);
+    c.h(&[1]);
+    c.cx(&[(0, 2), (1, 2)]);
+    let m = c.measure(&[0, 1, 2], 0.0);
+    for i in 0..3 {
+        c.add_detector(vec![m + i], DetectorMeta::check(i, 0));
+    }
+    let sampler = FrameSampler::new(&c);
+    let batch = sampler.sample_batch(&mut Xoshiro256StarStar::seed_from_u64(1));
+    let shot = sample_shot(&c, &mut Xoshiro256StarStar::seed_from_u64(2));
+    for d in 0..3 {
+        let batch_fired = batch.detectors[d] == !0u64;
+        assert_eq!(
+            batch_fired,
+            shot.detectors.get(d),
+            "detector {d} disagrees between batch and scalar paths"
+        );
+        assert!(batch.detectors[d] == 0 || batch.detectors[d] == !0u64);
+    }
+}
+
+#[test]
+fn scalar_shot_frequency_matches_batch_frequency() {
+    // Statistical agreement on a genuinely random channel.
+    let mut c = Circuit::new(1);
+    c.reset(&[0]);
+    c.x_error(&[0], 0.3);
+    let m = c.measure(&[0], 0.0);
+    c.add_detector(vec![m], DetectorMeta::check(0, 0));
+    let sampler = FrameSampler::new(&c);
+    let mut rng = Xoshiro256StarStar::seed_from_u64(8);
+    let mut batch_fired = 0usize;
+    for _ in 0..100 {
+        batch_fired += sampler.sample_batch(&mut rng).detectors[0].count_ones() as usize;
+    }
+    let mut scalar_fired = 0usize;
+    for _ in 0..6400 {
+        if sample_shot(&c, &mut rng).detectors.get(0) {
+            scalar_fired += 1;
+        }
+    }
+    let fb = batch_fired as f64 / 6400.0;
+    let fs = scalar_fired as f64 / 6400.0;
+    assert!((fb - 0.3).abs() < 0.03, "batch freq {fb}");
+    assert!((fs - 0.3).abs() < 0.03, "scalar freq {fs}");
 }
