@@ -21,16 +21,19 @@ cargo test -q --offline --workspace
 # change that would break the benchmark.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# Runs the tests of integration target $1 whose names match filter $2,
-# and fails unless at least one ran: `cargo test <filter>` exits 0 when
-# nothing matches, so a renamed test would otherwise turn its named
-# step below into a silent no-op.
+# Runs the tests of the cargo target that all but the last argument
+# select (`--test <name>`, or `-p <crate> --lib`) whose names match the
+# filter in the last argument, and fails unless at least one ran:
+# `cargo test <filter>` exits 0 when nothing matches, so a renamed test
+# would otherwise turn its named step below into a silent no-op.
 named_test() {
+    local filter=${*: -1}
+    local target=("${@:1:$#-1}")
     local out
-    out=$(cargo test -q --offline --test "$1" "$2" 2>&1) || { echo "$out"; exit 1; }
+    out=$(cargo test -q --offline "${target[@]}" "$filter" 2>&1) || { echo "$out"; exit 1; }
     echo "$out"
     if ! grep -Eq '^test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
-        echo "ci.sh: no test in --test $1 matches '$2'" >&2
+        echo "ci.sh: no test in ${target[*]} matches '$filter'" >&2
         exit 1
     fi
 }
@@ -40,29 +43,36 @@ named_test() {
 # and on-demand Dijkstra (the reference search) bitwise, distances and
 # hops, and both path tiers must decode identically on every fixture
 # DEM (including the hyperbolic one above the dense-oracle guard).
-named_test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
-named_test properties path_tiers_agree
+named_test --test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
+named_test --test properties path_tiers_agree
 # Differential matching-route test: shots matched on the CSR graph by
 # sparse_graph_match (complete instances up to 4 defects, certified
 # above) must decode exactly like the dense oracle's complete
 # instances, every decoded shot must advance exactly one tier counter,
 # and the CSR matching pools must not regrow once warm.
-named_test properties matching_routes_agree
-named_test properties tier_counters_count_each_decoded_shot_once
-named_test properties csr_match_pools_are_stable_after_warmup
+named_test --test properties matching_routes_agree
+named_test --test properties tier_counters_count_each_decoded_shot_once
+named_test --test properties csr_match_pools_are_stable_after_warmup
+# The grown route around the small-shot rule reaches the oracle's
+# decisions; its widening and escalation fallbacks are forced on small
+# graphs and counted; and when every certification ball covers the
+# graph, each pair is flagged once, so the pools stay O(n·s + s²).
+named_test -p qec-decode --lib csr_route_matches_the_complete_instance_around_the_small_shot_rule
+named_test -p qec-decode --lib sparse_fallbacks_are_counted
+named_test -p qec-decode --lib covering_balls_keep_certification_memory_bounded
 # Differential DEM-builder property: the streaming
 # DetectorErrorModel::from_circuit must equal qec-testkit's
 # collect-then-merge reference (same mechanisms, same order,
 # probabilities equal by to_bits) on seeded random circuits over every
 # Op variant.
-named_test properties dem_builder_matches_reference_on_random_circuits
+named_test --test properties dem_builder_matches_reference_on_random_circuits
 
 # The paper's d_eff witnesses (Figs. 19/20) by single-fault injection:
 # on the shared-flag FPNs flagged MWPM and flagged BP+OSD mis-correct no
 # single fault and flagged Restriction at most two, while the unflagged
 # and Chamberland baselines mis-correct many.
-named_test pipeline flag_protocol_restores_effective_distance_surface
-named_test pipeline flag_protocol_restores_effective_distance_color
+named_test --test pipeline flag_protocol_restores_effective_distance_surface
+named_test --test pipeline flag_protocol_restores_effective_distance_color
 
 # Differential streaming-service tests: qec-serve corrections must be
 # bit-identical to offline decode_into and reproduce run_ber's failure
@@ -70,6 +80,9 @@ named_test pipeline flag_protocol_restores_effective_distance_color
 # shards, and the bounded queue must reject (WouldBlock) rather than
 # grow under backpressure.
 cargo test -q --offline --test serve
+# A poisoned queue lock is recovered: submitters, the shard and Drop
+# keep working instead of panicking.
+named_test -p qec-serve --lib poisoned_queue_lock_keeps_serving_and_drops_cleanly
 
 # Differential blossom fuzzing at the full release budget: 5k random
 # matching instances (plus a second 2.5k stream) through the pooled
@@ -80,8 +93,9 @@ QEC_BLOSSOM_FUZZ_CASES=5000 cargo test -q --release --offline \
     -p qec-testkit --test blossom_fuzz
 
 # Differential sparse-blossom fuzzing at the full release budget: 5k
-# random CSR decoding graphs (path-derived, boundary-heavy and
-# degenerate-tie shapes, plus a second 2.5k stream) through the
+# random CSR decoding graphs (path-derived, boundary-heavy,
+# degenerate-tie and hop-dominated shapes, the last like flagged
+# hyperbolic shots, plus a second 2.5k stream) through the
 # graph-native sparse solver vs. the dense complete-pricing baseline,
 # comparing total matching weight under the fixed-point quantization,
 # with shrunk reproducers on failure (see

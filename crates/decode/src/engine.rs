@@ -13,10 +13,12 @@
 //!   complete defect-pair instance;
 //! * every other shot (graphs above the limit, flag-reweighted shots)
 //!   is matched on the CSR [`SparsePathFinder`] — O(V+E), always built —
-//!   by [`sparse_graph_match`]: it prices nearest neighbours and
-//!   certifies the result against every omitted pair, and with at most
-//!   `DISCOVERY_NEIGHBORS + 1` defects prices every pair and solves the
-//!   complete instance outright.
+//!   by [`sparse_graph_match`]: it grows every defect's region at once,
+//!   prices each defect's nearest partner, widens or escalates when that
+//!   candidate instance has no perfect matching, and certifies the
+//!   result against every omitted pair; a small shot (at most 4
+//!   defects) prices every pair and solves the complete instance
+//!   outright.
 //!
 //! Both routes relax edges through the same formula, so the route
 //! decides where a distance comes from, never its value, and both reach
@@ -26,7 +28,7 @@ use crate::blossom::pooled_min_weight_perfect_matching_f64;
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{self, PathOracle, SparsePathFinder};
 use crate::scratch::MatchingCounters;
-use crate::sparse_blossom::{discovery_is_complete, sparse_graph_match};
+use crate::sparse_blossom::{is_small_shot, sparse_graph_match};
 use qec_math::BitVec;
 use qec_obs::Registry;
 use std::collections::HashMap;
@@ -281,7 +283,7 @@ impl MatchingEngine {
                 Pricing::Base => sp.class_weights(),
                 Pricing::Shot(w) => w,
             };
-            let complete = discovery_is_complete(s);
+            let complete = is_small_shot(s);
             if complete {
                 counters.blossom_solves.inc();
             }
@@ -304,6 +306,12 @@ impl MatchingEngine {
                 counters
                     .sparse_blossom_edges
                     .record(outcome.candidate_edges as u64);
+                if outcome.widened {
+                    counters.sparse_blossom_widenings.inc();
+                }
+                if outcome.escalated {
+                    counters.sparse_blossom_escalations.inc();
+                }
             }
             for &(a, b) in pairs.iter() {
                 if let Some(tj) = pair_target(a, b, s) {
@@ -481,12 +489,11 @@ mod tests {
         assert!(!sparse.prices_on_oracle(Pricing::Shot(&shot)));
     }
 
-    /// The last defect count discovery prices completely and the first
-    /// it truncates, on a ring with a boundary: the CSR route reaches the
-    /// oracle's and the complete instance's weight with the same hops.
+    /// The largest small shot and the smallest grown one, on a ring
+    /// with a boundary: the CSR route reaches the oracle's and the
+    /// complete instance's weight with the same hops.
     #[test]
-    fn csr_route_matches_the_complete_instance_around_the_discovery_quota() {
-        use crate::sparse_blossom::DISCOVERY_NEIGHBORS;
+    fn csr_route_matches_the_complete_instance_around_the_small_shot_rule() {
         let mut adjacency = ring(12);
         let hub = adjacency.len();
         adjacency.push(Vec::new());
@@ -499,15 +506,66 @@ mod tests {
         let mut complete = engine_with(&adjacency, Some(hub), 0);
         complete.force_complete_pricing();
         let mut sc = EngineScratch::default();
-        for (extra, defects) in [&[1, 4, 8, 10][..], &[1, 3, 4, 8, 10]]
-            .into_iter()
-            .enumerate()
-        {
-            assert_eq!(defects.len(), DISCOVERY_NEIGHBORS + 1 + extra);
+        for (small, defects) in [(true, &[1, 4, 8, 10][..]), (false, &[1, 3, 4, 8, 10])] {
+            assert_eq!(is_small_shot(defects.len()), small);
             let reference = run(&oracle, defects, Pricing::Base, &mut sc);
             assert!(reference.0.is_some() && !reference.1.is_empty());
             assert_eq!(run(&routed, defects, Pricing::Base, &mut sc), reference);
             assert_eq!(run(&complete, defects, Pricing::Base, &mut sc), reference);
+        }
+    }
+
+    /// Forces each fallback of the grown route on a small graph and
+    /// checks that it is counted and still reaches the complete
+    /// instance's weight:
+    ///
+    /// * widening: two tight triples far apart on a path, whose nearest
+    ///   partners form two odd clusters until the middle defects'
+    ///   second partners bridge them;
+    /// * escalation: six defects on a star, the centre and five leaves,
+    ///   whose regions touch only the centre's however many partners
+    ///   they collect.
+    #[test]
+    fn sparse_fallbacks_are_counted() {
+        let path: Vec<Vec<(usize, usize)>> = (0..13)
+            .map(|v: usize| {
+                let mut row = Vec::new();
+                if v > 0 {
+                    row.push((v - 1, v - 1));
+                }
+                if v < 12 {
+                    row.push((v + 1, v));
+                }
+                row
+            })
+            .collect();
+        let mut star = vec![Vec::new(); 6];
+        for leaf in 1..6 {
+            star[0].push((leaf, leaf - 1));
+            star[leaf].push((0, leaf - 1));
+        }
+        for (adjacency, defects, widened, escalated) in [
+            (path, vec![0, 1, 2, 10, 11, 12], 1, 0),
+            (star, vec![0, 1, 2, 3, 4, 5], 1, 1),
+        ] {
+            let routed = engine(&adjacency, 0);
+            let mut complete = engine(&adjacency, 0);
+            complete.force_complete_pricing();
+            let mut sc = EngineScratch::default();
+            let metrics = Registry::new();
+            let counters = MatchingCounters::register(&metrics);
+            let weight = routed.solve(&defects, Pricing::Base, &mut sc, &counters, |_, _, _| {});
+            assert!(weight.is_some());
+            assert_eq!(weight, run(&complete, &defects, Pricing::Base, &mut sc).0);
+            let snap = metrics.snapshot();
+            assert_eq!(
+                (
+                    snap.counter("decode.sparse_blossom.widenings"),
+                    snap.counter("decode.sparse_blossom.escalations"),
+                ),
+                (widened, escalated),
+                "defects {defects:?}"
+            );
         }
     }
 }

@@ -4,7 +4,7 @@ use crate::engine::{ClassPricing, MatchingEngine};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::discovery_is_complete;
+use crate::sparse_blossom::is_small_shot;
 use crate::{Decoder, DecoderStats};
 use qec_math::BitVec;
 use qec_obs::Registry;
@@ -232,7 +232,7 @@ impl MwpmDecoder {
             .price_shot(&self.hypergraph, flags, overrides, weights);
         if self.engine.prices_on_oracle(pricing) {
             self.counters.oracle_hits.inc();
-        } else if discovery_is_complete(checks.len()) {
+        } else if is_small_shot(checks.len()) {
             self.counters.sparse_hits.inc();
         } else {
             self.counters.sparse_blossom.inc();
@@ -500,9 +500,9 @@ mod tests {
     }
 
     /// Two disconnected triangles of checks without a boundary, all
-    /// six checks flipped: more defects than discovery prices
-    /// completely, an even total, but three in each component, so no
-    /// perfect matching exists. The CSR route, the complete instance and
+    /// six checks flipped: more defects than a small shot, an even
+    /// total, but three in each component, so no perfect matching
+    /// exists. The CSR route, the complete instance and
     /// the routed default give up with an empty correction, and the
     /// give-up is counted.
     #[test]

@@ -5,7 +5,7 @@ use crate::engine::{ClassPricing, MatchingEngine, Pricing};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::discovery_is_complete;
+use crate::sparse_blossom::is_small_shot;
 use crate::{Decoder, DecoderStats};
 use qec_math::{gf2, BitMatrix, BitVec};
 use qec_obs::Registry;
@@ -347,7 +347,7 @@ impl RestrictionDecoder {
                 gave_up = true;
                 continue;
             }
-            graph_native |= !on_oracle && !discovery_is_complete(sources.len());
+            graph_native |= !on_oracle && !is_small_shot(sources.len());
             let start = em.len();
             // A lattice without a perfect matching contributes no edges.
             gave_up |= lattice

@@ -45,9 +45,8 @@ pub struct DecoderStats {
     pub oracle_hits: u64,
     /// Matching-decoder shots matched on the CSR graph of the
     /// [`crate::SparsePathFinder`] (the graph exceeded the dense-oracle
-    /// node limit, or raised flags reweighted it shot-locally) whose
-    /// nearest-neighbour discovery priced the complete instance: at
-    /// most four defects.
+    /// node limit, or raised flags reweighted it shot-locally) as a
+    /// small shot, priced completely: at most four defects.
     pub sparse_hits: u64,
     /// Retired: the per-shot Dijkstra tier no longer exists, so this
     /// is always 0. Kept because perfbench reports it
@@ -63,10 +62,10 @@ pub struct DecoderStats {
     /// this is always 0. Kept because perfbench reports it
     /// (`decode.tier.flag_oracle_share`).
     pub flag_oracle_hits: u64,
-    /// Every other shot matched on the CSR graph: more defects than
-    /// nearest-neighbour discovery prices completely, so
-    /// [`crate::sparse_graph_match`] solves a candidate instance and
-    /// certifies it against every omitted pair with dual-ball searches.
+    /// Every other shot matched on the CSR graph: more than four
+    /// defects, so [`crate::sparse_graph_match`] grows their regions,
+    /// solves the candidate instance of nearest partners and certifies
+    /// it against every omitted pair with dual-ball searches.
     /// A restriction-decoder shot counts here when any of its lattices
     /// did.
     pub sparse_blossom: u64,
@@ -145,6 +144,11 @@ pub(crate) struct MatchingCounters {
     /// Log₂ histogram of priced candidate pairs per certified solve
     /// (what complete pricing would have priced as defects²/2).
     pub(crate) sparse_blossom_edges: Histogram,
+    /// Certified solves whose nearest-partner candidates had no perfect
+    /// matching, so they re-grew with two partners per defect.
+    pub(crate) sparse_blossom_widenings: Counter,
+    /// Certified solves that fell back to complete pricing.
+    pub(crate) sparse_blossom_escalations: Counter,
 }
 
 impl MatchingCounters {
@@ -163,6 +167,8 @@ impl MatchingCounters {
             defects: metrics.histogram("decode.defects"),
             sparse_blossom_rounds: metrics.histogram("decode.sparse_blossom.rounds"),
             sparse_blossom_edges: metrics.histogram("decode.sparse_blossom.edges"),
+            sparse_blossom_widenings: metrics.counter("decode.sparse_blossom.widenings"),
+            sparse_blossom_escalations: metrics.counter("decode.sparse_blossom.escalations"),
         }
     }
 

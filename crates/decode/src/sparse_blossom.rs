@@ -4,37 +4,47 @@
 //! Pricing **every** defect pair costs O(defects²) truncated-Dijkstra
 //! distance queries whose search regions grow until the *farthest*
 //! needed defect settles. This module prices lazily instead: it grows
-//! the instance outward from each defect on the CSR adjacency frozen in
-//! [`SparsePathFinder`], so per-shot cost scales with the *touched
-//! graph region* instead of defects², and hands the candidate instance
-//! to the pooled blossom solver.
+//! every defect's region on the CSR adjacency frozen in
+//! [`SparsePathFinder`] at once, prices only the pairs whose regions
+//! touch, so per-shot cost scales with the *touched graph region*
+//! instead of defects², and hands the candidate instance to the pooled
+//! blossom solver.
 //!
 //! The algorithm is exact, not heuristic:
 //!
-//! 1. **Discovery.** One truncated Dijkstra per defect (ascending, so
-//!    every pair is priced from its lower index, as the dense oracle's
-//!    complete instance reads it) that stops once the
-//!    [`DISCOVERY_NEIGHBORS`] nearest *later* defects and the boundary
-//!    vertex (when present) have settled. Settled distances are bitwise
-//!    identical to a full Dijkstra — truncation never changes values
-//!    settled before the stop — so every candidate edge carries the
-//!    exact dense-oracle weight.
-//! 2. **Solve.** The candidate subgraph (plus all boundary edges and
+//! 1. **Growth.** One multi-source Dijkstra seeded at every defect:
+//!    each vertex settles once, owned by the defect whose region
+//!    reached it first. A CSR edge between two settled vertices of
+//!    different owners is a collision, and each defect keeps its
+//!    [`PARTNERS`] cheapest colliding defects as nearest partners. The
+//!    growth stops once every defect has them (or the graph runs out).
+//! 2. **Pricing.** Every candidate pair is priced exactly from its
+//!    lower index (as the dense oracle's complete instance reads it),
+//!    one truncated Dijkstra per lower index that stops once all of
+//!    that index's targets have settled; with a boundary, every
+//!    defect's boundary leg is a target too. Settled distances are
+//!    bitwise identical to a full Dijkstra — truncation never changes
+//!    values settled before the stop — so every candidate edge carries
+//!    the exact dense-oracle weight.
+//! 3. **Solve.** The candidate subgraph (plus all boundary edges and
 //!    the zero-weight boundary clique, which are always included) goes
-//!    through the pooled [`BlossomScratch`] solver.
-//! 3. **Certify.** The solver's final dual variables bound how cheap an
+//!    through the pooled [`BlossomScratch`] solver. When it has no
+//!    perfect matching, the shot **widens** once — it re-grows with
+//!    [`WIDENED_PARTNERS`] nearest partners per defect and prices the
+//!    new pairs — and **escalates** to complete pricing, the dense
+//!    instance itself, only if that also fails.
+//! 4. **Certify.** The solver's final dual variables bound how cheap an
 //!    *omitted* pair would have to be to matter:
 //!    [`BlossomScratch::dual_radius`] converts each defect's dual into
 //!    a graph-distance ball radius, and one epoch-stamped ball search
 //!    per defect collects every vertex strictly inside the ball. Two
 //!    balls that touch (shared vertex, or a CSR edge bridging them
 //!    within the combined radii) flag a pair that *might* violate dual
-//!    feasibility.
-//! 4. **Repair.** Flagged pairs not yet priced are priced exactly (from
+//!    feasibility. An `s × s` bit table flags each pair at most once.
+//! 5. **Repair.** Flagged pairs not yet priced are priced exactly (from
 //!    the lower index) and the instance is re-solved; since the
 //!    candidate set grows monotonically this terminates, and after
-//!    [`MAX_REPAIR_ROUNDS`] rounds (or an infeasible subgraph) it
-//!    escalates to complete pricing — the dense instance itself.
+//!    [`MAX_REPAIR_ROUNDS`] rounds it escalates to complete pricing.
 //!
 //! At termination the matching is optimal for the *complete* instance:
 //! it is optimal on the candidate subgraph (blossom is exact), every
@@ -46,12 +56,12 @@
 //! The chosen *mates* may differ on genuinely tie-degenerate instances
 //! (two equal-weight perfect matchings).
 //!
-//! With at most `DISCOVERY_NEIGHBORS + 1` defects discovery already
-//! prices every pair, so the instance *is* the complete one and
-//! certification is skipped. Every instance lists its edges in the
-//! dense oracle's `(i, j)` order, so a complete one — priced that way,
-//! by escalation, or by [`complete_graph_match`] — reaches the oracle's
-//! decisions and not only its weight.
+//! A small shot (at most [`SMALL_SHOT`] defects) skips growth and
+//! certification: every pair is priced, so the instance *is* the
+//! complete one. Every instance lists its edges in the dense oracle's
+//! `(i, j)` order, so a complete one — a small shot's, an escalated
+//! one, or [`complete_graph_match`]'s — reaches the oracle's decisions
+//! and not only its weight.
 
 use std::collections::BinaryHeap;
 
@@ -65,19 +75,29 @@ use crate::scratch::HeapItem;
 /// constant the dense matching stage filters with).
 pub(crate) const UNREACHABLE: f64 = 1.0e8;
 
-/// How many nearest *later* defects each discovery search settles
-/// before stopping. Small on purpose: low-weight shots match locally,
-/// and the certification pass repairs any under-connection exactly.
-pub(crate) const DISCOVERY_NEIGHBORS: usize = 3;
+/// Shots with at most this many defects are priced completely: their
+/// instance is the complete one, so they skip growth and
+/// certification.
+const SMALL_SHOT: usize = 4;
 
-/// Whether discovery prices every pair of a `defects`-defect shot, so
-/// that [`sparse_graph_match`] solves the complete instance and skips
-/// certification. The decoders count such a shot as a
-/// complete-instance solve (`sparse_hits`, `blossom_solves`), any other
-/// CSR shot as a graph-native one (`sparse_blossom`).
-pub(crate) fn discovery_is_complete(defects: usize) -> bool {
-    defects <= DISCOVERY_NEIGHBORS + 1
+/// Whether a `defects`-defect shot is small enough that
+/// [`sparse_graph_match`] prices every pair and solves the complete
+/// instance. The decoders count such a shot as a complete-instance
+/// solve (`sparse_hits`, `blossom_solves`), any other CSR shot as a
+/// graph-native one (`sparse_blossom`).
+pub(crate) fn is_small_shot(defects: usize) -> bool {
+    defects <= SMALL_SHOT
 }
+
+/// Nearest partners each defect's region collects in the first growth.
+const PARTNERS: usize = 1;
+
+/// Nearest partners per defect when the first candidate subgraph has
+/// no perfect matching.
+const WIDENED_PARTNERS: usize = 2;
+
+/// An empty nearest-partner slot.
+const NO_PARTNER: u32 = u32::MAX;
 
 /// Certify/repair rounds before escalating to complete pricing.
 const MAX_REPAIR_ROUNDS: u32 = 8;
@@ -113,6 +133,9 @@ pub struct SparseSolveOutcome {
     /// Priced pairs in the final instance (excluding the zero-weight
     /// boundary clique).
     pub candidate_edges: usize,
+    /// Whether the first candidate subgraph had no perfect matching,
+    /// so the solve re-grew with more nearest partners per defect.
+    pub widened: bool,
     /// Whether the solve fell back to complete (dense-equivalent)
     /// pricing.
     pub escalated: bool,
@@ -123,8 +146,9 @@ pub struct SparseSolveOutcome {
 
 /// Pooled state of the sparse-graph matching tier: epoch-stamped
 /// Dijkstra cells over graph nodes (O(touched) reset between searches),
-/// the per-shot pair memo and hop pool, the certification ledger, and
-/// the instance edge list. Mirrors the [`BlossomScratch`] idiom —
+/// the growth's region owners and nearest-partner slots, the per-shot
+/// pair memo and hop pool, the certification ledger, and the instance
+/// edge list. Mirrors the [`BlossomScratch`] idiom —
 /// doubling pools, monotonically growing capacity, high-water gauges —
 /// so steady-state decoding allocates nothing here.
 #[derive(Debug, Default)]
@@ -141,7 +165,14 @@ pub struct SparseBlossomScratch {
     target_idx: Vec<u32>,
     dist: Vec<f64>,
     pred: Vec<(u32, u32)>,
+    /// Defect whose region reached this node (valid when `seen`
+    /// matches the growth's epoch).
+    owner: Vec<u32>,
     heap: BinaryHeap<HeapItem>,
+    /// Row-major `s × partners` nearest-partner slots of the last
+    /// growth: `(estimated distance, partner)`, [`NO_PARTNER`] when
+    /// empty, filled front to back.
+    partner: Vec<(f64, u32)>,
     /// Target staging buffer `(node, pair-key column)` for the next
     /// search.
     tbuf: Vec<(u32, u32)>,
@@ -160,13 +191,18 @@ pub struct SparseBlossomScratch {
     /// Ball-search ledger `(node, defect, dist)`, sorted by
     /// `(node, defect)` before the overlap scans.
     ledger: Vec<(u32, u32, f64)>,
-    /// Pairs flagged by the current certification pass.
+    /// Pairs to price next, sorted by lower index: a growth's
+    /// candidates, a certification pass's flags, or every pair left
+    /// when escalating.
     flagged: Vec<(u32, u32)>,
+    /// Row-major `s × s` bit table of the pairs the current
+    /// certification pass has flagged, so each is listed once.
+    marks: Vec<u64>,
     /// Instance edge list handed to the blossom solver.
     edges: Vec<(usize, usize, f64)>,
     /// Shots solved through this scratch.
     shots: u64,
-    /// Truncated-Dijkstra searches (discovery + pricing + balls) run.
+    /// Dijkstra searches (growths, pricing and balls) run.
     searches: u64,
     /// Node-array capacity growths since construction (log-bounded).
     generations: u32,
@@ -187,7 +223,7 @@ impl SparseBlossomScratch {
         self.shots
     }
 
-    /// Truncated-Dijkstra searches run (discovery, repair pricing and
+    /// Dijkstra searches run (region growths, pair pricing and
     /// certification balls combined).
     pub fn searches(&self) -> u64 {
         self.searches
@@ -212,15 +248,23 @@ impl SparseBlossomScratch {
 
     /// Current pool footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.seen.len() + self.done.len() + self.target.len() + self.target_idx.len()) * 4
+        (self.seen.len()
+            + self.done.len()
+            + self.target.len()
+            + self.target_idx.len()
+            + self.owner.len())
+            * 4
             + self.dist.len() * 8
             + self.pred.len() * 8
+            + self.heap.capacity() * 16
+            + self.partner.capacity() * 16
             + self.tbuf.capacity() * 8
             + self.pair.capacity() * 16
             + self.hops.capacity() * 12
             + self.radius.capacity() * 8
             + self.ledger.capacity() * 16
             + self.flagged.capacity() * 8
+            + self.marks.capacity() * 8
             + self.edges.capacity() * 24
     }
 
@@ -258,6 +302,7 @@ impl SparseBlossomScratch {
             self.target_idx.resize(n, 0);
             self.dist.resize(n, 0.0);
             self.pred.resize(n, (u32::MAX, u32::MAX));
+            self.owner.resize(n, NO_PARTNER);
             self.generations += 1;
         }
     }
@@ -295,38 +340,27 @@ impl SparseBlossomScratch {
 
 /// Prices `sc.tbuf`'s targets from `src` with one truncated Dijkstra,
 /// recording exact distances and path hops into the pair memo under
-/// `(src_idx, column)` keys. Stops once `defect_quota` non-boundary
-/// targets *and* the boundary target (the one whose column equals
-/// `boundary_idx`, when given) have settled; every target that happens
-/// to settle before the stop is harvested. Edges relax through
-/// [`relaxed_dist`] in CSR order, as the dense oracle's rows were
-/// built, so settled distances are bitwise identical to the oracle's.
+/// `(src_idx, column)` keys. Stops once every target has settled (or
+/// the heap drains). Edges relax through [`relaxed_dist`] in CSR order,
+/// as the dense oracle's rows were built, so settled distances are
+/// bitwise identical to the oracle's.
 fn price_from(
     finder: &SparsePathFinder,
     class_weights: &[f64],
     sc: &mut SparseBlossomScratch,
     src: usize,
     src_idx: u32,
-    defect_quota: usize,
-    boundary_idx: Option<u32>,
 ) {
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
     let epoch = sc.next_epoch();
     sc.searches += 1;
-    let mut defect_targets = 0usize;
-    let mut boundary_left = 0usize;
     for &(node, idx) in &sc.tbuf {
         let node = node as usize;
         sc.target[node] = epoch;
         sc.target_idx[node] = idx;
-        if boundary_idx == Some(idx) {
-            boundary_left += 1;
-        } else {
-            defect_targets += 1;
-        }
     }
-    let mut remaining = defect_quota.min(defect_targets);
+    let mut remaining = sc.tbuf.len();
     sc.heap.clear();
     sc.dist[src] = 0.0;
     sc.pred[src] = (u32::MAX, u32::MAX);
@@ -358,12 +392,8 @@ fn price_from(
                 len,
             };
             sc.priced += 1;
-            if boundary_idx == Some(idx) {
-                boundary_left -= 1;
-            } else {
-                remaining = remaining.saturating_sub(1);
-            }
-            if remaining == 0 && boundary_left == 0 {
+            remaining -= 1;
+            if remaining == 0 {
                 break;
             }
         }
@@ -388,6 +418,151 @@ fn price_from(
     }
     if sc.hops.len() > sc.high_water_hops {
         sc.high_water_hops = sc.hops.len();
+    }
+}
+
+/// Grows every defect's region at once: one multi-source Dijkstra
+/// seeded at each defect, in which every vertex settles once and is
+/// owned by the defect whose region reached it first. When settling a
+/// vertex finds a CSR edge to a settled vertex of another region, the
+/// two defects collide, with estimate `d(u) + w + d(v)` — the length of
+/// a real path between them, so never below their distance. Each
+/// defect keeps its `partners` cheapest distinct colliding defects in
+/// [`SparseBlossomScratch::partner`]. Stops once every defect has
+/// `partners` of them, or when the heap drains (a defect alone in its
+/// component never finds one).
+fn grow_regions(
+    finder: &SparsePathFinder,
+    class_weights: &[f64],
+    sc: &mut SparseBlossomScratch,
+    checks: &[usize],
+    partners: usize,
+) {
+    let offsets = finder.csr_offsets();
+    let csr = finder.csr_edges();
+    let epoch = sc.next_epoch();
+    sc.searches += 1;
+    sc.partner.clear();
+    sc.partner
+        .resize(checks.len() * partners, (f64::INFINITY, NO_PARTNER));
+    let mut unmet = checks.len();
+    sc.heap.clear();
+    for (i, &src) in checks.iter().enumerate() {
+        sc.dist[src] = 0.0;
+        sc.owner[src] = i as u32;
+        sc.seen[src] = epoch;
+        sc.heap.push(HeapItem {
+            dist: 0.0,
+            node: src,
+        });
+    }
+    while let Some(HeapItem { dist: d, node: u }) = sc.heap.pop() {
+        if sc.done[u] == epoch {
+            continue;
+        }
+        sc.done[u] = epoch;
+        let a = sc.owner[u];
+        let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+        for &(v, class) in &csr[lo..hi] {
+            let class = class as usize;
+            let v = v as usize;
+            let nd = relaxed_dist(d, class_weights[class], class);
+            if sc.done[v] == epoch {
+                let b = sc.owner[v];
+                if b != a {
+                    let est = nd + sc.dist[v];
+                    let slots = &mut sc.partner;
+                    unmet -= usize::from(note_partner(slots, partners, a, b, est));
+                    unmet -= usize::from(note_partner(slots, partners, b, a, est));
+                    if unmet == 0 {
+                        return;
+                    }
+                }
+                continue;
+            }
+            let dv = if sc.seen[v] == epoch {
+                sc.dist[v]
+            } else {
+                f64::INFINITY
+            };
+            if nd < dv {
+                sc.dist[v] = nd;
+                sc.owner[v] = a;
+                sc.seen[v] = epoch;
+                sc.heap.push(HeapItem { dist: nd, node: v });
+            }
+        }
+    }
+}
+
+/// Offers `b` at estimate `est` to defect `a`'s nearest-partner slots:
+/// lowers the estimate of a partner already held, fills the next empty
+/// slot, or replaces the costliest partner when `est` undercuts it.
+/// Returns whether this filled `a`'s last empty slot.
+fn note_partner(slots: &mut [(f64, u32)], partners: usize, a: u32, b: u32, est: f64) -> bool {
+    let row = &mut slots[a as usize * partners..(a as usize + 1) * partners];
+    if let Some(slot) = row.iter_mut().find(|slot| slot.1 == b) {
+        slot.0 = slot.0.min(est);
+        return false;
+    }
+    if let Some(k) = row.iter().position(|slot| slot.1 == NO_PARTNER) {
+        row[k] = (est, b);
+        return k + 1 == partners;
+    }
+    let worst = (0..partners)
+        .max_by(|&x, &y| row[x].0.total_cmp(&row[y].0))
+        .expect("at least one partner slot");
+    if est < row[worst].0 {
+        row[worst] = (est, b);
+    }
+    false
+}
+
+/// Lists the last growth's candidate pairs `(lo, hi)` that are not yet
+/// priced in `sc.flagged`, sorted by lower index and deduplicated.
+fn collect_candidates(sc: &mut SparseBlossomScratch, partners: usize) {
+    sc.flagged.clear();
+    for (k, &(_, b)) in sc.partner.iter().enumerate() {
+        if b != NO_PARTNER {
+            let a = (k / partners) as u32;
+            sc.flagged.push((a.min(b), a.max(b)));
+        }
+    }
+    sc.flagged.sort_unstable();
+    sc.flagged.dedup();
+    let (pair, width) = (&sc.pair, sc.width);
+    sc.flagged
+        .retain(|&(a, b)| pair[a as usize * width + b as usize].dist == f64::INFINITY);
+}
+
+/// Prices the pairs listed in `sc.flagged` (sorted by lower index), one
+/// search per lower index. With `boundary`, every defect's boundary leg
+/// not yet priced is a target of its defect's search as well.
+fn price_flagged(
+    finder: &SparsePathFinder,
+    class_weights: &[f64],
+    sc: &mut SparseBlossomScratch,
+    checks: &[usize],
+    boundary: Option<usize>,
+) {
+    let bidx = checks.len() as u32;
+    let mut k = 0;
+    for (i, &src) in checks.iter().enumerate() {
+        let i = i as u32;
+        sc.tbuf.clear();
+        while k < sc.flagged.len() && sc.flagged[k].0 == i {
+            let j = sc.flagged[k].1;
+            sc.tbuf.push((checks[j as usize] as u32, j));
+            k += 1;
+        }
+        if let Some(b) = boundary {
+            if !sc.priced(i, bidx) {
+                sc.tbuf.push((b as u32, bidx));
+            }
+        }
+        if !sc.tbuf.is_empty() {
+            price_from(finder, class_weights, sc, src, i);
+        }
     }
 }
 
@@ -451,19 +626,51 @@ fn ball_search(
     }
 }
 
+/// Marks pair `{a, b}` in the `s × s` bit table and lists it in
+/// `flagged` the first time it is marked, unless it is already priced.
+fn flag_pair(
+    marks: &mut [u64],
+    flagged: &mut Vec<(u32, u32)>,
+    pair: &[PairEntry],
+    width: usize,
+    a: u32,
+    b: u32,
+) {
+    let (a, b) = (a.min(b) as usize, a.max(b) as usize);
+    let bit = a * (width - 1) + b;
+    let mask = 1u64 << (bit % 64);
+    if marks[bit / 64] & mask == 0 {
+        marks[bit / 64] |= mask;
+        if pair[a * width + b].dist == f64::INFINITY {
+            flagged.push((a as u32, b as u32));
+        }
+    }
+}
+
 /// Scans the sorted ball ledger for pairs whose balls touch — a shared
 /// vertex, or a CSR edge bridging the two balls within the combined
-/// radii — and leaves the deduplicated, not-yet-priced pairs in
-/// `sc.flagged`. Every omitted pair that could violate dual feasibility
-/// is flagged (the combined-radius threshold over-approximates the
-/// exact `4·s_uv < r_u + r_v` bound).
+/// radii — and leaves the not-yet-priced pairs, each once and sorted,
+/// in `sc.flagged`. Every omitted pair that could violate dual
+/// feasibility is flagged (the combined-radius threshold
+/// over-approximates the exact `4·s_uv < r_u + r_v` bound).
 fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut SparseBlossomScratch) {
     sc.ledger.sort_unstable_by_key(|e| (e.0, e.1));
-    sc.flagged.clear();
+    let s = sc.width - 1;
+    sc.marks.clear();
+    sc.marks.resize((s * s).div_ceil(64), 0);
+    let SparseBlossomScratch {
+        ledger,
+        radius,
+        flagged,
+        marks,
+        pair,
+        width,
+        ..
+    } = sc;
+    let width = *width;
+    flagged.clear();
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
-    let ledger = &sc.ledger;
-    let radius = &sc.radius;
     // Shared-vertex scan over runs of equal node.
     let mut i = 0;
     while i < ledger.len() {
@@ -476,7 +683,7 @@ fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut Spar
         for (x, &(_, a, da)) in run.iter().enumerate() {
             for &(_, b, db) in &run[x + 1..] {
                 if da + db < radius[a as usize] + radius[b as usize] {
-                    sc.flagged.push((a.min(b), a.max(b)));
+                    flag_pair(marks, flagged, pair, width, a, b);
                 }
             }
         }
@@ -484,7 +691,7 @@ fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut Spar
     }
     // Bridging-edge scan: a shortest path between two balls must cross
     // a CSR edge whose endpoints lie one in each ball.
-    for &(x, a, da) in ledger {
+    for &(x, a, da) in ledger.iter() {
         let x = x as usize;
         let (lo, hi) = (offsets[x] as usize, offsets[x + 1] as usize);
         for &(y, class) in &csr[lo..hi] {
@@ -493,17 +700,13 @@ fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut Spar
             while k < ledger.len() && ledger[k].0 == y {
                 let (_, b, db) = ledger[k];
                 if b != a && da + w + db < radius[a as usize] + radius[b as usize] {
-                    sc.flagged.push((a.min(b), a.max(b)));
+                    flag_pair(marks, flagged, pair, width, a, b);
                 }
                 k += 1;
             }
         }
     }
-    sc.flagged.sort_unstable();
-    sc.flagged.dedup();
-    let (pair, width) = (&sc.pair, sc.width);
-    sc.flagged
-        .retain(|&(a, b)| pair[a as usize * width + b as usize].dist == f64::INFINITY);
+    flagged.sort_unstable();
 }
 
 /// Rebuilds the instance edge list from the priced pairs: finite
@@ -539,33 +742,16 @@ fn escalate(
     checks: &[usize],
     boundary: Option<usize>,
 ) {
-    let s = checks.len();
-    let bidx = s as u32;
+    let s = checks.len() as u32;
+    sc.flagged.clear();
     for i in 0..s {
-        sc.tbuf.clear();
-        for (j, &check) in checks.iter().enumerate().skip(i + 1) {
-            if !sc.priced(i as u32, j as u32) {
-                sc.tbuf.push((check as u32, j as u32));
+        for j in (i + 1)..s {
+            if !sc.priced(i, j) {
+                sc.flagged.push((i, j));
             }
         }
-        if let Some(b) = boundary {
-            if !sc.priced(i as u32, bidx) {
-                sc.tbuf.push((b as u32, bidx));
-            }
-        }
-        if sc.tbuf.is_empty() {
-            continue;
-        }
-        price_from(
-            finder,
-            class_weights,
-            sc,
-            checks[i],
-            i as u32,
-            usize::MAX,
-            None,
-        );
     }
+    price_flagged(finder, class_weights, sc, checks, boundary);
 }
 
 /// Solves minimum-weight perfect matching for the shot's defects
@@ -598,6 +784,7 @@ pub fn sparse_graph_match(
         return Some(SparseSolveOutcome {
             rounds: 0,
             candidate_edges: 0,
+            widened: false,
             escalated: false,
             weight: 0,
         });
@@ -608,32 +795,18 @@ pub fn sparse_graph_match(
         // identically.
         return None;
     }
-    let bidx = s as u32;
-    // Discovery: K nearest later defects plus the boundary, per defect.
-    for i in 0..s {
-        sc.tbuf.clear();
-        for (j, &node) in checks.iter().enumerate().skip(i + 1) {
-            sc.tbuf.push((node as u32, j as u32));
-        }
-        if let Some(b) = boundary {
-            sc.tbuf.push((b as u32, bidx));
-        }
-        if sc.tbuf.is_empty() {
-            continue;
-        }
-        price_from(
-            finder,
-            class_weights,
-            sc,
-            checks[i],
-            i as u32,
-            DISCOVERY_NEIGHBORS,
-            boundary.map(|_| bidx),
-        );
+    let small = is_small_shot(s);
+    if small {
+        escalate(finder, class_weights, sc, checks, boundary);
+    } else {
+        grow_regions(finder, class_weights, sc, checks, PARTNERS);
+        collect_candidates(sc, PARTNERS);
+        price_flagged(finder, class_weights, sc, checks, boundary);
     }
-    // When the neighbor quota already covers every later defect the
-    // instance *is* the dense one and certification is unnecessary.
-    let mut complete = discovery_is_complete(s);
+    // A small shot's instance *is* the dense one, so certification is
+    // unnecessary.
+    let mut complete = small;
+    let mut widened = false;
     let mut escalated = false;
     let mut rounds = 0u32;
     loop {
@@ -643,22 +816,31 @@ pub fn sparse_graph_match(
                 return None;
             }
             // The candidate subgraph is infeasible but the complete
-            // instance may not be: price everything and retry once.
-            escalate(finder, class_weights, sc, checks, boundary);
-            complete = true;
-            escalated = true;
+            // instance may not be: widen once, then price everything.
+            if widened {
+                escalate(finder, class_weights, sc, checks, boundary);
+                complete = true;
+                escalated = true;
+            } else {
+                grow_regions(finder, class_weights, sc, checks, WIDENED_PARTNERS);
+                collect_candidates(sc, WIDENED_PARTNERS);
+                price_flagged(finder, class_weights, sc, checks, None);
+                widened = true;
+            }
             continue;
         };
         let weight = m.weight();
         pairs.clear();
         pairs.extend(m.pairs());
+        let outcome = SparseSolveOutcome {
+            rounds,
+            candidate_edges: sc.priced,
+            widened,
+            escalated,
+            weight,
+        };
         if complete {
-            return Some(SparseSolveOutcome {
-                rounds,
-                candidate_edges: sc.priced,
-                escalated,
-                weight,
-            });
+            return Some(outcome);
         }
         // Certification: convert each defect's final dual into a ball
         // radius; pairs farther apart than the combined radii provably
@@ -670,12 +852,7 @@ pub fn sparse_graph_match(
             sc.radius.push(b);
         }
         if sc.radius.iter().all(|&b| b <= 0.0) {
-            return Some(SparseSolveOutcome {
-                rounds,
-                candidate_edges: sc.priced,
-                escalated,
-                weight,
-            });
+            return Some(outcome);
         }
         sc.ledger.clear();
         for (i, &src) in checks.iter().enumerate() {
@@ -684,12 +861,7 @@ pub fn sparse_graph_match(
         }
         flag_overlaps(finder, class_weights, sc);
         if sc.flagged.is_empty() {
-            return Some(SparseSolveOutcome {
-                rounds,
-                candidate_edges: sc.priced,
-                escalated,
-                weight,
-            });
+            return Some(outcome);
         }
         rounds += 1;
         if rounds > MAX_REPAIR_ROUNDS {
@@ -700,31 +872,13 @@ pub fn sparse_graph_match(
         }
         // Repair: price the flagged pairs exactly, grouped by their
         // lower-indexed source so each source runs one search.
-        let mut k = 0;
-        while k < sc.flagged.len() {
-            let a = sc.flagged[k].0;
-            sc.tbuf.clear();
-            while k < sc.flagged.len() && sc.flagged[k].0 == a {
-                let j = sc.flagged[k].1;
-                sc.tbuf.push((checks[j as usize] as u32, j));
-                k += 1;
-            }
-            price_from(
-                finder,
-                class_weights,
-                sc,
-                checks[a as usize],
-                a,
-                usize::MAX,
-                None,
-            );
-        }
+        price_flagged(finder, class_weights, sc, checks, None);
     }
 }
 
 /// Solves the shot's complete instance on the CSR decoding graph:
-/// every defect pair and boundary leg priced exactly, with no discovery
-/// quota and no certification. This is the reference
+/// every defect pair and boundary leg priced exactly, with no region
+/// growth and no certification. This is the reference
 /// [`sparse_graph_match`] is measured and tested against; it takes the
 /// same arguments, numbers `pairs` the same way, leaves the same hops in
 /// [`SparseBlossomScratch::pair_hops`], and returns `None` exactly when
@@ -749,6 +903,7 @@ pub fn complete_graph_match(
     Some(SparseSolveOutcome {
         rounds: 0,
         candidate_edges: sc.priced,
+        widened: false,
         escalated: false,
         weight: m.weight(),
     })
@@ -910,5 +1065,61 @@ mod tests {
         let dense = dense_reference(&adjacency, &weights, &checks, None).expect("dense");
         let sparse = run_sparse(&adjacency, &weights, &checks, None).expect("sparse");
         assert_eq!(sparse.0, dense.0);
+    }
+
+    /// A wheel: an odd cycle of defects around a hub vertex, plus one
+    /// far defect behind the hub. One cycle defect must match the far
+    /// one, so the duals grow balls that each cover the whole wheel,
+    /// and every vertex lies in every cycle defect's ball. Each pair is
+    /// still flagged at most once, so the pools stay within one ledger
+    /// entry per (vertex, ball) plus O(1) entries per defect pair:
+    /// O(n·s + s²) bytes, where listing every overlap (vertex or
+    /// bridging edge) would grow with n·s²·degree.
+    #[test]
+    fn covering_balls_keep_certification_memory_bounded() {
+        let m = 31;
+        let (hub, far) = (m, m + 1);
+        let mut adjacency = vec![Vec::new(); m + 2];
+        let mut weights = Vec::new();
+        let mut add = |a: usize, b: usize, w: f64| {
+            let class = weights.len();
+            weights.push(w);
+            adjacency[a].push((b, class));
+            adjacency[b].push((a, class));
+        };
+        for v in 0..m {
+            add(v, (v + 1) % m, 1.0);
+            add(v, hub, 1.0);
+        }
+        add(far, hub, 8.0);
+        let checks: Vec<usize> = (0..m).chain([far]).collect();
+        let finder = SparsePathFinder::build(&adjacency, weights.clone());
+        let mut sc = SparseBlossomScratch::new();
+        let mut blossom = BlossomScratch::new();
+        let mut pairs = Vec::new();
+        let out = sparse_graph_match(
+            &finder,
+            &checks,
+            None,
+            &weights,
+            &mut sc,
+            &mut blossom,
+            &mut pairs,
+        )
+        .expect("the wheel has a perfect matching");
+        let dense = dense_reference(&adjacency, &weights, &checks, None).expect("dense solves");
+        assert_eq!(out.weight, dense.0);
+        assert!(!out.escalated);
+        // The last certification pass: every cycle defect's ball holds
+        // every vertex but the far defect.
+        let (n, s) = (adjacency.len(), checks.len());
+        assert!(sc.ledger.len() >= m * (n - 1), "ledger {}", sc.ledger.len());
+        let csr = finder.csr_edges().len();
+        let bound = 2 * (64 * (n + csr) + 16 * n * s + 64 * s * s);
+        assert!(
+            sc.memory_bytes() <= bound,
+            "{} bytes over the {bound}-byte bound",
+            sc.memory_bytes()
+        );
     }
 }

@@ -54,7 +54,7 @@ use qec_obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -270,6 +270,17 @@ struct Shared {
     available: Condvar,
 }
 
+impl Shared {
+    /// Locks the queue. A thread that panicked while holding the lock
+    /// leaves it poisoned, but every critical section below keeps the
+    /// queue consistent at each step, so the state is recovered rather
+    /// than turned into a panic of every later submitter, shard and
+    /// `Drop`.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The service's interned `serve.*` metric handles.
 #[derive(Clone)]
 struct ServeCounters {
@@ -399,12 +410,7 @@ impl DecodeService {
             let shared = Arc::clone(&shared);
             let context = TelemetryContext {
                 telemetry: Arc::clone(&telemetry),
-                queue_depth: Box::new(move || {
-                    shared
-                        .queue
-                        .lock()
-                        .map_or(0, |state| state.jobs.len() as u64)
-                }),
+                queue_depth: Box::new(move || shared.lock().jobs.len() as u64),
             };
             TelemetryServer::start(addr, context).expect("bind telemetry listener")
         });
@@ -463,7 +469,7 @@ impl DecodeService {
         }
         let (tx, rx) = mpsc::channel();
         {
-            let mut state = self.shared.queue.lock().expect("serve queue lock");
+            let mut state = self.shared.lock();
             if state.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
@@ -513,11 +519,7 @@ impl DecodeService {
     /// code (`200` for `ok`/`degraded`, `503` for `unhealthy`) and the
     /// JSON body.
     pub fn healthz(&self) -> (u16, String) {
-        let depth = self
-            .shared
-            .queue
-            .lock()
-            .map_or(0, |state| state.jobs.len() as u64);
+        let depth = self.shared.lock().jobs.len() as u64;
         self.telemetry.healthz(depth)
     }
 
@@ -533,8 +535,7 @@ impl Drop for DecodeService {
         // queue and shard state that the drain below tears down.
         drop(self.telemetry_server.take());
         {
-            let mut state = self.shared.queue.lock().expect("serve queue lock");
-            state.shutdown = true;
+            self.shared.lock().shutdown = true;
         }
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
@@ -554,7 +555,7 @@ fn worker_loop(
     let mut scratch = DecodeScratch::new();
     loop {
         let (job, depth) = {
-            let mut state = shared.queue.lock().expect("serve queue lock");
+            let mut state = shared.lock();
             loop {
                 if let Some(job) = state.jobs.pop_front() {
                     let depth = state.jobs.len() as u64;
@@ -564,7 +565,10 @@ fn worker_loop(
                 if state.shutdown {
                     return;
                 }
-                state = shared.available.wait(state).expect("serve queue lock");
+                state = shared
+                    .available
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let queue_ns = ns_since(job.submitted);
@@ -784,5 +788,33 @@ mod tests {
             p.wait().expect("queued request drained on shutdown");
         }
         assert_eq!(metrics.snapshot().counter("serve.completed"), 4);
+    }
+
+    /// A thread that panics while holding the queue lock poisons it;
+    /// submitters, the shard and `Drop` recover the queue instead of
+    /// panicking.
+    #[test]
+    fn poisoned_queue_lock_keeps_serving_and_drops_cleanly() {
+        let service = DecodeService::new(
+            Arc::new(Parrot {
+                delay: Duration::ZERO,
+            }),
+            ServeConfig::new().with_shards(1).with_queue_capacity(4),
+        );
+        let shared = Arc::clone(&service.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = shared.lock();
+            panic!("poisoning the serve queue lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(service.shared.queue.is_poisoned());
+        let reply = service
+            .try_submit(vec![syndrome(3)])
+            .expect("submit on a poisoned lock")
+            .wait()
+            .expect("the shard still serves");
+        assert_eq!(reply.corrections, vec![syndrome(3)]);
+        assert_eq!(service.healthz().0, 200);
+        drop(service);
     }
 }

@@ -681,7 +681,7 @@ impl SparseBlossomFuzzCase {
     }
 }
 
-/// Draws one sparse-blossom fuzz case. Three shapes:
+/// Draws one sparse-blossom fuzz case. Four shapes:
 ///
 /// * **path-derived**: a [`random_sparse_graph`] draw with a random
 ///   defect subset — disconnected components keep infeasible and
@@ -691,8 +691,12 @@ impl SparseBlossomFuzzCase {
 ///   dominate the optimum;
 /// * **degenerate-tie**: class weights redrawn from a tiny value set,
 ///   so matchings tie heavily and only weight equality (not mate
-///   identity) can be asserted.
+///   identity) can be asserted;
+/// * **hop-dominated**: see [`random_hop_dominated_case`].
 pub fn random_sparse_blossom_case(rng: &mut Xoshiro256StarStar) -> SparseBlossomFuzzCase {
+    if rng.gen_bool(0.2) {
+        return random_hop_dominated_case(rng);
+    }
     let (mut adjacency, mut class_weights) = random_sparse_graph(rng);
     if rng.gen_bool(0.3) {
         // Degenerate ties: tiny weight set, maximal tie pressure.
@@ -731,6 +735,48 @@ pub fn random_sparse_blossom_case(rng: &mut Xoshiro256StarStar) -> SparseBlossom
         class_weights,
         defects,
         boundary,
+    }
+}
+
+/// Draws a case in the regime of flagged shots on the hyperbolic
+/// codes: 48–160 vertices of degree at least 8, an even 10–30 defects
+/// and no boundary, with every class weight one large per-case
+/// constant plus a small jitter — what flag pricing makes of a shot,
+/// where each raised flag adds `-ln p_M` to almost every class, so path
+/// cost behaves like a hop count. Regions collide after a hop or two, so
+/// the nearest-partner candidates, widening and repair all run here.
+pub fn random_hop_dominated_case(rng: &mut Xoshiro256StarStar) -> SparseBlossomFuzzCase {
+    let n = rng.gen_range(48..=160usize);
+    let hop = 40.0 + rng.gen_f64() * 40.0;
+    let num_classes = rng.gen_range(n..=4 * n);
+    let class_weights: Vec<f64> = (0..num_classes)
+        .map(|_| hop + rng.gen_f64() * 2.0)
+        .collect();
+    let mut adjacency: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    for u in 0..n {
+        while adjacency[u].len() < 8 {
+            let v = rng.gen_range(0..n);
+            if v == u || adjacency[u].iter().any(|&(x, _)| x == v) {
+                continue;
+            }
+            let class = rng.gen_range(0..num_classes);
+            adjacency[u].push((v, class));
+            adjacency[v].push((u, class));
+        }
+    }
+    let mut nodes: Vec<usize> = (0..n).collect();
+    for i in 0..n {
+        let j = rng.gen_range(i..n);
+        nodes.swap(i, j);
+    }
+    let k = 2 * rng.gen_range(5..=15usize);
+    let mut defects = nodes[..k].to_vec();
+    defects.sort_unstable();
+    SparseBlossomFuzzCase {
+        adjacency,
+        class_weights,
+        defects,
+        boundary: None,
     }
 }
 

@@ -553,10 +553,9 @@ fn sparse_finder_matches_oracle_and_dijkstra_on_random_graphs() {
     });
 }
 
-/// Shots matched on the sparse finder's CSR graph, whether discovery
-/// priced the complete instance (`sparse_hits`) or the solve was
-/// certified (`sparse_blossom`, shots with more defects than discovery
-/// prices completely).
+/// Shots matched on the sparse finder's CSR graph, whether a small
+/// shot priced the complete instance (`sparse_hits`) or the solve was
+/// certified (`sparse_blossom`, shots with more than four defects).
 fn csr_hits(stats: &DecoderStats) -> u64 {
     stats.sparse_hits + stats.sparse_blossom
 }
