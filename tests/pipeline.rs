@@ -344,3 +344,40 @@ fn tracing_on_and_off_decode_bit_identically() {
     assert!(meta.len() > 0, "trace file must be non-empty");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Golden for flagged MWPM: the `[[180,20]]` {4,5} shared-flag FPN
+/// (`SURFACE_REGISTRY[2]`, 6 rounds, p = 1e-3) decoded by
+/// `DecoderKind::FlaggedMwpm`, with seeded syndromes that raise flags
+/// on nearly every shot, so the flag-conditioned class pricing and the
+/// certified CSR matching route both carry the fingerprint.
+#[test]
+fn flagged_mwpm_golden_hyperbolic_surface() {
+    use qec_testkit::{fingerprint_decoder, mechanism_fire_probability, random_syndrome};
+
+    let code = hyperbolic_surface_code(&SURFACE_REGISTRY[2]).unwrap();
+    let fpn = FlagProxyNetwork::build(&code, &FpnConfig::shared());
+    let noise = NoiseModel::new(1e-3);
+    let exp = build_memory_circuit(&code, &fpn, Some(&noise), 6, Basis::Z);
+    let pipeline = DecodingPipeline::new(&code, &exp, DecoderKind::FlaggedMwpm, &noise);
+    let dem = pipeline.dem();
+    let q = mechanism_fire_probability(dem, 8.0);
+    let decoder = pipeline.decoder();
+    let before = decoder.stats();
+    let fp = fingerprint_decoder(dem, decoder, 256, 0xF1A6, q, true);
+    let stats = decoder.stats().delta(&before);
+    assert!(
+        stats.sparse_blossom > 0 && stats.sparse_hits > 0,
+        "both CSR routes are exercised: {stats:?}"
+    );
+    // The same seeded syndromes the fingerprint replays.
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0xF1A6);
+    let flagged = (0..256)
+        .filter(|_| {
+            random_syndrome(&mut rng, dem, q)
+                .iter_ones()
+                .any(|d| dem.detector_meta()[d].is_flag)
+        })
+        .count();
+    assert!(flagged > 200, "most shots raise flags: {flagged}");
+    assert_eq!(fp, 14_332_686_672_912_280_042, "flagged MWPM golden");
+}
