@@ -60,6 +60,16 @@ named_test --test properties csr_match_pools_are_stable_after_warmup
 named_test -p qec-decode --lib csr_route_matches_the_complete_instance_around_the_small_shot_rule
 named_test -p qec-decode --lib sparse_fallbacks_are_counted
 named_test -p qec-decode --lib covering_balls_keep_certification_memory_bounded
+# Certification's overlap scan finds each CSR neighbour's ledger run
+# through a stamped run start; it must flag exactly the pairs of the
+# binary-search reference, on the wheel and on random ledgers.
+named_test -p qec-decode --lib flag_overlaps_matches_the_binary_search_reference
+# Differential flag-pricing property: the flat class table and its
+# dense per-shot override slots choose every class's (member, weight)
+# bitwise like EquivClass::representative on the shared-flag surface
+# and color FPN DEMs, across flagged, unflagged and disjoint-flag shots
+# through one scratch.
+named_test -p qec-decode --lib flat_pricing_matches_the_class_representative
 # Differential DEM-builder property: the streaming
 # DetectorErrorModel::from_circuit must equal qec-testkit's
 # collect-then-merge reference (same mechanisms, same order,
@@ -73,6 +83,9 @@ named_test --test properties dem_builder_matches_reference_on_random_circuits
 # and Chamberland baselines mis-correct many.
 named_test --test pipeline flag_protocol_restores_effective_distance_surface
 named_test --test pipeline flag_protocol_restores_effective_distance_color
+# Golden for flagged MWPM corrections on the shared-flag [[180,20]]
+# {4,5} FPN, the headline workload's decoder.
+named_test --test pipeline flagged_mwpm_golden_hyperbolic_surface
 
 # Differential streaming-service tests: qec-serve corrections must be
 # bit-identical to offline decode_into and reproduce run_ber's failure

@@ -46,7 +46,7 @@
 //! fully (re)initialized per shot from decoder state — so the result is
 //! bit-identical across scratch reuse, thread counts and processes.
 
-use crate::engine::{ClassPricing, Pricing};
+use crate::engine::{ClassOverrides, ClassPricing, Pricing};
 use crate::hypergraph::DecodingHypergraph;
 use crate::osd::osd_post_process;
 use crate::scratch::{BpCounters, BpOsdScratch, DecodeScratch};
@@ -54,7 +54,6 @@ use crate::{Decoder, DecoderStats};
 use qec_math::BitVec;
 use qec_obs::Registry;
 use qec_sim::DetectorErrorModel;
-use std::collections::HashMap;
 
 /// Ceiling on check→variable message magnitudes. Keeps degree-1 checks
 /// (whose excluded minimum is +∞) and saturated priors finite while
@@ -489,12 +488,7 @@ impl BpOsdDecoder {
     /// Flips each chosen variable's class representative (overridden by
     /// the shot's flag conditioning where applicable) into the
     /// correction.
-    fn apply_vars(
-        &self,
-        vars: &[u32],
-        overrides: &HashMap<usize, (usize, f64)>,
-        correction: &mut BitVec,
-    ) {
+    fn apply_vars(&self, vars: &[u32], overrides: &ClassOverrides, correction: &mut BitVec) {
         for &v in vars {
             let class = self.var_class[v as usize] as usize;
             let (member, _) = self.pricing.member(class, overrides);

@@ -31,7 +31,6 @@ use crate::scratch::MatchingCounters;
 use crate::sparse_blossom::{is_small_shot, sparse_graph_match};
 use qec_math::BitVec;
 use qec_obs::Registry;
-use std::collections::HashMap;
 
 /// Edges costlier than this are treated as unusable.
 const UNREACHABLE: f64 = 1.0e8;
@@ -49,6 +48,15 @@ pub(crate) enum Pricing<'a> {
 /// [`crate::BpOsdDecoder`] (§VI-B): every class is represented by one member, chosen against
 /// the shot's raised flags, and each raised flag costs `-ln p_M` on
 /// every class whose representative does not explain it.
+///
+/// With flag conditioning the classes' members are laid out flat, once
+/// at construction: class `c` owns the member run
+/// `members[class_start[c]..class_start[c + 1]]`, and each member its
+/// flags as a span of `member_flags`. A flagged shot re-chooses the
+/// representative of every class touching a raised flag by walking
+/// those runs, with the same expression in the same order as
+/// [`crate::EquivClass::representative`], so the choice and its weight
+/// are bitwise that reference's.
 #[derive(Debug)]
 pub(crate) struct ClassPricing {
     flag_conditioning: bool,
@@ -56,6 +64,70 @@ pub(crate) struct ClassPricing {
     minus_ln_pm: f64,
     /// `(member, weight)` per class with no flags raised.
     base: Vec<(usize, f64)>,
+    /// Offsets of each class's run in `members` (flag conditioning
+    /// only; empty otherwise).
+    class_start: Vec<u32>,
+    /// Every class's members, class by class in member order.
+    members: Vec<FlatMember>,
+    /// Every member's flag bits, member by member.
+    member_flags: Vec<u32>,
+}
+
+/// One class member in [`ClassPricing`]'s flat table: its base cost
+/// and its span of `member_flags`.
+#[derive(Debug, Clone, Copy)]
+struct FlatMember {
+    cost: f64,
+    flags_start: u32,
+    flags_len: u32,
+}
+
+/// One shot's flag overrides of the [`ClassPricing`] choice, held in a
+/// dense slot per class: a slot is live iff its stamp equals the
+/// current epoch, so starting a shot invalidates the last shot's
+/// overrides in O(1), and the classes overridden this shot are listed
+/// in `touched`.
+#[derive(Debug, Default)]
+pub(crate) struct ClassOverrides {
+    /// Current shot epoch; a slot is live iff its stamp matches.
+    epoch: u32,
+    slots: Vec<OverrideSlot>,
+    /// Classes overridden this shot, in first-touch order.
+    touched: Vec<u32>,
+}
+
+/// One class's override: the stamp and the choice share a slot, so a
+/// lookup touches one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+struct OverrideSlot {
+    stamp: u32,
+    member: u32,
+    weight: f64,
+}
+
+impl ClassOverrides {
+    /// Starts a shot over `classes` classes with no override live.
+    fn begin(&mut self, classes: usize) {
+        if self.slots.len() < classes {
+            self.slots.resize(classes, OverrideSlot::default());
+        }
+        if self.epoch == u32::MAX {
+            self.slots.iter_mut().for_each(|slot| slot.stamp = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.touched.clear();
+    }
+
+    /// The override of `class` this shot, if it has one. A shot with
+    /// no override (every unflagged shot) never reads the slots.
+    fn get(&self, class: usize) -> Option<(usize, f64)> {
+        if self.touched.is_empty() {
+            return None;
+        }
+        let slot = self.slots[class];
+        (slot.stamp == self.epoch).then_some((slot.member as usize, slot.weight))
+    }
 }
 
 impl ClassPricing {
@@ -63,23 +135,40 @@ impl ClassPricing {
     /// conditioning every class keeps its unflagged representative.
     pub(crate) fn new(hypergraph: &DecodingHypergraph, flag_conditioning: bool, p_m: f64) -> Self {
         let minus_ln_pm = -p_m.clamp(1e-12, 1.0 - 1e-12).ln();
-        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
-        let base = hypergraph
-            .classes()
-            .iter()
-            .map(|c| {
-                if flag_conditioning {
-                    c.representative(&no_flags, minus_ln_pm)
-                } else {
-                    c.representative_unflagged()
-                }
-            })
-            .collect();
-        ClassPricing {
+        let mut pricing = ClassPricing {
             flag_conditioning,
             minus_ln_pm,
-            base,
+            base: Vec::new(),
+            class_start: Vec::new(),
+            members: Vec::new(),
+            member_flags: Vec::new(),
+        };
+        let classes = hypergraph.classes();
+        if !flag_conditioning {
+            pricing.base = classes
+                .iter()
+                .map(|c| c.representative_unflagged())
+                .collect();
+            return pricing;
         }
+        pricing.class_start.reserve(classes.len() + 1);
+        pricing.class_start.push(0);
+        for class in classes {
+            for m in &class.members {
+                pricing.members.push(FlatMember {
+                    cost: m.cost,
+                    flags_start: pricing.member_flags.len() as u32,
+                    flags_len: m.flags.len() as u32,
+                });
+                pricing.member_flags.extend_from_slice(&m.flags);
+            }
+            pricing.class_start.push(pricing.members.len() as u32);
+        }
+        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
+        pricing.base = (0..classes.len())
+            .map(|c| pricing.representative(c, &no_flags, 0))
+            .collect();
+        pricing
     }
 
     /// The flag-free weight of every class.
@@ -87,14 +176,30 @@ impl ClassPricing {
         self.base.iter().map(|&(_, w)| w).collect()
     }
 
+    /// [`crate::EquivClass::representative`] of `class` over the flat
+    /// table, given the raised flags and their count: the first member
+    /// of least `cost + |f ⊕ F| · (-ln p_M)`.
+    fn representative(&self, class: usize, raised: &BitVec, num_raised: usize) -> (usize, f64) {
+        let run = self.class_start[class] as usize..self.class_start[class + 1] as usize;
+        let mut best = (0usize, f64::INFINITY);
+        for (i, m) in self.members[run].iter().enumerate() {
+            let start = m.flags_start as usize;
+            let flags = &self.member_flags[start..start + m.flags_len as usize];
+            let explained = flags.iter().filter(|&&f| raised.get(f as usize)).count();
+            // |f ⊕ F| = (|f| - explained) + (|F| - explained)
+            let mismatches = flags.len() + num_raised - 2 * explained;
+            let weight = m.cost + mismatches as f64 * self.minus_ln_pm;
+            if weight < best.1 {
+                best = (i, weight);
+            }
+        }
+        best
+    }
+
     /// The `(member, weight)` a shot applies for `class`: its flag
     /// override when it has one, the flag-free choice otherwise.
-    pub(crate) fn member(
-        &self,
-        class: usize,
-        overrides: &HashMap<usize, (usize, f64)>,
-    ) -> (usize, f64) {
-        overrides.get(&class).copied().unwrap_or(self.base[class])
+    pub(crate) fn member(&self, class: usize, overrides: &ClassOverrides) -> (usize, f64) {
+        overrides.get(class).unwrap_or(self.base[class])
     }
 
     /// Prices one shot raising `flags`: re-chooses the representative
@@ -106,25 +211,38 @@ impl ClassPricing {
         &self,
         hypergraph: &DecodingHypergraph,
         flags: &BitVec,
-        overrides: &mut HashMap<usize, (usize, f64)>,
+        overrides: &mut ClassOverrides,
         weights: &'w mut Vec<f64>,
     ) -> Pricing<'w> {
-        overrides.clear();
-        if !self.flag_conditioning || flags.is_zero() {
+        overrides.begin(self.base.len());
+        let num_raised = if self.flag_conditioning {
+            flags.weight()
+        } else {
+            0
+        };
+        if num_raised == 0 {
             return Pricing::Base;
         }
+        let epoch = overrides.epoch;
         for f in flags.iter_ones() {
             for &class in hypergraph.classes_with_flag(f) {
-                overrides.entry(class).or_insert_with(|| {
-                    hypergraph.classes()[class].representative(flags, self.minus_ln_pm)
-                });
+                let slot = &mut overrides.slots[class];
+                if slot.stamp != epoch {
+                    let (member, weight) = self.representative(class, flags, num_raised);
+                    *slot = OverrideSlot {
+                        stamp: epoch,
+                        member: member as u32,
+                        weight,
+                    };
+                    overrides.touched.push(class as u32);
+                }
             }
         }
-        let flag_constant = flags.weight() as f64 * self.minus_ln_pm;
+        let flag_constant = num_raised as f64 * self.minus_ln_pm;
         weights.clear();
         weights.extend(self.base.iter().map(|&(_, w)| w + flag_constant));
-        for (&class, &(_, w)) in overrides.iter() {
-            weights[class] = w;
+        for &class in &overrides.touched {
+            weights[class as usize] = overrides.slots[class as usize].weight;
         }
         Pricing::Shot(weights)
     }
@@ -378,6 +496,131 @@ impl MatchingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qec_math::rng::{Rng, Xoshiro256StarStar};
+
+    /// Prices one shot raising `flags` through `overrides` and checks
+    /// every class against [`crate::EquivClass::representative`], bitwise
+    /// on `(member, weight)`: a class reached by a raised flag applies
+    /// its re-chosen representative, every other class its flag-free
+    /// choice (a stale override from an earlier shot fails here), and
+    /// the shot's weights are the override or the flag-free weight plus
+    /// the mismatch constant.
+    fn assert_prices_like_the_reference(
+        hg: &DecodingHypergraph,
+        pricing: &ClassPricing,
+        flags: &BitVec,
+        overrides: &mut ClassOverrides,
+        weights: &mut Vec<f64>,
+    ) {
+        let shot = match pricing.price_shot(hg, flags, overrides, weights) {
+            Pricing::Base => None,
+            Pricing::Shot(w) => Some(w.to_vec()),
+        };
+        assert_eq!(
+            shot.is_none(),
+            flags.is_zero(),
+            "only flagged shots are repriced"
+        );
+        let minus_ln_pm = pricing.minus_ln_pm;
+        let no_flags = BitVec::zeros(hg.num_flag_detectors());
+        let flag_constant = flags.weight() as f64 * minus_ln_pm;
+        let bits = |(m, w): (usize, f64)| (m, w.to_bits());
+        for (c, class) in hg.classes().iter().enumerate() {
+            let reached = class.flag_support.iter().any(|&f| flags.get(f as usize));
+            let raised = if reached { flags } else { &no_flags };
+            let expected = class.representative(raised, minus_ln_pm);
+            assert_eq!(
+                bits(pricing.member(c, overrides)),
+                bits(expected),
+                "class {c}, reached {reached}"
+            );
+            if let Some(w) = &shot {
+                let want = if reached {
+                    expected.1
+                } else {
+                    expected.1 + flag_constant
+                };
+                assert_eq!(w[c].to_bits(), want.to_bits(), "class {c} weight");
+            }
+        }
+    }
+
+    /// A random raised-flag set of one of the property's shapes:
+    /// empty, a single flag, one class's whole flag support, dense, or
+    /// a few scattered flags.
+    fn random_flags(rng: &mut Xoshiro256StarStar, hg: &DecodingHypergraph) -> BitVec {
+        let nf = hg.num_flag_detectors();
+        let mut flags = BitVec::zeros(nf);
+        match rng.gen_range(0..5usize) {
+            0 => {}
+            1 => flags.set(rng.gen_range(0..nf), true),
+            2 => {
+                let flagged: Vec<&crate::EquivClass> = hg
+                    .classes()
+                    .iter()
+                    .filter(|c| !c.flag_support.is_empty())
+                    .collect();
+                let class = flagged[rng.gen_range(0..flagged.len())];
+                for &f in &class.flag_support {
+                    flags.set(f as usize, true);
+                }
+            }
+            3 => (0..nf).for_each(|f| flags.set(f, rng.gen_bool(0.5))),
+            _ => (0..rng.gen_range(2..=8usize)).for_each(|_| flags.set(rng.gen_range(0..nf), true)),
+        }
+        flags
+    }
+
+    /// The flat class table prices like [`crate::EquivClass::representative`]
+    /// on the shared-flag surface and color FPN DEMs. Each trial drives
+    /// three consecutive shots through one override scratch — flagged,
+    /// unflagged, then flagged with flags disjoint from the first — so
+    /// a stale override slot fails the test. The flag-to-class CSR must
+    /// list, per flag, exactly the classes whose support holds it.
+    #[test]
+    fn flat_pricing_matches_the_class_representative() {
+        let surface = qec_testkit::shared_flag_surface_dem();
+        let color = qec_testkit::shared_flag_color_dem();
+        for (dem, primitive) in [(&surface, 2), (&color, usize::MAX)] {
+            let hg = DecodingHypergraph::with_primitive_size(dem, primitive);
+            let nf = hg.num_flag_detectors();
+            assert!(nf > 0);
+            let mut by_flag = vec![Vec::new(); nf];
+            for (c, class) in hg.classes().iter().enumerate() {
+                for &f in &class.flag_support {
+                    by_flag[f as usize].push(c);
+                }
+            }
+            for (f, classes) in by_flag.iter().enumerate() {
+                assert_eq!(hg.classes_with_flag(f), &classes[..], "flag {f}");
+            }
+            let pricing = ClassPricing::new(&hg, true, 1e-3);
+            let mut overrides = ClassOverrides::default();
+            let mut weights = Vec::new();
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0xF1A7);
+            for _ in 0..64 {
+                let first = random_flags(&mut rng, &hg);
+                let mut disjoint = random_flags(&mut rng, &hg);
+                for f in first.iter_ones() {
+                    disjoint.set(f, false);
+                }
+                if disjoint.is_zero() {
+                    if let Some(f) = (0..nf).find(|&f| !first.get(f)) {
+                        disjoint.set(f, true);
+                    }
+                }
+                for flags in [&first, &BitVec::zeros(nf), &disjoint] {
+                    assert_prices_like_the_reference(
+                        &hg,
+                        &pricing,
+                        flags,
+                        &mut overrides,
+                        &mut weights,
+                    );
+                }
+            }
+        }
+    }
 
     fn engine_with(
         adjacency: &[Vec<(usize, usize)>],

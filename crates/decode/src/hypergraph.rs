@@ -96,8 +96,11 @@ pub struct DecodingHypergraph {
     /// check-space index -> original detector metadata.
     check_meta: Vec<DetectorMeta>,
     classes: Vec<EquivClass>,
-    /// flag-space index -> classes having that flag in their support.
-    flag_to_classes: Vec<Vec<usize>>,
+    /// CSR offsets into `flag_classes`: flag-space index `f`'s classes
+    /// are `flag_classes[flag_offsets[f]..flag_offsets[f + 1]]`.
+    flag_offsets: Vec<u32>,
+    /// Classes having each flag in their support, ascending per flag.
+    flag_classes: Vec<usize>,
     /// Hyperedge members that could not be decomposed into primitives.
     undecomposed: usize,
 }
@@ -191,7 +194,8 @@ impl DecodingHypergraph {
             flag_index,
             check_meta,
             classes,
-            flag_to_classes: Vec::new(),
+            flag_offsets: Vec::new(),
+            flag_classes: Vec::new(),
             undecomposed: 0,
         }
     }
@@ -207,12 +211,28 @@ impl DecodingHypergraph {
             support.dedup();
             class.flag_support = support;
         }
-        self.flag_to_classes = vec![Vec::new(); self.num_flag];
-        for (c, class) in self.classes.iter().enumerate() {
+        // Count, prefix-sum, then fill in class order, so each flag's
+        // run lists its classes ascending.
+        let mut offsets = vec![0u32; self.num_flag + 1];
+        for class in &self.classes {
             for &f in &class.flag_support {
-                self.flag_to_classes[f as usize].push(c);
+                offsets[f as usize + 1] += 1;
             }
         }
+        for f in 0..self.num_flag {
+            offsets[f + 1] += offsets[f];
+        }
+        let mut next: Vec<u32> = offsets[..self.num_flag].to_vec();
+        let mut flag_classes = vec![0usize; offsets[self.num_flag] as usize];
+        for (c, class) in self.classes.iter().enumerate() {
+            for &f in &class.flag_support {
+                let slot = &mut next[f as usize];
+                flag_classes[*slot as usize] = c;
+                *slot += 1;
+            }
+        }
+        self.flag_offsets = offsets;
+        self.flag_classes = flag_classes;
     }
 
     /// Recursively decomposes members of oversized classes into
@@ -436,7 +456,8 @@ impl DecodingHypergraph {
 
     /// Classes whose flag support contains flag-space index `f`.
     pub fn classes_with_flag(&self, f: usize) -> &[usize] {
-        &self.flag_to_classes[f]
+        let (lo, hi) = (self.flag_offsets[f], self.flag_offsets[f + 1]);
+        &self.flag_classes[lo as usize..hi as usize]
     }
 
     /// Splits one shot's raw detector bits into `(flipped checks,

@@ -245,7 +245,8 @@ impl BpCounters {
 pub(crate) struct BpOsdScratch {
     pub(crate) checks: Vec<usize>,
     pub(crate) flags: BitVec,
-    pub(crate) overrides: HashMap<usize, (usize, f64)>,
+    /// The shot's flag overrides of the class pricing.
+    pub(crate) overrides: crate::engine::ClassOverrides,
     /// Per-shot effective class weights of a flag-reweighted shot.
     pub(crate) class_weights: Vec<f64>,
     /// Flag-reweighted per-variable prior log-likelihood ratios
@@ -368,7 +369,8 @@ impl PartialOrd for HeapItem {
 pub(crate) struct MatchingScratch {
     pub(crate) checks: Vec<usize>,
     pub(crate) flags: BitVec,
-    pub(crate) overrides: HashMap<usize, (usize, f64)>,
+    /// The shot's flag overrides of the class pricing.
+    pub(crate) overrides: crate::engine::ClassOverrides,
     /// Per-shot effective class weights of a flag-reweighted shot.
     pub(crate) weights: Vec<f64>,
     /// Pair memo, matching instance and blossom pools of the shot's

@@ -159,9 +159,11 @@ pub struct SparseBlossomScratch {
     seen: Vec<u32>,
     /// Stamp: this node was settled this search.
     done: Vec<u32>,
-    /// Stamp: this node is a target of this search.
+    /// Stamp: this node is a target of this search, or, in the
+    /// certification overlap scan, a ledger node.
     target: Vec<u32>,
-    /// Pair-key column of a target node (valid when `target` matches).
+    /// Pair-key column of a target node, or the index where a ledger
+    /// node's run starts (valid when `target` matches).
     target_idx: Vec<u32>,
     dist: Vec<f64>,
     pred: Vec<(u32, u32)>,
@@ -653,7 +655,86 @@ fn flag_pair(
 /// in `sc.flagged`. Every omitted pair that could violate dual
 /// feasibility is flagged (the combined-radius threshold
 /// over-approximates the exact `4·s_uv < r_u + r_v` bound).
+///
+/// The shared-vertex pass walks the ledger's runs of equal node and
+/// stamps each run's node, under a fresh epoch, with the index where
+/// its run starts (the `target`/`target_idx` cells). The bridging pass
+/// then finds a neighbour's run in O(1): a neighbour outside every
+/// ball fails the stamp compare, one inside a ball is read from its
+/// run start.
 fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut SparseBlossomScratch) {
+    sc.ledger.sort_unstable_by_key(|e| (e.0, e.1));
+    let s = sc.width - 1;
+    sc.marks.clear();
+    sc.marks.resize((s * s).div_ceil(64), 0);
+    let epoch = sc.next_epoch();
+    let SparseBlossomScratch {
+        ledger,
+        radius,
+        flagged,
+        marks,
+        pair,
+        width,
+        target: run_stamp,
+        target_idx: run_start,
+        ..
+    } = sc;
+    let width = *width;
+    flagged.clear();
+    let offsets = finder.csr_offsets();
+    let csr = finder.csr_edges();
+    // Shared-vertex scan over runs of equal node.
+    let mut i = 0;
+    while i < ledger.len() {
+        let node = ledger[i].0;
+        run_stamp[node as usize] = epoch;
+        run_start[node as usize] = i as u32;
+        let mut j = i + 1;
+        while j < ledger.len() && ledger[j].0 == node {
+            j += 1;
+        }
+        let run = &ledger[i..j];
+        for (x, &(_, a, da)) in run.iter().enumerate() {
+            for &(_, b, db) in &run[x + 1..] {
+                if da + db < radius[a as usize] + radius[b as usize] {
+                    flag_pair(marks, flagged, pair, width, a, b);
+                }
+            }
+        }
+        i = j;
+    }
+    // Bridging-edge scan: a shortest path between two balls must cross
+    // a CSR edge whose endpoints lie one in each ball.
+    for &(x, a, da) in ledger.iter() {
+        let x = x as usize;
+        let (lo, hi) = (offsets[x] as usize, offsets[x + 1] as usize);
+        for &(y, class) in &csr[lo..hi] {
+            if run_stamp[y as usize] != epoch {
+                continue;
+            }
+            let w = class_weights[class as usize];
+            let mut k = run_start[y as usize] as usize;
+            while k < ledger.len() && ledger[k].0 == y {
+                let (_, b, db) = ledger[k];
+                if b != a && da + w + db < radius[a as usize] + radius[b as usize] {
+                    flag_pair(marks, flagged, pair, width, a, b);
+                }
+                k += 1;
+            }
+        }
+    }
+    flagged.sort_unstable();
+}
+
+/// [`flag_overlaps`] with the bridging pass finding each neighbour's
+/// ledger run by binary search: the reference the stamped run lookup
+/// is checked against.
+#[cfg(test)]
+fn flag_overlaps_reference(
+    finder: &SparsePathFinder,
+    class_weights: &[f64],
+    sc: &mut SparseBlossomScratch,
+) {
     sc.ledger.sort_unstable_by_key(|e| (e.0, e.1));
     let s = sc.width - 1;
     sc.marks.clear();
@@ -671,7 +752,6 @@ fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut Spar
     flagged.clear();
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
-    // Shared-vertex scan over runs of equal node.
     let mut i = 0;
     while i < ledger.len() {
         let node = ledger[i].0;
@@ -689,8 +769,6 @@ fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut Spar
         }
         i = j;
     }
-    // Bridging-edge scan: a shortest path between two balls must cross
-    // a CSR edge whose endpoints lie one in each ball.
     for &(x, a, da) in ledger.iter() {
         let x = x as usize;
         let (lo, hi) = (offsets[x] as usize, offsets[x + 1] as usize);
@@ -1067,17 +1145,10 @@ mod tests {
         assert_eq!(sparse.0, dense.0);
     }
 
-    /// A wheel: an odd cycle of defects around a hub vertex, plus one
-    /// far defect behind the hub. One cycle defect must match the far
-    /// one, so the duals grow balls that each cover the whole wheel,
-    /// and every vertex lies in every cycle defect's ball. Each pair is
-    /// still flagged at most once, so the pools stay within one ledger
-    /// entry per (vertex, ball) plus O(1) entries per defect pair:
-    /// O(n·s + s²) bytes, where listing every overlap (vertex or
-    /// bridging edge) would grow with n·s²·degree.
-    #[test]
-    fn covering_balls_keep_certification_memory_bounded() {
-        let m = 31;
+    /// A wheel: an odd cycle of `m` vertices around a hub vertex `m`,
+    /// plus one far vertex `m + 1` behind the hub. The defects are the
+    /// cycle and the far vertex ([`wheel_defects`]).
+    fn wheel(m: usize) -> (Vec<Vec<(usize, usize)>>, Vec<f64>) {
         let (hub, far) = (m, m + 1);
         let mut adjacency = vec![Vec::new(); m + 2];
         let mut weights = Vec::new();
@@ -1092,7 +1163,25 @@ mod tests {
             add(v, hub, 1.0);
         }
         add(far, hub, 8.0);
-        let checks: Vec<usize> = (0..m).chain([far]).collect();
+        (adjacency, weights)
+    }
+
+    fn wheel_defects(m: usize) -> Vec<usize> {
+        (0..m).chain([m + 1]).collect()
+    }
+
+    /// On the wheel one cycle defect must match the far one, so the
+    /// duals grow balls that each cover the whole wheel, and every
+    /// vertex lies in every cycle defect's ball. Each pair is still
+    /// flagged at most once, so the pools stay within one ledger entry
+    /// per (vertex, ball) plus O(1) entries per defect pair: O(n·s +
+    /// s²) bytes, where listing every overlap (vertex or bridging edge)
+    /// would grow with n·s²·degree.
+    #[test]
+    fn covering_balls_keep_certification_memory_bounded() {
+        let m = 31;
+        let (adjacency, weights) = wheel(m);
+        let checks = wheel_defects(m);
         let finder = SparsePathFinder::build(&adjacency, weights.clone());
         let mut sc = SparseBlossomScratch::new();
         let mut blossom = BlossomScratch::new();
@@ -1121,5 +1210,104 @@ mod tests {
             "{} bytes over the {bound}-byte bound",
             sc.memory_bytes()
         );
+    }
+
+    /// Runs [`flag_overlaps_reference`] and then [`flag_overlaps`] on
+    /// the same certification state, asserts that both flag the same
+    /// pairs, and returns how many they flag.
+    fn assert_overlaps_match(
+        finder: &SparsePathFinder,
+        weights: &[f64],
+        sc: &mut SparseBlossomScratch,
+        label: &str,
+    ) -> usize {
+        flag_overlaps_reference(finder, weights, sc);
+        let reference = sc.flagged.clone();
+        flag_overlaps(finder, weights, sc);
+        assert_eq!(sc.flagged, reference, "{label}");
+        reference.len()
+    }
+
+    /// Starts a fresh `s`-defect shot whose certification pass left
+    /// `ledger` and `radius`, with the pairs in `priced` already priced.
+    fn certification_state(
+        finder: &SparsePathFinder,
+        sc: &mut SparseBlossomScratch,
+        s: usize,
+        ledger: &[(u32, u32, f64)],
+        radius: &[f64],
+        priced: &[(u32, u32)],
+    ) {
+        sc.begin_shot(finder.num_nodes(), s);
+        sc.ledger.extend_from_slice(ledger);
+        sc.radius.extend_from_slice(radius);
+        for &(a, b) in priced {
+            sc.pair[a as usize * sc.width + b as usize].dist = 1.0;
+        }
+    }
+
+    /// The stamped run lookup of [`flag_overlaps`] flags exactly the
+    /// pairs the binary-search reference flags: on the wheel's last
+    /// certification pass (as the solve left it, and with no pair
+    /// priced, so every overlap is listed), and on random ledgers over
+    /// random CSR graphs with random pairs already priced.
+    #[test]
+    fn flag_overlaps_matches_the_binary_search_reference() {
+        use qec_math::rng::{Rng, Xoshiro256StarStar};
+
+        let (adjacency, weights) = wheel(31);
+        let checks = wheel_defects(31);
+        let finder = SparsePathFinder::build(&adjacency, weights.clone());
+        let mut sc = SparseBlossomScratch::new();
+        let mut blossom = BlossomScratch::new();
+        let mut pairs = Vec::new();
+        sparse_graph_match(
+            &finder,
+            &checks,
+            None,
+            &weights,
+            &mut sc,
+            &mut blossom,
+            &mut pairs,
+        )
+        .expect("the wheel has a perfect matching");
+        assert_overlaps_match(&finder, &weights, &mut sc, "wheel as solved");
+        let (ledger, radius) = (sc.ledger.clone(), sc.radius.clone());
+        certification_state(&finder, &mut sc, checks.len(), &ledger, &radius, &[]);
+        let flagged = assert_overlaps_match(&finder, &weights, &mut sc, "wheel, nothing priced");
+        assert!(flagged > 0);
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x0B5E);
+        let mut flagged_cases = 0;
+        for case in 0..300 {
+            let (adjacency, weights) = qec_testkit::random_sparse_graph(&mut rng);
+            let n = adjacency.len();
+            let finder = SparsePathFinder::build(&adjacency, weights.clone());
+            let s = rng.gen_range(2..=n.min(10));
+            let radius: Vec<f64> = (0..s).map(|_| rng.gen_f64() * 20.0).collect();
+            // Sparse ledgers leave balls that only a bridging edge joins.
+            let density = 0.03 + rng.gen_f64() * 0.4;
+            let mut ledger = Vec::new();
+            for (d, &r) in radius.iter().enumerate() {
+                for v in 0..n {
+                    if rng.gen_bool(density) {
+                        ledger.push((v as u32, d as u32, rng.gen_f64() * r));
+                    }
+                }
+            }
+            let mut priced = Vec::new();
+            for a in 0..s as u32 {
+                for b in a + 1..s as u32 {
+                    if rng.gen_bool(0.3) {
+                        priced.push((a, b));
+                    }
+                }
+            }
+            certification_state(&finder, &mut sc, s, &ledger, &radius, &priced);
+            let flagged =
+                assert_overlaps_match(&finder, &weights, &mut sc, &format!("case {case}"));
+            flagged_cases += usize::from(flagged > 0);
+        }
+        assert!(flagged_cases > 100, "{flagged_cases} cases flag a pair");
     }
 }

@@ -111,6 +111,30 @@ pub fn toric_color_dem() -> (DetectorErrorModel, ColorCodeContext, f64) {
     (dem, ctx, noise.measurement_flip())
 }
 
+/// The 3-round memory-Z DEM of the `[[30, 8]]` {4,5} hyperbolic
+/// surface code (`SURFACE_REGISTRY[12]`) realized as a shared-flag FPN
+/// at `p = 1e-3`: a small DEM whose flag detectors drive the flagged
+/// decoders' class pricing.
+pub fn shared_flag_surface_dem() -> DetectorErrorModel {
+    let code = hyperbolic_surface_code(&SURFACE_REGISTRY[12]).expect("registry code builds");
+    shared_flag_dem(&code, 3)
+}
+
+/// The 2-round memory-Z DEM of the toric color code realized as a
+/// shared-flag FPN at `p = 1e-3`, the color-code counterpart of
+/// [`shared_flag_surface_dem`].
+pub fn shared_flag_color_dem() -> DetectorErrorModel {
+    let code = toric_color_code(2).expect("toric color code builds");
+    shared_flag_dem(&code, 2)
+}
+
+fn shared_flag_dem(code: &CssCode, rounds: usize) -> DetectorErrorModel {
+    let fpn = FlagProxyNetwork::build(code, &FpnConfig::shared());
+    let noise = NoiseModel::new(1e-3);
+    let exp = build_memory_circuit(code, &fpn, Some(&noise), rounds, Basis::Z);
+    DetectorErrorModel::from_circuit(&exp.circuit)
+}
+
 /// A 16-round memory-Z experiment on the `[[180, 4, 8, 8]]` {4,5}
 /// hyperbolic surface code (`SURFACE_REGISTRY[2]`) at `p = 1e-3`,
 /// realized as a direct FPN.
