@@ -64,6 +64,14 @@ named_test -p qec-decode --lib covering_balls_keep_certification_memory_bounded
 # through a stamped run start; it must flag exactly the pairs of the
 # binary-search reference, on the wheel and on random ledgers.
 named_test -p qec-decode --lib flag_overlaps_matches_the_binary_search_reference
+# Bounded searches: pricing capped by growth estimates must leave every
+# priced pair's distance and hops bitwise as with the bounds lifted;
+# bounds made too tight must only cost time (misses counted, complete
+# weight reached); and balls that never push past their radius must
+# leave a full Dijkstra's ledger, radii on a vertex's distance included.
+named_test -p qec-decode --lib bounded_pricing_matches_unbounded
+named_test -p qec-decode --lib too_tight_bounds_only_cost_time
+named_test -p qec-decode --lib ball_ledger_matches_unpruned_reference
 # Differential flag-pricing property: the flat class table and its
 # dense per-shot override slots choose every class's (member, weight)
 # bitwise like EquivClass::representative on the shared-flag surface

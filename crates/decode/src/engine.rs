@@ -430,6 +430,9 @@ impl MatchingEngine {
                 if outcome.escalated {
                     counters.sparse_blossom_escalations.inc();
                 }
+                counters
+                    .sparse_blossom_bound_misses
+                    .add(outcome.bound_misses as u64);
             }
             for &(a, b) in pairs.iter() {
                 if let Some(tj) = pair_target(a, b, s) {

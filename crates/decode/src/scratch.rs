@@ -149,6 +149,9 @@ pub(crate) struct MatchingCounters {
     pub(crate) sparse_blossom_widenings: Counter,
     /// Certified solves that fell back to complete pricing.
     pub(crate) sparse_blossom_escalations: Counter,
+    /// Bounded pricing searches that drained before every target
+    /// settled (see `SparseSolveOutcome::bound_misses`).
+    pub(crate) sparse_blossom_bound_misses: Counter,
 }
 
 impl MatchingCounters {
@@ -169,6 +172,7 @@ impl MatchingCounters {
             sparse_blossom_edges: metrics.histogram("decode.sparse_blossom.edges"),
             sparse_blossom_widenings: metrics.counter("decode.sparse_blossom.widenings"),
             sparse_blossom_escalations: metrics.counter("decode.sparse_blossom.escalations"),
+            sparse_blossom_bound_misses: metrics.counter("decode.sparse_blossom.bound_misses"),
         }
     }
 

@@ -22,10 +22,22 @@
 //!    lower index (as the dense oracle's complete instance reads it),
 //!    one truncated Dijkstra per lower index that stops once all of
 //!    that index's targets have settled; with a boundary, every
-//!    defect's boundary leg is a target too. Settled distances are
-//!    bitwise identical to a full Dijkstra — truncation never changes
-//!    values settled before the stop — so every candidate edge carries
-//!    the exact dense-oracle weight.
+//!    defect's boundary leg is a target too. A collision's estimate is
+//!    the length of a real path between the pair, so it bounds their
+//!    distance from above: each search gets the largest estimate among
+//!    its targets (padded for f64 summation order) and never pushes a
+//!    relaxation beyond it. Boundary legs, repair and escalation have no
+//!    estimate and search unbounded. Settled distances are bitwise
+//!    identical to a full Dijkstra — neither truncation nor the bound
+//!    changes a value settled within it, since every prefix of a
+//!    shortest path is no longer than the path — so every candidate
+//!    edge carries the exact dense-oracle weight. A bounded search that
+//!    drains before its targets settle (a *bound miss*, only possible if
+//!    the padding undercuts f64 error) leaves its pairs unpriced, which
+//!    certification then flags: it costs time, never a decision. Hops
+//!    are bitwise identical too, except where two relaxations tie
+//!    exactly: the heap orders equal distances by its contents, which
+//!    the bound changes — the same caveat as for mates below.
 //! 3. **Solve.** The candidate subgraph (plus all boundary edges and
 //!    the zero-weight boundary clique, which are always included) goes
 //!    through the pooled [`BlossomScratch`] solver. When it has no
@@ -37,10 +49,12 @@
 //!    *omitted* pair would have to be to matter:
 //!    [`BlossomScratch::dual_radius`] converts each defect's dual into
 //!    a graph-distance ball radius, and one epoch-stamped ball search
-//!    per defect collects every vertex strictly inside the ball. Two
-//!    balls that touch (shared vertex, or a CSR edge bridging them
-//!    within the combined radii) flag a pair that *might* violate dual
-//!    feasibility. An `s × s` bit table flags each pair at most once.
+//!    per defect collects every vertex strictly inside the ball; the
+//!    search never pushes a relaxation at or beyond the radius, so it
+//!    settles exactly the ball and nothing else. Two balls that touch
+//!    (shared vertex, or a CSR edge bridging them within the combined
+//!    radii) flag a pair that *might* violate dual feasibility. An
+//!    `s × s` bit table flags each pair at most once.
 //! 5. **Repair.** Flagged pairs not yet priced are priced exactly (from
 //!    the lower index) and the instance is re-solved; since the
 //!    candidate set grows monotonically this terminates, and after
@@ -108,6 +122,13 @@ const MAX_REPAIR_ROUNDS: u32 = 8;
 /// unsound certificate.
 const RADIUS_SLOP: f64 = 5e-7;
 
+/// Relative and absolute padding on a pricing search's bound. A
+/// collision estimate sums the same path's terms in another order than
+/// the search does, so it can undercut the search's distance by f64
+/// rounding; the padding only ever loosens the bound.
+const BOUND_REL_SLOP: f64 = 1e-12;
+const BOUND_ABS_SLOP: f64 = 1e-9;
+
 /// Per-pair pricing memo: exact distance plus the harvested
 /// predecessor-walk span into [`SparseBlossomScratch::hops`].
 #[derive(Debug, Clone, Copy)]
@@ -139,6 +160,11 @@ pub struct SparseSolveOutcome {
     /// Whether the solve fell back to complete (dense-equivalent)
     /// pricing.
     pub escalated: bool,
+    /// Bounded pricing searches that drained before every target
+    /// settled, leaving pairs for certification to flag. A growth
+    /// estimate bounds a real path, so this stays 0 unless f64 error
+    /// outgrows the bound's padding.
+    pub bound_misses: u32,
     /// Total matching weight in `1<<20` fixed-point units — identical
     /// to what the dense baseline would report for the same shot.
     pub weight: i64,
@@ -186,6 +212,13 @@ pub struct SparseBlossomScratch {
     width: usize,
     /// Pairs priced this shot.
     priced: usize,
+    /// Bounded pricing searches this shot that drained before every
+    /// target settled.
+    bound_misses: u32,
+    /// Test seam: scales every recorded collision estimate, so a test
+    /// can make the bounds too tight (`0.5`) or lift them (`INFINITY`).
+    #[cfg(test)]
+    bound_scale: Option<f64>,
     /// Pooled `(prev, cur, class)` path hops in dst→src walk order.
     hops: Vec<(u32, u32, u32)>,
     /// Per-defect dual ball radii of the current certification pass.
@@ -193,10 +226,11 @@ pub struct SparseBlossomScratch {
     /// Ball-search ledger `(node, defect, dist)`, sorted by
     /// `(node, defect)` before the overlap scans.
     ledger: Vec<(u32, u32, f64)>,
-    /// Pairs to price next, sorted by lower index: a growth's
-    /// candidates, a certification pass's flags, or every pair left
-    /// when escalating.
-    flagged: Vec<(u32, u32)>,
+    /// Pairs to price next `(lo, hi, bound)`, sorted by lower index: a
+    /// growth's candidates, bounded by their cheapest collision
+    /// estimate, or a certification pass's flags or every pair left
+    /// when escalating, unbounded (`INFINITY`).
+    flagged: Vec<(u32, u32, f64)>,
     /// Row-major `s × s` bit table of the pairs the current
     /// certification pass has flagged, so each is listed once.
     marks: Vec<u64>,
@@ -265,7 +299,7 @@ impl SparseBlossomScratch {
             + self.hops.capacity() * 12
             + self.radius.capacity() * 8
             + self.ledger.capacity() * 16
-            + self.flagged.capacity() * 8
+            + self.flagged.capacity() * 16
             + self.marks.capacity() * 8
             + self.edges.capacity() * 24
     }
@@ -328,6 +362,7 @@ impl SparseBlossomScratch {
         self.pair.clear();
         self.pair.resize(num_defects * self.width, UNPRICED);
         self.priced = 0;
+        self.bound_misses = 0;
         self.hops.clear();
         self.radius.clear();
         self.ledger.clear();
@@ -346,12 +381,21 @@ impl SparseBlossomScratch {
 /// the heap drains). Edges relax through [`relaxed_dist`] in CSR order,
 /// as the dense oracle's rows were built, so settled distances are
 /// bitwise identical to the oracle's.
+///
+/// A relaxation beyond `bound` is never pushed: every prefix of a
+/// shortest path within the bound lies within it too, so each node
+/// within the bound settles at the same distance as without it. Hops
+/// can differ only where two relaxations tie exactly, since the heap
+/// breaks ties by its contents. A finite `bound` must cover every
+/// target; a bounded search that drains first counts a bound miss and
+/// leaves the unsettled targets unpriced.
 fn price_from(
     finder: &SparsePathFinder,
     class_weights: &[f64],
     sc: &mut SparseBlossomScratch,
     src: usize,
     src_idx: u32,
+    bound: f64,
 ) {
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
@@ -405,6 +449,9 @@ fn price_from(
             let v = v as usize;
             let w = class_weights[class];
             let nd = relaxed_dist(d, w, class);
+            if nd > bound {
+                continue;
+            }
             let dv = if sc.seen[v] == epoch {
                 sc.dist[v]
             } else {
@@ -417,6 +464,9 @@ fn price_from(
                 sc.heap.push(HeapItem { dist: nd, node: v });
             }
         }
+    }
+    if remaining > 0 && bound < f64::INFINITY {
+        sc.bound_misses += 1;
     }
     if sc.hops.len() > sc.high_water_hops {
         sc.high_water_hops = sc.hops.len();
@@ -520,26 +570,32 @@ fn note_partner(slots: &mut [(f64, u32)], partners: usize, a: u32, b: u32, est: 
     false
 }
 
-/// Lists the last growth's candidate pairs `(lo, hi)` that are not yet
-/// priced in `sc.flagged`, sorted by lower index and deduplicated.
+/// Lists the last growth's candidate pairs `(lo, hi, bound)` that are
+/// not yet priced in `sc.flagged`, sorted by lower index and
+/// deduplicated, each bounded by its cheapest collision estimate.
 fn collect_candidates(sc: &mut SparseBlossomScratch, partners: usize) {
     sc.flagged.clear();
-    for (k, &(_, b)) in sc.partner.iter().enumerate() {
+    for (k, &(est, b)) in sc.partner.iter().enumerate() {
         if b != NO_PARTNER {
             let a = (k / partners) as u32;
-            sc.flagged.push((a.min(b), a.max(b)));
+            #[cfg(test)]
+            let est = sc.bound_scale.map_or(est, |f| est * f);
+            sc.flagged.push((a.min(b), a.max(b), est));
         }
     }
-    sc.flagged.sort_unstable();
-    sc.flagged.dedup();
+    // Cheapest estimate first within a pair, so the dedup keeps it.
+    sc.flagged
+        .sort_unstable_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)).then(x.2.total_cmp(&y.2)));
+    sc.flagged.dedup_by_key(|e| (e.0, e.1));
     let (pair, width) = (&sc.pair, sc.width);
     sc.flagged
-        .retain(|&(a, b)| pair[a as usize * width + b as usize].dist == f64::INFINITY);
+        .retain(|&(a, b, _)| pair[a as usize * width + b as usize].dist == f64::INFINITY);
 }
 
 /// Prices the pairs listed in `sc.flagged` (sorted by lower index), one
-/// search per lower index. With `boundary`, every defect's boundary leg
-/// not yet priced is a target of its defect's search as well.
+/// search per lower index, bounded by the largest of its targets'
+/// bounds. With `boundary`, every defect's boundary leg not yet priced
+/// is a target of its defect's search as well, which lifts the bound.
 fn price_flagged(
     finder: &SparsePathFinder,
     class_weights: &[f64],
@@ -552,18 +608,22 @@ fn price_flagged(
     for (i, &src) in checks.iter().enumerate() {
         let i = i as u32;
         sc.tbuf.clear();
+        let mut bound = 0.0f64;
         while k < sc.flagged.len() && sc.flagged[k].0 == i {
-            let j = sc.flagged[k].1;
+            let (_, j, est) = sc.flagged[k];
             sc.tbuf.push((checks[j as usize] as u32, j));
+            bound = bound.max(est);
             k += 1;
         }
         if let Some(b) = boundary {
             if !sc.priced(i, bidx) {
                 sc.tbuf.push((b as u32, bidx));
+                bound = f64::INFINITY;
             }
         }
         if !sc.tbuf.is_empty() {
-            price_from(finder, class_weights, sc, src, i);
+            let bound = bound * (1.0 + BOUND_REL_SLOP) + BOUND_ABS_SLOP;
+            price_from(finder, class_weights, sc, src, i, bound);
         }
     }
 }
@@ -572,6 +632,11 @@ fn price_flagged(
 /// certification ledger as `(node, src_idx, dist)`. A non-positive
 /// radius still seeds the defect's own vertex at distance 0 — required
 /// by the overlap lemma when the partner's ball reaches this defect.
+///
+/// A relaxation at or beyond `radius` is never pushed, so the search
+/// settles exactly the ball and drains: a vertex inside it is reached
+/// along a shortest path whose prefixes all lie inside it too, at the
+/// distance a full Dijkstra gives it.
 fn ball_search(
     finder: &SparsePathFinder,
     class_weights: &[f64],
@@ -597,11 +662,6 @@ fn ball_search(
         node: src,
     });
     while let Some(HeapItem { dist: d, node: u }) = sc.heap.pop() {
-        if d >= radius {
-            // Pops are nondecreasing, so nothing inside the ball
-            // remains unsettled.
-            break;
-        }
         if sc.done[u] == epoch {
             continue;
         }
@@ -613,6 +673,9 @@ fn ball_search(
             let v = v as usize;
             let w = class_weights[class];
             let nd = relaxed_dist(d, w, class);
+            if nd >= radius {
+                continue;
+            }
             let dv = if sc.seen[v] == epoch {
                 sc.dist[v]
             } else {
@@ -632,7 +695,7 @@ fn ball_search(
 /// `flagged` the first time it is marked, unless it is already priced.
 fn flag_pair(
     marks: &mut [u64],
-    flagged: &mut Vec<(u32, u32)>,
+    flagged: &mut Vec<(u32, u32, f64)>,
     pair: &[PairEntry],
     width: usize,
     a: u32,
@@ -644,7 +707,7 @@ fn flag_pair(
     if marks[bit / 64] & mask == 0 {
         marks[bit / 64] |= mask;
         if pair[a * width + b].dist == f64::INFINITY {
-            flagged.push((a as u32, b as u32));
+            flagged.push((a as u32, b as u32, f64::INFINITY));
         }
     }
 }
@@ -723,7 +786,7 @@ fn flag_overlaps(finder: &SparsePathFinder, class_weights: &[f64], sc: &mut Spar
             }
         }
     }
-    flagged.sort_unstable();
+    flagged.sort_unstable_by_key(|&(a, b, _)| (a, b));
 }
 
 /// [`flag_overlaps`] with the bridging pass finding each neighbour's
@@ -784,7 +847,7 @@ fn flag_overlaps_reference(
             }
         }
     }
-    flagged.sort_unstable();
+    flagged.sort_unstable_by_key(|&(a, b, _)| (a, b));
 }
 
 /// Rebuilds the instance edge list from the priced pairs: finite
@@ -825,7 +888,7 @@ fn escalate(
     for i in 0..s {
         for j in (i + 1)..s {
             if !sc.priced(i, j) {
-                sc.flagged.push((i, j));
+                sc.flagged.push((i, j, f64::INFINITY));
             }
         }
     }
@@ -864,6 +927,7 @@ pub fn sparse_graph_match(
             candidate_edges: 0,
             widened: false,
             escalated: false,
+            bound_misses: 0,
             weight: 0,
         });
     }
@@ -915,6 +979,7 @@ pub fn sparse_graph_match(
             candidate_edges: sc.priced,
             widened,
             escalated,
+            bound_misses: sc.bound_misses,
             weight,
         };
         if complete {
@@ -983,6 +1048,7 @@ pub fn complete_graph_match(
         candidate_edges: sc.priced,
         widened: false,
         escalated: false,
+        bound_misses: 0,
         weight: m.weight(),
     })
 }
@@ -1309,5 +1375,191 @@ mod tests {
             flagged_cases += usize::from(flagged > 0);
         }
         assert!(flagged_cases > 100, "{flagged_cases} cases flag a pair");
+    }
+
+    /// The cases the pricing-bound tests solve: the wheel,
+    /// [`qec_testkit::random_sparse_graph`] draws with more defects than
+    /// a small shot (a boundary on some), and the hop-dominated family.
+    fn bound_cases() -> Vec<qec_testkit::SparseBlossomFuzzCase> {
+        use qec_math::rng::{Rng, Xoshiro256StarStar};
+
+        let (adjacency, class_weights) = wheel(31);
+        let mut cases = vec![qec_testkit::SparseBlossomFuzzCase {
+            adjacency,
+            class_weights,
+            defects: wheel_defects(31),
+            boundary: None,
+        }];
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xB0D5);
+        while cases.len() < 201 {
+            let (adjacency, class_weights) = qec_testkit::random_sparse_graph(&mut rng);
+            let n = adjacency.len();
+            if n < 8 {
+                continue;
+            }
+            let boundary = rng.gen_bool(0.3).then_some(n - 1);
+            let mut nodes: Vec<usize> = (0..n - usize::from(boundary.is_some())).collect();
+            for i in 0..nodes.len() {
+                let j = rng.gen_range(i..nodes.len());
+                nodes.swap(i, j);
+            }
+            let mut k = rng.gen_range(5..=nodes.len().min(12));
+            if boundary.is_none() {
+                k &= !1;
+            }
+            let mut defects = nodes[..k].to_vec();
+            defects.sort_unstable();
+            cases.push(qec_testkit::SparseBlossomFuzzCase {
+                adjacency,
+                class_weights,
+                defects,
+                boundary,
+            });
+        }
+        cases.extend((0..60).map(|_| qec_testkit::random_hop_dominated_case(&mut rng)));
+        cases
+    }
+
+    /// Solves `case` through a fresh scratch whose collision estimates
+    /// are scaled by `bound_scale`.
+    fn solve_with_bounds(
+        case: &qec_testkit::SparseBlossomFuzzCase,
+        bound_scale: Option<f64>,
+    ) -> (Option<SparseSolveOutcome>, SparseBlossomScratch) {
+        let finder = SparsePathFinder::build(&case.adjacency, case.class_weights.clone());
+        let mut sc = SparseBlossomScratch::new();
+        sc.bound_scale = bound_scale;
+        let out = sparse_graph_match(
+            &finder,
+            &case.defects,
+            case.boundary,
+            &case.class_weights,
+            &mut sc,
+            &mut BlossomScratch::new(),
+            &mut Vec::new(),
+        );
+        (out, sc)
+    }
+
+    /// Every pair the bounded route prices carries the distance and
+    /// hops of the same route with the bounds lifted, bit for bit, and
+    /// no bound misses.
+    #[test]
+    fn bounded_pricing_matches_unbounded() {
+        let mut priced = 0;
+        for (c, case) in bound_cases().iter().enumerate() {
+            let (bounded, sc) = solve_with_bounds(case, None);
+            let (unbounded, reference) = solve_with_bounds(case, Some(f64::INFINITY));
+            assert_eq!(
+                bounded.map(|o| o.weight),
+                unbounded.map(|o| o.weight),
+                "case {c}"
+            );
+            assert_eq!(bounded.map_or(0, |o| o.bound_misses), 0, "case {c}");
+            let s = case.defects.len();
+            for i in 0..s {
+                for j in i + 1..=s {
+                    let d = sc.pair_dist(i, j);
+                    if d == f64::INFINITY {
+                        continue;
+                    }
+                    priced += 1;
+                    let label = format!("case {c}, pair ({i}, {j})");
+                    assert_eq!(d.to_bits(), reference.pair_dist(i, j).to_bits(), "{label}");
+                    assert_eq!(sc.pair_hops(i, j), reference.pair_hops(i, j), "{label}");
+                }
+            }
+        }
+        assert!(priced > 2000, "{priced} pairs priced");
+    }
+
+    /// Halving every collision estimate makes many pricing searches
+    /// drain before their targets settle. Those pairs stay unpriced, so
+    /// certification, repair or escalation price them, and every shot
+    /// still reaches the complete instance's weight.
+    #[test]
+    fn too_tight_bounds_only_cost_time() {
+        let mut misses = 0;
+        for (c, case) in bound_cases().iter().enumerate() {
+            let (halved, _) = solve_with_bounds(case, Some(0.5));
+            let finder = SparsePathFinder::build(&case.adjacency, case.class_weights.clone());
+            let complete = complete_graph_match(
+                &finder,
+                &case.defects,
+                case.boundary,
+                &case.class_weights,
+                &mut SparseBlossomScratch::new(),
+                &mut BlossomScratch::new(),
+                &mut Vec::new(),
+            );
+            assert_eq!(
+                halved.map(|o| o.weight),
+                complete.map(|o| o.weight),
+                "case {c}"
+            );
+            misses += halved.map_or(0, |o| o.bound_misses);
+        }
+        assert!(misses > 100, "{misses} bound misses");
+    }
+
+    /// Ball searches that never push past their radius leave the same
+    /// sorted ledger as a full Dijkstra cut at the radius: on random
+    /// sparse and hop-dominated graphs, with random radii, covering
+    /// radii and radii exactly equal to some vertex's distance (which
+    /// the ball must exclude).
+    #[test]
+    fn ball_ledger_matches_unpruned_reference() {
+        use qec_math::rng::{Rng, Xoshiro256StarStar};
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xBA11);
+        let mut sc = SparseBlossomScratch::new();
+        let mut exact_radii = 0;
+        for case in 0..300 {
+            let (adjacency, weights) = if case % 4 == 0 {
+                let c = qec_testkit::random_hop_dominated_case(&mut rng);
+                (c.adjacency, c.class_weights)
+            } else {
+                qec_testkit::random_sparse_graph(&mut rng)
+            };
+            let n = adjacency.len();
+            let finder = SparsePathFinder::build(&adjacency, weights.clone());
+            let s = rng.gen_range(1..=n.min(8));
+            sc.begin_shot(n, s);
+            let mut reference = Vec::new();
+            for idx in 0..s as u32 {
+                let src = rng.gen_range(0..n);
+                let (dist, _) = shortest_paths_from(&adjacency, &weights, src);
+                let reached: Vec<f64> = dist.iter().copied().filter(|d| d.is_finite()).collect();
+                let far = reached.iter().copied().fold(0.0, f64::max);
+                let radius = match rng.gen_range(0..3) {
+                    0 if far > 0.0 => {
+                        exact_radii += 1;
+                        let positive: Vec<f64> =
+                            reached.iter().copied().filter(|&d| d > 0.0).collect();
+                        positive[rng.gen_range(0..positive.len())]
+                    }
+                    1 => UNREACHABLE,
+                    _ => rng.gen_f64() * 1.2 * far,
+                };
+                ball_search(&finder, &weights, &mut sc, src, idx, radius);
+                if radius <= 0.0 {
+                    reference.push((src as u32, idx, 0.0));
+                }
+                for (v, &d) in dist.iter().enumerate() {
+                    if d < radius {
+                        reference.push((v as u32, idx, d));
+                    }
+                }
+            }
+            let bits = |ledger: &mut Vec<(u32, u32, f64)>| {
+                ledger.sort_unstable_by_key(|e| (e.0, e.1));
+                ledger
+                    .iter()
+                    .map(|&(v, idx, d)| (v, idx, d.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&mut sc.ledger), bits(&mut reference), "case {case}");
+        }
+        assert!(exact_radii > 50, "{exact_radii} radii on a vertex");
     }
 }

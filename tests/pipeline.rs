@@ -369,6 +369,15 @@ fn flagged_mwpm_golden_hyperbolic_surface() {
         stats.sparse_blossom > 0 && stats.sparse_hits > 0,
         "both CSR routes are exercised: {stats:?}"
     );
+    // Growth estimates bound real paths, so no bounded pricing search
+    // drains before its targets settle.
+    let metrics = decoder.metrics().expect("MWPM registers its metrics");
+    assert_eq!(
+        metrics
+            .snapshot()
+            .counter("decode.sparse_blossom.bound_misses"),
+        0
+    );
     // The same seeded syndromes the fingerprint replays.
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF1A6);
     let flagged = (0..256)
