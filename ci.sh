@@ -60,6 +60,15 @@ named_test --test properties csr_match_pools_are_stable_after_warmup
 named_test -p qec-decode --lib csr_route_matches_the_complete_instance_around_the_small_shot_rule
 named_test -p qec-decode --lib sparse_fallbacks_are_counted
 named_test -p qec-decode --lib covering_balls_keep_certification_memory_bounded
+# Complete instances of at most four defects are decided by trying
+# every defect-level perfect matching: a unique minimum must carry the
+# pooled blossom's weight, pairs and hops on both routes (d3/d5 surface
+# DEMs and the toric-color restricted lattices), a tie must fall back to
+# the blossom, and a give-up must happen exactly when the blossom's does.
+named_test -p qec-decode --lib enumeration_matches_the_pooled_blossom_on_surface_dems
+named_test -p qec-decode --lib enumeration_matches_the_pooled_blossom_on_restricted_lattices
+named_test -p qec-decode --lib enumeration_ties_fall_back_to_the_pooled_blossom
+named_test -p qec-decode --lib enumeration_gives_up_exactly_when_the_pooled_blossom_does
 # Certification's overlap scan finds each CSR neighbour's ledger run
 # through a stamped run start; it must flag exactly the pairs of the
 # binary-search reference, on the wheel and on random ledgers.

@@ -1,5 +1,8 @@
 //! Pooled exact blossom matching — the matching stage of the matching
-//! decoders (the `decode.tier.blossom` tier).
+//! decoders (the `decode.tier.blossom` tier). A complete instance of at
+//! most 4 defects reaches it only when enumeration finds a tie among
+//! its cheapest matchings (see
+//! [`crate::sparse_blossom::enumerate_small_matching`]).
 //!
 //! [`pooled_min_weight_perfect_matching_f64`] computes the same
 //! minimum-weight perfect matching as

@@ -1,6 +1,6 @@
 //! The matching engine both matching decoders share: one decoding
-//! graph with its path supply, the matching instance, the pooled
-//! blossom solve and the unrolling of matched pairs into graph hops.
+//! graph with its path supply, the matching instance, its solve and
+//! the unrolling of matched pairs into graph hops.
 //!
 //! [`crate::MwpmDecoder`] runs one engine over the full decoding graph,
 //! with a virtual boundary vertex when the code has one;
@@ -23,17 +23,25 @@
 //! Both routes relax edges through the same formula, so the route
 //! decides where a distance comes from, never its value, and both reach
 //! the same total matching weight.
+//!
+//! A complete instance of at most 4 defects — an oracle-priced one, or
+//! a small CSR shot's — is first solved by enumeration
+//! ([`enumerate_small_matching`]): it has at most 10 defect-level
+//! perfect matchings, and a unique cheapest one, scored in the
+//! blossom's fixed-point integers, is the matching any exact solver
+//! returns. Only ties and larger instances reach the pooled blossom
+//! solver (`decode.tier.blossom`); the rest count in
+//! `decode.tier.enumerated`.
 
 use crate::blossom::pooled_min_weight_perfect_matching_f64;
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{self, PathOracle, SparsePathFinder};
 use crate::scratch::MatchingCounters;
-use crate::sparse_blossom::{is_small_shot, sparse_graph_match};
+use crate::sparse_blossom::{
+    enumerate_small_matching, is_small_shot, sparse_graph_match, Enumeration, UNREACHABLE,
+};
 use qec_math::BitVec;
 use qec_obs::Registry;
-
-/// Edges costlier than this are treated as unusable.
-const UNREACHABLE: f64 = 1.0e8;
 
 /// How one shot prices the graph's edges.
 #[derive(Debug, Clone, Copy)]
@@ -292,6 +300,44 @@ fn pair_target(a: usize, b: usize, s: usize) -> Option<usize> {
     }
 }
 
+/// Lists the complete instance of `s` defects into `edges` and returns
+/// its node count: defects `0..s`, and boundary copies `s..2s` when
+/// `has_boundary`. `pair_dist(i, tj)` prices defect `i` against defect
+/// `tj > i`, or against the boundary at `tj == s`; a pair at or beyond
+/// [`UNREACHABLE`] is no edge. The boundary copies form a zero-weight
+/// clique.
+fn complete_instance(
+    s: usize,
+    has_boundary: bool,
+    pair_dist: impl Fn(usize, usize) -> f64,
+    edges: &mut Vec<(usize, usize, f64)>,
+) -> usize {
+    edges.clear();
+    for i in 0..s {
+        for j in (i + 1)..s {
+            let d = pair_dist(i, j);
+            if d < UNREACHABLE {
+                edges.push((i, j, d));
+            }
+        }
+        if has_boundary {
+            let d = pair_dist(i, s);
+            if d < UNREACHABLE {
+                edges.push((i, s + i, d));
+            }
+        }
+    }
+    if !has_boundary {
+        return s;
+    }
+    for i in 0..s {
+        for j in (i + 1)..s {
+            edges.push((s + i, s + j, 0.0));
+        }
+    }
+    2 * s
+}
+
 impl MatchingEngine {
     /// Builds the path indexes over `adjacency` priced by
     /// `class_weights`. `lattice` names the restricted lattice the
@@ -402,14 +448,12 @@ impl MatchingEngine {
                 Pricing::Shot(w) => w,
             };
             let complete = is_small_shot(s);
-            if complete {
-                counters.blossom_solves.inc();
-            }
             let route = match () {
                 #[cfg(test)]
                 () if self.complete_pricing => crate::sparse_blossom::complete_graph_match,
                 () => sparse_graph_match,
             };
+            let solves = blossom.epochs();
             let outcome = route(
                 sp,
                 defects,
@@ -418,7 +462,16 @@ impl MatchingEngine {
                 sparse_blossom,
                 blossom,
                 pairs,
-            )?;
+            );
+            if complete {
+                // A small shot reaches the pooled solver only on a tie.
+                if blossom.epochs() == solves {
+                    counters.enumerated.inc();
+                } else {
+                    counters.blossom_solves.inc();
+                }
+            }
+            let outcome = outcome?;
             if !complete {
                 counters.sparse_blossom_rounds.record(outcome.rounds as u64);
                 counters
@@ -451,34 +504,23 @@ impl MatchingEngine {
         targets.extend(self.boundary);
         let pair_dist = |i: usize, tj: usize| oracle.dist(defects[i], targets[tj]);
         let has_boundary = self.boundary.is_some();
-        edges.clear();
-        for i in 0..s {
-            for j in (i + 1)..s {
-                let d = pair_dist(i, j);
-                if d < UNREACHABLE {
-                    edges.push((i, j, d));
-                }
+        let weight = match enumerate_small_matching(s, has_boundary, pair_dist, pairs) {
+            Enumeration::Unique(weight) => {
+                counters.enumerated.inc();
+                weight
             }
-            if has_boundary {
-                let d = pair_dist(i, s);
-                if d < UNREACHABLE {
-                    edges.push((i, s + i, d));
-                }
+            Enumeration::Unmatched => {
+                counters.enumerated.inc();
+                return None;
             }
-        }
-        if has_boundary {
-            for i in 0..s {
-                for j in (i + 1)..s {
-                    edges.push((s + i, s + j, 0.0));
-                }
+            Enumeration::Undecided => {
+                let nodes = complete_instance(s, has_boundary, pair_dist, edges);
+                counters.blossom_solves.inc();
+                let matching = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
+                pairs.extend(matching.pairs());
+                matching.weight()
             }
-        }
-        let nodes = if has_boundary { 2 * s } else { s };
-        counters.blossom_solves.inc();
-        pairs.clear();
-        let matching = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
-        let weight = matching.weight();
-        pairs.extend(matching.pairs());
+        };
         for &(a, b) in pairs.iter() {
             let Some(tj) = pair_target(a, b, s) else {
                 continue;
@@ -499,6 +541,7 @@ impl MatchingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qec_math::graph::matching::F64_WEIGHT_SCALE;
     use qec_math::rng::{Rng, Xoshiro256StarStar};
 
     /// Prices one shot raising `flags` through `overrides` and checks
@@ -813,5 +856,355 @@ mod tests {
                 "defects {defects:?}"
             );
         }
+    }
+
+    /// Independent count of the cheapest defect-level matchings of a
+    /// complete instance: every partner map (a defect, or the boundary
+    /// at `s`) is generated and kept when it is a perfect matching.
+    /// Returns the minimum and how many matchings reach it.
+    fn brute_force_minimum(
+        s: usize,
+        has_boundary: bool,
+        cost: impl Fn(usize, usize) -> Option<i64>,
+    ) -> (Option<i64>, usize) {
+        let (mut min, mut count) = (None, 0);
+        for code in 0..(s + 1).pow(s as u32) {
+            let mate: Vec<usize> = (0..s)
+                .map(|i| code / (s + 1).pow(i as u32) % (s + 1))
+                .collect();
+            let mut total = Some(0i64);
+            for (i, &m) in mate.iter().enumerate() {
+                let leg = match m {
+                    m if m == s && has_boundary => cost(i, s),
+                    m if m == s || m == i || mate[m] != i => None,
+                    m if i < m => cost(i, m),
+                    _ => Some(0),
+                };
+                total = total.zip(leg).map(|(t, c)| t + c);
+            }
+            match (total, min) {
+                (None, _) => {}
+                (Some(t), Some(m)) if t > m => {}
+                (Some(t), Some(m)) if t == m => count += 1,
+                (Some(t), _) => (min, count) = (Some(t), 1),
+            }
+        }
+        (min, count)
+    }
+
+    /// Defect-level pairs of a node-level matching: boundary-copy pairs
+    /// dropped.
+    fn defect_pairs(pairs: &[(usize, usize)], s: usize) -> Vec<(usize, usize)> {
+        pairs.iter().copied().filter(|&(a, _)| a < s).collect()
+    }
+
+    /// Checks the enumeration on `defects` of `dense`'s graph against
+    /// the pooled blossom on the complete oracle instance, and returns
+    /// its verdict:
+    ///
+    /// * the verdict follows [`brute_force_minimum`]: `Unique` for one
+    ///   cheapest matching, `Undecided` for a tie or more than
+    ///   [`crate::sparse_blossom::is_small_shot`] allows, `Unmatched`
+    ///   exactly when the blossom gives up;
+    /// * a unique minimum has the blossom's weight and defect-level
+    ///   pairs;
+    /// * `dense` (enumerating in the oracle branch) and `csr` (the same
+    ///   graph without an oracle, enumerating after complete pricing)
+    ///   return the blossom's weight and emit its hops, walked as the
+    ///   oracle branch walks them.
+    fn assert_enumeration_matches_blossom(
+        dense: &MatchingEngine,
+        csr: &MatchingEngine,
+        defects: &[usize],
+        sc: &mut EngineScratch,
+    ) -> Enumeration {
+        let oracle = dense.oracle().expect("the reference prices on the oracle");
+        assert!(csr.oracle().is_none());
+        let s = defects.len();
+        let has_boundary = dense.boundary.is_some();
+        let target = |tj: usize| {
+            dense
+                .boundary
+                .filter(|_| tj == s)
+                .unwrap_or_else(|| defects[tj])
+        };
+        let dist = |i: usize, tj: usize| oracle.dist(defects[i], target(tj));
+        let mut pairs = Vec::new();
+        let verdict = enumerate_small_matching(s, has_boundary, dist, &mut pairs);
+        let mut edges = Vec::new();
+        let nodes = complete_instance(s, has_boundary, dist, &mut edges);
+        let mut blossom = crate::blossom::BlossomScratch::new();
+        let reference = pooled_min_weight_perfect_matching_f64(nodes, &edges, &mut blossom)
+            .map(|m| (m.weight(), m.pairs().collect::<Vec<_>>()));
+        let scaled = |d: f64| (d < UNREACHABLE).then(|| (d * F64_WEIGHT_SCALE).round() as i64);
+        let (min, count) = brute_force_minimum(s, has_boundary, |i, tj| scaled(dist(i, tj)));
+        let context = format!("defects {defects:?}: {verdict:?}, blossom {reference:?}");
+        assert_eq!(min.is_some(), reference.is_some(), "{context}");
+        match verdict {
+            Enumeration::Unique(weight) => {
+                assert_eq!(count, 1, "{context}");
+                let (blossom_weight, blossom_pairs) = reference.as_ref().expect("matched");
+                assert_eq!(weight, *blossom_weight, "{context}");
+                assert_eq!(pairs, defect_pairs(blossom_pairs, s), "{context}");
+            }
+            Enumeration::Unmatched => assert!(reference.is_none(), "{context}"),
+            Enumeration::Undecided => assert!(!is_small_shot(s) || count > 1, "{context}"),
+        }
+        let expected = reference.map(|(weight, pairs)| {
+            let mut hops = Vec::new();
+            for (a, b) in pairs {
+                let Some(tj) = pair_target(a, b, s) else {
+                    continue;
+                };
+                let mut cur = target(tj);
+                while cur != defects[a] {
+                    let (prev, class) = oracle.pred(defects[a], cur);
+                    hops.push((prev, cur, class));
+                    cur = prev;
+                }
+            }
+            (weight, hops)
+        });
+        for (route, e) in [("oracle", dense), ("csr", csr)] {
+            let (weight, hops) = run(e, defects, Pricing::Base, sc);
+            assert_eq!(
+                weight.map(|w| (w, hops)),
+                expected.clone(),
+                "{route} route, {context}"
+            );
+        }
+        verdict
+    }
+
+    /// Tallies of [`assert_enumeration_matches_blossom`]'s verdicts:
+    /// `(unique, unmatched, undecided)`.
+    #[derive(Debug, Default)]
+    struct Verdicts(usize, usize, usize);
+
+    impl Verdicts {
+        fn add(&mut self, verdict: Enumeration) {
+            match verdict {
+                Enumeration::Unique(_) => self.0 += 1,
+                Enumeration::Unmatched => self.1 += 1,
+                Enumeration::Undecided => self.2 += 1,
+            }
+        }
+    }
+
+    /// Every subset of `0..n` with at most `k` elements, ascending.
+    fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::new()];
+        let mut frontier = vec![Vec::new()];
+        for _ in 0..k {
+            let mut next = Vec::new();
+            for set in &frontier {
+                let from = set.last().map_or(0, |&l| l + 1);
+                for v in from..n {
+                    let mut grown: Vec<usize> = set.clone();
+                    grown.push(v);
+                    next.push(grown);
+                }
+            }
+            out.extend(next.iter().cloned());
+            frontier = next;
+        }
+        out
+    }
+
+    /// `count` random sets of 1 to 4 distinct vertices of `0..n`.
+    fn random_small_sets(rng: &mut Xoshiro256StarStar, n: usize, count: usize) -> Vec<Vec<usize>> {
+        (0..count)
+            .map(|_| {
+                let mut set: Vec<usize> = Vec::new();
+                let size = rng.gen_range(1..=4usize).min(n);
+                while set.len() < size {
+                    let v = rng.gen_range(0..n);
+                    if !set.contains(&v) {
+                        set.push(v);
+                    }
+                }
+                set.sort_unstable();
+                set
+            })
+            .collect()
+    }
+
+    /// The enumeration on the d3 and d5 surface DEMs' decoding graphs,
+    /// which have a boundary: every syndrome of at most 2 defects on
+    /// both, every one of at most 4 on d3, and random ones of up to 4
+    /// on d5, through the oracle branch and the CSR route.
+    #[test]
+    fn enumeration_matches_the_pooled_blossom_on_surface_dems() {
+        let mut sc = EngineScratch::default();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xe5);
+        for (d, exhaustive) in [(3, 4), (5, 2)] {
+            let dem = qec_testkit::surface_memory_dem(d);
+            let dense = crate::MwpmDecoder::new(&dem, crate::MwpmConfig::unflagged());
+            let csr = crate::MwpmDecoder::new(
+                &dem,
+                crate::MwpmConfig::unflagged().with_oracle_node_limit(0),
+            );
+            assert!(dense.engine().boundary.is_some());
+            let checks = dense.hypergraph().num_check_detectors();
+            let mut shots = subsets(checks, exhaustive);
+            if exhaustive < 4 {
+                shots.extend(random_small_sets(&mut rng, checks, 2000));
+            }
+            let mut verdicts = Verdicts::default();
+            for defects in &shots {
+                verdicts.add(assert_enumeration_matches_blossom(
+                    dense.engine(),
+                    csr.engine(),
+                    defects,
+                    &mut sc,
+                ));
+            }
+            assert!(verdicts.0 > verdicts.2, "d={d}: {verdicts:?}");
+            assert!(verdicts.2 > 0, "d={d}: {verdicts:?}");
+        }
+    }
+
+    /// The enumeration on the toric color code's three restricted
+    /// lattices, which have no boundary: odd defect counts have no
+    /// perfect matching, even ones always do.
+    #[test]
+    fn enumeration_matches_the_pooled_blossom_on_restricted_lattices() {
+        let (dem, ctx, pm) = qec_testkit::toric_color_dem();
+        // The fixture's context type comes from the non-test build of
+        // this crate; copy it field by field.
+        let ctx = crate::ColorCodeContext {
+            plaquette_colors: ctx.plaquette_colors,
+            plaquette_supports: ctx.plaquette_supports,
+            qubit_observables: ctx.qubit_observables,
+        };
+        let config = crate::RestrictionConfig::flagged(pm);
+        let dense = crate::RestrictionDecoder::new(&dem, ctx.clone(), config);
+        let csr = crate::RestrictionDecoder::new(&dem, ctx, config.with_oracle_node_limit(0));
+        let mut sc = EngineScratch::default();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xc0);
+        for lattice in 0..3 {
+            let (dense, csr) = (dense.engine(lattice), csr.engine(lattice));
+            assert!(dense.boundary.is_none());
+            let n = dense.oracle().expect("oracle").num_nodes();
+            let mut verdicts = Verdicts::default();
+            for defects in random_small_sets(&mut rng, n, 600) {
+                let verdict = assert_enumeration_matches_blossom(dense, csr, &defects, &mut sc);
+                assert_eq!(
+                    verdict == Enumeration::Unmatched,
+                    defects.len() % 2 == 1,
+                    "lattice {lattice}, defects {defects:?}"
+                );
+                verdicts.add(verdict);
+            }
+            assert!(
+                verdicts.0 > 0 && verdicts.1 > 0,
+                "lattice {lattice}: {verdicts:?}"
+            );
+        }
+    }
+
+    /// A 3 × 4 grid at uniform weight with a boundary behind its left
+    /// and right columns, every set of at most 4 defects: equal-weight
+    /// matchings abound, and every tie must fall back to the pooled
+    /// blossom and reach its matching.
+    #[test]
+    fn enumeration_ties_fall_back_to_the_pooled_blossom() {
+        let (rows, cols) = (3, 4);
+        let hub = rows * cols;
+        let mut adjacency = vec![Vec::new(); hub + 1];
+        let mut link = |a: usize, b: usize, class: usize| {
+            adjacency[a].push((b, class));
+            adjacency[b].push((a, class));
+        };
+        let mut class = 0;
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = r * cols + c;
+                let mut neighbours = Vec::new();
+                if c + 1 < cols {
+                    neighbours.push(v + 1);
+                }
+                if r + 1 < rows {
+                    neighbours.push(v + cols);
+                }
+                if c == 0 || c + 1 == cols {
+                    neighbours.push(hub);
+                }
+                for u in neighbours {
+                    link(v, u, class);
+                    class += 1;
+                }
+            }
+        }
+        let uniform = |limit| {
+            MatchingEngine::build(
+                &adjacency,
+                vec![1.0; class],
+                Some(hub),
+                limit,
+                &Registry::new(),
+                None,
+            )
+        };
+        let (dense, csr) = (uniform(1024), uniform(0));
+        let mut sc = EngineScratch::default();
+        let mut verdicts = Verdicts::default();
+        for defects in subsets(hub, 4) {
+            verdicts.add(assert_enumeration_matches_blossom(
+                &dense, &csr, &defects, &mut sc,
+            ));
+        }
+        assert!(verdicts.2 > 100 && verdicts.0 > 100, "{verdicts:?}");
+    }
+
+    /// Two rings of 4 without a boundary, joined by one edge whose ends
+    /// lie exactly [`UNREACHABLE`] apart, and a path of 3 left alone:
+    /// every set of at most 4 defects. No pair across components is an
+    /// edge of the instance, so defects split oddly between them have
+    /// no perfect matching; the enumeration must give up exactly when
+    /// the blossom does.
+    #[test]
+    fn enumeration_gives_up_exactly_when_the_pooled_blossom_does() {
+        // The largest weight whose relaxation, as class 8 after the
+        // rings' eight edges, stays within the filter.
+        let mut bridge = UNREACHABLE;
+        while paths::relaxed_dist(0.0, bridge, 8) > UNREACHABLE {
+            bridge = f64::from_bits(bridge.to_bits() - 1);
+        }
+        let mut adjacency = vec![Vec::new(); 11];
+        let mut weights = Vec::new();
+        let mut link = |a: usize, b: usize, w: f64| {
+            adjacency[a].push((b, weights.len()));
+            adjacency[b].push((a, weights.len()));
+            weights.push(w);
+        };
+        for base in [0, 4] {
+            for k in 0..4 {
+                link(base + k, base + (k + 1) % 4, 1.0 + 0.25 * k as f64);
+            }
+        }
+        link(3, 4, bridge);
+        link(8, 9, 1.5);
+        link(9, 10, 0.5);
+        let build = |limit| {
+            MatchingEngine::build(
+                &adjacency,
+                weights.clone(),
+                None,
+                limit,
+                &Registry::new(),
+                None,
+            )
+        };
+        let (dense, csr) = (build(1024), build(0));
+        assert_eq!(dense.oracle().expect("oracle").dist(3, 4), UNREACHABLE);
+        let mut sc = EngineScratch::default();
+        let mut verdicts = Verdicts::default();
+        for defects in subsets(11, 4) {
+            verdicts.add(assert_enumeration_matches_blossom(
+                &dense, &csr, &defects, &mut sc,
+            ));
+        }
+        assert!(verdicts.0 > 0 && verdicts.1 > 0, "{verdicts:?}");
     }
 }

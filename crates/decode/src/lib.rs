@@ -26,8 +26,9 @@
 //! * The matching decoders share one crate-private matching engine per
 //!   decoding graph (MWPM: the full graph; Restriction: each restricted
 //!   lattice). It matches each shot on one of two routes, solves with
-//!   the pooled blossom solver ([`BlossomScratch`]) and unrolls the
-//!   matched paths:
+//!   the pooled blossom solver ([`BlossomScratch`]) — or, for a
+//!   complete instance of at most four defects with a unique cheapest
+//!   matching, by enumeration — and unrolls the matched paths:
 //!   * [`PathOracle`] — all-sources shortest paths precomputed once per
 //!     decoding graph at construction, so shots without flag
 //!     reweighting (the hot case) answer every defect-pair weight query

@@ -222,6 +222,12 @@ impl RestrictionDecoder {
         self.lattices[lattice].engine.sparse()
     }
 
+    /// The matching engine of restricted lattice `lattice`.
+    #[cfg(test)]
+    pub(crate) fn engine(&self, lattice: usize) -> &MatchingEngine {
+        &self.lattices[lattice].engine
+    }
+
     fn apply_member(&self, class: usize, member: usize, correction: &mut BitVec) {
         for &obs in &self.hypergraph.classes()[class].members[member].observables {
             correction.flip(obs as usize);
@@ -762,7 +768,13 @@ mod tests {
             nonempty += u64::from(!sc.checks.is_empty());
         }
         let (g, r) = (graph.stats(), routed.stats());
-        assert_eq!(complete.stats(), g);
+        // The complete-pricing reference hands every small instance to
+        // the pooled solver, which the route calls only on a tie.
+        let reference = DecoderStats {
+            blossom_solves: g.blossom_solves,
+            ..complete.stats()
+        };
+        assert_eq!(reference, g);
         assert_eq!(
             (g.oracle_hits, g.sparse_hits + g.sparse_blossom),
             (0, nonempty)

@@ -52,11 +52,14 @@ pub struct DecoderStats {
     /// is always 0. Kept because perfbench reports it
     /// (`decode.tier.dijkstra_share`).
     pub oracle_misses: u64,
-    /// Complete matching instances solved by the pooled blossom solver
-    /// ([`crate::BlossomScratch`]): every oracle-priced instance and
-    /// every CSR instance counted in `sparse_hits`. MWPM runs at most
-    /// one per shot; the restriction decoder one per non-empty
-    /// restricted lattice. Certified CSR solves are not counted here.
+    /// Complete matching instances handed to the pooled blossom solver
+    /// ([`crate::BlossomScratch`]): oracle-priced or `sparse_hits`
+    /// instances with more than four defects, or with a tie among
+    /// their cheapest matchings. The other complete instances are
+    /// decided by enumeration and counted only in the registry's
+    /// `decode.tier.enumerated`. MWPM runs at most one per shot; the
+    /// restriction decoder one per non-empty restricted lattice.
+    /// Certified CSR solves are not counted here.
     pub blossom_solves: u64,
     /// Retired: the single-flag secondary oracles no longer exist, so
     /// this is always 0. Kept because perfbench reports it
@@ -130,7 +133,13 @@ pub(crate) struct MatchingCounters {
     pub(crate) decodes: Counter,
     pub(crate) oracle_hits: Counter,
     pub(crate) sparse_hits: Counter,
+    /// Calls of the pooled blossom solver on a complete instance.
     pub(crate) blossom_solves: Counter,
+    /// Complete instances of at most four defects decided by
+    /// enumeration (a unique minimum, or no perfect matching) without
+    /// the pooled solver. Registry only (`decode.tier.enumerated`), not
+    /// in [`DecoderStats`].
+    pub(crate) enumerated: Counter,
     /// Shots solved by certified CSR matching.
     pub(crate) sparse_blossom: Counter,
     /// Shots given up because a decoding graph had no perfect matching.
@@ -165,6 +174,7 @@ impl MatchingCounters {
             oracle_hits: metrics.counter("decode.tier.oracle_hits"),
             sparse_hits: metrics.counter("decode.tier.sparse_hits"),
             blossom_solves: metrics.counter("decode.tier.blossom"),
+            enumerated: metrics.counter("decode.tier.enumerated"),
             sparse_blossom: metrics.counter("decode.tier.sparse_blossom"),
             giveups_unmatched: metrics.counter("decode.giveups.unmatched"),
             defects: metrics.histogram("decode.defects"),

@@ -72,10 +72,14 @@
 //!
 //! A small shot (at most [`SMALL_SHOT`] defects) skips growth and
 //! certification: every pair is priced, so the instance *is* the
-//! complete one. Every instance lists its edges in the dense oracle's
-//! `(i, j)` order, so a complete one — a small shot's, an escalated
-//! one, or [`complete_graph_match`]'s — reaches the oracle's decisions
-//! and not only its weight.
+//! complete one, and [`enumerate_small_matching`] tries its at most 10
+//! defect-level perfect matchings. A unique cheapest one is returned
+//! without the blossom; a tie goes to the pooled solver. Every instance
+//! lists its edges in the dense oracle's `(i, j)` order, so a complete
+//! one — a small shot's, an escalated one, or
+//! [`complete_graph_match`]'s — reaches the oracle's decisions and not
+//! only its weight. [`complete_graph_match`] always solves with the
+//! blossom: it is the reference.
 
 use std::collections::BinaryHeap;
 
@@ -85,22 +89,145 @@ use crate::blossom::{pooled_min_weight_perfect_matching_f64, BlossomScratch};
 use crate::paths::{relaxed_dist, SparsePathFinder};
 use crate::scratch::HeapItem;
 
-/// Distances at or above this never become matching edges (the same
-/// constant the dense matching stage filters with).
+/// Distances at or above this never become matching edges: the one
+/// filter of the CSR instances, the oracle's complete instance and
+/// [`enumerate_small_matching`].
 pub(crate) const UNREACHABLE: f64 = 1.0e8;
 
 /// Shots with at most this many defects are priced completely: their
 /// instance is the complete one, so they skip growth and
-/// certification.
+/// certification, and it is small enough to enumerate.
 const SMALL_SHOT: usize = 4;
 
 /// Whether a `defects`-defect shot is small enough that
 /// [`sparse_graph_match`] prices every pair and solves the complete
-/// instance. The decoders count such a shot as a complete-instance
-/// solve (`sparse_hits`, `blossom_solves`), any other CSR shot as a
-/// graph-native one (`sparse_blossom`).
+/// instance, by [`enumerate_small_matching`] or, on a tie, the pooled
+/// blossom. The decoders count such a shot as a complete-instance
+/// solve (`sparse_hits`, and `enumerated` or `blossom_solves`), any
+/// other CSR shot as a graph-native one (`sparse_blossom`).
 pub(crate) fn is_small_shot(defects: usize) -> bool {
     defects <= SMALL_SHOT
+}
+
+/// What [`enumerate_small_matching`] found on a complete instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Enumeration {
+    /// One defect-level matching is strictly cheapest: its total weight
+    /// in `1<<20` fixed-point units.
+    Unique(i64),
+    /// The instance has no perfect matching.
+    Unmatched,
+    /// More than [`SMALL_SHOT`] defects, or several matchings share the
+    /// minimum: the pooled blossom solver decides.
+    Undecided,
+}
+
+/// Solves a complete instance of at most [`SMALL_SHOT`] defects by
+/// trying every defect-level perfect matching: each defect pairs with
+/// a later defect or, when `has_boundary`, with the boundary, so 4
+/// defects have at most 10 matchings. `dist(i, j)` is the distance from
+/// defect `i` to defect `j > i`, or to the boundary at `j == s`.
+///
+/// Each matching is scored in the blossom's own integers: every leg
+/// costs `(d · F64_WEIGHT_SCALE).round()`, and a leg at or beyond
+/// [`UNREACHABLE`] is no edge. A unique minimum is therefore the
+/// matching every exact solver returns, so [`Enumeration::Unique`]
+/// carries the weight [`pooled_min_weight_perfect_matching_f64`]
+/// returns on the instance, and `pairs` gets its defect-level pairs in
+/// its numbering and order: `(a, b)` with `a < b`, ascending `a`, a
+/// boundary leg as `(a, s + a)`. The zero-weight pairs among leftover
+/// boundary copies, which carry no hops, are not listed. `pairs` is
+/// left empty unless the result is `Unique`.
+pub(crate) fn enumerate_small_matching(
+    s: usize,
+    has_boundary: bool,
+    dist: impl Fn(usize, usize) -> f64,
+    pairs: &mut Vec<(usize, usize)>,
+) -> Enumeration {
+    pairs.clear();
+    if !is_small_shot(s) {
+        return Enumeration::Undecided;
+    }
+    let scale = |d: f64| (d < UNREACHABLE).then(|| (d * F64_WEIGHT_SCALE).round() as i64);
+    let mut search = SmallSearch {
+        s,
+        cost: [[None; SMALL_SHOT + 1]; SMALL_SHOT],
+        mate: [0; SMALL_SHOT],
+        best: None,
+        tied: false,
+    };
+    for i in 0..s {
+        for j in (i + 1)..s {
+            search.cost[i][j] = scale(dist(i, j));
+        }
+        if has_boundary {
+            search.cost[i][BOUNDARY] = scale(dist(i, s));
+        }
+    }
+    search.visit(0, 0);
+    let Some((weight, mate)) = search.best else {
+        return Enumeration::Unmatched;
+    };
+    if search.tied {
+        return Enumeration::Undecided;
+    }
+    for (a, &b) in mate[..s].iter().enumerate() {
+        if b == BOUNDARY {
+            pairs.push((a, s + a));
+        } else if a < b {
+            pairs.push((a, b));
+        }
+    }
+    Enumeration::Unique(weight)
+}
+
+/// The boundary's column in [`SmallSearch::cost`] and its value in
+/// [`SmallSearch::mate`].
+const BOUNDARY: usize = SMALL_SHOT;
+
+/// The depth-first walk of [`enumerate_small_matching`].
+struct SmallSearch {
+    s: usize,
+    /// Scaled leg from defect `i` to defect `j > i`, or to the boundary
+    /// at [`BOUNDARY`]; `None` when the leg is no edge.
+    cost: [[Option<i64>; SMALL_SHOT + 1]; SMALL_SHOT],
+    /// Each defect's partner on the current branch.
+    mate: [usize; SMALL_SHOT],
+    /// The cheapest complete matching so far and its partners.
+    best: Option<(i64, [usize; SMALL_SHOT])>,
+    /// Whether another matching costs exactly `best`.
+    tied: bool,
+}
+
+impl SmallSearch {
+    /// Extends the branch whose defects in `matched` (a bit set) are
+    /// paired at total cost `acc`, partnering its lowest free defect.
+    fn visit(&mut self, matched: u32, acc: i64) {
+        let Some(i) = (0..self.s).find(|&i| matched & 1 << i == 0) else {
+            match self.best {
+                Some((min, _)) if min < acc => {}
+                Some((min, _)) if min == acc => self.tied = true,
+                _ => {
+                    self.best = Some((acc, self.mate));
+                    self.tied = false;
+                }
+            }
+            return;
+        };
+        for j in (i + 1..self.s).chain([BOUNDARY]) {
+            let free = j == BOUNDARY || matched & 1 << j == 0;
+            let Some(cost) = self.cost[i][j].filter(|_| free) else {
+                continue;
+            };
+            self.mate[i] = j;
+            let mut next = matched | 1 << i;
+            if j != BOUNDARY {
+                self.mate[j] = i;
+                next |= 1 << j;
+            }
+            self.visit(next, acc + cost);
+        }
+    }
 }
 
 /// Nearest partners each defect's region collects in the first growth.
@@ -901,7 +1028,9 @@ fn escalate(
 /// are defects, `s..2s` their boundary copies, and the returned `pairs`
 /// use that numbering (so callers apply corrections the same way as
 /// for the dense tier, reading path hops from
-/// [`SparseBlossomScratch::pair_hops`]). An edge of class `c` costs
+/// [`SparseBlossomScratch::pair_hops`]). A small shot solved by
+/// enumeration lists no pairs among boundary copies: they carry no
+/// hops. An edge of class `c` costs
 /// `class_weights[c]`: the finder's flag-free weights or a shot's
 /// flag-reweighted ones.
 ///
@@ -940,13 +1069,28 @@ pub fn sparse_graph_match(
     let small = is_small_shot(s);
     if small {
         escalate(finder, class_weights, sc, checks, boundary);
+        let dist = |i: usize, j: usize| sc.pair_dist(i, j);
+        match enumerate_small_matching(s, boundary.is_some(), dist, pairs) {
+            Enumeration::Unique(weight) => {
+                return Some(SparseSolveOutcome {
+                    rounds: 0,
+                    candidate_edges: sc.priced,
+                    widened: false,
+                    escalated: false,
+                    bound_misses: sc.bound_misses,
+                    weight,
+                })
+            }
+            Enumeration::Unmatched => return None,
+            Enumeration::Undecided => {}
+        }
     } else {
         grow_regions(finder, class_weights, sc, checks, PARTNERS);
         collect_candidates(sc, PARTNERS);
         price_flagged(finder, class_weights, sc, checks, boundary);
     }
-    // A small shot's instance *is* the dense one, so certification is
-    // unnecessary.
+    // A small shot gets here only on a tie. Its instance *is* the dense
+    // one, so certification is unnecessary.
     let mut complete = small;
     let mut widened = false;
     let mut escalated = false;
