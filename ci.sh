@@ -45,18 +45,22 @@ named_test() {
 # DEM (including the hyperbolic one above the dense-oracle guard).
 named_test --test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
 named_test --test properties path_tiers_agree
-# Differential matching-route test: shots matched on the CSR graph by
-# sparse_graph_match (complete instances up to 4 defects, certified
-# above) must decode exactly like the dense oracle's complete
-# instances, every decoded shot must advance exactly one tier counter,
-# and the CSR matching pools must not regrow once warm.
+# Differential matching-route test: shots matched on the CSR graph
+# (complete instances up to 4 defects, sparse_graph_match's certified
+# grown route above) must decode exactly like the dense oracle's
+# complete instances, every decoded shot must advance exactly one tier
+# counter (each decoder's counts pinned), and the CSR matching pools
+# must not regrow once warm.
 named_test --test properties matching_routes_agree
 named_test --test properties tier_counters_count_each_decoded_shot_once
 named_test --test properties csr_match_pools_are_stable_after_warmup
-# The grown route around the small-shot rule reaches the oracle's
-# decisions; its widening and escalation fallbacks are forced on small
-# graphs and counted; and when every certification ball covers the
-# graph, each pair is flagged once, so the pools stay O(n·s + s²).
+# Around the route rule's 4-defect edge the oracle and complete routes
+# agree on every 1-4-defect set of the d3 surface graph and a toric
+# color lattice, and sparse_graph_match, which grows at every size,
+# reaches complete_graph_match's matching there; the grown route's
+# widening and escalation fallbacks are forced on small graphs and
+# counted; and when every certification ball covers the graph, each
+# pair is flagged once, so the pools stay O(n·s + s²).
 named_test -p qec-decode --lib csr_route_matches_the_complete_instance_around_the_small_shot_rule
 named_test -p qec-decode --lib sparse_fallbacks_are_counted
 named_test -p qec-decode --lib covering_balls_keep_certification_memory_bounded

@@ -114,8 +114,6 @@ pub struct BlossomScratch {
     /// Capacity growths since construction (log-bounded; the pool
     /// property test asserts this stays flat once warmed up).
     generations: u32,
-    /// Largest real vertex count ever solved.
-    high_water: usize,
 }
 
 /// A perfect matching held inside a [`BlossomScratch`]; the accessors
@@ -164,11 +162,6 @@ impl BlossomScratch {
     /// allocates nothing here.
     pub fn generations(&self) -> u32 {
         self.generations
-    }
-
-    /// Largest real vertex count ever solved through this scratch.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// Dual "radius" of 0-based real vertex `u0` after a successful
@@ -285,7 +278,6 @@ impl BlossomScratch {
         self.n_x = n;
         self.last_n_x = n;
         self.epochs += 1;
-        self.high_water = self.high_water.max(n);
     }
 
     /// Loads one transformed, doubled edge, keeping the largest weight

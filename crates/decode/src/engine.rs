@@ -5,40 +5,32 @@
 //! [`crate::MwpmDecoder`] runs one engine over the full decoding graph,
 //! with a virtual boundary vertex when the code has one;
 //! [`crate::RestrictionDecoder`] runs three, one per restricted lattice,
-//! without a boundary. Each shot takes one of two routes, picked by
-//! [`MatchingEngine::prices_on_oracle`] from the shot's pricing:
+//! without a boundary. [`MatchingEngine::route`] picks each shot's
+//! [`Route`]; the rule lives there alone, and both decoders count their
+//! tiers from it.
 //!
-//! * the dense [`PathOracle`] — O(V²), built when V ≤ the node limit —
-//!   answers shots priced at the flag-free base weights with the
-//!   complete defect-pair instance;
-//! * every other shot (graphs above the limit, flag-reweighted shots)
-//!   is matched on the CSR [`SparsePathFinder`] — O(V+E), always built —
-//!   by [`sparse_graph_match`]: it grows every defect's region at once,
-//!   prices each defect's nearest partner, widens or escalates when that
-//!   candidate instance has no perfect matching, and certifies the
-//!   result against every omitted pair; a small shot (at most 4
-//!   defects) prices every pair and solves the complete instance
-//!   outright.
-//!
-//! Both routes relax edges through the same formula, so the route
-//! decides where a distance comes from, never its value, and both reach
-//! the same total matching weight.
-//!
-//! A complete instance of at most 4 defects — an oracle-priced one, or
-//! a small CSR shot's — is first solved by enumeration
+//! The oracle and complete routes solve the complete defect-pair
+//! instance through one [`solve_complete`], which differs between them
+//! only in where its distances come from. A complete instance of at
+//! most 4 defects is first solved by enumeration
 //! ([`enumerate_small_matching`]): it has at most 10 defect-level
 //! perfect matchings, and a unique cheapest one, scored in the
 //! blossom's fixed-point integers, is the matching any exact solver
 //! returns. Only ties and larger instances reach the pooled blossom
 //! solver (`decode.tier.blossom`); the rest count in
 //! `decode.tier.enumerated`.
+//!
+//! Every route relaxes edges through the same formula, so the route
+//! decides where a distance comes from, never its value, and all reach
+//! the same total matching weight.
 
-use crate::blossom::pooled_min_weight_perfect_matching_f64;
+use crate::blossom::{pooled_min_weight_perfect_matching_f64, BlossomScratch};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{self, PathOracle, SparsePathFinder};
 use crate::scratch::MatchingCounters;
 use crate::sparse_blossom::{
-    enumerate_small_matching, is_small_shot, sparse_graph_match, Enumeration, UNREACHABLE,
+    complete_instance, enumerate_small_matching, price_complete, sparse_graph_match, Enumeration,
+    SparseBlossomScratch, SMALL_SHOT,
 };
 use qec_math::BitVec;
 use qec_obs::Registry;
@@ -256,6 +248,31 @@ impl ClassPricing {
     }
 }
 
+/// How [`MatchingEngine::solve`] matches one shot, picked by
+/// [`MatchingEngine::route`] from the shot's pricing and defect count
+/// alone; there is no option. Each route is one decoder tier counter.
+/// Routes order by cost, which is how the restriction decoder folds its
+/// lattices' routes into one tier per shot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Route {
+    /// The dense [`PathOracle`] exists (the graph fits the node limit)
+    /// and the shot carries the flag-free base weights: every pair is
+    /// looked up and the complete instance solved
+    /// (`decode.tier.oracle_hits`).
+    Oracle,
+    /// Any other shot of at most [`SMALL_SHOT`] defects: every pair is
+    /// priced on the CSR [`SparsePathFinder`] and the complete instance
+    /// solved, so the shot reaches the oracle's decisions
+    /// (`decode.tier.sparse_hits`).
+    Complete,
+    /// Every other shot: [`sparse_graph_match`] grows every defect's
+    /// region on the CSR graph at once, prices each defect's nearest
+    /// partner, widens or escalates when that candidate instance has no
+    /// perfect matching, and certifies the result against every omitted
+    /// pair (`decode.tier.sparse_blossom`).
+    Grown,
+}
+
 /// One decoding graph and everything needed to match defects on it.
 #[derive(Debug)]
 pub(crate) struct MatchingEngine {
@@ -264,7 +281,7 @@ pub(crate) struct MatchingEngine {
     oracle: Option<PathOracle>,
     /// `None` only for a graph without vertices.
     sparse: Option<SparsePathFinder>,
-    /// Test-only: match CSR-priced shots with
+    /// Test-only: match [`Route::Grown`] shots with
     /// [`crate::sparse_blossom::complete_graph_match`].
     #[cfg(test)]
     complete_pricing: bool,
@@ -275,9 +292,9 @@ pub(crate) struct MatchingEngine {
 #[derive(Debug, Default)]
 pub(crate) struct EngineScratch {
     /// Pooled incremental blossom solver state.
-    pub(crate) blossom: crate::blossom::BlossomScratch,
-    /// Graph-native sparse blossom state: the CSR route's pair memo.
-    pub(crate) sparse_blossom: crate::sparse_blossom::SparseBlossomScratch,
+    pub(crate) blossom: BlossomScratch,
+    /// The CSR routes' pair memo.
+    pub(crate) sparse_blossom: SparseBlossomScratch,
     /// Defect vertices, then the boundary when present.
     targets: Vec<usize>,
     edges: Vec<(usize, usize, f64)>,
@@ -300,42 +317,50 @@ fn pair_target(a: usize, b: usize, s: usize) -> Option<usize> {
     }
 }
 
-/// Lists the complete instance of `s` defects into `edges` and returns
-/// its node count: defects `0..s`, and boundary copies `s..2s` when
-/// `has_boundary`. `pair_dist(i, tj)` prices defect `i` against defect
-/// `tj > i`, or against the boundary at `tj == s`; a pair at or beyond
-/// [`UNREACHABLE`] is no edge. The boundary copies form a zero-weight
-/// clique.
-fn complete_instance(
+/// Solves the complete instance of `s` defects and leaves its matched
+/// pairs in `pairs`. `price` makes the distances available and returns
+/// `dist(i, tj)`, from defect `i` to defect `tj > i` or to the boundary
+/// at `tj == s`. An odd instance without a boundary has no perfect
+/// matching and gives up before `price` runs. Any other instance is
+/// decided by [`enumerate_small_matching`] when it can
+/// (`decode.tier.enumerated`), else by the pooled blossom on
+/// [`complete_instance`] (`decode.tier.blossom`); a give-up counts
+/// against the solver that would have decided the instance.
+fn solve_complete<D: Fn(usize, usize) -> f64>(
     s: usize,
     has_boundary: bool,
-    pair_dist: impl Fn(usize, usize) -> f64,
+    price: impl FnOnce() -> D,
+    blossom: &mut BlossomScratch,
     edges: &mut Vec<(usize, usize, f64)>,
-) -> usize {
-    edges.clear();
-    for i in 0..s {
-        for j in (i + 1)..s {
-            let d = pair_dist(i, j);
-            if d < UNREACHABLE {
-                edges.push((i, j, d));
-            }
+    pairs: &mut Vec<(usize, usize)>,
+    counters: &MatchingCounters,
+) -> Option<i64> {
+    if !has_boundary && s % 2 == 1 {
+        if s <= SMALL_SHOT {
+            counters.enumerated.inc();
+        } else {
+            counters.blossom_solves.inc();
         }
-        if has_boundary {
-            let d = pair_dist(i, s);
-            if d < UNREACHABLE {
-                edges.push((i, s + i, d));
-            }
+        return None;
+    }
+    let dist = price();
+    match enumerate_small_matching(s, has_boundary, &dist, pairs) {
+        Enumeration::Unique(weight) => {
+            counters.enumerated.inc();
+            Some(weight)
+        }
+        Enumeration::Unmatched => {
+            counters.enumerated.inc();
+            None
+        }
+        Enumeration::Undecided => {
+            counters.blossom_solves.inc();
+            let nodes = complete_instance(s, has_boundary, dist, edges);
+            let matching = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
+            pairs.extend(matching.pairs());
+            Some(matching.weight())
         }
     }
-    if !has_boundary {
-        return s;
-    }
-    for i in 0..s {
-        for j in (i + 1)..s {
-            edges.push((s + i, s + j, 0.0));
-        }
-    }
-    2 * s
 }
 
 impl MatchingEngine {
@@ -397,23 +422,28 @@ impl MatchingEngine {
         self.sparse.as_ref()
     }
 
-    /// Whether a shot priced by `pricing` is matched on the dense
-    /// oracle: it must exist and the shot must carry the flag-free base
-    /// weights. Every other shot is matched on the CSR graph.
-    pub(crate) fn prices_on_oracle(&self, pricing: Pricing) -> bool {
-        self.oracle.is_some() && matches!(pricing, Pricing::Base)
+    /// The [`Route`] a shot of `defects` defects priced by `pricing`
+    /// takes.
+    pub(crate) fn route(&self, pricing: Pricing, defects: usize) -> Route {
+        if self.oracle.is_some() && matches!(pricing, Pricing::Base) {
+            Route::Oracle
+        } else if defects <= SMALL_SHOT {
+            Route::Complete
+        } else {
+            Route::Grown
+        }
     }
 
-    /// Matches every CSR-priced shot on its complete instance, so tests
-    /// can compare the graph-native route against it on the same shots.
+    /// Matches every [`Route::Grown`] shot on its complete instance, so
+    /// tests can compare the grown route against it on the same shots.
     #[cfg(test)]
     pub(crate) fn force_complete_pricing(&mut self) {
         self.complete_pricing = true;
     }
 
-    /// Matches `defects` (graph vertices, each once) under `pricing` and
-    /// feeds every hop of every matched path to `sink` as
-    /// `(prev, cur, class)`, walking each path from its far end back to
+    /// Matches `defects` (graph vertices, each once) under `pricing` on
+    /// the shot's [`Route`] and feeds every hop of every matched path to
+    /// `sink` as `(prev, cur, class)`, walking each path from its far end back to
     /// its source defect. Returns the total matching weight in `1<<20`
     /// fixed-point units — the same on every route — or `None` when no
     /// perfect matching exists (the shot is given up and `sink` is never
@@ -438,41 +468,66 @@ impl MatchingEngine {
             edges,
             pairs,
         } = sc;
-        let Some(oracle) = self
-            .oracle
-            .as_ref()
-            .filter(|_| self.prices_on_oracle(pricing))
-        else {
-            let weights = match pricing {
-                Pricing::Base => sp.class_weights(),
-                Pricing::Shot(w) => w,
-            };
-            let complete = is_small_shot(s);
-            let route = match () {
-                #[cfg(test)]
-                () if self.complete_pricing => crate::sparse_blossom::complete_graph_match,
-                () => sparse_graph_match,
-            };
-            let solves = blossom.epochs();
-            let outcome = route(
-                sp,
-                defects,
-                self.boundary,
-                weights,
-                sparse_blossom,
-                blossom,
-                pairs,
-            );
-            if complete {
-                // A small shot reaches the pooled solver only on a tie.
-                if blossom.epochs() == solves {
-                    counters.enumerated.inc();
-                } else {
-                    counters.blossom_solves.inc();
+        let has_boundary = self.boundary.is_some();
+        let weights = match pricing {
+            Pricing::Base => sp.class_weights(),
+            Pricing::Shot(w) => w,
+        };
+        let weight = match self.route(pricing, s) {
+            Route::Oracle => {
+                let oracle = self
+                    .oracle
+                    .as_ref()
+                    .expect("the oracle route has an oracle");
+                // Target `tj` is defect `tj`, or the boundary at `tj == s`.
+                targets.clear();
+                targets.extend_from_slice(defects);
+                targets.extend(self.boundary);
+                let targets: &[usize] = targets;
+                let price = || move |i: usize, tj: usize| oracle.dist(defects[i], targets[tj]);
+                let weight =
+                    solve_complete(s, has_boundary, price, blossom, edges, pairs, counters)?;
+                for &(a, b) in pairs.iter() {
+                    let Some(tj) = pair_target(a, b, s) else {
+                        continue;
+                    };
+                    let src = defects[a];
+                    let mut cur = targets[tj];
+                    while cur != src {
+                        let (prev, class) = oracle.pred(src, cur);
+                        debug_assert_ne!(prev, usize::MAX, "matched path must exist");
+                        sink(prev, cur, class);
+                        cur = prev;
+                    }
                 }
+                return Some(weight);
             }
-            let outcome = outcome?;
-            if !complete {
+            Route::Complete => {
+                let memo = &mut *sparse_blossom;
+                let price = move || {
+                    // Moving the borrow in makes the closure run once.
+                    let priced = memo;
+                    price_complete(sp, defects, self.boundary, weights, priced);
+                    let priced: &SparseBlossomScratch = priced;
+                    move |i: usize, j: usize| priced.pair_dist(i, j)
+                };
+                solve_complete(s, has_boundary, price, blossom, edges, pairs, counters)?
+            }
+            Route::Grown => {
+                let grow = match () {
+                    #[cfg(test)]
+                    () if self.complete_pricing => crate::sparse_blossom::complete_graph_match,
+                    () => sparse_graph_match,
+                };
+                let outcome = grow(
+                    sp,
+                    defects,
+                    self.boundary,
+                    weights,
+                    sparse_blossom,
+                    blossom,
+                    pairs,
+                )?;
                 counters.sparse_blossom_rounds.record(outcome.rounds as u64);
                 counters
                     .sparse_blossom_edges
@@ -486,52 +541,14 @@ impl MatchingEngine {
                 counters
                     .sparse_blossom_bound_misses
                     .add(outcome.bound_misses as u64);
-            }
-            for &(a, b) in pairs.iter() {
-                if let Some(tj) = pair_target(a, b, s) {
-                    for &(prev, cur, class) in sparse_blossom.pair_hops(a, tj) {
-                        sink(prev as usize, cur as usize, class as usize);
-                    }
-                }
-            }
-            return Some(outcome.weight);
-        };
-        // Complete instance: defects 0..s, boundary copies s..2s when
-        // the graph has a boundary. Target `tj` is defect `tj`, or the
-        // boundary at `tj == s`.
-        targets.clear();
-        targets.extend_from_slice(defects);
-        targets.extend(self.boundary);
-        let pair_dist = |i: usize, tj: usize| oracle.dist(defects[i], targets[tj]);
-        let has_boundary = self.boundary.is_some();
-        let weight = match enumerate_small_matching(s, has_boundary, pair_dist, pairs) {
-            Enumeration::Unique(weight) => {
-                counters.enumerated.inc();
-                weight
-            }
-            Enumeration::Unmatched => {
-                counters.enumerated.inc();
-                return None;
-            }
-            Enumeration::Undecided => {
-                let nodes = complete_instance(s, has_boundary, pair_dist, edges);
-                counters.blossom_solves.inc();
-                let matching = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
-                pairs.extend(matching.pairs());
-                matching.weight()
+                outcome.weight
             }
         };
         for &(a, b) in pairs.iter() {
-            let Some(tj) = pair_target(a, b, s) else {
-                continue;
-            };
-            let src = defects[a];
-            let mut cur = targets[tj];
-            while cur != src {
-                let (prev, class) = oracle.pred(src, cur);
-                debug_assert_ne!(prev, usize::MAX, "matched path must exist");
-                sink(prev, cur, class);
-                cur = prev;
+            if let Some(tj) = pair_target(a, b, s) {
+                for &(prev, cur, class) in sparse_blossom.pair_hops(a, tj) {
+                    sink(prev as usize, cur as usize, class as usize);
+                }
             }
         }
         Some(weight)
@@ -541,6 +558,7 @@ impl MatchingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse_blossom::UNREACHABLE;
     use qec_math::graph::matching::F64_WEIGHT_SCALE;
     use qec_math::rng::{Rng, Xoshiro256StarStar};
 
@@ -710,17 +728,41 @@ mod tests {
         (weight, hops)
     }
 
-    /// Vertices without edges: two defects can never be paired, and
-    /// both tiers give up instead of panicking or emitting hops.
+    /// Vertices without edges: no two defects can be paired, and every
+    /// route gives up instead of panicking or emitting hops. A
+    /// complete instance's give-up counts against the solver that would
+    /// have decided it, odd instances included: enumeration up to
+    /// [`SMALL_SHOT`] defects, the pooled blossom above. The grown
+    /// route counts in neither.
     #[test]
     fn edgeless_graph_gives_up_cleanly() {
         let mut sc = EngineScratch::default();
         for limit in [1024, 0] {
-            let e = engine(&vec![Vec::new(); 3], limit);
+            let e = engine(&vec![Vec::new(); 5], limit);
             assert_eq!(e.oracle().is_some(), limit > 0);
-            assert_eq!(run(&e, &[0, 2], Pricing::Base, &mut sc), (None, vec![]));
-            assert_eq!(run(&e, &[1], Pricing::Base, &mut sc), (None, vec![]));
-            assert_eq!(run(&e, &[], Pricing::Base, &mut sc), (Some(0), vec![]));
+            let metrics = Registry::new();
+            let counters = MatchingCounters::register(&metrics);
+            for (defects, weight) in [
+                (&[0, 2][..], None),
+                (&[1], None),
+                (&[0, 1, 2, 3, 4], None),
+                (&[], Some(0)),
+            ] {
+                let mut hops = 0;
+                let solved = e.solve(defects, Pricing::Base, &mut sc, &counters, |_, _, _| {
+                    hops += 1
+                });
+                assert_eq!((solved, hops), (weight, 0), "limit {limit}, {defects:?}");
+            }
+            let snap = metrics.snapshot();
+            assert_eq!(
+                (
+                    snap.counter("decode.tier.enumerated"),
+                    snap.counter("decode.tier.blossom")
+                ),
+                (2, u64::from(limit > 0)),
+                "limit {limit}"
+            );
         }
     }
 
@@ -733,7 +775,7 @@ mod tests {
         assert_eq!(run(&e, &[], Pricing::Base, &mut sc), (Some(0), vec![]));
     }
 
-    /// Both routes unroll the same hops in the same order, and a shot
+    /// Every route unrolls the same hops in the same order, and a shot
     /// priced per shot always takes the CSR graph.
     #[test]
     fn routes_emit_identical_hops() {
@@ -749,15 +791,13 @@ mod tests {
         let mut sc = EngineScratch::default();
         let expected = vec![(2, 3, 2), (1, 2, 1), (0, 1, 0)];
         let shot = [1.0, 1.25, 1.5];
-        assert!(dense.prices_on_oracle(Pricing::Base));
-        assert!(!sparse.prices_on_oracle(Pricing::Base));
-        assert!(!dense.prices_on_oracle(Pricing::Shot(&shot)));
         let mut weights = Vec::new();
-        for (e, pricing) in [
-            (&dense, Pricing::Base),
-            (&sparse, Pricing::Base),
-            (&dense, Pricing::Shot(&shot)),
+        for (e, pricing, route) in [
+            (&dense, Pricing::Base, Route::Oracle),
+            (&sparse, Pricing::Base, Route::Complete),
+            (&dense, Pricing::Shot(&shot), Route::Complete),
         ] {
+            assert_eq!(e.route(pricing, 2), route);
             let (weight, hops) = run(e, &[0, 3], pricing, &mut sc);
             assert_eq!(hops, expected);
             weights.push(weight.expect("path graph matches"));
@@ -765,22 +805,79 @@ mod tests {
         assert!(weights.iter().all(|&w| w == weights[0] && w > 0));
     }
 
-    /// The route rule: the oracle whenever it can price the shot, the
-    /// CSR graph otherwise, at any defect count.
+    /// The route rule: the oracle whenever it can price the shot, at any
+    /// defect count; otherwise the complete instance up to
+    /// [`SMALL_SHOT`] defects and the grown route above.
     #[test]
     fn route_follows_pricing() {
         let dense = engine(&ring(8), 1024);
         let sparse = engine(&ring(8), 0);
         let shot = [1.0; 8];
-        assert!(dense.prices_on_oracle(Pricing::Base));
-        assert!(!dense.prices_on_oracle(Pricing::Shot(&shot)));
-        assert!(!sparse.prices_on_oracle(Pricing::Base));
-        assert!(!sparse.prices_on_oracle(Pricing::Shot(&shot)));
+        for defects in 1..=8 {
+            let csr = if defects <= SMALL_SHOT {
+                Route::Complete
+            } else {
+                Route::Grown
+            };
+            assert_eq!(dense.route(Pricing::Base, defects), Route::Oracle);
+            assert_eq!(dense.route(Pricing::Shot(&shot), defects), csr);
+            assert_eq!(sparse.route(Pricing::Base, defects), csr);
+            assert_eq!(sparse.route(Pricing::Shot(&shot), defects), csr);
+        }
     }
 
-    /// The largest small shot and the smallest grown one, on a ring
-    /// with a boundary: the CSR route reaches the oracle's and the
-    /// complete instance's weight with the same hops.
+    /// A solve's `(weight, defect-level pairs)`, or `None` on a give-up.
+    type Matched = Option<(i64, Vec<(usize, usize)>)>;
+
+    /// Matches `defects` on `csr`'s graph with [`sparse_graph_match`]
+    /// and with [`crate::sparse_blossom::complete_graph_match`] at the
+    /// base weights, and returns both outcomes as `(weight, defect-level
+    /// pairs)`.
+    fn grown_and_complete(
+        csr: &MatchingEngine,
+        defects: &[usize],
+        sc: &mut EngineScratch,
+    ) -> [Matched; 2] {
+        let sp = csr.sparse().expect("the graph has vertices");
+        [
+            sparse_graph_match,
+            crate::sparse_blossom::complete_graph_match,
+        ]
+        .map(|solve| {
+            let EngineScratch {
+                blossom,
+                sparse_blossom,
+                pairs,
+                ..
+            } = sc;
+            let outcome = solve(
+                sp,
+                defects,
+                csr.boundary,
+                sp.class_weights(),
+                sparse_blossom,
+                blossom,
+                pairs,
+            )?;
+            Some((outcome.weight, defect_pairs(pairs, defects.len())))
+        })
+    }
+
+    /// The route rule's edge, checked three ways:
+    ///
+    /// * on a ring with a boundary, the largest complete shot and the
+    ///   smallest grown one reach the oracle's and the complete
+    ///   instance's weight with the same hops;
+    /// * on the d3 surface DEM's graph (with a boundary) and one toric
+    ///   color restricted lattice (without), every set of 1 to 4 defects
+    ///   takes the same weight and hops on the oracle and complete
+    ///   routes;
+    /// * [`sparse_graph_match`], which grows at every defect count, reaches
+    ///   the weight of [`crate::sparse_blossom::complete_graph_match`] on
+    ///   each of those sets, and gives up exactly when it does. On these
+    ///   two graphs it also picks the same pairs on every set, ties
+    ///   included, so moving these shots to the grown route would keep
+    ///   their decisions here.
     #[test]
     fn csr_route_matches_the_complete_instance_around_the_small_shot_rule() {
         let mut adjacency = ring(12);
@@ -795,12 +892,59 @@ mod tests {
         let mut complete = engine_with(&adjacency, Some(hub), 0);
         complete.force_complete_pricing();
         let mut sc = EngineScratch::default();
-        for (small, defects) in [(true, &[1, 4, 8, 10][..]), (false, &[1, 3, 4, 8, 10])] {
-            assert_eq!(is_small_shot(defects.len()), small);
+        for (route, defects) in [
+            (Route::Complete, &[1, 4, 8, 10][..]),
+            (Route::Grown, &[1, 3, 4, 8, 10]),
+        ] {
+            assert_eq!(routed.route(Pricing::Base, defects.len()), route);
             let reference = run(&oracle, defects, Pricing::Base, &mut sc);
             assert!(reference.0.is_some() && !reference.1.is_empty());
             assert_eq!(run(&routed, defects, Pricing::Base, &mut sc), reference);
             assert_eq!(run(&complete, defects, Pricing::Base, &mut sc), reference);
+        }
+
+        let dem = qec_testkit::surface_memory_dem(3);
+        let config = crate::MwpmConfig::unflagged();
+        let surface = [config, config.with_oracle_node_limit(0)]
+            .map(|config| crate::MwpmDecoder::new(&dem, config));
+        let (dem, ctx, pm) = qec_testkit::toric_color_dem();
+        // The fixture's context type comes from the non-test build of
+        // this crate; copy it field by field.
+        let ctx = crate::ColorCodeContext {
+            plaquette_colors: ctx.plaquette_colors,
+            plaquette_supports: ctx.plaquette_supports,
+            qubit_observables: ctx.qubit_observables,
+        };
+        let config = crate::RestrictionConfig::flagged(pm);
+        let color = [config, config.with_oracle_node_limit(0)]
+            .map(|config| crate::RestrictionDecoder::new(&dem, ctx.clone(), config));
+        let graphs = [
+            ("d3 surface", surface[0].engine(), surface[1].engine()),
+            ("toric color L0", color[0].engine(0), color[1].engine(0)),
+        ];
+        for (graph, dense, csr) in graphs {
+            let n =
+                dense.oracle().expect("oracle").num_nodes() - usize::from(dense.boundary.is_some());
+            let mut unmatched = 0;
+            for defects in subsets(n, 4).into_iter().skip(1) {
+                let s = defects.len();
+                assert_eq!(dense.route(Pricing::Base, s), Route::Oracle);
+                assert_eq!(csr.route(Pricing::Base, s), Route::Complete);
+                let reference = run(dense, &defects, Pricing::Base, &mut sc);
+                let context = format!("{graph}, defects {defects:?}");
+                assert_eq!(
+                    run(csr, &defects, Pricing::Base, &mut sc),
+                    reference,
+                    "{context}"
+                );
+                let [grown, complete] = grown_and_complete(csr, &defects, &mut sc);
+                assert_eq!(complete.as_ref().map(|c| c.0), reference.0, "{context}");
+                assert_eq!(grown, complete, "{context}");
+                unmatched += usize::from(reference.0.is_none());
+            }
+            // With a boundary every set matches; without, odd sets
+            // give up.
+            assert_eq!(unmatched > 0, dense.boundary.is_none(), "{graph}");
         }
     }
 
@@ -904,7 +1048,7 @@ mod tests {
     ///
     /// * the verdict follows [`brute_force_minimum`]: `Unique` for one
     ///   cheapest matching, `Undecided` for a tie or more than
-    ///   [`crate::sparse_blossom::is_small_shot`] allows, `Unmatched`
+    ///   [`SMALL_SHOT`] defects, `Unmatched`
     ///   exactly when the blossom gives up;
     /// * a unique minimum has the blossom's weight and defect-level
     ///   pairs;
@@ -948,7 +1092,7 @@ mod tests {
                 assert_eq!(pairs, defect_pairs(blossom_pairs, s), "{context}");
             }
             Enumeration::Unmatched => assert!(reference.is_none(), "{context}"),
-            Enumeration::Undecided => assert!(!is_small_shot(s) || count > 1, "{context}"),
+            Enumeration::Undecided => assert!(s > SMALL_SHOT || count > 1, "{context}"),
         }
         let expected = reference.map(|(weight, pairs)| {
             let mut hops = Vec::new();

@@ -25,10 +25,13 @@
 //!   as a speed/accuracy ablation against MWPM.
 //! * The matching decoders share one crate-private matching engine per
 //!   decoding graph (MWPM: the full graph; Restriction: each restricted
-//!   lattice). It matches each shot on one of two routes, solves with
-//!   the pooled blossom solver ([`BlossomScratch`]) — or, for a
-//!   complete instance of at most four defects with a unique cheapest
-//!   matching, by enumeration — and unrolls the matched paths:
+//!   lattice). Its route rule (the crate-private `engine::Route`) sends
+//!   each shot to one of three routes — oracle, complete or grown —
+//!   each counted as one decoder tier. The oracle and complete routes
+//!   solve the complete defect-pair instance with the pooled blossom
+//!   solver ([`BlossomScratch`]), or, at most four defects with a
+//!   unique cheapest matching, by enumeration. Every route unrolls the
+//!   matched paths from one of two path indexes:
 //!   * [`PathOracle`] — all-sources shortest paths precomputed once per
 //!     decoding graph at construction, so shots without flag
 //!     reweighting (the hot case) answer every defect-pair weight query
@@ -37,7 +40,8 @@
 //!     (O(V²) memory guard).
 //!   * [`SparsePathFinder`] — an O(V+E) CSR index, always built, that
 //!     serves graphs above the oracle node limit (the paper's
-//!     hyperbolic DEMs) and every flag-reweighted shot through
+//!     hyperbolic DEMs) and every flag-reweighted shot, on the complete
+//!     route (every pair priced) or the grown route,
 //!     [`sparse_graph_match`]: instead of pricing every defect pair, it
 //!     grows a candidate instance outward from each defect with
 //!     truncated searches, solves it, and *certifies* the result

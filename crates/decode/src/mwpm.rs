@@ -4,7 +4,6 @@ use crate::engine::{ClassPricing, MatchingEngine};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::is_small_shot;
 use crate::{Decoder, DecoderStats};
 use qec_math::BitVec;
 use qec_obs::Registry;
@@ -22,8 +21,8 @@ pub struct MwpmConfig {
     /// Precompute a [`PathOracle`] when the decoding graph has at most
     /// this many vertices (O(V²) storage); it serves the shots without
     /// flag reweighting. Every other shot, and every shot on a larger
-    /// graph, is matched on the [`SparsePathFinder`]'s CSR graph by
-    /// [`crate::sparse_graph_match`]. `0` disables the oracle.
+    /// graph, is matched on the [`SparsePathFinder`]'s CSR graph.
+    /// `0` disables the oracle.
     pub oracle_node_limit: usize,
 }
 
@@ -61,7 +60,7 @@ impl MwpmConfig {
 /// path weights come from the precomputed [`PathOracle`] when no flag
 /// reweighting is in effect (the hot case), and from the
 /// [`SparsePathFinder`]'s CSR graph with flag-conditioned class weights
-/// otherwise, matched there graph-natively.
+/// otherwise.
 #[derive(Debug)]
 pub struct MwpmDecoder {
     hypergraph: DecodingHypergraph,
@@ -236,13 +235,8 @@ impl MwpmDecoder {
         let pricing = self
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
-        if self.engine.prices_on_oracle(pricing) {
-            self.counters.oracle_hits.inc();
-        } else if is_small_shot(checks.len()) {
-            self.counters.sparse_hits.inc();
-        } else {
-            self.counters.sparse_blossom.inc();
-        }
+        self.counters
+            .count_tier(self.engine.route(pricing, checks.len()));
         let classes = self.hypergraph.classes();
         // A shot without a perfect matching is given up: the correction
         // stays empty.
@@ -423,11 +417,11 @@ mod tests {
             .solve(checks, pricing, engine, &decoder.counters, |_, _, _| {})
     }
 
-    /// Decodes `shots` with the oracle disabled — on the CSR route and
-    /// forced onto the complete instance — and through the default
-    /// routed decoder. Corrections must be bitwise equal and both CSR
-    /// decoders must reach the same total matching weight and count the
-    /// same tiers. Returns the routed decoder's stats.
+    /// Decodes `shots` with the oracle disabled — on the CSR routes and
+    /// with grown shots forced onto the complete instance — and through
+    /// the default routed decoder. Corrections must be bitwise equal and
+    /// both CSR decoders must reach the same total matching weight and
+    /// count the same tiers. Returns the routed decoder's stats.
     fn assert_routes_agree(
         dem: &DetectorErrorModel,
         config: MwpmConfig,
@@ -455,13 +449,7 @@ mod tests {
             nonempty += u64::from(!sc.checks.is_empty());
         }
         let g = graph.stats();
-        // The complete-pricing reference hands every small instance to
-        // the pooled solver, which the route calls only on a tie.
-        let reference = DecoderStats {
-            blossom_solves: g.blossom_solves,
-            ..complete.stats()
-        };
-        assert_eq!(reference, g);
+        assert_eq!(complete.stats(), g);
         assert_eq!(
             (g.oracle_hits, g.sparse_hits + g.sparse_blossom),
             (0, nonempty)

@@ -1,11 +1,10 @@
 //! The flagged Restriction decoder for color codes (§VI-D) and its
 //! Chamberland-style baseline.
 
-use crate::engine::{ClassPricing, MatchingEngine, Pricing};
+use crate::engine::{ClassPricing, MatchingEngine, Pricing, Route};
 use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{PathOracle, SparsePathFinder, DEFAULT_ORACLE_NODE_LIMIT};
 use crate::scratch::{DecodeScratch, MatchingCounters, MatchingScratch};
-use crate::sparse_blossom::is_small_shot;
 use crate::{Decoder, DecoderStats};
 use qec_math::{gf2, BitMatrix, BitVec};
 use qec_obs::Registry;
@@ -41,8 +40,7 @@ pub struct RestrictionConfig {
     /// lattice has at most this many vertices (O(V²) storage); it
     /// serves the shots without flag reweighting. Every other shot, and
     /// every shot on a larger lattice, is priced on that lattice's
-    /// [`SparsePathFinder`] CSR graph, graph-natively. `0` disables the
-    /// oracles.
+    /// [`SparsePathFinder`] CSR graph. `0` disables the oracles.
     pub oracle_node_limit: usize,
 }
 
@@ -335,25 +333,27 @@ impl RestrictionDecoder {
         let pricing = self
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
-        // Matchings on L_RG, L_RB and L_GB. The shot counts once: as a
-        // certified CSR solve when any lattice needed one, else as an
-        // oracle hit when every lattice answers from its dense matrix,
-        // else as a complete CSR solve.
+        // Matchings on L_RG, L_RB and L_GB. The shot counts once, in the
+        // costliest route a lattice took: grown when any lattice grew,
+        // else an oracle hit when every lattice answers from its dense
+        // matrix, else complete.
         em.clear();
-        let (mut graph_native, mut all_oracle, mut gave_up) = (false, true, false);
+        let (mut tier, mut gave_up) = (Route::Oracle, false);
         for (li, lattice) in self.lattices.iter().enumerate() {
             sources.clear();
             sources.extend(checks.iter().filter_map(|&c| lattice.vertex_of[c]));
-            let on_oracle = lattice.engine.prices_on_oracle(pricing);
-            all_oracle &= on_oracle;
+            let route = lattice.engine.route(pricing, sources.len());
             if sources.len() % 2 == 1 {
                 // Closed codes always flip an even number per lattice;
                 // an odd count has no perfect matching, so the shot
                 // gives up on this lattice and decodes from the others.
+                // A non-oracle lattice still ends an all-oracle shot,
+                // but an odd one never makes the shot grown.
+                tier = tier.max(route.min(Route::Complete));
                 gave_up = true;
                 continue;
             }
-            graph_native |= !on_oracle && !is_small_shot(sources.len());
+            tier = tier.max(route);
             let start = em.len();
             // A lattice without a perfect matching contributes no edges.
             gave_up |= lattice
@@ -379,13 +379,7 @@ impl RestrictionDecoder {
                 }
             }
         }
-        if graph_native {
-            self.counters.sparse_blossom.inc();
-        } else if all_oracle {
-            self.counters.oracle_hits.inc();
-        } else {
-            self.counters.sparse_hits.inc();
-        }
+        self.counters.count_tier(tier);
         if gave_up {
             self.counters.giveups_unmatched.inc();
         }
@@ -734,10 +728,11 @@ mod tests {
         out
     }
 
-    /// With the oracles disabled, the CSR route and every lattice forced
-    /// onto the complete instance decode every syndrome of `shots` to
-    /// the same correction as the default decoder, at the same
-    /// per-lattice matching weight and with the same tier counts.
+    /// With the oracles disabled, the CSR routes and every lattice with
+    /// grown shots forced onto the complete instance decode every
+    /// syndrome of `shots` to the same correction as the default
+    /// decoder, at the same per-lattice matching weight and with the
+    /// same tier counts.
     fn assert_routes_agree(
         dem: &DetectorErrorModel,
         ctx: &ColorCodeContext,
@@ -768,13 +763,7 @@ mod tests {
             nonempty += u64::from(!sc.checks.is_empty());
         }
         let (g, r) = (graph.stats(), routed.stats());
-        // The complete-pricing reference hands every small instance to
-        // the pooled solver, which the route calls only on a tie.
-        let reference = DecoderStats {
-            blossom_solves: g.blossom_solves,
-            ..complete.stats()
-        };
-        assert_eq!(reference, g);
+        assert_eq!(complete.stats(), g);
         assert_eq!(
             (g.oracle_hits, g.sparse_hits + g.sparse_blossom),
             (0, nonempty)

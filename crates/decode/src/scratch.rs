@@ -7,6 +7,7 @@
 //! arrays. The concrete buffers are private to this crate; callers only
 //! create the scratch and hand it back to the decoder.
 
+use crate::engine::Route;
 use qec_math::BitVec;
 use qec_obs::{Counter, Histogram, Registry};
 use std::cmp::Ordering;
@@ -43,32 +44,34 @@ pub struct DecoderStats {
     /// shot with a check defect counts in exactly one of
     /// `oracle_hits`, `sparse_hits` and `sparse_blossom`.
     pub oracle_hits: u64,
-    /// Matching-decoder shots matched on the CSR graph of the
-    /// [`crate::SparsePathFinder`] (the graph exceeded the dense-oracle
-    /// node limit, or raised flags reweighted it shot-locally) as a
-    /// small shot, priced completely: at most four defects.
+    /// Matching-decoder shots on the matching engine's complete route
+    /// (its route rule lives in the crate-private `engine::Route`):
+    /// matched on the CSR graph of the [`crate::SparsePathFinder`] (the
+    /// graph exceeded the dense-oracle node limit, or raised flags
+    /// reweighted it shot-locally) with every defect pair priced.
     pub sparse_hits: u64,
     /// Retired: the per-shot Dijkstra tier no longer exists, so this
     /// is always 0. Kept because perfbench reports it
     /// (`decode.tier.dijkstra_share`).
     pub oracle_misses: u64,
-    /// Complete matching instances handed to the pooled blossom solver
-    /// ([`crate::BlossomScratch`]): oracle-priced or `sparse_hits`
-    /// instances with more than four defects, or with a tie among
-    /// their cheapest matchings. The other complete instances are
-    /// decided by enumeration and counted only in the registry's
+    /// Complete matching instances (of `oracle_hits` and `sparse_hits`
+    /// shots) handed to the pooled blossom solver
+    /// ([`crate::BlossomScratch`]) because enumeration cannot decide
+    /// them: more than four defects, or a tie among their cheapest
+    /// matchings. The other complete instances are decided by
+    /// enumeration and counted only in the registry's
     /// `decode.tier.enumerated`. MWPM runs at most one per shot; the
     /// restriction decoder one per non-empty restricted lattice.
-    /// Certified CSR solves are not counted here.
+    /// Grown-route (`sparse_blossom`) solves are not counted here.
     pub blossom_solves: u64,
     /// Retired: the single-flag secondary oracles no longer exist, so
     /// this is always 0. Kept because perfbench reports it
     /// (`decode.tier.flag_oracle_share`).
     pub flag_oracle_hits: u64,
-    /// Every other shot matched on the CSR graph: more than four
-    /// defects, so [`crate::sparse_graph_match`] grows their regions,
-    /// solves the candidate instance of nearest partners and certifies
-    /// it against every omitted pair with dual-ball searches.
+    /// Matching-decoder shots on the matching engine's grown route:
+    /// [`crate::sparse_graph_match`] grows their regions on the CSR
+    /// graph, solves the candidate instance of nearest partners and
+    /// certifies it against every omitted pair with dual-ball searches.
     /// A restriction-decoder shot counts here when any of its lattices
     /// did.
     pub sparse_blossom: u64,
@@ -140,7 +143,7 @@ pub(crate) struct MatchingCounters {
     /// the pooled solver. Registry only (`decode.tier.enumerated`), not
     /// in [`DecoderStats`].
     pub(crate) enumerated: Counter,
-    /// Shots solved by certified CSR matching.
+    /// Shots on the grown route.
     pub(crate) sparse_blossom: Counter,
     /// Shots given up because a decoding graph had no perfect matching.
     pub(crate) giveups_unmatched: Counter,
@@ -183,6 +186,15 @@ impl MatchingCounters {
             sparse_blossom_widenings: metrics.counter("decode.sparse_blossom.widenings"),
             sparse_blossom_escalations: metrics.counter("decode.sparse_blossom.escalations"),
             sparse_blossom_bound_misses: metrics.counter("decode.sparse_blossom.bound_misses"),
+        }
+    }
+
+    /// Counts one decoded shot in the tier of the [`Route`] it took.
+    pub(crate) fn count_tier(&self, route: Route) {
+        match route {
+            Route::Oracle => self.oracle_hits.inc(),
+            Route::Complete => self.sparse_hits.inc(),
+            Route::Grown => self.sparse_blossom.inc(),
         }
     }
 

@@ -70,16 +70,20 @@
 //! The chosen *mates* may differ on genuinely tie-degenerate instances
 //! (two equal-weight perfect matchings).
 //!
-//! A small shot (at most [`SMALL_SHOT`] defects) skips growth and
-//! certification: every pair is priced, so the instance *is* the
-//! complete one, and [`enumerate_small_matching`] tries its at most 10
-//! defect-level perfect matchings. A unique cheapest one is returned
-//! without the blossom; a tie goes to the pooled solver. Every instance
-//! lists its edges in the dense oracle's `(i, j)` order, so a complete
-//! one — a small shot's, an escalated one, or
-//! [`complete_graph_match`]'s — reaches the oracle's decisions and not
-//! only its weight. [`complete_graph_match`] always solves with the
-//! blossom: it is the reference.
+//! Every instance is listed by [`complete_instance`] over the pair memo
+//! (an unpriced pair is no edge), in the dense oracle's `(i, j)` order,
+//! so a complete one — an escalated one, or [`complete_graph_match`]'s —
+//! reaches the oracle's decisions and not only its weight.
+//! [`complete_graph_match`] always solves with the blossom: it is the
+//! reference.
+//!
+//! [`sparse_graph_match`] grows at every defect count; which shots the
+//! decoders send to it is the rule of [`crate::engine::Route`]. The
+//! module also holds what the engine's complete-instance solve shares
+//! with it: [`complete_instance`], [`price_complete`], which prices
+//! every pair on the CSR graph, and [`enumerate_small_matching`], which
+//! decides a complete instance of at most [`SMALL_SHOT`] defects by
+//! trying its at most 10 defect-level perfect matchings.
 
 use std::collections::BinaryHeap;
 
@@ -94,19 +98,46 @@ use crate::scratch::HeapItem;
 /// [`enumerate_small_matching`].
 pub(crate) const UNREACHABLE: f64 = 1.0e8;
 
-/// Shots with at most this many defects are priced completely: their
-/// instance is the complete one, so they skip growth and
-/// certification, and it is small enough to enumerate.
-const SMALL_SHOT: usize = 4;
+/// The most defects a complete instance [`enumerate_small_matching`]
+/// decides may have.
+pub(crate) const SMALL_SHOT: usize = 4;
 
-/// Whether a `defects`-defect shot is small enough that
-/// [`sparse_graph_match`] prices every pair and solves the complete
-/// instance, by [`enumerate_small_matching`] or, on a tie, the pooled
-/// blossom. The decoders count such a shot as a complete-instance
-/// solve (`sparse_hits`, and `enumerated` or `blossom_solves`), any
-/// other CSR shot as a graph-native one (`sparse_blossom`).
-pub(crate) fn is_small_shot(defects: usize) -> bool {
-    defects <= SMALL_SHOT
+/// Lists the complete instance of `s` defects into `edges` and returns
+/// its node count: defects `0..s`, and boundary copies `s..2s` when
+/// `has_boundary`. `pair_dist(i, tj)` prices defect `i` against defect
+/// `tj > i`, or against the boundary at `tj == s`; a pair at or beyond
+/// [`UNREACHABLE`] is no edge. The boundary copies form a zero-weight
+/// clique.
+pub(crate) fn complete_instance(
+    s: usize,
+    has_boundary: bool,
+    pair_dist: impl Fn(usize, usize) -> f64,
+    edges: &mut Vec<(usize, usize, f64)>,
+) -> usize {
+    edges.clear();
+    for i in 0..s {
+        for j in (i + 1)..s {
+            let d = pair_dist(i, j);
+            if d < UNREACHABLE {
+                edges.push((i, j, d));
+            }
+        }
+        if has_boundary {
+            let d = pair_dist(i, s);
+            if d < UNREACHABLE {
+                edges.push((i, s + i, d));
+            }
+        }
+    }
+    if !has_boundary {
+        return s;
+    }
+    for i in 0..s {
+        for j in (i + 1)..s {
+            edges.push((s + i, s + j, 0.0));
+        }
+    }
+    2 * s
 }
 
 /// What [`enumerate_small_matching`] found on a complete instance.
@@ -145,7 +176,7 @@ pub(crate) fn enumerate_small_matching(
     pairs: &mut Vec<(usize, usize)>,
 ) -> Enumeration {
     pairs.clear();
-    if !is_small_shot(s) {
+    if s > SMALL_SHOT {
         return Enumeration::Undecided;
     }
     let scale = |d: f64| (d < UNREACHABLE).then(|| (d * F64_WEIGHT_SCALE).round() as i64);
@@ -365,12 +396,8 @@ pub struct SparseBlossomScratch {
     edges: Vec<(usize, usize, f64)>,
     /// Shots solved through this scratch.
     shots: u64,
-    /// Dijkstra searches (growths, pricing and balls) run.
-    searches: u64,
     /// Node-array capacity growths since construction (log-bounded).
     generations: u32,
-    /// Largest defect count ever solved.
-    high_water_defects: usize,
     /// Largest per-shot hop-pool length ever reached.
     high_water_hops: usize,
 }
@@ -386,22 +413,11 @@ impl SparseBlossomScratch {
         self.shots
     }
 
-    /// Dijkstra searches run (region growths, pair pricing and
-    /// certification balls combined).
-    pub fn searches(&self) -> u64 {
-        self.searches
-    }
-
     /// Node-array capacity growths since construction. Flat after the
     /// first shot on a given graph — steady-state decoding allocates
     /// nothing here.
     pub fn generations(&self) -> u32 {
         self.generations
-    }
-
-    /// Largest defect count ever solved through this scratch.
-    pub fn high_water_defects(&self) -> usize {
-        self.high_water_defects
     }
 
     /// Largest per-shot hop-pool length ever reached.
@@ -496,9 +512,6 @@ impl SparseBlossomScratch {
         self.flagged.clear();
         self.edges.clear();
         self.shots += 1;
-        if num_defects > self.high_water_defects {
-            self.high_water_defects = num_defects;
-        }
     }
 }
 
@@ -527,7 +540,6 @@ fn price_from(
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
     let epoch = sc.next_epoch();
-    sc.searches += 1;
     for &(node, idx) in &sc.tbuf {
         let node = node as usize;
         sc.target[node] = epoch;
@@ -620,7 +632,6 @@ fn grow_regions(
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
     let epoch = sc.next_epoch();
-    sc.searches += 1;
     sc.partner.clear();
     sc.partner
         .resize(checks.len() * partners, (f64::INFINITY, NO_PARTNER));
@@ -779,7 +790,6 @@ fn ball_search(
     let offsets = finder.csr_offsets();
     let csr = finder.csr_edges();
     let epoch = sc.next_epoch();
-    sc.searches += 1;
     sc.heap.clear();
     sc.dist[src] = 0.0;
     sc.pred[src] = (u32::MAX, u32::MAX);
@@ -977,27 +987,27 @@ fn flag_overlaps_reference(
     flagged.sort_unstable_by_key(|&(a, b, _)| (a, b));
 }
 
-/// Rebuilds the instance edge list from the priced pairs: finite
-/// defect/boundary edges under the dense oracle's `UNREACHABLE` filter,
-/// in the oracle's `(i, j)` order with the boundary leg last in each
-/// row, plus the complete zero-weight clique over boundary copies.
-fn build_edges(sc: &mut SparseBlossomScratch, s: usize, has_boundary: bool) {
-    sc.edges.clear();
-    for (i, row) in sc.pair.chunks_exact(sc.width).enumerate() {
-        for (j, e) in row.iter().enumerate() {
-            if e.dist < UNREACHABLE {
-                let v = if j == s { s + i } else { j };
-                sc.edges.push((i, v, e.dist));
-            }
-        }
-    }
-    if has_boundary {
-        for i in 0..s {
-            for j in (i + 1)..s {
-                sc.edges.push((s + i, s + j, 0.0));
-            }
-        }
-    }
+/// Solves the instance of the pairs priced so far with the pooled
+/// blossom: [`complete_instance`] over the pair memo, where an unpriced
+/// pair is `INFINITY` and so no edge. Returns the total weight and
+/// leaves the matched pairs in `pairs`, or `None` when the instance has
+/// no perfect matching.
+fn solve_priced(
+    sc: &mut SparseBlossomScratch,
+    s: usize,
+    has_boundary: bool,
+    blossom: &mut BlossomScratch,
+    pairs: &mut Vec<(usize, usize)>,
+) -> Option<i64> {
+    pairs.clear();
+    let SparseBlossomScratch {
+        pair, width, edges, ..
+    } = sc;
+    let dist = |i: usize, j: usize| pair[i * *width + j].dist;
+    let nodes = complete_instance(s, has_boundary, dist, edges);
+    let m = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
+    pairs.extend(m.pairs());
+    Some(m.weight())
 }
 
 /// Prices every not-yet-priced pair (all later defects plus the
@@ -1022,15 +1032,28 @@ fn escalate(
     price_flagged(finder, class_weights, sc, checks, boundary);
 }
 
+/// Starts a shot of `checks` and prices every defect pair and boundary
+/// leg, unbounded: afterwards the pair memo holds the complete
+/// instance, read through [`SparseBlossomScratch::pair_dist`] and
+/// [`SparseBlossomScratch::pair_hops`].
+pub(crate) fn price_complete(
+    finder: &SparsePathFinder,
+    checks: &[usize],
+    boundary: Option<usize>,
+    class_weights: &[f64],
+    sc: &mut SparseBlossomScratch,
+) {
+    sc.begin_shot(finder.num_nodes(), checks.len());
+    escalate(finder, class_weights, sc, checks, boundary);
+}
+
 /// Solves minimum-weight perfect matching for the shot's defects
 /// directly on the CSR decoding graph, with the boundary (when given)
 /// as a virtual vertex exactly like the dense instance: nodes `0..s`
 /// are defects, `s..2s` their boundary copies, and the returned `pairs`
 /// use that numbering (so callers apply corrections the same way as
 /// for the dense tier, reading path hops from
-/// [`SparseBlossomScratch::pair_hops`]). A small shot solved by
-/// enumeration lists no pairs among boundary copies: they carry no
-/// hops. An edge of class `c` costs
+/// [`SparseBlossomScratch::pair_hops`]). An edge of class `c` costs
 /// `class_weights[c]`: the finder's flag-free weights or a shot's
 /// flag-reweighted ones.
 ///
@@ -1050,62 +1073,26 @@ pub fn sparse_graph_match(
     let s = checks.len();
     pairs.clear();
     sc.begin_shot(finder.num_nodes(), s);
-    if s == 0 {
-        return Some(SparseSolveOutcome {
-            rounds: 0,
-            candidate_edges: 0,
-            widened: false,
-            escalated: false,
-            bound_misses: 0,
-            weight: 0,
-        });
-    }
-    let nodes = if boundary.is_some() { 2 * s } else { s };
-    if nodes % 2 == 1 {
-        // The dense instance has the same node count and gives up
+    if boundary.is_none() && s % 2 == 1 {
+        // The dense instance has the same odd node count and gives up
         // identically.
         return None;
     }
-    let small = is_small_shot(s);
-    if small {
-        escalate(finder, class_weights, sc, checks, boundary);
-        let dist = |i: usize, j: usize| sc.pair_dist(i, j);
-        match enumerate_small_matching(s, boundary.is_some(), dist, pairs) {
-            Enumeration::Unique(weight) => {
-                return Some(SparseSolveOutcome {
-                    rounds: 0,
-                    candidate_edges: sc.priced,
-                    widened: false,
-                    escalated: false,
-                    bound_misses: sc.bound_misses,
-                    weight,
-                })
-            }
-            Enumeration::Unmatched => return None,
-            Enumeration::Undecided => {}
-        }
-    } else {
-        grow_regions(finder, class_weights, sc, checks, PARTNERS);
-        collect_candidates(sc, PARTNERS);
-        price_flagged(finder, class_weights, sc, checks, boundary);
-    }
-    // A small shot gets here only on a tie. Its instance *is* the dense
-    // one, so certification is unnecessary.
-    let mut complete = small;
+    grow_regions(finder, class_weights, sc, checks, PARTNERS);
+    collect_candidates(sc, PARTNERS);
+    price_flagged(finder, class_weights, sc, checks, boundary);
     let mut widened = false;
     let mut escalated = false;
     let mut rounds = 0u32;
     loop {
-        build_edges(sc, s, boundary.is_some());
-        let Some(m) = pooled_min_weight_perfect_matching_f64(nodes, &sc.edges, blossom) else {
-            if complete {
+        let Some(weight) = solve_priced(sc, s, boundary.is_some(), blossom, pairs) else {
+            if escalated {
                 return None;
             }
             // The candidate subgraph is infeasible but the complete
             // instance may not be: widen once, then price everything.
             if widened {
                 escalate(finder, class_weights, sc, checks, boundary);
-                complete = true;
                 escalated = true;
             } else {
                 grow_regions(finder, class_weights, sc, checks, WIDENED_PARTNERS);
@@ -1115,9 +1102,6 @@ pub fn sparse_graph_match(
             }
             continue;
         };
-        let weight = m.weight();
-        pairs.clear();
-        pairs.extend(m.pairs());
         let outcome = SparseSolveOutcome {
             rounds,
             candidate_edges: sc.priced,
@@ -1126,7 +1110,9 @@ pub fn sparse_graph_match(
             bound_misses: sc.bound_misses,
             weight,
         };
-        if complete {
+        // An escalated instance *is* the complete one: nothing to
+        // certify.
+        if escalated {
             return Some(outcome);
         }
         // Certification: convert each defect's final dual into a ball
@@ -1153,7 +1139,6 @@ pub fn sparse_graph_match(
         rounds += 1;
         if rounds > MAX_REPAIR_ROUNDS {
             escalate(finder, class_weights, sc, checks, boundary);
-            complete = true;
             escalated = true;
             continue;
         }
@@ -1179,21 +1164,15 @@ pub fn complete_graph_match(
     blossom: &mut BlossomScratch,
     pairs: &mut Vec<(usize, usize)>,
 ) -> Option<SparseSolveOutcome> {
-    let s = checks.len();
-    pairs.clear();
-    sc.begin_shot(finder.num_nodes(), s);
-    escalate(finder, class_weights, sc, checks, boundary);
-    build_edges(sc, s, boundary.is_some());
-    let nodes = if boundary.is_some() { 2 * s } else { s };
-    let m = pooled_min_weight_perfect_matching_f64(nodes, &sc.edges, blossom)?;
-    pairs.extend(m.pairs());
+    price_complete(finder, checks, boundary, class_weights, sc);
+    let weight = solve_priced(sc, checks.len(), boundary.is_some(), blossom, pairs)?;
     Some(SparseSolveOutcome {
         rounds: 0,
         candidate_edges: sc.priced,
         widened: false,
         escalated: false,
         bound_misses: 0,
-        weight: m.weight(),
+        weight,
     })
 }
 

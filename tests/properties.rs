@@ -1016,24 +1016,55 @@ fn matching_routes_agree_on_realistic_dems() {
 /// on the flagged shared-flag hyperbolic FPN (every shot reweighted,
 /// many defects: the graph-native route), the d=3 surface DEM with and
 /// without its oracle, the d=5 surface DEM (the oracle serves every
-/// shot) and the restriction decoder's lattices.
+/// shot) and the restriction decoder's lattices with and without their
+/// oracles (with them, an unflagged shot is an oracle hit on every
+/// lattice). Each decoder's stats and `decode.tier.enumerated` after
+/// its 24 shots are pinned, so a change to how shots are routed or
+/// counted shows here.
 #[test]
 fn tier_counters_count_each_decoded_shot_once() {
+    // Pinned DecoderStats (decodes, oracle_hits, sparse_hits,
+    // sparse_blossom, blossom_solves, giveups_unmatched; every other
+    // field is 0) and decode.tier.enumerated.
+    let assert_pinned = |i: usize, decoder: &dyn Decoder, pinned: [u64; 7]| {
+        let stats = DecoderStats {
+            decodes: pinned[0],
+            oracle_hits: pinned[1],
+            sparse_hits: pinned[2],
+            sparse_blossom: pinned[3],
+            blossom_solves: pinned[4],
+            giveups_unmatched: pinned[5],
+            ..DecoderStats::default()
+        };
+        let registry = decoder
+            .metrics()
+            .expect("matching decoders keep a registry");
+        let enumerated = registry.snapshot().counter("decode.tier.enumerated");
+        assert_eq!(
+            (decoder.stats(), enumerated),
+            (stats, pinned[6]),
+            "decoder {i}"
+        );
+    };
     let hyperbolic = hyperbolic_surface_code(&SURFACE_REGISTRY[2]).expect("registry code builds");
     let (hdem, hpm) = shared_flag_experiment(&hyperbolic, 1e-3);
     let d3 = surface_memory_dem(3);
     let d5 = surface_memory_dem(5);
     let decoders = [
-        (&hdem, MwpmConfig::flagged(hpm)),
-        (&d3, MwpmConfig::unflagged()),
-        (&d3, MwpmConfig::unflagged().with_oracle_node_limit(0)),
-        (&d5, MwpmConfig::unflagged()),
+        (&hdem, MwpmConfig::flagged(hpm), [24, 0, 6, 18, 0, 0, 6]),
+        (&d3, MwpmConfig::unflagged(), [24, 24, 0, 0, 17, 0, 7]),
+        (
+            &d3,
+            MwpmConfig::unflagged().with_oracle_node_limit(0),
+            [24, 0, 5, 19, 1, 0, 4],
+        ),
+        (&d5, MwpmConfig::unflagged(), [24, 24, 0, 0, 22, 0, 2]),
     ];
     let mut scratch = DecodeScratch::new();
     let mut out = BitVec::zeros(0);
     let mut blossom_shots = Vec::new();
     let mut enumerated_shots = Vec::new();
-    for (i, (dem, config)) in decoders.into_iter().enumerate() {
+    for (i, (dem, config, pinned)) in decoders.into_iter().enumerate() {
         let decoder = MwpmDecoder::new(dem, config);
         let q = mechanism_fire_probability(dem, 6.0);
         let mut empty = 0;
@@ -1060,6 +1091,7 @@ fn tier_counters_count_each_decoded_shot_once() {
             s.oracle_hits + s.sparse_hits,
             "decoder {i}: {s:?}"
         );
+        assert_pinned(i, &decoder, pinned);
         blossom_shots.push(s.sparse_blossom);
         enumerated_shots.push(enumerated);
     }
@@ -1075,23 +1107,31 @@ fn tier_counters_count_each_decoded_shot_once() {
     );
 
     let (dem, ctx, pm) = toric_color_dem();
-    let decoder = RestrictionDecoder::new(
-        &dem,
-        ctx,
-        RestrictionConfig::flagged(pm).with_oracle_node_limit(0),
-    );
     let q = mechanism_fire_probability(&dem, 12.0);
-    let mut empty = 0;
-    for_all(24, 0x71e0, |g| {
-        let syndrome = random_syndrome(g.rng(), &dem, q);
-        empty += u64::from(decoder.hypergraph().split_shot(&syndrome).0.is_empty());
-        decoder.decode_into(&syndrome, &mut scratch, &mut out);
-    });
-    let s = decoder.stats();
-    assert_eq!(
-        s.oracle_hits + s.sparse_hits + s.sparse_blossom,
-        s.decodes - empty
-    );
+    let flagged = RestrictionConfig::flagged(pm);
+    for (i, config, pinned) in [
+        (
+            4,
+            flagged.with_oracle_node_limit(0),
+            [24, 0, 0, 24, 0, 0, 0],
+        ),
+        (5, flagged, [24, 24, 0, 0, 72, 0, 0]),
+    ] {
+        let decoder = RestrictionDecoder::new(&dem, ctx.clone(), config);
+        let mut empty = 0;
+        for_all(24, 0x71e0, |g| {
+            let syndrome = random_syndrome(g.rng(), &dem, q);
+            empty += u64::from(decoder.hypergraph().split_shot(&syndrome).0.is_empty());
+            decoder.decode_into(&syndrome, &mut scratch, &mut out);
+        });
+        let s = decoder.stats();
+        assert_eq!(
+            s.oracle_hits + s.sparse_hits + s.sparse_blossom,
+            s.decodes - empty,
+            "decoder {i}: {s:?}"
+        );
+        assert_pinned(i, &decoder, pinned);
+    }
 }
 
 /// The CSR matching pools must stop growing once the scratch is warm:
