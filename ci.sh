@@ -46,22 +46,21 @@ named_test() {
 named_test --test properties sparse_finder_matches_oracle_and_dijkstra_on_random_graphs
 named_test --test properties path_tiers_agree
 # Differential matching-route test: shots matched on the CSR graph
-# (complete instances up to 4 defects, sparse_graph_match's certified
-# grown route above) must decode exactly like the dense oracle's
-# complete instances, every decoded shot must advance exactly one tier
-# counter (each decoder's counts pinned), and the CSR matching pools
-# must not regrow once warm.
+# (sparse_graph_match's certified grown route, at every defect count)
+# must decode exactly like the dense oracle's complete instances, every
+# decoded shot must advance exactly one tier counter (each decoder's
+# counts pinned), and the CSR matching pools must not regrow once warm.
 named_test --test properties matching_routes_agree
 named_test --test properties tier_counters_count_each_decoded_shot_once
 named_test --test properties csr_match_pools_are_stable_after_warmup
-# Around the route rule's 4-defect edge the oracle and complete routes
-# agree on every 1-4-defect set of the d3 surface graph and a toric
-# color lattice, and sparse_graph_match, which grows at every size,
-# reaches complete_graph_match's matching there; the grown route's
-# widening and escalation fallbacks are forced on small graphs and
-# counted; and when every certification ball covers the graph, each
-# pair is flagged once, so the pools stay O(n·s + s²).
-named_test -p qec-decode --lib csr_route_matches_the_complete_instance_around_the_small_shot_rule
+# On every 1-4-defect set of the d3 surface graph and a toric color
+# lattice the grown route reaches the oracle route's weight and hops,
+# and complete_graph_match's weight and pairs under seeded flag-shaped
+# reweighting; the grown route's widening and escalation fallbacks are
+# forced on small graphs and counted; and when every certification
+# ball covers the graph, each pair is flagged once, so the pools stay
+# O(n·s + s²).
+named_test -p qec-decode --lib grown_route_matches_the_oracle_and_complete_pricing_on_small_shots
 named_test -p qec-decode --lib sparse_fallbacks_are_counted
 named_test -p qec-decode --lib covering_balls_keep_certification_memory_bounded
 # Complete instances of at most four defects are decided by trying

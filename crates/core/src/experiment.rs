@@ -205,9 +205,9 @@ pub struct BerStats {
     pub oracle_hits: usize,
     /// Shots matched on the [`qec_decode::SparsePathFinder`]'s CSR graph
     /// during this run (graph above the oracle node limit, or
-    /// flag-reweighted shot): the decoder's `sparse_hits` plus its
-    /// `sparse_blossom`, so every decoded matching shot lands in
-    /// exactly one of `oracle_hits` and `sparse_hits`.
+    /// flag-reweighted shot): the decoder's `sparse_blossom`, its grown
+    /// route, so every decoded matching shot lands in exactly one of
+    /// `oracle_hits` and `sparse_hits`.
     pub sparse_hits: usize,
 }
 
@@ -364,7 +364,7 @@ pub fn run_ber(
         k,
         decode_giveups: delta.giveups() as usize,
         oracle_hits: delta.oracle_hits as usize,
-        sparse_hits: (delta.sparse_hits + delta.sparse_blossom) as usize,
+        sparse_hits: delta.sparse_blossom as usize,
     }
 }
 

@@ -212,10 +212,7 @@ pub fn print_ber_row(label: &str, point: &BerPoint) {
 const TIER_FAMILIES: [[(&str, &[&str]); 2]; 2] = [
     [
         ("oracle", &["decode.tier.oracle_hits"]),
-        (
-            "sparse",
-            &["decode.tier.sparse_hits", "decode.tier.sparse_blossom"],
-        ),
+        ("sparse", &["decode.tier.sparse_blossom"]),
     ],
     [
         ("bp_converged", &["decode.tier.bp_converged"]),
@@ -372,9 +369,7 @@ mod tests {
         // the reported per-point deltas reassembles it exactly.
         let m = &sweep.metrics;
         assert_eq!(
-            m.counter("decode.tier.oracle_hits")
-                + m.counter("decode.tier.sparse_hits")
-                + m.counter("decode.tier.sparse_blossom"),
+            m.counter("decode.tier.oracle_hits") + m.counter("decode.tier.sparse_blossom"),
             tier_sum,
             "per-point deltas must sum to the sweep-lifetime registry counters"
         );
@@ -448,9 +443,7 @@ mod tests {
         assert!(m.counter("decode.tier.sparse_blossom") > 0);
         assert_eq!(
             (stats.oracle_hits + stats.sparse_hits) as u64,
-            m.counter("decode.tier.oracle_hits")
-                + m.counter("decode.tier.sparse_hits")
-                + m.counter("decode.tier.sparse_blossom"),
+            m.counter("decode.tier.oracle_hits") + m.counter("decode.tier.sparse_blossom"),
         );
     }
 }

@@ -9,19 +9,18 @@
 //! [`Route`]; the rule lives there alone, and both decoders count their
 //! tiers from it.
 //!
-//! The oracle and complete routes solve the complete defect-pair
-//! instance through one [`solve_complete`], which differs between them
-//! only in where its distances come from. A complete instance of at
-//! most 4 defects is first solved by enumeration
+//! The oracle route solves the complete defect-pair instance. One of
+//! at most 4 defects is first solved by enumeration
 //! ([`enumerate_small_matching`]): it has at most 10 defect-level
 //! perfect matchings, and a unique cheapest one, scored in the
 //! blossom's fixed-point integers, is the matching any exact solver
 //! returns. Only ties and larger instances reach the pooled blossom
 //! solver (`decode.tier.blossom`); the rest count in
-//! `decode.tier.enumerated`.
+//! `decode.tier.enumerated`. The grown route matches on the CSR graph
+//! at every defect count.
 //!
-//! Every route relaxes edges through the same formula, so the route
-//! decides where a distance comes from, never its value, and all reach
+//! Both routes relax edges through the same formula, so the route
+//! decides where a distance comes from, never its value, and both reach
 //! the same total matching weight.
 
 use crate::blossom::{pooled_min_weight_perfect_matching_f64, BlossomScratch};
@@ -29,8 +28,8 @@ use crate::hypergraph::DecodingHypergraph;
 use crate::paths::{self, PathOracle, SparsePathFinder};
 use crate::scratch::MatchingCounters;
 use crate::sparse_blossom::{
-    complete_instance, enumerate_small_matching, price_complete, sparse_graph_match, Enumeration,
-    SparseBlossomScratch, SMALL_SHOT,
+    complete_instance, enumerate_small_matching, sparse_graph_match, Enumeration,
+    SparseBlossomScratch,
 };
 use qec_math::BitVec;
 use qec_obs::Registry;
@@ -249,10 +248,10 @@ impl ClassPricing {
 }
 
 /// How [`MatchingEngine::solve`] matches one shot, picked by
-/// [`MatchingEngine::route`] from the shot's pricing and defect count
-/// alone; there is no option. Each route is one decoder tier counter.
-/// Routes order by cost, which is how the restriction decoder folds its
-/// lattices' routes into one tier per shot.
+/// [`MatchingEngine::route`] from the shot's pricing alone; there is no
+/// option. Each route is one decoder tier counter. Routes order by
+/// cost, which is how the restriction decoder folds its lattices'
+/// routes into one tier per shot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Route {
     /// The dense [`PathOracle`] exists (the graph fits the node limit)
@@ -260,16 +259,12 @@ pub(crate) enum Route {
     /// looked up and the complete instance solved
     /// (`decode.tier.oracle_hits`).
     Oracle,
-    /// Any other shot of at most [`SMALL_SHOT`] defects: every pair is
-    /// priced on the CSR [`SparsePathFinder`] and the complete instance
-    /// solved, so the shot reaches the oracle's decisions
-    /// (`decode.tier.sparse_hits`).
-    Complete,
-    /// Every other shot: [`sparse_graph_match`] grows every defect's
-    /// region on the CSR graph at once, prices each defect's nearest
-    /// partner, widens or escalates when that candidate instance has no
-    /// perfect matching, and certifies the result against every omitted
-    /// pair (`decode.tier.sparse_blossom`).
+    /// Every other shot, at every defect count: [`sparse_graph_match`]
+    /// grows every defect's region on the CSR [`SparsePathFinder`] at
+    /// once, prices each defect's nearest partner, widens or escalates
+    /// when that candidate instance has no perfect matching, and
+    /// certifies the result against every omitted pair
+    /// (`decode.tier.sparse_blossom`).
     Grown,
 }
 
@@ -293,7 +288,7 @@ pub(crate) struct MatchingEngine {
 pub(crate) struct EngineScratch {
     /// Pooled incremental blossom solver state.
     pub(crate) blossom: BlossomScratch,
-    /// The CSR routes' pair memo.
+    /// The grown route's pair memo.
     pub(crate) sparse_blossom: SparseBlossomScratch,
     /// Defect vertices, then the boundary when present.
     targets: Vec<usize>,
@@ -314,52 +309,6 @@ fn pair_target(a: usize, b: usize, s: usize) -> Option<usize> {
         Some(s)
     } else {
         None
-    }
-}
-
-/// Solves the complete instance of `s` defects and leaves its matched
-/// pairs in `pairs`. `price` makes the distances available and returns
-/// `dist(i, tj)`, from defect `i` to defect `tj > i` or to the boundary
-/// at `tj == s`. An odd instance without a boundary has no perfect
-/// matching and gives up before `price` runs. Any other instance is
-/// decided by [`enumerate_small_matching`] when it can
-/// (`decode.tier.enumerated`), else by the pooled blossom on
-/// [`complete_instance`] (`decode.tier.blossom`); a give-up counts
-/// against the solver that would have decided the instance.
-fn solve_complete<D: Fn(usize, usize) -> f64>(
-    s: usize,
-    has_boundary: bool,
-    price: impl FnOnce() -> D,
-    blossom: &mut BlossomScratch,
-    edges: &mut Vec<(usize, usize, f64)>,
-    pairs: &mut Vec<(usize, usize)>,
-    counters: &MatchingCounters,
-) -> Option<i64> {
-    if !has_boundary && s % 2 == 1 {
-        if s <= SMALL_SHOT {
-            counters.enumerated.inc();
-        } else {
-            counters.blossom_solves.inc();
-        }
-        return None;
-    }
-    let dist = price();
-    match enumerate_small_matching(s, has_boundary, &dist, pairs) {
-        Enumeration::Unique(weight) => {
-            counters.enumerated.inc();
-            Some(weight)
-        }
-        Enumeration::Unmatched => {
-            counters.enumerated.inc();
-            None
-        }
-        Enumeration::Undecided => {
-            counters.blossom_solves.inc();
-            let nodes = complete_instance(s, has_boundary, dist, edges);
-            let matching = pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
-            pairs.extend(matching.pairs());
-            Some(matching.weight())
-        }
     }
 }
 
@@ -422,13 +371,10 @@ impl MatchingEngine {
         self.sparse.as_ref()
     }
 
-    /// The [`Route`] a shot of `defects` defects priced by `pricing`
-    /// takes.
-    pub(crate) fn route(&self, pricing: Pricing, defects: usize) -> Route {
+    /// The [`Route`] a shot priced by `pricing` takes.
+    pub(crate) fn route(&self, pricing: Pricing) -> Route {
         if self.oracle.is_some() && matches!(pricing, Pricing::Base) {
             Route::Oracle
-        } else if defects <= SMALL_SHOT {
-            Route::Complete
         } else {
             Route::Grown
         }
@@ -460,7 +406,6 @@ impl MatchingEngine {
         if s == 0 {
             return Some(0);
         }
-        let sp = self.sparse.as_ref()?;
         let EngineScratch {
             blossom,
             sparse_blossom,
@@ -469,24 +414,42 @@ impl MatchingEngine {
             pairs,
         } = sc;
         let has_boundary = self.boundary.is_some();
-        let weights = match pricing {
-            Pricing::Base => sp.class_weights(),
-            Pricing::Shot(w) => w,
-        };
-        let weight = match self.route(pricing, s) {
+        match self.route(pricing) {
             Route::Oracle => {
                 let oracle = self
                     .oracle
                     .as_ref()
                     .expect("the oracle route has an oracle");
+                // An odd instance without a boundary has no perfect
+                // matching; no solver runs, and the decoder counts the
+                // give-up.
+                if !has_boundary && s % 2 == 1 {
+                    return None;
+                }
                 // Target `tj` is defect `tj`, or the boundary at `tj == s`.
                 targets.clear();
                 targets.extend_from_slice(defects);
                 targets.extend(self.boundary);
                 let targets: &[usize] = targets;
-                let price = || move |i: usize, tj: usize| oracle.dist(defects[i], targets[tj]);
-                let weight =
-                    solve_complete(s, has_boundary, price, blossom, edges, pairs, counters)?;
+                let dist = |i: usize, tj: usize| oracle.dist(defects[i], targets[tj]);
+                let weight = match enumerate_small_matching(s, has_boundary, dist, pairs) {
+                    Enumeration::Unique(weight) => {
+                        counters.enumerated.inc();
+                        weight
+                    }
+                    Enumeration::Unmatched => {
+                        counters.enumerated.inc();
+                        return None;
+                    }
+                    Enumeration::Undecided => {
+                        counters.blossom_solves.inc();
+                        let nodes = complete_instance(s, has_boundary, dist, edges);
+                        let matching =
+                            pooled_min_weight_perfect_matching_f64(nodes, edges, blossom)?;
+                        pairs.extend(matching.pairs());
+                        matching.weight()
+                    }
+                };
                 for &(a, b) in pairs.iter() {
                     let Some(tj) = pair_target(a, b, s) else {
                         continue;
@@ -500,20 +463,14 @@ impl MatchingEngine {
                         cur = prev;
                     }
                 }
-                return Some(weight);
-            }
-            Route::Complete => {
-                let memo = &mut *sparse_blossom;
-                let price = move || {
-                    // Moving the borrow in makes the closure run once.
-                    let priced = memo;
-                    price_complete(sp, defects, self.boundary, weights, priced);
-                    let priced: &SparseBlossomScratch = priced;
-                    move |i: usize, j: usize| priced.pair_dist(i, j)
-                };
-                solve_complete(s, has_boundary, price, blossom, edges, pairs, counters)?
+                Some(weight)
             }
             Route::Grown => {
+                let sp = self.sparse.as_ref()?;
+                let weights = match pricing {
+                    Pricing::Base => sp.class_weights(),
+                    Pricing::Shot(w) => w,
+                };
                 let grow = match () {
                     #[cfg(test)]
                     () if self.complete_pricing => crate::sparse_blossom::complete_graph_match,
@@ -541,24 +498,23 @@ impl MatchingEngine {
                 counters
                     .sparse_blossom_bound_misses
                     .add(outcome.bound_misses as u64);
-                outcome.weight
-            }
-        };
-        for &(a, b) in pairs.iter() {
-            if let Some(tj) = pair_target(a, b, s) {
-                for &(prev, cur, class) in sparse_blossom.pair_hops(a, tj) {
-                    sink(prev as usize, cur as usize, class as usize);
+                for &(a, b) in pairs.iter() {
+                    if let Some(tj) = pair_target(a, b, s) {
+                        for &(prev, cur, class) in sparse_blossom.pair_hops(a, tj) {
+                            sink(prev as usize, cur as usize, class as usize);
+                        }
+                    }
                 }
+                Some(outcome.weight)
             }
         }
-        Some(weight)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse_blossom::UNREACHABLE;
+    use crate::sparse_blossom::{SMALL_SHOT, UNREACHABLE};
     use qec_math::graph::matching::F64_WEIGHT_SCALE;
     use qec_math::rng::{Rng, Xoshiro256StarStar};
 
@@ -728,12 +684,12 @@ mod tests {
         (weight, hops)
     }
 
-    /// Vertices without edges: no two defects can be paired, and every
-    /// route gives up instead of panicking or emitting hops. A
-    /// complete instance's give-up counts against the solver that would
-    /// have decided it, odd instances included: enumeration up to
-    /// [`SMALL_SHOT`] defects, the pooled blossom above. The grown
-    /// route counts in neither.
+    /// Vertices without edges: no two defects can be paired, and both
+    /// routes give up instead of panicking or emitting hops. On the
+    /// oracle route the even pair counts as one enumeration run; the
+    /// odd sets run no solver and count nowhere here (the decoder
+    /// counts the give-up). The grown route counts in neither solver
+    /// counter.
     #[test]
     fn edgeless_graph_gives_up_cleanly() {
         let mut sc = EngineScratch::default();
@@ -760,7 +716,7 @@ mod tests {
                     snap.counter("decode.tier.enumerated"),
                     snap.counter("decode.tier.blossom")
                 ),
-                (2, u64::from(limit > 0)),
+                (u64::from(limit > 0), 0),
                 "limit {limit}"
             );
         }
@@ -775,8 +731,8 @@ mod tests {
         assert_eq!(run(&e, &[], Pricing::Base, &mut sc), (Some(0), vec![]));
     }
 
-    /// Every route unrolls the same hops in the same order, and a shot
-    /// priced per shot always takes the CSR graph.
+    /// Both routes unroll the same hops in the same order, and a shot
+    /// priced per shot always takes the grown route.
     #[test]
     fn routes_emit_identical_hops() {
         // Path 0 - 1 - 2 - 3, classes 0..3.
@@ -794,10 +750,10 @@ mod tests {
         let mut weights = Vec::new();
         for (e, pricing, route) in [
             (&dense, Pricing::Base, Route::Oracle),
-            (&sparse, Pricing::Base, Route::Complete),
-            (&dense, Pricing::Shot(&shot), Route::Complete),
+            (&sparse, Pricing::Base, Route::Grown),
+            (&dense, Pricing::Shot(&shot), Route::Grown),
         ] {
-            assert_eq!(e.route(pricing, 2), route);
+            assert_eq!(e.route(pricing), route);
             let (weight, hops) = run(e, &[0, 3], pricing, &mut sc);
             assert_eq!(hops, expected);
             weights.push(weight.expect("path graph matches"));
@@ -805,37 +761,30 @@ mod tests {
         assert!(weights.iter().all(|&w| w == weights[0] && w > 0));
     }
 
-    /// The route rule: the oracle whenever it can price the shot, at any
-    /// defect count; otherwise the complete instance up to
-    /// [`SMALL_SHOT`] defects and the grown route above.
+    /// The route rule: the oracle whenever it can price the shot, the
+    /// grown route otherwise.
     #[test]
     fn route_follows_pricing() {
         let dense = engine(&ring(8), 1024);
         let sparse = engine(&ring(8), 0);
         let shot = [1.0; 8];
-        for defects in 1..=8 {
-            let csr = if defects <= SMALL_SHOT {
-                Route::Complete
-            } else {
-                Route::Grown
-            };
-            assert_eq!(dense.route(Pricing::Base, defects), Route::Oracle);
-            assert_eq!(dense.route(Pricing::Shot(&shot), defects), csr);
-            assert_eq!(sparse.route(Pricing::Base, defects), csr);
-            assert_eq!(sparse.route(Pricing::Shot(&shot), defects), csr);
-        }
+        assert_eq!(dense.route(Pricing::Base), Route::Oracle);
+        assert_eq!(dense.route(Pricing::Shot(&shot)), Route::Grown);
+        assert_eq!(sparse.route(Pricing::Base), Route::Grown);
+        assert_eq!(sparse.route(Pricing::Shot(&shot)), Route::Grown);
     }
 
     /// A solve's `(weight, defect-level pairs)`, or `None` on a give-up.
     type Matched = Option<(i64, Vec<(usize, usize)>)>;
 
-    /// Matches `defects` on `csr`'s graph with [`sparse_graph_match`]
-    /// and with [`crate::sparse_blossom::complete_graph_match`] at the
-    /// base weights, and returns both outcomes as `(weight, defect-level
-    /// pairs)`.
+    /// Matches `defects` on `csr`'s graph priced by `weights` with
+    /// [`sparse_graph_match`] and with
+    /// [`crate::sparse_blossom::complete_graph_match`], and returns both
+    /// outcomes as `(weight, defect-level pairs)`.
     fn grown_and_complete(
         csr: &MatchingEngine,
         defects: &[usize],
+        weights: &[f64],
         sc: &mut EngineScratch,
     ) -> [Matched; 2] {
         let sp = csr.sparse().expect("the graph has vertices");
@@ -854,7 +803,7 @@ mod tests {
                 sp,
                 defects,
                 csr.boundary,
-                sp.class_weights(),
+                weights,
                 sparse_blossom,
                 blossom,
                 pairs,
@@ -863,46 +812,20 @@ mod tests {
         })
     }
 
-    /// The route rule's edge, checked three ways:
+    /// Every set of 1 to 4 defects on the d3 surface DEM's graph (with a
+    /// boundary) and on toric color restricted lattice 0 (without):
     ///
-    /// * on a ring with a boundary, the largest complete shot and the
-    ///   smallest grown one reach the oracle's and the complete
-    ///   instance's weight with the same hops;
-    /// * on the d3 surface DEM's graph (with a boundary) and one toric
-    ///   color restricted lattice (without), every set of 1 to 4 defects
-    ///   takes the same weight and hops on the oracle and complete
-    ///   routes;
-    /// * [`sparse_graph_match`], which grows at every defect count, reaches
-    ///   the weight of [`crate::sparse_blossom::complete_graph_match`] on
-    ///   each of those sets, and gives up exactly when it does. On these
-    ///   two graphs it also picks the same pairs on every set, ties
-    ///   included, so moving these shots to the grown route would keep
-    ///   their decisions here.
+    /// * at the base weights, the grown route reaches the oracle route's
+    ///   weight with the same hops, and gives up exactly when it does;
+    /// * under a seeded flag-shaped reweighting per set — each class at
+    ///   its flag-free weight plus 0 to 2 flag mismatches `-ln p_M`, as
+    ///   a flagged shot prices it — the grown route reaches
+    ///   [`crate::sparse_blossom::complete_graph_match`]'s weight and
+    ///   gives up exactly when it does. Two matchings of different
+    ///   pairs could only tie in fixed-point weight; on these sets the
+    ///   two pick the same pairs every time.
     #[test]
-    fn csr_route_matches_the_complete_instance_around_the_small_shot_rule() {
-        let mut adjacency = ring(12);
-        let hub = adjacency.len();
-        adjacency.push(Vec::new());
-        for (class, v) in [(12, 0), (13, 6)] {
-            adjacency[v].push((hub, class));
-            adjacency[hub].push((v, class));
-        }
-        let oracle = engine_with(&adjacency, Some(hub), 1024);
-        let routed = engine_with(&adjacency, Some(hub), 0);
-        let mut complete = engine_with(&adjacency, Some(hub), 0);
-        complete.force_complete_pricing();
-        let mut sc = EngineScratch::default();
-        for (route, defects) in [
-            (Route::Complete, &[1, 4, 8, 10][..]),
-            (Route::Grown, &[1, 3, 4, 8, 10]),
-        ] {
-            assert_eq!(routed.route(Pricing::Base, defects.len()), route);
-            let reference = run(&oracle, defects, Pricing::Base, &mut sc);
-            assert!(reference.0.is_some() && !reference.1.is_empty());
-            assert_eq!(run(&routed, defects, Pricing::Base, &mut sc), reference);
-            assert_eq!(run(&complete, defects, Pricing::Base, &mut sc), reference);
-        }
-
+    fn grown_route_matches_the_oracle_and_complete_pricing_on_small_shots() {
         let dem = qec_testkit::surface_memory_dem(3);
         let config = crate::MwpmConfig::unflagged();
         let surface = [config, config.with_oracle_node_limit(0)]
@@ -919,28 +842,46 @@ mod tests {
         let color = [config, config.with_oracle_node_limit(0)]
             .map(|config| crate::RestrictionDecoder::new(&dem, ctx.clone(), config));
         let graphs = [
-            ("d3 surface", surface[0].engine(), surface[1].engine()),
-            ("toric color L0", color[0].engine(0), color[1].engine(0)),
+            ("d3 surface", surface[0].engine(), surface[1].engine(), 1e-3),
+            ("toric color L0", color[0].engine(0), color[1].engine(0), pm),
         ];
-        for (graph, dense, csr) in graphs {
+        let mut sc = EngineScratch::default();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5a11);
+        for (graph, dense, csr, p_m) in graphs {
             let n =
                 dense.oracle().expect("oracle").num_nodes() - usize::from(dense.boundary.is_some());
+            let base = csr
+                .sparse()
+                .expect("the graph has vertices")
+                .class_weights();
+            let mismatch = -f64::ln(p_m);
             let mut unmatched = 0;
+            let mut shot = Vec::new();
             for defects in subsets(n, 4).into_iter().skip(1) {
-                let s = defects.len();
-                assert_eq!(dense.route(Pricing::Base, s), Route::Oracle);
-                assert_eq!(csr.route(Pricing::Base, s), Route::Complete);
-                let reference = run(dense, &defects, Pricing::Base, &mut sc);
                 let context = format!("{graph}, defects {defects:?}");
+                assert_eq!(dense.route(Pricing::Base), Route::Oracle);
+                assert_eq!(csr.route(Pricing::Base), Route::Grown);
+                let reference = run(dense, &defects, Pricing::Base, &mut sc);
                 assert_eq!(
                     run(csr, &defects, Pricing::Base, &mut sc),
                     reference,
                     "{context}"
                 );
-                let [grown, complete] = grown_and_complete(csr, &defects, &mut sc);
-                assert_eq!(complete.as_ref().map(|c| c.0), reference.0, "{context}");
-                assert_eq!(grown, complete, "{context}");
                 unmatched += usize::from(reference.0.is_none());
+
+                shot.clear();
+                shot.extend(
+                    base.iter()
+                        .map(|&w| w + rng.gen_range(0..3usize) as f64 * mismatch),
+                );
+                assert_eq!(csr.route(Pricing::Shot(&shot)), Route::Grown);
+                let [grown, complete] = grown_and_complete(csr, &defects, &shot, &mut sc);
+                assert_eq!(
+                    grown.as_ref().map(|g| g.0),
+                    complete.as_ref().map(|c| c.0),
+                    "reweighted weight, {context}"
+                );
+                assert_eq!(grown, complete, "reweighted pairs, {context}");
             }
             // With a boundary every set matches; without, odd sets
             // give up.
@@ -1052,10 +993,10 @@ mod tests {
     ///   exactly when the blossom gives up;
     /// * a unique minimum has the blossom's weight and defect-level
     ///   pairs;
-    /// * `dense` (enumerating in the oracle branch) and `csr` (the same
-    ///   graph without an oracle, enumerating after complete pricing)
-    ///   return the blossom's weight and emit its hops, walked as the
-    ///   oracle branch walks them.
+    /// * `dense` (enumerating on the oracle route) and `csr` (the same
+    ///   graph without an oracle, on the grown route) return the
+    ///   blossom's weight and emit its hops, walked as the oracle route
+    ///   walks them.
     fn assert_enumeration_matches_blossom(
         dense: &MatchingEngine,
         csr: &MatchingEngine,
@@ -1176,7 +1117,7 @@ mod tests {
     /// The enumeration on the d3 and d5 surface DEMs' decoding graphs,
     /// which have a boundary: every syndrome of at most 2 defects on
     /// both, every one of at most 4 on d3, and random ones of up to 4
-    /// on d5, through the oracle branch and the CSR route.
+    /// on d5, through the oracle route and the grown route.
     #[test]
     fn enumeration_matches_the_pooled_blossom_on_surface_dems() {
         let mut sc = EngineScratch::default();

@@ -235,8 +235,7 @@ impl MwpmDecoder {
         let pricing = self
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
-        self.counters
-            .count_tier(self.engine.route(pricing, checks.len()));
+        self.counters.count_tier(self.engine.route(pricing));
         let classes = self.hypergraph.classes();
         // A shot without a perfect matching is given up: the correction
         // stays empty.
@@ -351,8 +350,8 @@ mod tests {
             assert_eq!(out, dense.decode(&dets), "syndrome {pattern:#b}");
         }
         let (dense_stats, sparse_stats) = (dense.stats(), sparse.stats());
-        assert!(dense_stats.oracle_hits > 0 && dense_stats.sparse_hits == 0);
-        assert!(sparse_stats.sparse_hits > 0 && sparse_stats.oracle_hits == 0);
+        assert!(dense_stats.oracle_hits > 0 && dense_stats.sparse_blossom == 0);
+        assert!(sparse_stats.sparse_blossom > 0 && sparse_stats.oracle_hits == 0);
         assert_eq!(dense_stats.oracle_misses + sparse_stats.oracle_misses, 0);
         assert_eq!(dense_stats.decodes, sparse_stats.decodes);
     }
@@ -417,7 +416,7 @@ mod tests {
             .solve(checks, pricing, engine, &decoder.counters, |_, _, _| {})
     }
 
-    /// Decodes `shots` with the oracle disabled — on the CSR routes and
+    /// Decodes `shots` with the oracle disabled — on the grown route and
     /// with grown shots forced onto the complete instance — and through
     /// the default routed decoder. Corrections must be bitwise equal and
     /// both CSR decoders must reach the same total matching weight and
@@ -450,12 +449,9 @@ mod tests {
         }
         let g = graph.stats();
         assert_eq!(complete.stats(), g);
-        assert_eq!(
-            (g.oracle_hits, g.sparse_hits + g.sparse_blossom),
-            (0, nonempty)
-        );
+        assert_eq!((g.oracle_hits, g.sparse_blossom), (0, nonempty));
         let r = routed.stats();
-        assert_eq!(r.oracle_hits + r.sparse_hits + r.sparse_blossom, nonempty);
+        assert_eq!(r.oracle_hits + r.sparse_blossom, nonempty);
         r
     }
 
@@ -538,8 +534,8 @@ mod tests {
             assert!(decoder.decode(&all).is_zero(), "limit {limit}");
             let stats = decoder.stats();
             assert_eq!(
-                (stats.oracle_hits, stats.sparse_hits, stats.sparse_blossom),
-                if limit > 0 { (2, 0, 0) } else { (0, 1, 1) }
+                (stats.oracle_hits, stats.sparse_blossom),
+                if limit > 0 { (2, 0) } else { (0, 2) }
             );
             // Only the unmatchable shot is counted as given up.
             assert_eq!((stats.giveups_unmatched, stats.giveups()), (1, 1));

@@ -334,26 +334,21 @@ impl RestrictionDecoder {
             .pricing
             .price_shot(&self.hypergraph, flags, overrides, weights);
         // Matchings on L_RG, L_RB and L_GB. The shot counts once, in the
-        // costliest route a lattice took: grown when any lattice grew,
-        // else an oracle hit when every lattice answers from its dense
-        // matrix, else complete.
+        // costliest route a lattice took: an oracle hit when every
+        // lattice answers from its dense matrix, else grown.
         em.clear();
         let (mut tier, mut gave_up) = (Route::Oracle, false);
         for (li, lattice) in self.lattices.iter().enumerate() {
             sources.clear();
             sources.extend(checks.iter().filter_map(|&c| lattice.vertex_of[c]));
-            let route = lattice.engine.route(pricing, sources.len());
+            tier = tier.max(lattice.engine.route(pricing));
             if sources.len() % 2 == 1 {
                 // Closed codes always flip an even number per lattice;
                 // an odd count has no perfect matching, so the shot
                 // gives up on this lattice and decodes from the others.
-                // A non-oracle lattice still ends an all-oracle shot,
-                // but an odd one never makes the shot grown.
-                tier = tier.max(route.min(Route::Complete));
                 gave_up = true;
                 continue;
             }
-            tier = tier.max(route);
             let start = em.len();
             // A lattice without a perfect matching contributes no edges.
             gave_up |= lattice
@@ -681,7 +676,7 @@ mod tests {
         }
         let (dense_stats, sparse_stats) = (dense.stats(), sparse.stats());
         assert!(dense_stats.oracle_hits > 0);
-        assert!(sparse_stats.sparse_hits > 0 && sparse_stats.oracle_hits == 0);
+        assert!(sparse_stats.sparse_blossom > 0 && sparse_stats.oracle_hits == 0);
         assert_eq!(dense_stats.oracle_misses + sparse_stats.oracle_misses, 0);
         assert_eq!(dense_stats.decodes, sparse_stats.decodes);
     }
@@ -728,7 +723,7 @@ mod tests {
         out
     }
 
-    /// With the oracles disabled, the CSR routes and every lattice with
+    /// With the oracles disabled, the grown route and every lattice with
     /// grown shots forced onto the complete instance decode every
     /// syndrome of `shots` to the same correction as the default
     /// decoder, at the same per-lattice matching weight and with the
@@ -764,11 +759,8 @@ mod tests {
         }
         let (g, r) = (graph.stats(), routed.stats());
         assert_eq!(complete.stats(), g);
-        assert_eq!(
-            (g.oracle_hits, g.sparse_hits + g.sparse_blossom),
-            (0, nonempty)
-        );
-        assert_eq!(r.oracle_hits + r.sparse_hits + r.sparse_blossom, nonempty);
+        assert_eq!((g.oracle_hits, g.sparse_blossom), (0, nonempty));
+        assert_eq!(r.oracle_hits + r.sparse_blossom, nonempty);
     }
 
     /// Every syndrome of the tiny color fixture, and realistic

@@ -41,38 +41,42 @@ pub struct DecoderStats {
     pub giveups_unmatched: u64,
     /// Matching-decoder shots whose path queries were answered entirely
     /// by the precomputed [`crate::PathOracle`]. Every matching-decoder
-    /// shot with a check defect counts in exactly one of
-    /// `oracle_hits`, `sparse_hits` and `sparse_blossom`.
+    /// shot with a check defect counts in exactly one of `oracle_hits`
+    /// and `sparse_blossom`; the route rule lives in the crate-private
+    /// `engine::Route`.
     pub oracle_hits: u64,
-    /// Matching-decoder shots on the matching engine's complete route
-    /// (its route rule lives in the crate-private `engine::Route`):
-    /// matched on the CSR graph of the [`crate::SparsePathFinder`] (the
-    /// graph exceeded the dense-oracle node limit, or raised flags
-    /// reweighted it shot-locally) with every defect pair priced.
+    /// Retired: small shots off the oracle no longer price every defect
+    /// pair but take the grown route (`sparse_blossom`), so this is
+    /// always 0. Kept because perfbench reports it
+    /// (`decode.tier.sparse_share`).
     pub sparse_hits: u64,
     /// Retired: the per-shot Dijkstra tier no longer exists, so this
     /// is always 0. Kept because perfbench reports it
     /// (`decode.tier.dijkstra_share`).
     pub oracle_misses: u64,
-    /// Complete matching instances (of `oracle_hits` and `sparse_hits`
-    /// shots) handed to the pooled blossom solver
-    /// ([`crate::BlossomScratch`]) because enumeration cannot decide
-    /// them: more than four defects, or a tie among their cheapest
-    /// matchings. The other complete instances are decided by
-    /// enumeration and counted only in the registry's
-    /// `decode.tier.enumerated`. MWPM runs at most one per shot; the
-    /// restriction decoder one per non-empty restricted lattice.
-    /// Grown-route (`sparse_blossom`) solves are not counted here.
+    /// Complete matching instances of `oracle_hits` shots handed to the
+    /// pooled blossom solver ([`crate::BlossomScratch`]) because
+    /// enumeration cannot decide them: more than four defects, or a tie
+    /// among their cheapest matchings. The other complete instances are
+    /// decided by enumeration and counted only in the registry's
+    /// `decode.tier.enumerated`; an odd instance without a boundary
+    /// runs neither and counts only as a give-up. MWPM runs at most one
+    /// per shot; the restriction decoder one per non-empty restricted
+    /// lattice. Grown-route (`sparse_blossom`) solves are not counted
+    /// here.
     pub blossom_solves: u64,
     /// Retired: the single-flag secondary oracles no longer exist, so
     /// this is always 0. Kept because perfbench reports it
     /// (`decode.tier.flag_oracle_share`).
     pub flag_oracle_hits: u64,
-    /// Matching-decoder shots on the matching engine's grown route:
-    /// [`crate::sparse_graph_match`] grows their regions on the CSR
-    /// graph, solves the candidate instance of nearest partners and
-    /// certifies it against every omitted pair with dual-ball searches.
-    /// A restriction-decoder shot counts here when any of its lattices
+    /// Matching-decoder shots on the matching engine's grown route,
+    /// at every defect count: matched on the CSR graph of the
+    /// [`crate::SparsePathFinder`] because the graph exceeded the
+    /// dense-oracle node limit or raised flags reweighted it
+    /// shot-locally. [`crate::sparse_graph_match`] grows their regions,
+    /// solves the candidate instance of nearest partners and certifies
+    /// it against every omitted pair with dual-ball searches. A
+    /// restriction-decoder shot counts here when any of its lattices
     /// did.
     pub sparse_blossom: u64,
     /// BP+OSD shots whose belief-propagation stage converged (the hard
@@ -135,7 +139,6 @@ impl DecoderStats {
 pub(crate) struct MatchingCounters {
     pub(crate) decodes: Counter,
     pub(crate) oracle_hits: Counter,
-    pub(crate) sparse_hits: Counter,
     /// Calls of the pooled blossom solver on a complete instance.
     pub(crate) blossom_solves: Counter,
     /// Complete instances of at most four defects decided by
@@ -175,7 +178,6 @@ impl MatchingCounters {
         MatchingCounters {
             decodes: metrics.counter("decode.decodes"),
             oracle_hits: metrics.counter("decode.tier.oracle_hits"),
-            sparse_hits: metrics.counter("decode.tier.sparse_hits"),
             blossom_solves: metrics.counter("decode.tier.blossom"),
             enumerated: metrics.counter("decode.tier.enumerated"),
             sparse_blossom: metrics.counter("decode.tier.sparse_blossom"),
@@ -193,7 +195,6 @@ impl MatchingCounters {
     pub(crate) fn count_tier(&self, route: Route) {
         match route {
             Route::Oracle => self.oracle_hits.inc(),
-            Route::Complete => self.sparse_hits.inc(),
             Route::Grown => self.sparse_blossom.inc(),
         }
     }
@@ -202,7 +203,6 @@ impl MatchingCounters {
         DecoderStats {
             decodes: self.decodes.get(),
             oracle_hits: self.oracle_hits.get(),
-            sparse_hits: self.sparse_hits.get(),
             blossom_solves: self.blossom_solves.get(),
             sparse_blossom: self.sparse_blossom.get(),
             giveups_unmatched: self.giveups_unmatched.get(),

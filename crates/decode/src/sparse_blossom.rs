@@ -77,11 +77,11 @@
 //! [`complete_graph_match`] always solves with the blossom: it is the
 //! reference.
 //!
-//! [`sparse_graph_match`] grows at every defect count; which shots the
-//! decoders send to it is the rule of [`crate::engine::Route`]. The
-//! module also holds what the engine's complete-instance solve shares
-//! with it: [`complete_instance`], [`price_complete`], which prices
-//! every pair on the CSR graph, and [`enumerate_small_matching`], which
+//! [`sparse_graph_match`] grows at every defect count and matches every
+//! shot the decoders do not answer from the dense oracle; that rule is
+//! [`crate::engine::Route`]'s. The module also holds what the oracle
+//! route's complete-instance solve shares with it:
+//! [`complete_instance`], and [`enumerate_small_matching`], which
 //! decides a complete instance of at most [`SMALL_SHOT`] defects by
 //! trying its at most 10 defect-level perfect matchings.
 
@@ -1032,21 +1032,6 @@ fn escalate(
     price_flagged(finder, class_weights, sc, checks, boundary);
 }
 
-/// Starts a shot of `checks` and prices every defect pair and boundary
-/// leg, unbounded: afterwards the pair memo holds the complete
-/// instance, read through [`SparseBlossomScratch::pair_dist`] and
-/// [`SparseBlossomScratch::pair_hops`].
-pub(crate) fn price_complete(
-    finder: &SparsePathFinder,
-    checks: &[usize],
-    boundary: Option<usize>,
-    class_weights: &[f64],
-    sc: &mut SparseBlossomScratch,
-) {
-    sc.begin_shot(finder.num_nodes(), checks.len());
-    escalate(finder, class_weights, sc, checks, boundary);
-}
-
 /// Solves minimum-weight perfect matching for the shot's defects
 /// directly on the CSR decoding graph, with the boundary (when given)
 /// as a virtual vertex exactly like the dense instance: nodes `0..s`
@@ -1164,7 +1149,8 @@ pub fn complete_graph_match(
     blossom: &mut BlossomScratch,
     pairs: &mut Vec<(usize, usize)>,
 ) -> Option<SparseSolveOutcome> {
-    price_complete(finder, checks, boundary, class_weights, sc);
+    sc.begin_shot(finder.num_nodes(), checks.len());
+    escalate(finder, class_weights, sc, checks, boundary);
     let weight = solve_priced(sc, checks.len(), boundary.is_some(), blossom, pairs)?;
     Some(SparseSolveOutcome {
         rounds: 0,

@@ -366,8 +366,8 @@ fn flagged_mwpm_golden_hyperbolic_surface() {
     let fp = fingerprint_decoder(dem, decoder, 256, 0xF1A6, q, true);
     let stats = decoder.stats().delta(&before);
     assert!(
-        stats.sparse_blossom > 0 && stats.sparse_hits > 0,
-        "both CSR routes are exercised: {stats:?}"
+        stats.sparse_blossom > 0,
+        "the grown route is exercised: {stats:?}"
     );
     // Growth estimates bound real paths, so no bounded pricing search
     // drains before its targets settle.
