@@ -404,6 +404,47 @@ fn decode_into_matches_decode_on_toric_color_pipeline() {
     });
 }
 
+/// Flag-conditioned Union-Find against its allocating reference on a
+/// DEM that has flag detectors (the toric color DEM above has none):
+/// every mechanism injected alone, then 256 random syndromes, through
+/// one reused scratch. Flag conditioning must change at least one
+/// correction, or the comparison would not exercise it.
+#[test]
+fn flagged_union_find_matches_reference_on_shared_flag_surface() {
+    let dem = qec_testkit::shared_flag_surface_dem();
+    let config = UnionFindConfig::flagged(1e-3);
+    let uf = UnionFindDecoder::new(&dem, config);
+    let uf_reference = UnionFindReference::new(&dem, config);
+    let unflagged = UnionFindDecoder::new(&dem, UnionFindConfig::unflagged());
+    assert!(uf.hypergraph().num_flag_detectors() > 0);
+    let mut syndromes: Vec<BitVec> = dem
+        .mechanisms()
+        .iter()
+        .map(|mech| {
+            BitVec::from_ones(
+                dem.num_detectors(),
+                mech.detectors.iter().map(|&d| d as usize),
+            )
+        })
+        .collect();
+    let q = mechanism_fire_probability(&dem, 8.0);
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0xF1A6);
+    syndromes.extend((0..256).map(|_| random_syndrome(&mut rng, &dem, q)));
+    let mut scratch = DecodeScratch::new();
+    let mut out = BitVec::zeros(0);
+    let mut conditioned = 0usize;
+    for (i, syndrome) in syndromes.iter().enumerate() {
+        uf.decode_into(syndrome, &mut scratch, &mut out);
+        assert_eq!(
+            out,
+            uf_reference.decode(syndrome),
+            "flagged Union-Find diverged from its reference on input {i}",
+        );
+        conditioned += usize::from(out != unflagged.decode(syndrome));
+    }
+    assert!(conditioned > 0, "flag conditioning changed no correction");
+}
+
 /// The oracle's rows must equal on-demand Dijkstra **bitwise** (same
 /// routine, same accumulation order), be invariant under the
 /// construction thread count, and every reconstructed path must sum
