@@ -90,6 +90,17 @@ named_test -p qec-decode --lib ball_ledger_matches_unpruned_reference
 # and color FPN DEMs, across flagged, unflagged and disjoint-flag shots
 # through one scratch.
 named_test -p qec-decode --lib flat_pricing_matches_the_class_representative
+# Flagged Union-Find against its allocating reference on the
+# shared-flag surface DEM, bitwise on every single mechanism and on
+# random syndromes; flag conditioning must change some correction.
+named_test --test properties flagged_union_find_matches_reference_on_shared_flag_surface
+# Classes are keyed by σ: on every testkit fixture DEM each σ strictly
+# ascends and no two classes share one, so a graphlike class is one
+# Union-Find edge.
+named_test -p qec-decode --lib classes_have_unique_ascending_sigmas_on_every_fixture
+# The Restriction trace lists its events in ascending order: repeated
+# calls and separately built decoders give the same event sequence.
+named_test -p qec-decode --lib trace_events_are_deterministic
 # Differential DEM-builder property: the streaming
 # DetectorErrorModel::from_circuit must equal qec-testkit's
 # collect-then-merge reference (same mechanisms, same order,

@@ -43,8 +43,9 @@ pub(crate) enum Pricing<'a> {
     Shot(&'a [f64]),
 }
 
-/// The flag-conditioned class pricing of the matching decoders and of
-/// [`crate::BpOsdDecoder`] (§VI-B): every class is represented by one member, chosen against
+/// The flag-conditioned class pricing of every decoder: the matching
+/// decoders, [`crate::BpOsdDecoder`] and [`crate::UnionFindDecoder`]
+/// (§VI-B). Every class is represented by one member, chosen against
 /// the shot's raised flags, and each raised flag costs `-ln p_M` on
 /// every class whose representative does not explain it.
 ///
@@ -201,18 +202,16 @@ impl ClassPricing {
         overrides.get(class).unwrap_or(self.base[class])
     }
 
-    /// Prices one shot raising `flags`: re-chooses the representative
-    /// of every class touching a raised flag into `overrides`, and
-    /// returns [`Pricing::Base`] when nothing changed, or the shot's
-    /// per-class weights resolved into `weights` — the flag-free
-    /// weight plus the global mismatch constant, or the override.
-    pub(crate) fn price_shot<'w>(
+    /// Starts a shot raising `flags`: re-chooses the representative of
+    /// every class touching a raised flag into `overrides`, and returns
+    /// the number of raised flags it priced (0 without flag
+    /// conditioning).
+    pub(crate) fn override_shot(
         &self,
         hypergraph: &DecodingHypergraph,
         flags: &BitVec,
         overrides: &mut ClassOverrides,
-        weights: &'w mut Vec<f64>,
-    ) -> Pricing<'w> {
+    ) -> usize {
         overrides.begin(self.base.len());
         let num_raised = if self.flag_conditioning {
             flags.weight()
@@ -220,7 +219,7 @@ impl ClassPricing {
             0
         };
         if num_raised == 0 {
-            return Pricing::Base;
+            return 0;
         }
         let epoch = overrides.epoch;
         for f in flags.iter_ones() {
@@ -236,6 +235,25 @@ impl ClassPricing {
                     overrides.touched.push(class as u32);
                 }
             }
+        }
+        num_raised
+    }
+
+    /// Prices one shot raising `flags` through
+    /// [`ClassPricing::override_shot`], and returns [`Pricing::Base`]
+    /// when nothing changed, or the shot's per-class weights resolved
+    /// into `weights` — the flag-free weight plus the global mismatch
+    /// constant, or the override.
+    pub(crate) fn price_shot<'w>(
+        &self,
+        hypergraph: &DecodingHypergraph,
+        flags: &BitVec,
+        overrides: &mut ClassOverrides,
+        weights: &'w mut Vec<f64>,
+    ) -> Pricing<'w> {
+        let num_raised = self.override_shot(hypergraph, flags, overrides);
+        if num_raised == 0 {
+            return Pricing::Base;
         }
         let flag_constant = num_raised as f64 * self.minus_ln_pm;
         weights.clear();

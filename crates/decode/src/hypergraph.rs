@@ -54,6 +54,10 @@ impl EquivClass {
     /// measurement error. The `|F|`-dependent part is common to all
     /// classes; an edge that explains a raised flag is effectively
     /// rewarded relative to every edge that does not.
+    ///
+    /// The decoders choose members through a flat class table, not
+    /// through this method; it is the reference that table is tested
+    /// against bitwise.
     pub fn representative(&self, raised: &BitVec, minus_ln_pm: f64) -> (usize, f64) {
         let num_raised = raised.weight();
         let mut best = (0usize, f64::INFINITY);
@@ -444,7 +448,10 @@ impl DecodingHypergraph {
         self.num_observables
     }
 
-    /// The equivalence classes.
+    /// The equivalence classes. Classes are keyed by σ, both when built
+    /// from the DEM and when decomposed pieces merge into them, so each
+    /// σ is strictly ascending and no two classes share one: a graphlike
+    /// class (`|σ| ≤ 2`) is the only class on its vertex pair.
     pub fn classes(&self) -> &[EquivClass] {
         &self.classes
     }
@@ -536,6 +543,63 @@ mod tests {
             .expect("sigma {0} class");
         assert_eq!(class.members.len(), 2);
         assert_eq!(class.flag_support, vec![0]);
+    }
+
+    /// The guarantee [`DecodingHypergraph::classes`] documents, on every
+    /// testkit fixture DEM at the matching and the undecomposed
+    /// primitive size: each σ strictly ascends and no two classes share
+    /// one, so a graphlike class is alone on its vertex pair. The class
+    /// counts pin the fixtures the check ran on.
+    #[test]
+    fn classes_have_unique_ascending_sigmas_on_every_fixture() {
+        let fixtures = [
+            (
+                "repetition",
+                qec_testkit::repetition_dem(1e-3, 1e-3),
+                [5, 5],
+            ),
+            ("tiny color", qec_testkit::tiny_color_dem().0, [2, 2]),
+            ("d3", qec_testkit::surface_memory_dem(3), [55, 55]),
+            ("d5", qec_testkit::surface_memory_dem(5), [189, 189]),
+            (
+                "shared-flag surface",
+                qec_testkit::shared_flag_surface_dem(),
+                [303, 306],
+            ),
+            (
+                "shared-flag color",
+                qec_testkit::shared_flag_color_dem(),
+                [174, 204],
+            ),
+            (
+                "hyperbolic",
+                qec_testkit::hyperbolic_memory_dem(),
+                [8_196, 8_532],
+            ),
+            ("toric color", qec_testkit::toric_color_dem().0, [254, 254]),
+        ];
+        for (name, dem, counts) in &fixtures {
+            for (primitive, expected) in [2, usize::MAX].into_iter().zip(counts) {
+                let hg = DecodingHypergraph::with_primitive_size(dem, primitive);
+                let classes = hg.classes();
+                for class in classes {
+                    assert!(
+                        class.sigma.windows(2).all(|w| w[0] < w[1]),
+                        "{name}: σ {:?} is not strictly ascending",
+                        class.sigma
+                    );
+                }
+                let mut sigmas: Vec<&[u32]> = classes.iter().map(|c| &c.sigma[..]).collect();
+                sigmas.sort_unstable();
+                sigmas.dedup();
+                assert_eq!(sigmas.len(), classes.len(), "{name}: two classes share a σ");
+                assert_eq!(
+                    classes.len(),
+                    *expected,
+                    "{name} at primitive size {primitive}"
+                );
+            }
+        }
     }
 
     #[test]

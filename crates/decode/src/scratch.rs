@@ -11,7 +11,7 @@ use crate::engine::Route;
 use qec_math::BitVec;
 use qec_obs::{Counter, Histogram, Registry};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Lifetime counters a decoder exposes through
 /// [`crate::Decoder::stats`].
@@ -413,7 +413,7 @@ pub(crate) struct MatchingScratch {
     /// Restriction only: plaquette-space edge parities.
     pub(crate) flattened: HashMap<(usize, usize), usize>,
     /// Restriction only: odd edges grouped by incident red plaquette.
-    pub(crate) at_red: HashMap<usize, Vec<usize>>,
+    pub(crate) at_red: BTreeMap<usize, Vec<usize>>,
 }
 
 /// Union-Find cluster state, kept alive across shots and reset in
@@ -425,8 +425,8 @@ pub(crate) struct MatchingScratch {
 pub(crate) struct UfScratch {
     pub(crate) checks: Vec<usize>,
     pub(crate) flags: BitVec,
-    /// Per-edge `(class, member)` overrides from flag conditioning.
-    pub(crate) overrides: HashMap<usize, (usize, usize)>,
+    /// The shot's flag overrides of the class pricing.
+    pub(crate) overrides: crate::engine::ClassOverrides,
     /// Union-Find parent array, identity outside touched vertices.
     pub(crate) parent: Vec<u32>,
     /// Union-Find size array, 1 outside touched vertices.

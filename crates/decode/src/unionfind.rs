@@ -9,9 +9,11 @@
 //! ablation benchmark `exp_ablation_decoders` quantifies the gap on
 //! FPN circuits.
 //!
-//! Flags are used the same way as in [`crate::MwpmDecoder`]: raised
-//! flags re-select each affected class's representative, which decides
-//! the Pauli frames applied during peeling.
+//! Each graphlike class (`|σ| ≤ 2`) is one edge: classes are keyed by
+//! σ, so no two share a vertex pair. Flags are priced by the same
+//! class pricing as in [`crate::MwpmDecoder`]: raised flags re-select
+//! each affected class's representative, which decides the Pauli frames
+//! applied during peeling.
 //!
 //! Cluster state lives in a caller-owned [`DecodeScratch`], growth
 //! scans only the frontier (edges incident to active clusters,
@@ -19,21 +21,14 @@
 //! reset in *O(touched)* between shots. The output is bit-identical to
 //! `qec-testkit`'s allocating reference, which scans every edge each
 //! growth round (golden- and property-tested).
-//!
-//! Graphlike classes that would map to the same vertex pair are merged
-//! into one **edge group** at construction: growth sees a single edge,
-//! and member selection (base and flag-conditioned) ranks the members
-//! of *all* classes in the group by weight, so no class is silently
-//! dropped.
 
+use crate::engine::ClassPricing;
 use crate::hypergraph::DecodingHypergraph;
 use crate::scratch::{DecodeScratch, UfScratch};
 use crate::{Decoder, DecoderStats};
 use qec_math::BitVec;
 use qec_obs::{Counter, Registry};
 use qec_sim::DetectorErrorModel;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Configuration of [`UnionFindDecoder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,16 +67,10 @@ const REMOVED: u8 = 4;
 #[derive(Debug)]
 pub struct UnionFindDecoder {
     hypergraph: DecodingHypergraph,
-    config: UnionFindConfig,
-    minus_ln_pm: f64,
-    /// Edge endpoints `(u, v)`; `v == boundary` marks boundary edges.
-    edges: Vec<(usize, usize)>,
-    /// Classes merged into each edge group, ascending class index.
-    edge_classes: Vec<Vec<usize>>,
-    /// Min-weight `(class, member)` per edge with no flags raised.
-    base_member: Vec<(usize, usize)>,
-    /// class index -> owning edge (None for non-graphlike classes).
-    edge_of_class: Vec<Option<usize>>,
+    pricing: ClassPricing,
+    /// Edge endpoints `(u, v)` and the edge's class, in class order;
+    /// `v == boundary` marks boundary edges.
+    edges: Vec<(usize, usize, usize)>,
     /// `adjacency[v]`: incident edge ids, ascending.
     adjacency: Vec<Vec<usize>>,
     boundary: usize,
@@ -111,63 +100,28 @@ impl UnionFindDecoder {
     ) -> Self {
         metrics.counter("decoder.constructions").inc();
         let hypergraph = DecodingHypergraph::new(dem);
-        let minus_ln_pm = -config
-            .measurement_error_probability
-            .clamp(1e-12, 1.0 - 1e-12)
-            .ln();
+        let pricing = ClassPricing::new(
+            &hypergraph,
+            config.flag_conditioning,
+            config.measurement_error_probability,
+        );
         let boundary = hypergraph.num_check_detectors();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut edge_classes: Vec<Vec<usize>> = Vec::new();
-        let mut edge_of_class: Vec<Option<usize>> = vec![None; hypergraph.classes().len()];
+        let mut edges = Vec::new();
         let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); boundary + 1];
-        let mut pair_index: HashMap<(usize, usize), usize> = HashMap::new();
         for (ci, class) in hypergraph.classes().iter().enumerate() {
-            let pair = match class.sigma.len() {
+            let (u, v) = match class.sigma.len() {
                 1 => (class.sigma[0] as usize, boundary),
                 2 => (class.sigma[0] as usize, class.sigma[1] as usize),
                 _ => continue,
             };
-            // Parallel classes sharing a vertex pair merge into one
-            // edge group: cluster growth needs a single edge, member
-            // selection ranks every group member by weight.
-            match pair_index.entry(pair) {
-                Entry::Occupied(o) => {
-                    let e = *o.get();
-                    edge_classes[e].push(ci);
-                    edge_of_class[ci] = Some(e);
-                }
-                Entry::Vacant(slot) => {
-                    let e = edges.len();
-                    edges.push(pair);
-                    edge_classes.push(vec![ci]);
-                    edge_of_class[ci] = Some(e);
-                    adjacency[pair.0].push(e);
-                    adjacency[pair.1].push(e);
-                    slot.insert(e);
-                }
-            }
+            adjacency[u].push(edges.len());
+            adjacency[v].push(edges.len());
+            edges.push((u, v, ci));
         }
-        let no_flags = BitVec::zeros(hypergraph.num_flag_detectors());
-        let base_member: Vec<(usize, usize)> = edge_classes
-            .iter()
-            .map(|group| {
-                min_weight_member(&hypergraph, group, |c| {
-                    if config.flag_conditioning {
-                        c.representative(&no_flags, minus_ln_pm)
-                    } else {
-                        c.representative_unflagged()
-                    }
-                })
-            })
-            .collect();
         UnionFindDecoder {
             hypergraph,
-            config,
-            minus_ln_pm,
+            pricing,
             edges,
-            edge_classes,
-            base_member,
-            edge_of_class,
             adjacency,
             boundary,
             decodes: metrics.counter("decode.decodes"),
@@ -182,62 +136,10 @@ impl UnionFindDecoder {
         &self.hypergraph
     }
 
-    /// Number of decoding-graph edges (merged parallel classes count
-    /// once).
+    /// Number of decoding-graph edges, one per graphlike class.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
-
-    /// The classes merged into edge `e`, ascending.
-    pub fn edge_classes(&self, e: usize) -> &[usize] {
-        &self.edge_classes[e]
-    }
-
-    /// Min-weight `(class, member)` of edge `e` under the raised flags.
-    fn conditioned_member(&self, e: usize, flags: &BitVec) -> (usize, usize) {
-        min_weight_member(&self.hypergraph, &self.edge_classes[e], |c| {
-            c.representative(flags, self.minus_ln_pm)
-        })
-    }
-
-    /// Fills `overrides` with flag-conditioned `(class, member)`
-    /// choices for every edge whose group has a raised flag in support.
-    fn conditioned_overrides(
-        &self,
-        flags: &BitVec,
-        overrides: &mut HashMap<usize, (usize, usize)>,
-    ) {
-        for f in flags.iter_ones() {
-            for &class in self.hypergraph.classes_with_flag(f) {
-                let Some(e) = self.edge_of_class[class] else {
-                    continue;
-                };
-                if let Entry::Vacant(slot) = overrides.entry(e) {
-                    slot.insert(self.conditioned_member(e, flags));
-                }
-            }
-        }
-    }
-}
-
-/// Ranks the members of every class in `group` by the weight `selector`
-/// assigns and returns the overall min-weight `(class, member)`.
-/// Strict `<` keeps the first (lowest class index) on exact ties,
-/// matching the first-wins tie-breaking inside `representative`.
-fn min_weight_member(
-    hypergraph: &DecodingHypergraph,
-    group: &[usize],
-    selector: impl Fn(&crate::EquivClass) -> (usize, f64),
-) -> (usize, usize) {
-    let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
-    for &ci in group {
-        let (member, weight) = selector(&hypergraph.classes()[ci]);
-        if weight < best.2 {
-            best = (ci, member, weight);
-        }
-    }
-    debug_assert_ne!(best.0, usize::MAX, "edge groups are never empty");
-    (best.0, best.1)
 }
 
 /// Path-halving find over the scratch parent array.
@@ -287,15 +189,13 @@ impl Decoder for UnionFindDecoder {
         sc.odd_roots.clear();
         sc.stack.clear();
         sc.to_merge.clear();
-        sc.overrides.clear();
         self.hypergraph
             .split_shot_into(detectors, &mut sc.checks, &mut sc.flags);
         if sc.checks.is_empty() {
             return;
         }
-        if self.config.flag_conditioning && !sc.flags.is_zero() {
-            self.conditioned_overrides(&sc.flags, &mut sc.overrides);
-        }
+        self.pricing
+            .override_shot(&self.hypergraph, &sc.flags, &mut sc.overrides);
         // Seed defects and the frontier: every edge incident to a
         // cluster member is in the frontier, so growth scans only the
         // neighbourhood of active clusters, never the whole graph.
@@ -356,7 +256,7 @@ impl Decoder for UnionFindDecoder {
                 if sc.growth[e] >= 2 {
                     continue;
                 }
-                let (u, v) = self.edges[e];
+                let (u, v, _) = self.edges[e];
                 let ru = find(&mut sc.parent, u);
                 let rv = find(&mut sc.parent, v);
                 let grow_u = sc.odd[ru];
@@ -384,7 +284,7 @@ impl Decoder for UnionFindDecoder {
             sc.to_merge.sort_unstable();
             for i in 0..sc.to_merge.len() {
                 let e = sc.to_merge[i];
-                let (u, v) = self.edges[e];
+                let (u, v, _) = self.edges[e];
                 let ru = find(&mut sc.parent, u);
                 let rv = find(&mut sc.parent, v);
                 if ru != rv {
@@ -414,13 +314,13 @@ impl Decoder for UnionFindDecoder {
         // Peeling over the forest edges, leaf order identical to the
         // reference decoder (ascending initial leaves, stack pops last).
         for &e in &sc.forest {
-            let (u, v) = self.edges[e];
+            let (u, v, _) = self.edges[e];
             sc.degree[u] += 1;
             sc.degree[v] += 1;
         }
         sc.peel_seed.clear();
         for &e in &sc.forest {
-            let (u, v) = self.edges[e];
+            let (u, v, _) = self.edges[e];
             sc.peel_seed.push(u);
             sc.peel_seed.push(v);
         }
@@ -443,7 +343,7 @@ impl Decoder for UnionFindDecoder {
                 continue;
             };
             sc.edge_state[e] |= REMOVED;
-            let (a, b) = self.edges[e];
+            let (a, b, class) = self.edges[e];
             let other = if a == v { b } else { a };
             sc.degree[v] -= 1;
             sc.degree[other] -= 1;
@@ -452,7 +352,7 @@ impl Decoder for UnionFindDecoder {
                 if other != self.boundary {
                     sc.flipped[other] = !sc.flipped[other];
                 }
-                let (class, member) = sc.overrides.get(&e).copied().unwrap_or(self.base_member[e]);
+                let (member, _) = self.pricing.member(class, &sc.overrides);
                 for &obs in &self.hypergraph.classes()[class].members[member].observables {
                     out.flip(obs as usize);
                 }
@@ -554,12 +454,12 @@ mod tests {
         }
     }
 
-    /// Regression for the parallel-class silent drop: two mechanisms
-    /// with the **same σ** but different observables (one flagged, one
-    /// not) must both survive edge construction — the min-weight member
-    /// decodes the unflagged shot, and flag conditioning switches to
-    /// the flagged member's observables instead of silently reusing the
-    /// kept one's.
+    /// Regression for the parallel-mechanism silent drop: two
+    /// mechanisms with the **same σ** but different observables (one
+    /// flagged, one not) must both survive as members of the edge's one
+    /// class — the min-weight member decodes the unflagged shot, and
+    /// flag conditioning switches to the flagged member's observables
+    /// instead of silently reusing the kept one's.
     #[test]
     fn parallel_same_sigma_mechanisms_are_merged_not_dropped() {
         // Check 0 and flag 0; obs 0 and 1 on separate data qubits.
@@ -582,20 +482,20 @@ mod tests {
         c.include_in_observable(obs_b, &[md + 1]);
         let dem = DetectorErrorModel::from_circuit(&c);
         let decoder = UnionFindDecoder::new(&dem, UnionFindConfig::flagged(0.01));
-        // Both same-σ mechanisms share one edge; no class was dropped.
+        // Both same-σ mechanisms share one edge; no member was dropped.
         assert_eq!(decoder.num_edges(), 1);
-        let classes: usize = (0..decoder.num_edges())
-            .map(|e| decoder.edge_classes(e).len())
-            .sum();
-        let members: usize = decoder
+        let classes: Vec<_> = decoder
             .hypergraph()
             .classes()
             .iter()
             .filter(|c| c.sigma == vec![0])
-            .map(|c| c.members.len())
-            .sum();
-        assert_eq!(classes, 1, "same-σ mechanisms live in one class");
-        assert_eq!(members, 2, "both mechanisms survive as members");
+            .collect();
+        assert_eq!(classes.len(), 1, "same-σ mechanisms live in one class");
+        assert_eq!(
+            classes[0].members.len(),
+            2,
+            "both mechanisms survive as members"
+        );
         // Check only: the min-weight (unflagged, p=0.1) member wins.
         let check_only = BitVec::from_ones(2, [0]);
         assert_eq!(

@@ -506,13 +506,16 @@ impl UnionFind {
     }
 }
 
-/// The allocating Union-Find decoder: the same edge groups and member
-/// selection as `UnionFindDecoder`, but cluster parity lives in a
+/// The allocating Union-Find decoder: the same cluster growth and
+/// peeling as `UnionFindDecoder`, but cluster parity lives in a
 /// per-round `HashMap` and every growth round scans every edge.
 ///
-/// Edge groups are built once, in [`UnionFindReference::new`], from the
-/// DEM's public [`DecodingHypergraph`]; `decode` then does only the
-/// per-shot work.
+/// Member selection is formulated independently of the decoder's class
+/// pricing: classes on one vertex pair form an edge group, and each
+/// group's member is chosen with [`EquivClass::representative`]. Since
+/// classes are keyed by σ, every group holds one class. Edge groups are
+/// built once, in [`UnionFindReference::new`], from the DEM's public
+/// [`DecodingHypergraph`]; `decode` then does only the per-shot work.
 #[derive(Debug)]
 pub struct UnionFindReference {
     hypergraph: DecodingHypergraph,
